@@ -161,12 +161,27 @@ def normalize(spec: ArrangementSpec) -> NormalizedArrangement:
 # ---------------------------------------------------------------------------
 
 
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise DimensionError(f'"{what}" must be a JSON list, got {value!r}')
+    return value
+
+
+def _json_rationals(value, what: str) -> list:
+    """A JSON list of exact rationals: integers or "p/q" strings, never floats."""
+    for x in _json_list(value, what):
+        if isinstance(x, bool) or not isinstance(x, (int, str)):
+            raise DimensionError(f'"{what}" entry {x!r} is not an integer or a "p/q" string')
+    return value
+
+
 def arrangement_from_json(document: str | Mapping) -> ArrangementSpec:
     """Read the JSON input document.
 
     Either {"polynomial": "<factored text>"} or
     {"variables": [...]?, "normals": [[...]], "offsets": [...]?,
      "multiplicities": [...]} with rationals as "p/q" strings or integers.
+    Documents of any other shape raise DimensionError.
     """
     data = json.loads(document) if isinstance(document, str) else document
     if not isinstance(data, Mapping):
@@ -174,15 +189,24 @@ def arrangement_from_json(document: str | Mapping) -> ArrangementSpec:
     if "polynomial" in data:
         from .parser import parse_factored_product
 
+        if not isinstance(data["polynomial"], str):
+            raise DimensionError('"polynomial" must be a string')
         return parse_factored_product(data["polynomial"])
     if "normals" not in data:
         raise DimensionError('JSON input needs either "polynomial" or "normals"')
-    normals = RationalMatrix(data["normals"])
+    normals = RationalMatrix(
+        _json_rationals(row, "normals") for row in _json_list(data["normals"], "normals")
+    )
     if "multiplicities" not in data:
         raise DimensionError('JSON input with "normals" needs "multiplicities"')
-    mults = data["multiplicities"]
+    mults = _json_list(data["multiplicities"], "multiplicities")
     offsets = data.get("offsets")
+    if offsets is not None:
+        _json_rationals(offsets, "offsets")
     variables = data.get("variables")
+    if variables is not None:
+        if not all(isinstance(v, str) for v in _json_list(variables, "variables")):
+            raise DimensionError('"variables" must be a list of strings')
     return ArrangementSpec(normals, mults, offsets=offsets, variables=variables)
 
 

@@ -30,7 +30,7 @@ from .errors import RlctError, SizeLimitError
 from .oracle import lattice_bruteforce, longest_chain_bruteforce
 from .parser import parse_factored_product
 from .ratlinalg import as_rational, format_rational
-from .threshold import LocalizationReport, RlctResult, rlct_affine, rlct_central
+from .threshold import RlctResult, rlct_affine, rlct_central
 from .volume import estimate_volume, fit_asymptotics, synthetic_samples
 
 EXIT_OK = 0
@@ -130,7 +130,12 @@ def run_verification(arr: NormalizedArrangement, result: RlctResult) -> dict:
     return {"lattice_match": lattice_match, "chain_match": chain_match}
 
 
-def _emit_result(arr: NormalizedArrangement, doc: dict, pair, args) -> None:
+def _emit_report(arr: NormalizedArrangement, body: dict, pair, verification: dict | None, args) -> int:
+    """Print a compute/localize result and turn a verification mismatch into exit 1."""
+    doc = {"input": arrangement_to_json_dict(arr)}
+    doc.update(body)
+    if verification is not None:
+        doc["verify"] = verification
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     elif args.format == "csv":
@@ -145,55 +150,36 @@ def _emit_result(arr: NormalizedArrangement, doc: dict, pair, args) -> None:
             for loc in doc["localizations"]:
                 point = ", ".join(loc["point"])
                 print(f"  at ({point}): lambda = {loc['lambda']}, m = {loc['m']}")
+    if verification is not None and not all(verification.values()):
+        print("verification mismatch between production and oracle paths", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
+    return EXIT_OK
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
     arr = load_arrangement(args)
-    verification: dict | None = None
-    if arr.is_central:
-        result = rlct_central(arr)
-        doc = {"input": arrangement_to_json_dict(arr)}
-        doc.update(result.to_json_dict())
-        pair = result.pair
-        if args.verify:
-            verification = run_verification(arr, result)
-    else:
-        report = rlct_affine(arr)
-        doc = {"input": arrangement_to_json_dict(arr)}
-        doc.update(report.to_json_dict())
-        pair = report.global_pair
-        if args.verify:
-            verification = _verify_report(report)
-    if verification is not None:
-        doc["verify"] = verification
-    _emit_result(arr, doc, pair, args)
-    if verification is not None and not all(verification.values()):
-        print("verification mismatch between production and oracle paths", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
-    return EXIT_OK
-
-
-def _verify_report(report: LocalizationReport) -> dict:
-    checks = [run_verification(loc.arrangement, loc.result) for loc in report.localizations]
-    return {
-        "lattice_match": all(c["lattice_match"] for c in checks),
-        "chain_match": all(c["chain_match"] for c in checks),
-    }
+    if not arr.is_central:
+        return _localization_report(arr, args)
+    result = rlct_central(arr)
+    verification = run_verification(arr, result) if args.verify else None
+    return _emit_report(arr, result.to_json_dict(), result.pair, verification, args)
 
 
 def cmd_localize(args: argparse.Namespace) -> int:
-    arr = load_arrangement(args)
+    return _localization_report(load_arrangement(args), args)
+
+
+def _localization_report(arr: NormalizedArrangement, args: argparse.Namespace) -> int:
+    """The affine report: every maximal localization plus the global pair."""
     report = rlct_affine(arr)
-    doc = {"input": arrangement_to_json_dict(arr)}
-    doc.update(report.to_json_dict())
-    verification = _verify_report(report) if args.verify else None
-    if verification is not None:
-        doc["verify"] = verification
-    _emit_result(arr, doc, report.global_pair, args)
-    if verification is not None and not all(verification.values()):
-        print("verification mismatch between production and oracle paths", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
-    return EXIT_OK
+    verification = None
+    if args.verify:
+        checks = [run_verification(loc.arrangement, loc.result) for loc in report.localizations]
+        verification = {
+            "lattice_match": all(c["lattice_match"] for c in checks),
+            "chain_match": all(c["chain_match"] for c in checks),
+        }
+    return _emit_report(arr, report.to_json_dict(), report.global_pair, verification, args)
 
 
 def cmd_volume_fit(args: argparse.Namespace) -> int:

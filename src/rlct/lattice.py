@@ -1,17 +1,24 @@
-"""Intersection lattice of a central arrangement.
+"""Intersection lattice of a central arrangement, and the closure engine behind it.
 
 A flat is a nonempty intersection of some of the hyperplanes (the ambient
 space itself is excluded). Flats are identified by the canonical basis of
 their normal space: the span of the normals of every hyperplane containing
 them. Enumeration works by closure instead of scanning all 2^n subsets:
-seed with the hyperplanes, then repeatedly adjoin one more normal to each
+seed with the hyperplanes, then repeatedly adjoin one more row to each
 frontier flat and deduplicate, so the cost scales with the lattice size.
+
+One engine, `_closure`, serves both the central lattice here and the affine
+localizations in `threshold.py`. Central input passes the normals (d
+columns); affine input passes the augmented rows (a | b), whose last column
+is the offset, and a row set whose echelon form pivots in that column has
+no common point and is skipped. Because every consistent one-row extension
+of each flat is tried, a flat that no outside row extends consistently is
+exactly an inclusion-maximal one, and the engine flags it as such.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .arrangement import NormalizedArrangement
 from .errors import CentralityError, EmptyArrangementError
@@ -36,8 +43,12 @@ class Flat:
     members: frozenset[int]
 
     @property
-    def dim_ambient(self) -> int:
-        return self.normal_space.cols
+    def mask(self) -> int:
+        """Bitmask of `members`: bit j is set iff hyperplane j contains the flat."""
+        mask = 0
+        for j in self.members:
+            mask |= 1 << j
+        return mask
 
     def sort_key(self):
         return (self.codim, self.normal_space.entries)
@@ -70,20 +81,6 @@ class IntersectionLattice:
     def __len__(self) -> int:
         return len(self.flats)
 
-    def member_masks(self) -> list[int]:
-        masks = []
-        for flat in self.flats:
-            mask = 0
-            for j in flat.members:
-                mask |= 1 << j
-            masks.append(mask)
-        return masks
-
-    @cached_property
-    def inclusion(self) -> frozenset[tuple[int, int]]:
-        """Strict containment pairs (i, j) meaning flats[i] is a proper subflat of flats[j]."""
-        return inclusion_dag(self).pairs
-
 
 @dataclass(frozen=True)
 class InclusionDag:
@@ -97,18 +94,65 @@ class InclusionDag:
     pairs: frozenset[tuple[int, int]]
     topological_order: tuple[int, ...]
 
-    def less(self, i: int, j: int) -> bool:
-        return (i, j) in self.pairs
+
+def _closure(rows: list[tuple[int, ...]], d: int) -> list[tuple[IntegerEchelon, int, bool]]:
+    """Every flat spanned by `rows`, as (echelon, member bitmask, maximal).
+
+    Rows are primitive integer vectors with d columns (normals) or d + 1
+    (augmented rows (a | b), offset last). Closure by rank level: a flat of
+    rank r+1 is always the span-closure of a rank-r flat plus one outside
+    row, so each wave adjoins single rows to the previous wave's flats and
+    dedups on the canonical echelon. An extension whose echelon pivots in
+    column d has no common point and is dropped; with d columns that never
+    happens. A flat is maximal iff no outside row extends it consistently,
+    which is inclusion-maximality of its member set among all flats.
+    """
+    n = len(rows)
+
+    def closed_mask(ech: IntegerEchelon, mask: int) -> int:
+        for k in range(n):
+            if not mask >> k & 1 and ech.contains(rows[k]):
+                mask |= 1 << k
+        return mask
+
+    seen: set[tuple] = set()
+    frontier: list[tuple[IntegerEchelon, int]] = []
+    for j in range(n):
+        ech = IntegerEchelon(len(rows[j])).inserted(rows[j])
+        if ech.key() not in seen:  # distinct by normalization, but keep the guard
+            seen.add(ech.key())
+            frontier.append((ech, closed_mask(ech, 1 << j)))
+
+    flats = []
+    while frontier:
+        next_frontier: list[tuple[IntegerEchelon, int]] = []
+        for ech, mask in frontier:
+            maximal = True
+            if ech.rank < d:
+                for j in range(n):
+                    if mask >> j & 1:
+                        continue
+                    bigger = ech.inserted(rows[j])
+                    if bigger.pivots[-1] == d:
+                        # Offset-column pivot: the rows have no common point.
+                        continue
+                    maximal = False
+                    key = bigger.key()
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    next_frontier.append((bigger, closed_mask(bigger, mask | 1 << j)))
+            flats.append((ech, mask, maximal))
+        frontier = next_frontier
+    return flats
 
 
 def build_lattice(arr: NormalizedArrangement) -> IntersectionLattice:
     """Enumerate every flat of a central arrangement with its weight and members.
 
-    Closure by codimension level: a flat of codimension c+1 is always the
-    span-closure of a codimension-c flat plus one extra hyperplane, so each
-    wave adjoins single normals to the previous wave's flats and dedups on
-    the canonical integer echelon form. Member sets come from exact span
-    membership tests, and the weight is the sum of member multiplicities.
+    The flats are the closure of the normals (see `_closure`); member sets
+    come from exact span membership tests, and the weight is the sum of
+    member multiplicities.
     """
     if not arr.is_central:
         raise CentralityError(
@@ -119,40 +163,9 @@ def build_lattice(arr: NormalizedArrangement) -> IntersectionLattice:
         raise EmptyArrangementError("arrangement has no hyperplanes")
     int_normals = [primitive_int_row(arr.normals.row(j)) for j in range(n)]
 
-    # (echelon, member bitmask) per flat, keyed by the canonical echelon rows.
-    seen: dict[tuple, tuple[IntegerEchelon, int]] = {}
-    frontier: list[tuple[IntegerEchelon, int]] = []
-    for j in range(n):
-        ech = IntegerEchelon(d).inserted(int_normals[j])
-        if ech.key() not in seen:  # distinct by normalization, but keep the guard
-            entry = (ech, 1 << j)
-            seen[ech.key()] = entry
-            frontier.append(entry)
-
-    while frontier:
-        next_frontier: list[tuple[IntegerEchelon, int]] = []
-        for ech, mask in frontier:
-            if ech.rank == d:
-                continue
-            for j in range(n):
-                if mask >> j & 1:
-                    continue
-                bigger = ech.inserted(int_normals[j])
-                key = bigger.key()
-                if key in seen:
-                    continue
-                new_mask = mask | 1 << j
-                for k in range(n):
-                    if not new_mask >> k & 1 and bigger.contains(int_normals[k]):
-                        new_mask |= 1 << k
-                entry = (bigger, new_mask)
-                seen[key] = entry
-                next_frontier.append(entry)
-        frontier = next_frontier
-
     mult = arr.multiplicities
     flats = []
-    for ech, mask in seen.values():
+    for ech, mask, _ in _closure(int_normals, d):
         members = frozenset(j for j in range(n) if mask >> j & 1)
         flats.append(
             Flat(
@@ -173,7 +186,7 @@ def inclusion_dag(lat: IntersectionLattice) -> InclusionDag:
     members(flat_j) is a proper subset of members(flat_i); this matches the
     geometric subspace test and is property-checked against it.
     """
-    masks = lat.member_masks()
+    masks = [flat.mask for flat in lat.flats]
     count = len(masks)
     pairs = set()
     for i in range(count):

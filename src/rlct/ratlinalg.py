@@ -36,7 +36,10 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"{value!r} has a zero denominator") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -113,20 +116,6 @@ class RationalMatrix:
         body = ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self._data)
         return f"RationalMatrix([{body}], cols={self._cols})"
 
-    def stack(self, other: "RationalMatrix") -> "RationalMatrix":
-        """Vertical concatenation."""
-        if other.cols != self._cols:
-            raise DimensionError("cannot stack matrices with different column counts")
-        return RationalMatrix(self._data + other._data, cols=self._cols)
-
-    def stack_row(self, row: Sequence[RationalLike]) -> "RationalMatrix":
-        return self.stack(RationalMatrix([row]))
-
-    def transpose(self) -> "RationalMatrix":
-        if not self._data:
-            raise DimensionError("cannot transpose a matrix with no rows into zero columns")
-        return RationalMatrix(list(zip(*self._data)), cols=len(self._data))
-
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self._cols != other.rows:
             raise DimensionError("inner dimensions do not match")
@@ -149,10 +138,6 @@ class RationalMatrix:
 
     def to_string_lists(self) -> list[list[str]]:
         return [[format_rational(x) for x in row] for row in self._data]
-
-    @classmethod
-    def from_nested(cls, nested: Sequence[Sequence[RationalLike]], cols: int | None = None) -> "RationalMatrix":
-        return cls(nested, cols=cols)
 
 
 def rref(matrix: RationalMatrix) -> tuple[RationalMatrix, int, tuple[int, ...]]:

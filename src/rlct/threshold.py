@@ -16,7 +16,7 @@ from functools import total_ordering
 
 from .arrangement import NormalizedArrangement
 from .errors import CentralityError, EmptyArrangementError, InvalidMultiplicityError
-from .lattice import Flat, IntersectionLattice, build_lattice
+from .lattice import Flat, IntersectionLattice, _closure, build_lattice
 from .ratlinalg import IntegerEchelon, RationalMatrix, format_rational, primitive_int_row
 
 
@@ -105,12 +105,7 @@ def _longest_chain(flats: list[Flat]) -> tuple[int, list[Flat]]:
     """
     if not flats:
         return 0, []
-    masks = []
-    for flat in flats:
-        mask = 0
-        for j in flat.members:
-            mask |= 1 << j
-        masks.append(mask)
+    masks = [flat.mask for flat in flats]
     # Process by decreasing codim; every proper subflat of a flat has
     # strictly larger codim, so predecessors are always processed first.
     # First-wins ties keep the witness deterministic.
@@ -206,11 +201,13 @@ def maximal_central_localizations(
     """Points where maximal subsets of the hyperplanes meet, with the
     centered sub-arrangements they define.
 
-    Affine flats are enumerated by the same closure idea as the lattice but
-    on augmented rows (a | b); a subset has empty intersection exactly when
-    elimination pivots in the offset column, and such candidates are
-    discarded. Only member sets maximal under inclusion are returned. The
-    witness point is the particular solution with free variables at zero.
+    Affine flats come from the lattice's closure engine run on the
+    augmented rows (a | b); a subset has empty intersection exactly when
+    elimination pivots in the offset column, and the engine drops such
+    extensions. It flags a flat maximal when no outside hyperplane extends
+    it consistently, which is inclusion-maximality of its member set, so the
+    maximal flats are read off the closure directly. The witness point is
+    the particular solution with free variables at zero.
     """
     n, d = arr.n, arr.dim
     if n == 0:
@@ -219,52 +216,10 @@ def maximal_central_localizations(
         primitive_int_row(tuple(arr.normals.row(j)) + (arr.offsets[j],)) for j in range(n)
     ]
 
-    seen: dict[tuple, tuple[IntegerEchelon, int]] = {}
-    frontier: list[tuple[IntegerEchelon, int]] = []
-    for j in range(n):
-        ech = IntegerEchelon(d + 1).inserted(augmented[j])
-        if ech.key() not in seen:
-            mask = 1 << j
-            for k in range(n):
-                if not mask >> k & 1 and ech.contains(augmented[k]):
-                    mask |= 1 << k
-            entry = (ech, mask)
-            seen[ech.key()] = entry
-            frontier.append(entry)
-
-    while frontier:
-        next_frontier = []
-        for ech, mask in frontier:
-            if ech.rank == d:
-                continue
-            for j in range(n):
-                if mask >> j & 1:
-                    continue
-                bigger = ech.inserted(augmented[j])
-                if bigger.pivots[-1] == d:
-                    # Offset-column pivot: the subset has no common point.
-                    continue
-                key = bigger.key()
-                if key in seen:
-                    continue
-                new_mask = mask | 1 << j
-                for k in range(n):
-                    if not new_mask >> k & 1 and bigger.contains(augmented[k]):
-                        new_mask |= 1 << k
-                entry = (bigger, new_mask)
-                seen[key] = entry
-                next_frontier.append(entry)
-        frontier = next_frontier
-
-    # Keep only member sets maximal under inclusion.
-    entries = list(seen.values())
-    maximal = []
-    for ech, mask in entries:
-        if not any(other != mask and other & mask == mask for _, other in entries):
-            maximal.append((ech, mask))
-
     out = []
-    for ech, mask in maximal:
+    for ech, mask, maximal in _closure(augmented, d):
+        if not maximal:
+            continue
         members = sorted(j for j in range(n) if mask >> j & 1)
         point = _particular_solution(ech, d)
         sub = NormalizedArrangement(

@@ -39,6 +39,22 @@ class TestCompute:
         code, out, err = run_cli(capsys, "compute", "--input", str(path))
         assert code == 2
         assert "multiplicities" in err or "0" in err
+        # Wrong shapes and inexact numbers are input errors (exit 2), never
+        # crashes (exit 1 is reserved for --verify mismatches).
+        malformed = [
+            {"normals": [[1.5, 2]], "multiplicities": [1]},
+            {"normals": 5, "multiplicities": [1]},
+            {"normals": [[1, 0]], "multiplicities": 5},
+            {"polynomial": 5},
+            {"normals": [[1, 0]], "multiplicities": [1], "offsets": [0.5]},
+            {"normals": [["1/0", 1]], "multiplicities": [1]},
+        ]
+        for doc in malformed:
+            path.write_text(json.dumps(doc))
+            code, out, err = run_cli(capsys, "compute", "--input", str(path))
+            assert code == 2, doc
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_missing_file_is_user_error(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--input", "/nonexistent/path.json")
@@ -201,6 +217,9 @@ class TestVolumeFit:
         )
         assert code == 2
         assert "eps" in err
+        code, _, err = run_cli(capsys, "volume-fit", "--poly", "x*y", "--box", "1/0,1")
+        assert code == 2
+        assert "zero denominator" in err
 
 
 class TestParseCommand:

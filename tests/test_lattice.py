@@ -14,9 +14,13 @@ from rlct import (
     inclusion_dag,
     lattice_to_json_dict,
     normalize,
+    parse_factored_product,
+    rank,
     row_space_canonical,
     subspace_leq,
 )
+from rlct.lattice import _closure
+from rlct.ratlinalg import primitive_int_row
 
 from conftest import random_central_arrangement, random_invertible
 
@@ -207,6 +211,68 @@ class TestInclusionDag:
         order = inclusion_dag(lat).topological_order
         codims = [lat.flats[i].codim for i in order]
         assert codims == sorted(codims, reverse=True)
+
+
+def _low_rank_or_parallel(rng, affine):
+    """Rows drawn as multiples of a few base normals, so rank < d is common."""
+    d = rng.randint(1, 4)
+    bases = [[rng.randint(-2, 2) for _ in range(d - 1)] + [rng.randint(1, 2)]
+             for _ in range(rng.randint(1, d))]
+    n = rng.randint(1, 7)
+    rows = [[rng.choice([1, -1, 2]) * x for x in rng.choice(bases)] for _ in range(n)]
+    offsets = [F(rng.randint(-2, 2)) for _ in range(n)] if affine else None
+    return normalize(ArrangementSpec(rows, [rng.randint(1, 3) for _ in range(n)], offsets=offsets))
+
+
+def _engine_corpus():
+    rng = random.Random(41)
+    corpus = [
+        normalize(parse_factored_product(text))
+        for text in ("vars x, y, z; x*(x-1)*y", "x*(x-1)", "vars x, y, z; z^2*(z-1)^2", "x*y*(x+y-1)")
+    ]
+    for _ in range(30):
+        corpus.append(random_central_arrangement(rng, max_n=6, max_d=4))
+        corpus.append(_low_rank_or_parallel(rng, affine=False))
+        corpus.append(_low_rank_or_parallel(rng, affine=True))
+    return corpus
+
+
+class TestClosureEngine:
+    """The shared closure: the central rows are the normals, the affine rows (a | b)."""
+
+    @staticmethod
+    def _check_maximal_flags(flats):
+        masks = [mask for _, mask, _ in flats]
+        assert len(set(masks)) == len(masks)
+        for _, mask, maximal in flats:
+            strictly_inside = any(other != mask and other & mask == mask for other in masks)
+            assert maximal == (not strictly_inside)
+
+    def test_maximal_flag_is_inclusion_maximality(self):
+        for arr in _engine_corpus():
+            augmented = [
+                primitive_int_row(tuple(arr.normals.row(j)) + (arr.offsets[j],))
+                for j in range(arr.n)
+            ]
+            self._check_maximal_flags(_closure(augmented, arr.dim))
+            if arr.is_central:
+                normals = [primitive_int_row(arr.normals.row(j)) for j in range(arr.n)]
+                self._check_maximal_flags(_closure(normals, arr.dim))
+
+    def test_central_input_has_one_maximal_flat_at_top_rank(self):
+        low_rank_seen = False
+        for arr in _engine_corpus():
+            if not arr.is_central:
+                continue
+            top = rank(arr.normals)
+            low_rank_seen |= top < arr.dim
+            rows = [primitive_int_row(arr.normals.row(j)) for j in range(arr.n)]
+            maximal = [(ech, mask) for ech, mask, flag in _closure(rows, arr.dim) if flag]
+            assert len(maximal) == 1
+            ech, mask = maximal[0]
+            assert ech.rank == top
+            assert mask == (1 << arr.n) - 1
+        assert low_rank_seen
 
 
 class TestExport:
