@@ -4,15 +4,18 @@ A flat is a nonempty intersection of some of the hyperplanes (the ambient
 space itself is excluded). Flats are identified by the canonical basis of
 their normal space: the span of the normals of every hyperplane containing
 them. Enumeration works by closure instead of scanning all 2^n subsets:
-seed with the hyperplanes, then repeatedly adjoin one more row to each
-frontier flat and deduplicate, so the cost scales with the lattice size.
+start at the ambient space and repeatedly adjoin one more row to each
+frontier flat, so the cost scales with the lattice size. Each flat reduces
+every outside row once against its echelon; rows with equal residues give
+the same child and are exactly its new members. Children are deduplicated
+by member bitmask before their echelon is built, so each flat is built once.
 
 One engine, `_closure`, serves both the central lattice here and the affine
 localizations in `threshold.py`. Central input passes the normals (d
 columns); affine input passes the augmented rows (a | b), whose last column
-is the offset, and a row set whose echelon form pivots in that column has
-no common point and is skipped. Because every consistent one-row extension
-of each flat is tried, a flat that no outside row extends consistently is
+is the offset, and a residue that is zero on the normal columns has no
+common point and is skipped. Because every consistent one-row extension of
+each flat is seen, a flat that no outside row extends consistently is
 exactly an inclusion-maximal one, and the engine flags it as such.
 """
 
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 from .arrangement import NormalizedArrangement
 from .errors import CentralityError, EmptyArrangementError
-from .ratlinalg import IntegerEchelon, RationalMatrix, primitive_int_row, subspace_leq
+from .ratlinalg import IntegerEchelon, RationalMatrix, primitive_int_row
 
 
 @dataclass(frozen=True)
@@ -52,10 +55,6 @@ class Flat:
 
     def sort_key(self):
         return (self.codim, self.normal_space.entries)
-
-    def contains(self, other: "Flat") -> bool:
-        """True iff `other` is a subflat, tested geometrically on normal spaces."""
-        return subspace_leq(other.normal_space, self.normal_space)
 
     def to_json_dict(self) -> dict:
         return {
@@ -99,50 +98,42 @@ def _closure(rows: list[tuple[int, ...]], d: int) -> list[tuple[IntegerEchelon, 
     """Every flat spanned by `rows`, as (echelon, member bitmask, maximal).
 
     Rows are primitive integer vectors with d columns (normals) or d + 1
-    (augmented rows (a | b), offset last). Closure by rank level: a flat of
-    rank r+1 is always the span-closure of a rank-r flat plus one outside
-    row, so each wave adjoins single rows to the previous wave's flats and
-    dedups on the canonical echelon. An extension whose echelon pivots in
-    column d has no common point and is dropped; with d columns that never
-    happens. A flat is maximal iff no outside row extends it consistently,
-    which is inclusion-maximality of its member set among all flats.
+    (augmented rows (a | b), offset last). Closure by rank level, starting
+    at the ambient space (empty echelon, mask 0): a flat of rank r+1 is the
+    span-closure of a rank-r flat plus one outside row. Each frontier flat
+    reduces every outside row once; two rows give the same child iff their
+    primitive residues are equal, so each residue's group of rows is exactly
+    the child's new members. The child mask is looked up before anything is
+    built, and only a new child gets its echelon (`adjoin`), so every flat
+    is built once. A residue whose lead is in column d (zero on the normal
+    columns) has no common point and is skipped; with d columns that never
+    happens. A flat is maximal iff every residue is of that kind, which is
+    inclusion-maximality of its member set among all flats.
     """
     n = len(rows)
-
-    def closed_mask(ech: IntegerEchelon, mask: int) -> int:
-        for k in range(n):
-            if not mask >> k & 1 and ech.contains(rows[k]):
-                mask |= 1 << k
-        return mask
-
-    seen: set[tuple] = set()
-    frontier: list[tuple[IntegerEchelon, int]] = []
-    for j in range(n):
-        ech = IntegerEchelon(len(rows[j])).inserted(rows[j])
-        if ech.key() not in seen:  # distinct by normalization, but keep the guard
-            seen.add(ech.key())
-            frontier.append((ech, closed_mask(ech, 1 << j)))
-
+    seen = {0}
+    frontier = [(IntegerEchelon(len(rows[0])), 0)]
     flats = []
     while frontier:
         next_frontier: list[tuple[IntegerEchelon, int]] = []
         for ech, mask in frontier:
+            groups: dict[tuple[int, ...], int] = {}
+            for j in range(n):
+                if not mask >> j & 1:
+                    residue = ech.reduce(rows[j])
+                    groups[residue] = groups.get(residue, 0) | 1 << j
             maximal = True
-            if ech.rank < d:
-                for j in range(n):
-                    if mask >> j & 1:
-                        continue
-                    bigger = ech.inserted(rows[j])
-                    if bigger.pivots[-1] == d:
-                        # Offset-column pivot: the rows have no common point.
-                        continue
-                    maximal = False
-                    key = bigger.key()
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    next_frontier.append((bigger, closed_mask(bigger, mask | 1 << j)))
-            flats.append((ech, mask, maximal))
+            for residue, group in groups.items():
+                if not any(residue[:d]):
+                    # Offset-column lead: the rows have no common point.
+                    continue
+                maximal = False
+                child = mask | group
+                if child not in seen:
+                    seen.add(child)
+                    next_frontier.append((ech.adjoin(residue), child))
+            if mask:  # the ambient space (mask 0) is not a flat
+                flats.append((ech, mask, maximal))
         frontier = next_frontier
     return flats
 
@@ -151,8 +142,8 @@ def build_lattice(arr: NormalizedArrangement) -> IntersectionLattice:
     """Enumerate every flat of a central arrangement with its weight and members.
 
     The flats are the closure of the normals (see `_closure`); member sets
-    come from exact span membership tests, and the weight is the sum of
-    member multiplicities.
+    are the engine's exact bitmasks, and the weight is the sum of member
+    multiplicities.
     """
     if not arr.is_central:
         raise CentralityError(

@@ -7,9 +7,10 @@ results for both. That uniqueness is what the lattice code uses to identify
 flats.
 
 A faster primitive-integer echelon representation (`IntegerEchelon`) backs
-the lattice closure, where rows are inserted one at a time; its canonical
-form is the rational RREF with each row rescaled to a primitive integer
-vector, so it carries exactly the same identity guarantee.
+the lattice closure, where rows are added one at a time: `reduce` gives a
+row's residue modulo the span and `adjoin` extends the echelon by it. Its
+canonical form is the rational RREF with each row rescaled to a primitive
+integer vector, so it carries exactly the same identity guarantee.
 """
 
 from __future__ import annotations
@@ -266,8 +267,9 @@ class IntegerEchelon:
 
     Rows are primitive integer vectors with positive pivots, ordered by pivot
     column, and every pivot column is zero in all other rows. This is the
-    rational RREF rescaled row-wise to integers, hence unique per row space;
-    `key()` tuples therefore serve as flat identities.
+    rational RREF rescaled row-wise to integers, hence unique per row space.
+    `reduce` takes a row to its residue modulo the span (zero iff the row is
+    in it), and `adjoin` extends the echelon by a nonzero residue.
     """
 
     __slots__ = ("cols", "rows", "pivots")
@@ -281,11 +283,13 @@ class IntegerEchelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def key(self) -> tuple[tuple[int, ...], ...]:
-        return self.rows
-
     def reduce(self, row: Sequence[int]) -> tuple[int, ...]:
-        """Eliminate all pivot columns from `row`; zero result means membership."""
+        """Eliminate all pivot columns from `row`, as a primitive vector.
+
+        A zero result means `row` is in the span. Otherwise the result is
+        zero in every pivot column, so two rows give the same span with this
+        one iff their residues are equal.
+        """
         residue = list(row)
         for pivot_row, pc in zip(self.rows, self.pivots):
             c = residue[pc]
@@ -294,16 +298,9 @@ class IntegerEchelon:
                 residue = [p * a - c * b for a, b in zip(residue, pivot_row)]
         return _primitive(residue)
 
-    def contains(self, row: Sequence[int]) -> bool:
-        residue = self.reduce(row)
-        return not any(residue)
-
-    def inserted(self, row: Sequence[int]) -> "IntegerEchelon | None":
-        """New echelon with `row` adjoined, or None if the row is already in the span."""
-        residue = self.reduce(row)
-        new_pivot = next((c for c, x in enumerate(residue) if x != 0), None)
-        if new_pivot is None:
-            return None
+    def adjoin(self, residue: tuple[int, ...]) -> "IntegerEchelon":
+        """New echelon with a nonzero residue from `reduce` adjoined."""
+        new_pivot = next(c for c, x in enumerate(residue) if x != 0)
         p_new = residue[new_pivot]
         new_rows = []
         for pivot_row in self.rows:

@@ -101,7 +101,9 @@ def _longest_chain(flats: list[Flat]) -> tuple[int, list[Flat]]:
 
     Containment reverses member sets (valid because all flats come from one
     lattice): flat j lies strictly inside flat i iff members(i) is a proper
-    subset of members(j). Returns (length, chain smallest-flat-first).
+    subset of members(j). `flats` must be in lattice order (sorted by
+    `Flat.sort_key`), so a stable sort on codim alone gives the
+    deterministic processing order. Returns (length, chain smallest-flat-first).
     """
     if not flats:
         return 0, []
@@ -109,7 +111,7 @@ def _longest_chain(flats: list[Flat]) -> tuple[int, list[Flat]]:
     # Process by decreasing codim; every proper subflat of a flat has
     # strictly larger codim, so predecessors are always processed first.
     # First-wins ties keep the witness deterministic.
-    order = sorted(range(len(flats)), key=lambda i: (-flats[i].codim, flats[i].sort_key()))
+    order = sorted(range(len(flats)), key=lambda i: -flats[i].codim)
     best_len = [0] * len(flats)
     parent: list[int | None] = [None] * len(flats)
     for pos, i in enumerate(order):

@@ -102,6 +102,7 @@ def estimate_volume(
     offsets = np.array([float(b) for b in arr.offsets])
     exponents = np.array([float(s) for s in arr.multiplicities])
 
+    log_epsilon = np.log(epsilon)
     dim = arr.dim
     hits = 0
     start = 0
@@ -113,8 +114,11 @@ def estimate_volume(
         bitgen = np.random.Philox(key=seed)
         bitgen.advance(draws_before // _PHILOX_BLOCK)
         points = lo + np.random.Generator(bitgen).random((count, dim)) * width
-        values = np.abs(points @ normals.T + offsets) ** exponents
-        hits += int(np.count_nonzero(values.prod(axis=1) <= epsilon))
+        # Compare log|f| so that huge factors cannot overflow to inf and
+        # turn inf * 0 into NaN; log 0 = -inf still counts as a hit.
+        with np.errstate(divide="ignore"):
+            log_f = np.log(np.abs(points @ normals.T + offsets)) @ exponents
+        hits += int(np.count_nonzero(log_f <= log_epsilon))
         start += count
 
     fraction = hits / samples
@@ -153,28 +157,23 @@ def fit_asymptotics(
     fixed_threshold.
     """
     eps, vol = _usable(samples)
-    y = np.log(vol)
     x1 = np.log(eps)
     x2 = np.log(-np.log(eps))
-
-    if fixed_multiplicity is not None and fixed_threshold is not None:
-        design = np.column_stack([np.ones_like(y)])
-        target = y - fixed_threshold * x1 - (fixed_multiplicity - 1.0) * x2
-        coef, residual = _lstsq(design, target)
-        return AsymptoticFit(float(fixed_threshold), float(fixed_multiplicity), coef[0], residual)
-    if fixed_multiplicity is not None:
-        design = np.column_stack([np.ones_like(y), x1])
-        target = y - (fixed_multiplicity - 1.0) * x2
-        coef, residual = _lstsq(design, target)
-        return AsymptoticFit(coef[1], float(fixed_multiplicity), coef[0], residual)
-    if fixed_threshold is not None:
-        design = np.column_stack([np.ones_like(y), x2])
-        target = y - fixed_threshold * x1
-        coef, residual = _lstsq(design, target)
-        return AsymptoticFit(float(fixed_threshold), coef[1] + 1.0, coef[0], residual)
-    design = np.column_stack([np.ones_like(y), x1, x2])
-    coef, residual = _lstsq(design, y)
-    return AsymptoticFit(coef[1], coef[2] + 1.0, coef[0], residual)
+    columns = [np.ones_like(x1)]
+    target = np.log(vol)
+    if fixed_threshold is None:
+        columns.append(x1)
+    else:
+        target = target - fixed_threshold * x1
+    if fixed_multiplicity is None:
+        columns.append(x2)
+    else:
+        target = target - (fixed_multiplicity - 1.0) * x2
+    coef, residual = _lstsq(np.column_stack(columns), target)
+    free = iter(coef[1:])
+    threshold = next(free) if fixed_threshold is None else float(fixed_threshold)
+    multiplicity = next(free) + 1.0 if fixed_multiplicity is None else float(fixed_multiplicity)
+    return AsymptoticFit(threshold, multiplicity, coef[0], residual)
 
 
 def _lstsq(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:

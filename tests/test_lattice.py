@@ -20,7 +20,7 @@ from rlct import (
     subspace_leq,
 )
 from rlct.lattice import _closure
-from rlct.ratlinalg import primitive_int_row
+from rlct.ratlinalg import IntegerEchelon, primitive_int_row
 
 from conftest import random_central_arrangement, random_invertible
 
@@ -273,6 +273,28 @@ class TestClosureEngine:
             assert ech.rank == top
             assert mask == (1 << arr.n) - 1
         assert low_rank_seen
+
+    def test_each_flat_is_built_once(self, monkeypatch):
+        calls = []
+        adjoin = IntegerEchelon.adjoin
+
+        def counted(self, residue):
+            calls.append(residue)
+            return adjoin(self, residue)
+
+        monkeypatch.setattr(IntegerEchelon, "adjoin", counted)
+        braid = arrangement(
+            [[int(c == i) - int(c == j) for c in range(7)] for i in range(7) for j in range(i + 1, 7)], [1] * 21
+        )
+        for arr in _engine_corpus() + [braid]:
+            row_sets = [[primitive_int_row(tuple(arr.normals.row(j)) + (arr.offsets[j],)) for j in range(arr.n)]]
+            if arr.is_central:
+                row_sets.append([primitive_int_row(arr.normals.row(j)) for j in range(arr.n)])
+            for rows in row_sets:
+                calls.clear()
+                flats = _closure(rows, arr.dim)
+                assert len(calls) == len(flats)
+        assert len(flats) == 876
 
 
 class TestExport:

@@ -94,6 +94,15 @@ class TestEstimateVolume:
         with pytest.raises(InsufficientDataError):
             estimate_volume(arr_of("x*y"), None, 0.1, 0, seed=SEED)
 
+    def test_huge_factors_do_not_overflow(self):
+        # |f| = |x(x-1000)|^200 overflows floats near x = 999 while its other
+        # factor is tiny; the hits are where |u(1000+u)| <= c, u = x - 1000.
+        eps = 1e-3
+        c = eps ** (1 / 200)
+        width = 2 * c / (1000 + math.sqrt(1e6 + 4 * c)) + 2 * c / (1000 + math.sqrt(1e6 - 4 * c))
+        sample = estimate_volume(arr_of("x^200*(x-1000)^200"), [(999, 1001)], eps, 200_000, seed=SEED)
+        assert abs(sample.volume_estimate - width) <= 5 * sample.std_error
+
 
 class TestFitAsymptotics:
     def test_exact_recovery_on_synthetic_data(self):
