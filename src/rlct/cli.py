@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .arrangement import (
@@ -213,18 +214,8 @@ def cmd_volume_fit(args: argparse.Namespace) -> int:
             }
             for s in samples
         ],
-        "fit": {
-            "lambda_hat": fit.lambda_hat,
-            "m_hat": fit.m_hat,
-            "log_C_hat": fit.log_C_hat,
-            "residual_norm": fit.residual_norm,
-        },
-        "fit_fixed_m": {
-            "lambda_hat": fit_fixed_m.lambda_hat,
-            "m_hat": fit_fixed_m.m_hat,
-            "log_C_hat": fit_fixed_m.log_C_hat,
-            "residual_norm": fit_fixed_m.residual_norm,
-        },
+        "fit": asdict(fit),
+        "fit_fixed_m": asdict(fit_fixed_m),
     }
     if args.gnuplot:
         lines = ["# epsilon volume std_error"]

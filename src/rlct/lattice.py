@@ -1,27 +1,24 @@
 """Intersection lattice of a central arrangement, and the closure engine behind it.
 
 A flat is a nonempty intersection of some of the hyperplanes (the ambient
-space itself is excluded). Flats are identified by the canonical basis of
-their normal space: the span of the normals of every hyperplane containing
-them. Enumeration works by closure instead of scanning all 2^n subsets:
-start at the ambient space and repeatedly adjoin one more row to each
-frontier flat, so the cost scales with the lattice size. Each flat reduces
-every outside row once against its echelon; rows with equal residues give
-the same child and are exactly its new members. Children are deduplicated
-by member bitmask before their echelon is built, so each flat is built once.
+space itself is excluded). `_closure` enumerates flats by adjoining one
+row at a time to each frontier flat, so the cost scales with the lattice
+size, not with 2^n. The one engine serves both the central lattice here
+(rows: the normals, d columns) and the affine localizations in
+`threshold.py` (rows: (a | b), offset last), and it flags the
+inclusion-maximal flats.
 
-One engine, `_closure`, serves both the central lattice here and the affine
-localizations in `threshold.py`. Central input passes the normals (d
-columns); affine input passes the augmented rows (a | b), whose last column
-is the offset, and a residue that is zero on the normal columns has no
-common point and is skipped. Because every consistent one-row extension of
-each flat is seen, a flat that no outside row extends consistently is
-exactly an inclusion-maximal one, and the engine flags it as such.
+Flats stay integer data: the engine's primitive canonical rows, the member
+bitmask and the weight. The threshold pair needs only codim, weight and
+masks, so a flat's rational normal space is formed only for output. The
+lattice order (codim, then the rational RREF entries) is computed exactly
+from the integer rows by a scaled floor key; `build_lattice` proves it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .arrangement import NormalizedArrangement
 from .errors import CentralityError, EmptyArrangementError
@@ -30,31 +27,37 @@ from .ratlinalg import IntegerEchelon, RationalMatrix, primitive_int_row
 
 @dataclass(frozen=True)
 class Flat:
-    """One element of the intersection lattice.
+    """One element of the intersection lattice, as plain integer data.
 
-    normal_space: canonical (RREF) basis of the span of member normals,
-        codim rows by dim columns.
-    codim: codimension, equal to the rank of normal_space.
+    rows: canonical basis of the span of member normals, as primitive
+        integer rows with positive pivots (`IntegerEchelon.rows`); dividing
+        each row by its pivot gives the rational RREF, `normal_space`.
+    mask: member bitmask; bit j is set iff hyperplane j contains the flat.
     weight: total multiplicity of the hyperplanes containing the flat
         (serialized under the key "s").
-    members: indices of exactly those hyperplanes.
     """
 
-    normal_space: RationalMatrix
-    codim: int
+    rows: tuple[tuple[int, ...], ...]
+    mask: int
     weight: int
-    members: frozenset[int]
 
     @property
-    def mask(self) -> int:
-        """Bitmask of `members`: bit j is set iff hyperplane j contains the flat."""
-        mask = 0
-        for j in self.members:
-            mask |= 1 << j
-        return mask
+    def codim(self) -> int:
+        return len(self.rows)
 
-    def sort_key(self):
-        return (self.codim, self.normal_space.entries)
+    @property
+    def members(self) -> frozenset[int]:
+        """Indices of exactly the hyperplanes containing the flat."""
+        return frozenset(j for j in range(self.mask.bit_length()) if self.mask >> j & 1)
+
+    @property
+    def normal_space(self) -> RationalMatrix:
+        """The canonical rational RREF of the normal space (pivot entries 1)."""
+        out = []
+        for row in self.rows:
+            pivot = next(x for x in row if x)
+            out.append([Fraction(x, pivot) for x in row])
+        return RationalMatrix(out, cols=len(self.rows[0]))
 
     def to_json_dict(self) -> dict:
         return {
@@ -152,21 +155,29 @@ def build_lattice(arr: NormalizedArrangement) -> IntersectionLattice:
     n, d = arr.n, arr.dim
     if n == 0:
         raise EmptyArrangementError("arrangement has no hyperplanes")
-    int_normals = [primitive_int_row(arr.normals.row(j)) for j in range(n)]
+    closure = _closure([primitive_int_row(row) for row in arr.normals], d)
 
+    # Lattice order is (codim, rational RREF entries row-major). Every RREF
+    # entry is x/p with p a pivot, 0 < p <= P, so two distinct entries differ
+    # by at least 1/P^2. Scaled by 2^shift > P^2 they differ by more than 1,
+    # so flooring keeps every strict inequality, and equal entries floor
+    # equally: the integer key gives exactly the rational order. A common
+    # denominator is no option, since the lcm of the pivots can run to
+    # thousands of digits.
+    top_pivot = max(row[pc] for ech, _, _ in closure for row, pc in zip(ech.rows, ech.pivots))
+    shift = 2 * top_pivot.bit_length()
+
+    def order(item):
+        ech = item[0]
+        scaled = ((x << shift) // row[pc] for row, pc in zip(ech.rows, ech.pivots) for x in row)
+        return (ech.rank, tuple(scaled))
+
+    closure.sort(key=order)
     mult = arr.multiplicities
-    flats = []
-    for ech, mask, _ in _closure(int_normals, d):
-        members = frozenset(j for j in range(n) if mask >> j & 1)
-        flats.append(
-            Flat(
-                normal_space=ech.to_rational_canonical(),
-                codim=ech.rank,
-                weight=sum(mult[j] for j in members),
-                members=members,
-            )
-        )
-    flats.sort(key=Flat.sort_key)
+    flats = [
+        Flat(rows=ech.rows, mask=mask, weight=sum(mult[j] for j in range(n) if mask >> j & 1))
+        for ech, mask, _ in closure
+    ]
     return IntersectionLattice(flats=tuple(flats), dim=d, n_hyperplanes=n)
 
 

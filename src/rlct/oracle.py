@@ -15,7 +15,7 @@ from itertools import combinations
 from .arrangement import NormalizedArrangement
 from .errors import CentralityError, SizeLimitError
 from .lattice import Flat, IntersectionLattice
-from .ratlinalg import RationalMatrix, kernel_basis, subspace_leq
+from .ratlinalg import RationalMatrix, kernel_basis, primitive_int_row, subspace_leq
 
 MAX_BRUTEFORCE_HYPERPLANES = 20
 MAX_BRUTEFORCE_CHAIN_FLATS = 50
@@ -25,8 +25,9 @@ def lattice_bruteforce(arr: NormalizedArrangement) -> IntersectionLattice:
     """All-subsets intersection lattice; cost grows as 2^n.
 
     Flats are kernels of stacked normal subsets; the normal space of a flat
-    is recovered as the kernel of its kernel basis, which lands in the same
-    canonical form the production path uses.
+    is recovered as the kernel of its kernel basis, in rational RREF, and
+    its rows are rescaled to the primitive integer rows a `Flat` holds.
+    Flats are sorted by the rational RREF itself, not the production key.
     """
     if not arr.is_central:
         raise CentralityError("the brute-force lattice needs a central arrangement")
@@ -40,23 +41,20 @@ def lattice_bruteforce(arr: NormalizedArrangement) -> IntersectionLattice:
             kernels.setdefault(kernel_basis(stacked))
     flats = []
     for kernel in kernels:
-        members = frozenset(
-            j
-            for j in range(n)
-            if all(
-                sum(a * v for a, v in zip(arr.normals.row(j), vec)) == 0 for vec in kernel
-            )
-        )
-        normal_space = kernel_basis(kernel)
+        mask = 0
+        for j in range(n):
+            if all(sum(a * v for a, v in zip(arr.normals.row(j), vec)) == 0 for vec in kernel):
+                mask |= 1 << j
         flats.append(
             Flat(
-                normal_space=normal_space,
-                codim=normal_space.rows,
-                weight=sum(arr.multiplicities[j] for j in members),
-                members=members,
+                rows=tuple(primitive_int_row(row) for row in kernel_basis(kernel)),
+                mask=mask,
+                weight=sum(arr.multiplicities[j] for j in range(n) if mask >> j & 1),
             )
         )
-    flats.sort(key=Flat.sort_key)
+    # The rational reference order, against which the production path's
+    # integer sort key is checked.
+    flats.sort(key=lambda flat: (flat.codim, flat.normal_space.entries))
     return IntersectionLattice(flats=tuple(flats), dim=d, n_hyperplanes=n)
 
 
@@ -73,13 +71,13 @@ def longest_chain_bruteforce(flats) -> int:
         )
     if not flats:
         return 0
+    spaces = [flat.normal_space for flat in flats]
     strictly_above: list[list[int]] = []
-    for i, low in enumerate(flats):
+    for i, low in enumerate(spaces):
         above = []
-        for j, high in enumerate(flats):
-            if i != j and subspace_leq(low.normal_space, high.normal_space):
-                if low.normal_space != high.normal_space:
-                    above.append(j)
+        for j, high in enumerate(spaces):
+            if i != j and subspace_leq(low, high) and low != high:
+                above.append(j)
         strictly_above.append(above)
 
     memo: dict[int, int] = {}

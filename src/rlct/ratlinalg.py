@@ -134,9 +134,6 @@ class RationalMatrix:
         rows[i] = tuple(c * x for x in rows[i])
         return RationalMatrix(rows, cols=self._cols)
 
-    def to_float_lists(self) -> list[list[float]]:
-        return [[float(x) for x in row] for row in self._data]
-
     def to_string_lists(self) -> list[list[str]]:
         return [[format_rational(x) for x in row] for row in self._data]
 
@@ -312,11 +309,3 @@ class IntegerEchelon:
         new_rows.insert(position, residue)
         new_pivots = self.pivots[:position] + (new_pivot,) + self.pivots[position:]
         return IntegerEchelon(self.cols, tuple(new_rows), new_pivots)
-
-    def to_rational_canonical(self) -> RationalMatrix:
-        """The canonical rational RREF of the row space (pivot entries 1)."""
-        out = []
-        for pivot_row, pc in zip(self.rows, self.pivots):
-            pivot = Fraction(pivot_row[pc])
-            out.append([Fraction(x) / pivot for x in pivot_row])
-        return RationalMatrix(out, cols=self.cols)

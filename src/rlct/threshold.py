@@ -101,8 +101,8 @@ def _longest_chain(flats: list[Flat]) -> tuple[int, list[Flat]]:
 
     Containment reverses member sets (valid because all flats come from one
     lattice): flat j lies strictly inside flat i iff members(i) is a proper
-    subset of members(j). `flats` must be in lattice order (sorted by
-    `Flat.sort_key`), so a stable sort on codim alone gives the
+    subset of members(j). `flats` must be in lattice order (see
+    `IntersectionLattice`), so a stable sort on codim alone gives the
     deterministic processing order. Returns (length, chain smallest-flat-first).
     """
     if not flats:
@@ -239,10 +239,9 @@ def maximal_central_localizations(
 def _particular_solution(ech: IntegerEchelon, d: int) -> tuple[Fraction, ...]:
     """Solve a.x + b = 0 for the augmented echelon, free variables at zero."""
     point = [Fraction(0)] * d
-    reduced = ech.to_rational_canonical()
-    for i, pc in enumerate(ech.pivots):
+    for row, pc in zip(ech.rows, ech.pivots):
         # Consistent systems never pivot in the offset column.
-        point[pc] = -reduced[i, d]
+        point[pc] = Fraction(-row[d], row[pc])
     return tuple(point)
 
 

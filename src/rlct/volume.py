@@ -12,6 +12,7 @@ bit-identical for any block-aligned chunking or parallel split of the work.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -92,15 +93,16 @@ def estimate_volume(
     if not epsilon > 0:
         raise DegenerateBoxError(f"epsilon must be positive, got {epsilon}")
     bounds = normalize_box(box, arr.dim) if box is not None else default_box(arr.dim)
-    lo = np.array([float(b[0]) for b in bounds])
-    width = np.array([float(b[1] - b[0]) for b in bounds])
-    box_volume = 1.0
-    for b in bounds:
-        box_volume *= float(b[1] - b[0])
+    lo = np.array(_floats([x for b in bounds for x in b], "a box bound")[0::2])
+    widths = _floats([b[1] - b[0] for b in bounds], "a box width")
+    width = np.array(widths)
+    box_volume = math.prod(widths)
+    if not math.isfinite(box_volume):
+        raise DegenerateBoxError("the box volume is outside the float range")
 
-    normals = np.array(arr.normals.to_float_lists())
-    offsets = np.array([float(b) for b in arr.offsets])
-    exponents = np.array([float(s) for s in arr.multiplicities])
+    normals = np.array([_floats(row, "a normal entry") for row in arr.normals])
+    offsets = np.array(_floats(arr.offsets, "an offset"))
+    exponents = np.array(_floats(arr.multiplicities, "a multiplicity"))
 
     log_epsilon = np.log(epsilon)
     dim = arr.dim
@@ -128,6 +130,14 @@ def estimate_volume(
         std_error=box_volume * float(np.sqrt(fraction * (1.0 - fraction) / samples)),
         sample_count=samples,
     )
+
+
+def _floats(values, what: str) -> list[float]:
+    """Exact numbers as floats; one beyond the float range is a user error."""
+    try:
+        return [float(x) for x in values]
+    except OverflowError:
+        raise DegenerateBoxError(f"{what} is outside the float range") from None
 
 
 def _usable(samples: Sequence[VolumeSample]) -> tuple[np.ndarray, np.ndarray]:

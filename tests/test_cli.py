@@ -220,6 +220,17 @@ class TestVolumeFit:
         code, _, err = run_cli(capsys, "volume-fit", "--poly", "x*y", "--box", "1/0,1")
         assert code == 2
         assert "zero denominator" in err
+        # Numbers beyond the float range: no OverflowError, no NaN on stdout.
+        huge = "1" + "0" * 400
+        for argv in (
+            ("--poly", "x", "--box", "0,1e400"),
+            ("--poly", f"(x+{huge})*y"),
+            ("--poly", "x*y", "--box", "0,1e200", "--samples", "20000", "--eps-min", "0.01", "--eps-max", "0.5"),
+        ):
+            code, out, err = run_cli(capsys, "volume-fit", *argv)
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "float range" in err
 
 
 class TestParseCommand:

@@ -50,8 +50,13 @@ class TestLatticeBruteforce:
 
     def test_agreement_random_smoke(self):
         rng = random.Random(91)
-        for _ in range(25):
-            arr = random_central_arrangement(rng, max_n=7, max_d=4)
+        arrangements = [random_central_arrangement(rng, max_n=7, max_d=4) for _ in range(25)]
+        # Large pivots: RREF entries 1/999 and 1/1000 lie 1/(999*1000) apart,
+        # so an integer sort key scaled by only 2^bitlen(P) would tie them.
+        pair = [[1000, 1, 5], [999, 1, 0]]
+        arrangements += [normalize(ArrangementSpec(rows, [1] * len(rows))) for rows in (pair, pair + [[0, 0, 1]])]
+        arrangements += [random_central_arrangement(rng, max_n=6, max_d=4, span=1000) for _ in range(6)]
+        for arr in arrangements:
             assert flats_key(lattice_bruteforce(arr)) == flats_key(build_lattice(arr))
 
 
