@@ -44,7 +44,7 @@ from .lattice import (
     inclusion_dag,
     lattice_to_json_dict,
 )
-from .oracle import lattice_bruteforce, longest_chain_bruteforce
+from .oracle import lattice_bruteforce, localizations_bruteforce, longest_chain_bruteforce
 from .parser import format_factored_product, parse_factored_product
 from .ratlinalg import (
     Rational,
@@ -121,6 +121,7 @@ __all__ = [
     "kernel_basis",
     "lattice_bruteforce",
     "lattice_to_json_dict",
+    "localizations_bruteforce",
     "longest_chain_bruteforce",
     "maximal_central_localizations",
     "normalize",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -70,6 +71,10 @@ class ArrangementSpec:
             variables = tuple(variables)
             if len(variables) != normals.cols:
                 raise DimensionError(f"{len(variables)} variable names for {normals.cols} columns")
+            # The parser's NAME token; other names cannot be read back.
+            names_ok = all(isinstance(v, str) and re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", v) for v in variables)
+            if not names_ok or len(set(variables)) < len(variables):
+                raise DimensionError(f"variable names {list(variables)} are not distinct identifiers")
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "offsets", offs)
         object.__setattr__(self, "multiplicities", mults)
@@ -205,8 +210,7 @@ def arrangement_from_json(document: str | Mapping) -> ArrangementSpec:
         _json_rationals(offsets, "offsets")
     variables = data.get("variables")
     if variables is not None:
-        if not all(isinstance(v, str) for v in _json_list(variables, "variables")):
-            raise DimensionError('"variables" must be a list of strings')
+        _json_list(variables, "variables")
     return ArrangementSpec(normals, mults, offsets=offsets, variables=variables)
 
 

@@ -28,7 +28,7 @@ from .arrangement import (
     normalize,
 )
 from .errors import RlctError, SizeLimitError
-from .oracle import lattice_bruteforce, longest_chain_bruteforce
+from .oracle import lattice_bruteforce, localizations_bruteforce, longest_chain_bruteforce
 from .parser import parse_factored_product
 from .ratlinalg import as_rational, format_rational
 from .threshold import RlctResult, rlct_affine, rlct_central
@@ -171,15 +171,19 @@ def cmd_localize(args: argparse.Namespace) -> int:
 
 
 def _localization_report(arr: NormalizedArrangement, args: argparse.Namespace) -> int:
-    """The affine report: every maximal localization plus the global pair."""
+    """The affine report: every maximal localization plus the global pair;
+    --verify also checks the hyperplanes through each reported point."""
     report = rlct_affine(arr)
     verification = None
     if args.verify:
         checks = [run_verification(loc.arrangement, loc.result) for loc in report.localizations]
-        verification = {
-            "lattice_match": all(c["lattice_match"] for c in checks),
-            "chain_match": all(c["chain_match"] for c in checks),
-        }
+        verification = {key: all(c[key] for c in checks) for key in ("lattice_match", "chain_match")}
+        found = sorted(
+            tuple(j for j, (normal, offset) in enumerate(zip(arr.normals, arr.offsets))
+                  if sum(a * x for a, x in zip(normal, loc.point)) + offset == 0)
+            for loc in report.localizations
+        )
+        verification["localization_match"] = found == localizations_bruteforce(arr)
     return _emit_report(arr, report.to_json_dict(), report.global_pair, verification, args)
 
 

@@ -1,18 +1,13 @@
 """Intersection lattice of a central arrangement, and the closure engine behind it.
 
 A flat is a nonempty intersection of some of the hyperplanes (the ambient
-space itself is excluded). `_closure` enumerates flats by adjoining one
-row at a time to each frontier flat, so the cost scales with the lattice
-size, not with 2^n. The one engine serves both the central lattice here
-(rows: the normals, d columns) and the affine localizations in
-`threshold.py` (rows: (a | b), offset last), and it flags the
-inclusion-maximal flats.
-
-Flats stay integer data: the engine's primitive canonical rows, the member
-bitmask and the weight. The threshold pair needs only codim, weight and
-masks, so a flat's rational normal space is formed only for output. The
-lattice order (codim, then the rational RREF entries) is computed exactly
-from the integer rows by a scaled floor key; `build_lattice` proves it.
+space itself is excluded). `_closure` extends each frontier flat by one
+outside row at a time, so the cost scales with the lattice size, not with
+2^n. It serves both the central lattice (rows: the normals) and the affine
+localizations in `threshold.py` (rows: (a | b)), and flags maximal flats.
+It works on integer residues and member bitmasks only; canonical rows
+(`integer_rref`) are formed where they are read (the lattice order,
+`Flat.rows`, affine witness points), rational ones only for output.
 """
 
 from __future__ import annotations
@@ -22,7 +17,7 @@ from fractions import Fraction
 
 from .arrangement import NormalizedArrangement
 from .errors import CentralityError, EmptyArrangementError
-from .ratlinalg import IntegerEchelon, RationalMatrix, primitive_int_row
+from .ratlinalg import RationalMatrix, eliminate, integer_rref, primitive_int_row
 
 
 @dataclass(frozen=True)
@@ -30,8 +25,8 @@ class Flat:
     """One element of the intersection lattice, as plain integer data.
 
     rows: canonical basis of the span of member normals, as primitive
-        integer rows with positive pivots (`IntegerEchelon.rows`); dividing
-        each row by its pivot gives the rational RREF, `normal_space`.
+        integer rows with positive pivots (`integer_rref`); dividing each
+        row by its pivot gives the rational RREF, `normal_space`.
     mask: member bitmask; bit j is set iff hyperplane j contains the flat.
     weight: total multiplicity of the hyperplanes containing the flat
         (serialized under the key "s").
@@ -53,11 +48,9 @@ class Flat:
     @property
     def normal_space(self) -> RationalMatrix:
         """The canonical rational RREF of the normal space (pivot entries 1)."""
-        out = []
-        for row in self.rows:
-            pivot = next(x for x in row if x)
-            out.append([Fraction(x, pivot) for x in row])
-        return RationalMatrix(out, cols=len(self.rows[0]))
+        pivots = (next(x for x in row if x) for row in self.rows)
+        rows = [[Fraction(x, p) for x in row] for row, p in zip(self.rows, pivots)]
+        return RationalMatrix(rows, cols=len(self.rows[0]))
 
     def to_json_dict(self) -> dict:
         return {
@@ -97,34 +90,40 @@ class InclusionDag:
     topological_order: tuple[int, ...]
 
 
-def _closure(rows: list[tuple[int, ...]], d: int) -> list[tuple[IntegerEchelon, int, bool]]:
-    """Every flat spanned by `rows`, as (echelon, member bitmask, maximal).
+def _closure(rows: list[tuple[int, ...]], d: int) -> list[tuple[tuple[tuple[int, ...], ...], int, bool]]:
+    """Every flat spanned by `rows`, as (basis, member bitmask, maximal).
 
     Rows are primitive integer vectors with d columns (normals) or d + 1
-    (augmented rows (a | b), offset last). Closure by rank level, starting
-    at the ambient space (empty echelon, mask 0): a flat of rank r+1 is the
-    span-closure of a rank-r flat plus one outside row. Each frontier flat
-    reduces every outside row once; two rows give the same child iff their
-    primitive residues are equal, so each residue's group of rows is exactly
-    the child's new members. The child mask is looked up before anything is
-    built, and only a new child gets its echelon (`adjoin`), so every flat
-    is built once. A residue whose lead is in column d (zero on the normal
-    columns) has no common point and is skipped; with d columns that never
-    happens. A flat is maximal iff every residue is of that kind, which is
-    inclusion-maximality of its member set among all flats.
+    (rows (a | b), offset last). Closure by rank level from the ambient
+    space ((), 0, rows grouped by value): a frontier item is (basis, mask,
+    groups), `basis` the residues chosen so far in insertion order and
+    `groups` each primitive residue of the outside rows modulo the span,
+    with the bitmask of the rows that have it. Two rows give the same child
+    iff their residues are equal, so a group is exactly the child's new
+    members. Only a child with a new mask gets its groups (`_child_groups`),
+    so every flat is built once. A residue that is zero on the normal
+    columns has no common point and is skipped; a flat is maximal iff every
+    residue is of that kind, i.e. iff its member set is inclusion-maximal.
+
+    One elimination step per group gives the child's residues, the same as
+    reducing under the child's echelon: let S be a span with RREF pivot
+    columns P. For x outside S, the vectors of Qx + S that vanish on P form
+    a line (S restricted to P is the identity), so the residue of x, the
+    primitive vector with positive lead on it, does not depend on the basis
+    of S. The chosen residue e vanishes on P and leads at a new column c;
+    the child's pivots are P + {c}. For a parent residue r of x,
+    e[c]·r − r[c]·e lies in Qx + S_child, vanishes on P + {c} and keeps a
+    nonzero coefficient on x: it is on the child's line.
     """
-    n = len(rows)
+    start: dict[tuple[int, ...], int] = {}
+    for j, row in enumerate(rows):
+        start[row] = start.get(row, 0) | 1 << j
     seen = {0}
-    frontier = [(IntegerEchelon(len(rows[0])), 0)]
+    frontier = [((), 0, start)]
     flats = []
     while frontier:
-        next_frontier: list[tuple[IntegerEchelon, int]] = []
-        for ech, mask in frontier:
-            groups: dict[tuple[int, ...], int] = {}
-            for j in range(n):
-                if not mask >> j & 1:
-                    residue = ech.reduce(rows[j])
-                    groups[residue] = groups.get(residue, 0) | 1 << j
+        next_frontier = []
+        for basis, mask, groups in frontier:
             maximal = True
             for residue, group in groups.items():
                 if not any(residue[:d]):
@@ -134,11 +133,26 @@ def _closure(rows: list[tuple[int, ...]], d: int) -> list[tuple[IntegerEchelon, 
                 child = mask | group
                 if child not in seen:
                     seen.add(child)
-                    next_frontier.append((ech.adjoin(residue), child))
+                    next_frontier.append((basis + (residue,), child, _child_groups(groups, residue)))
             if mask:  # the ambient space (mask 0) is not a flat
-                flats.append((ech, mask, maximal))
+                flats.append((basis, mask, maximal))
         frontier = next_frontier
     return flats
+
+
+def _child_groups(groups: dict[tuple[int, ...], int], residue: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """The outside rows' residue groups once `residue` joins the span.
+
+    Every other residue takes one elimination step at `residue`'s lead
+    column, and groups whose new residues are equal merge.
+    """
+    pc = next(c for c, x in enumerate(residue) if x)
+    out: dict[tuple[int, ...], int] = {}
+    for other, group in groups.items():
+        if other != residue:
+            other = eliminate(other, residue, pc)
+            out[other] = out.get(other, 0) | group
+    return out
 
 
 def build_lattice(arr: NormalizedArrangement) -> IntersectionLattice:
@@ -146,16 +160,15 @@ def build_lattice(arr: NormalizedArrangement) -> IntersectionLattice:
 
     The flats are the closure of the normals (see `_closure`); member sets
     are the engine's exact bitmasks, and the weight is the sum of member
-    multiplicities.
+    multiplicities. Each flat's canonical rows come from `integer_rref`.
     """
     if not arr.is_central:
-        raise CentralityError(
-            "the intersection lattice is defined for central arrangements; localize first"
-        )
+        raise CentralityError("the intersection lattice is defined for central arrangements; localize first")
     n, d = arr.n, arr.dim
     if n == 0:
         raise EmptyArrangementError("arrangement has no hyperplanes")
-    closure = _closure([primitive_int_row(row) for row in arr.normals], d)
+    normals = [primitive_int_row(row) for row in arr.normals]
+    closure = [(integer_rref(basis), mask) for basis, mask, _ in _closure(normals, d)]
 
     # Lattice order is (codim, rational RREF entries row-major). Every RREF
     # entry is x/p with p a pivot, 0 < p <= P, so two distinct entries differ
@@ -164,21 +177,20 @@ def build_lattice(arr: NormalizedArrangement) -> IntersectionLattice:
     # equally: the integer key gives exactly the rational order. A common
     # denominator is no option, since the lcm of the pivots can run to
     # thousands of digits.
-    top_pivot = max(row[pc] for ech, _, _ in closure for row, pc in zip(ech.rows, ech.pivots))
+    top_pivot = max(row[pc] for (rows, pivots), _ in closure for row, pc in zip(rows, pivots))
     shift = 2 * top_pivot.bit_length()
 
     def order(item):
-        ech = item[0]
-        scaled = ((x << shift) // row[pc] for row, pc in zip(ech.rows, ech.pivots) for x in row)
-        return (ech.rank, tuple(scaled))
+        rows, pivots = item[0]
+        scaled = ((x << shift) // row[pc] for row, pc in zip(rows, pivots) for x in row)
+        return (len(rows), tuple(scaled))
 
     closure.sort(key=order)
     mult = arr.multiplicities
-    flats = [
-        Flat(rows=ech.rows, mask=mask, weight=sum(mult[j] for j in range(n) if mask >> j & 1))
-        for ech, mask, _ in closure
-    ]
-    return IntersectionLattice(flats=tuple(flats), dim=d, n_hyperplanes=n)
+    flats = tuple(
+        Flat(rows, mask, sum(mult[j] for j in range(n) if mask >> j & 1)) for (rows, _), mask in closure
+    )
+    return IntersectionLattice(flats=flats, dim=d, n_hyperplanes=n)
 
 
 def inclusion_dag(lat: IntersectionLattice) -> InclusionDag:
@@ -189,16 +201,11 @@ def inclusion_dag(lat: IntersectionLattice) -> InclusionDag:
     geometric subspace test and is property-checked against it.
     """
     masks = [flat.mask for flat in lat.flats]
-    count = len(masks)
-    pairs = set()
-    for i in range(count):
-        mi = masks[i]
-        for j in range(count):
-            mj = masks[j]
-            if mi != mj and mi & mj == mj:
-                pairs.add((i, j))
-    order = sorted(range(count), key=lambda i: -lat.flats[i].codim)
-    return InclusionDag(pairs=frozenset(pairs), topological_order=tuple(order))
+    pairs = frozenset(
+        (i, j) for i, mi in enumerate(masks) for j, mj in enumerate(masks) if mi != mj and mi & mj == mj
+    )
+    order = sorted(range(len(masks)), key=lambda i: -lat.flats[i].codim)
+    return InclusionDag(pairs=pairs, topological_order=tuple(order))
 
 
 def lattice_to_json_dict(lat: IntersectionLattice) -> dict:

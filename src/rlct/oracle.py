@@ -15,7 +15,8 @@ from itertools import combinations
 from .arrangement import NormalizedArrangement
 from .errors import CentralityError, SizeLimitError
 from .lattice import Flat, IntersectionLattice
-from .ratlinalg import RationalMatrix, kernel_basis, primitive_int_row, subspace_leq
+from .ratlinalg import (RationalMatrix, kernel_basis, primitive_int_row, rank, row_in_row_space,
+                        row_space_canonical, subspace_leq)
 
 MAX_BRUTEFORCE_HYPERPLANES = 20
 MAX_BRUTEFORCE_CHAIN_FLATS = 50
@@ -56,6 +57,26 @@ def lattice_bruteforce(arr: NormalizedArrangement) -> IntersectionLattice:
     # integer sort key is checked.
     flats.sort(key=lambda flat: (flat.codim, flat.normal_space.entries))
     return IntersectionLattice(flats=tuple(flats), dim=d, n_hyperplanes=n)
+
+
+def localizations_bruteforce(arr: NormalizedArrangement) -> list[tuple[int, ...]]:
+    """Sorted member sets of the maximal localizations: every subset whose
+    normals and rows (a | b) have equal rank closes to all rows in its span,
+    and the inclusion-maximal closed sets are the localizations."""
+    n, d = arr.n, arr.dim
+    if n > MAX_BRUTEFORCE_HYPERPLANES:
+        raise SizeLimitError(f"brute force is capped at {MAX_BRUTEFORCE_HYPERPLANES} hyperplanes, got {n}")
+    aug_rows = [tuple(arr.normals.row(j)) + (arr.offsets[j],) for j in range(n)]
+    closed = set()
+    for r in range(1, n + 1):
+        for comb in combinations(range(n), r):
+            plain = RationalMatrix([arr.normals.row(j) for j in comb], cols=d)
+            augmented = RationalMatrix([aug_rows[j] for j in comb], cols=d + 1)
+            if rank(plain) != rank(augmented):
+                continue
+            canon = row_space_canonical(augmented)
+            closed.add(frozenset(k for k in range(n) if row_in_row_space(aug_rows[k], canon)))
+    return sorted(tuple(sorted(m)) for m in closed if not any(m < other for other in closed))
 
 
 def longest_chain_bruteforce(flats) -> int:

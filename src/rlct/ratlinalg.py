@@ -1,20 +1,21 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals, and the integer rows of the closure.
 
-Everything here is built on `fractions.Fraction`, so elimination never
-rounds and canonical forms are unique per row space: two matrices span the
-same row space if and only if `row_space_canonical` returns bit-identical
-results for both. That uniqueness is what the lattice code uses to identify
-flats.
+`RationalMatrix` and its functions are built on `fractions.Fraction`, so
+elimination never rounds and canonical forms are unique per row space: two
+matrices span the same row space if and only if `row_space_canonical`
+returns bit-identical results for both. The oracles and the output edge
+use them.
 
-A faster primitive-integer echelon representation (`IntegerEchelon`) backs
-the lattice closure, where rows are added one at a time: `reduce` gives a
-row's residue modulo the span and `adjoin` extends the echelon by it. Its
-canonical form is the rational RREF with each row rescaled to a primitive
-integer vector, so it carries exactly the same identity guarantee.
+The lattice closure works on primitive integer rows instead: `eliminate`
+is its one elimination step, and `integer_rref` turns the residues it
+collects for a flat into the rational RREF with each row rescaled to a
+primitive integer vector, which carries exactly the same identity
+guarantee.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Sequence, Union
@@ -229,7 +230,7 @@ def subspace_leq(w1_normals: RationalMatrix, w2_normals: RationalMatrix) -> bool
 
 
 # ---------------------------------------------------------------------------
-# Primitive-integer echelon forms (fast path for the lattice closure)
+# Primitive integer rows (the arithmetic of the lattice closure)
 # ---------------------------------------------------------------------------
 
 
@@ -259,53 +260,29 @@ def primitive_int_row(row: Sequence[RationalLike]) -> tuple[int, ...]:
     return _primitive([int(x * scale) for x in fracs])
 
 
-class IntegerEchelon:
-    """Canonical echelon form of an integer row space, built one row at a time.
+def eliminate(row: tuple[int, ...], pivot_row: tuple[int, ...], pc: int) -> tuple[int, ...]:
+    """Clear column `pc` of `row` with `pivot_row` (nonzero there), as a
+    primitive vector; a row already zero there is returned unchanged."""
+    c = row[pc]
+    if not c:
+        return row
+    p = pivot_row[pc]
+    return _primitive([p * a - c * b for a, b in zip(row, pivot_row)])
 
-    Rows are primitive integer vectors with positive pivots, ordered by pivot
-    column, and every pivot column is zero in all other rows. This is the
-    rational RREF rescaled row-wise to integers, hence unique per row space.
-    `reduce` takes a row to its residue modulo the span (zero iff the row is
-    in it), and `adjoin` extends the echelon by a nonzero residue.
+
+def integer_rref(basis: Sequence[tuple[int, ...]]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Canonical rows and pivot columns of the span of `basis`.
+
+    `basis` holds primitive residues in insertion order, each zero on the
+    pivot (leading) columns of the ones before it, as the closure builds
+    them. Back-substituting each into the rows before it gives the rational
+    RREF with every row rescaled to a primitive vector: unique per span.
     """
-
-    __slots__ = ("cols", "rows", "pivots")
-
-    def __init__(self, cols: int, rows: tuple[tuple[int, ...], ...] = (), pivots: tuple[int, ...] = ()):
-        self.cols = cols
-        self.rows = rows
-        self.pivots = pivots
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def reduce(self, row: Sequence[int]) -> tuple[int, ...]:
-        """Eliminate all pivot columns from `row`, as a primitive vector.
-
-        A zero result means `row` is in the span. Otherwise the result is
-        zero in every pivot column, so two rows give the same span with this
-        one iff their residues are equal.
-        """
-        residue = list(row)
-        for pivot_row, pc in zip(self.rows, self.pivots):
-            c = residue[pc]
-            if c:
-                p = pivot_row[pc]
-                residue = [p * a - c * b for a, b in zip(residue, pivot_row)]
-        return _primitive(residue)
-
-    def adjoin(self, residue: tuple[int, ...]) -> "IntegerEchelon":
-        """New echelon with a nonzero residue from `reduce` adjoined."""
-        new_pivot = next(c for c, x in enumerate(residue) if x != 0)
-        p_new = residue[new_pivot]
-        new_rows = []
-        for pivot_row in self.rows:
-            c = pivot_row[new_pivot]
-            if c:
-                pivot_row = _primitive([p_new * a - c * b for a, b in zip(pivot_row, residue)])
-            new_rows.append(pivot_row)
-        position = sum(1 for pc in self.pivots if pc < new_pivot)
-        new_rows.insert(position, residue)
-        new_pivots = self.pivots[:position] + (new_pivot,) + self.pivots[position:]
-        return IntegerEchelon(self.cols, tuple(new_rows), new_pivots)
+    rows, pivots = [], []
+    for residue in basis:
+        pc = next(c for c, x in enumerate(residue) if x)
+        rows = [eliminate(row, residue, pc) for row in rows]
+        position = bisect(pivots, pc)
+        rows.insert(position, residue)
+        pivots.insert(position, pc)
+    return tuple(rows), tuple(pivots)

@@ -17,7 +17,7 @@ from functools import total_ordering
 from .arrangement import NormalizedArrangement
 from .errors import CentralityError, EmptyArrangementError, InvalidMultiplicityError
 from .lattice import Flat, IntersectionLattice, _closure, build_lattice
-from .ratlinalg import IntegerEchelon, RationalMatrix, format_rational, primitive_int_row
+from .ratlinalg import RationalMatrix, format_rational, integer_rref, primitive_int_row
 
 
 @total_ordering
@@ -84,8 +84,7 @@ def rlct_central(arr: NormalizedArrangement) -> RlctResult:
     lat = build_lattice(arr)
     ratios = [Fraction(flat.codim, flat.weight) for flat in lat.flats]
     threshold = min(ratios)
-    minimizer_indices = [i for i, r in enumerate(ratios) if r == threshold]
-    minimizers = [lat.flats[i] for i in minimizer_indices]
+    minimizers = [flat for flat, ratio in zip(lat.flats, ratios) if ratio == threshold]
 
     multiplicity, chain = _longest_chain(minimizers)
     return RlctResult(
@@ -120,10 +119,7 @@ def _longest_chain(flats: list[Flat]) -> tuple[int, list[Flat]]:
             if best_len[j] + 1 > best_len[i] and masks[i] != masks[j] and masks[i] & masks[j] == masks[i]:
                 best_len[i] = best_len[j] + 1
                 parent[i] = j
-    end = order[0]
-    for i in order[1:]:
-        if best_len[i] > best_len[end]:
-            end = i
+    end = max(order, key=best_len.__getitem__)  # the first longest, as processed
     chain = []
     node: int | None = end
     while node is not None:
@@ -203,27 +199,26 @@ def maximal_central_localizations(
     """Points where maximal subsets of the hyperplanes meet, with the
     centered sub-arrangements they define.
 
-    Affine flats come from the lattice's closure engine run on the
-    augmented rows (a | b); a subset has empty intersection exactly when
-    elimination pivots in the offset column, and the engine drops such
-    extensions. It flags a flat maximal when no outside hyperplane extends
-    it consistently, which is inclusion-maximality of its member set, so the
-    maximal flats are read off the closure directly. The witness point is
-    the particular solution with free variables at zero.
+    The lattice's closure engine runs on the augmented rows (a | b): it
+    drops extensions that pivot in the offset column (no common point) and
+    flags a flat maximal when no outside hyperplane extends it consistently.
+    Only the maximal flats get canonical rows, for the witness point: the
+    particular solution with free variables at zero.
     """
     n, d = arr.n, arr.dim
     if n == 0:
         raise EmptyArrangementError("arrangement has no hyperplanes")
-    augmented = [
-        primitive_int_row(tuple(arr.normals.row(j)) + (arr.offsets[j],)) for j in range(n)
-    ]
-
+    augmented = [primitive_int_row(tuple(arr.normals.row(j)) + (arr.offsets[j],)) for j in range(n)]
+    found = sorted(
+        (tuple(j for j in range(n) if mask >> j & 1), basis)
+        for basis, mask, maximal in _closure(augmented, d)
+        if maximal
+    )
     out = []
-    for ech, mask, maximal in _closure(augmented, d):
-        if not maximal:
-            continue
-        members = sorted(j for j in range(n) if mask >> j & 1)
-        point = _particular_solution(ech, d)
+    for members, basis in found:
+        point = [Fraction(0)] * d
+        for row, pc in zip(*integer_rref(basis)):
+            point[pc] = Fraction(-row[d], row[pc])  # never pc == d: the rows are consistent
         sub = NormalizedArrangement(
             normals=RationalMatrix([arr.normals.row(j) for j in members], cols=d),
             offsets=(Fraction(0),) * len(members),
@@ -231,18 +226,8 @@ def maximal_central_localizations(
             is_central=True,
             variables=arr.variables,
         )
-        out.append((point, sub, tuple(members)))
-    out.sort(key=lambda item: item[2])
-    return [(point, sub) for point, sub, _ in out]
-
-
-def _particular_solution(ech: IntegerEchelon, d: int) -> tuple[Fraction, ...]:
-    """Solve a.x + b = 0 for the augmented echelon, free variables at zero."""
-    point = [Fraction(0)] * d
-    for row, pc in zip(ech.rows, ech.pivots):
-        # Consistent systems never pivot in the offset column.
-        point[pc] = Fraction(-row[d], row[pc])
-    return tuple(point)
+        out.append((tuple(point), sub))
+    return out
 
 
 def rlct_affine(arr: NormalizedArrangement) -> LocalizationReport:
@@ -254,8 +239,6 @@ def rlct_affine(arr: NormalizedArrangement) -> LocalizationReport:
     localizations = []
     for point, sub in maximal_central_localizations(arr):
         localizations.append(Localization(point=point, arrangement=sub, result=rlct_central(sub)))
-    best = 0
-    for i in range(1, len(localizations)):
-        if pair_less(localizations[i].pair, localizations[best].pair):
-            best = i
+    # The first most singular pair; RlctPair orders by pair_less.
+    best = min(range(len(localizations)), key=lambda i: localizations[i].pair)
     return LocalizationReport(localizations=tuple(localizations), global_index=best)

@@ -48,6 +48,10 @@ class TestCompute:
             {"polynomial": 5},
             {"normals": [[1, 0]], "multiplicities": [1], "offsets": [0.5]},
             {"normals": [["1/0", 1]], "multiplicities": [1]},
+            # Names the factored-product grammar cannot read back.
+            {"normals": [[1, 0]], "multiplicities": [1], "variables": ["x", "x"]},
+            {"normals": [[1, 0]], "multiplicities": [1], "variables": ["a b", "c"]},
+            {"normals": [[1, 0]], "multiplicities": [1], "variables": ["1", "y"]},
         ]
         for doc in malformed:
             path.write_text(json.dumps(doc))
@@ -147,7 +151,7 @@ class TestLocalize:
         code, out, _ = run_cli(capsys, "localize", "--poly", "x*(x-1)", "--verify")
         assert code == 0
         result = json.loads(out)
-        assert result["verify"] == {"lattice_match": True, "chain_match": True}
+        assert result["verify"] == {"lattice_match": True, "chain_match": True, "localization_match": True}
 
     def test_negative_seed_is_user_error(self, capsys):
         code, _, err = run_cli(

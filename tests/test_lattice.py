@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rlct import (
     ArrangementSpec,
@@ -19,8 +21,9 @@ from rlct import (
     row_space_canonical,
     subspace_leq,
 )
+from rlct import lattice
 from rlct.lattice import _closure
-from rlct.ratlinalg import IntegerEchelon, primitive_int_row
+from rlct.ratlinalg import integer_rref, primitive_int_row, row_in_row_space
 
 from conftest import random_central_arrangement, random_invertible
 
@@ -267,22 +270,22 @@ class TestClosureEngine:
             top = rank(arr.normals)
             low_rank_seen |= top < arr.dim
             rows = [primitive_int_row(arr.normals.row(j)) for j in range(arr.n)]
-            maximal = [(ech, mask) for ech, mask, flag in _closure(rows, arr.dim) if flag]
+            maximal = [(basis, mask) for basis, mask, flag in _closure(rows, arr.dim) if flag]
             assert len(maximal) == 1
-            ech, mask = maximal[0]
-            assert ech.rank == top
+            basis, mask = maximal[0]
+            assert len(basis) == top
             assert mask == (1 << arr.n) - 1
         assert low_rank_seen
 
     def test_each_flat_is_built_once(self, monkeypatch):
         calls = []
-        adjoin = IntegerEchelon.adjoin
+        child_groups = lattice._child_groups
 
-        def counted(self, residue):
+        def counted(groups, residue):
             calls.append(residue)
-            return adjoin(self, residue)
+            return child_groups(groups, residue)
 
-        monkeypatch.setattr(IntegerEchelon, "adjoin", counted)
+        monkeypatch.setattr(lattice, "_child_groups", counted)
         braid = arrangement(
             [[int(c == i) - int(c == j) for c in range(7)] for i in range(7) for j in range(i + 1, 7)], [1] * 21
         )
@@ -295,6 +298,29 @@ class TestClosureEngine:
                 flats = _closure(rows, arr.dim)
                 assert len(calls) == len(flats)
         assert len(flats) == 876
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_masks_and_rows_match_the_rational_span(self, data):
+        # Every subset of rows with a common point closes to the rows in its
+        # rational span; those closed sets are exactly the returned masks, and
+        # each flat's residues canonicalize to its span's RREF.
+        d = data.draw(st.integers(1, 3), label="d")
+        affine = data.draw(st.booleans(), label="affine")
+        normal = st.lists(st.integers(-2, 2), min_size=d, max_size=d).filter(any)
+        offset = st.lists(st.integers(-1, 1), min_size=int(affine), max_size=int(affine))
+        drawn = data.draw(st.lists(st.tuples(normal, offset), min_size=1, max_size=6), label="rows")
+        rows = [primitive_int_row(a + b) for a, b in drawn]
+        spans = {}
+        for subset in range(1, 1 << len(rows)):
+            members = [row for j, row in enumerate(rows) if subset >> j & 1]
+            canon = row_space_canonical(RationalMatrix(members))
+            if rank(RationalMatrix([row[:d] for row in members])) == canon.rows:
+                spans[sum(1 << j for j, row in enumerate(rows) if row_in_row_space(row, canon))] = canon
+        flats = _closure(rows, d)
+        assert sorted(mask for _, mask, _ in flats) == sorted(spans)
+        for basis, mask, _ in flats:
+            assert integer_rref(basis)[0] == tuple(primitive_int_row(r) for r in spans[mask])
 
 
 class TestExport:

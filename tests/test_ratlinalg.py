@@ -16,7 +16,7 @@ from rlct import (
     rref,
     subspace_leq,
 )
-from rlct.ratlinalg import IntegerEchelon, primitive_int_row, row_in_row_space
+from rlct.ratlinalg import eliminate, integer_rref, primitive_int_row, row_in_row_space
 
 from conftest import random_invertible
 
@@ -178,28 +178,42 @@ class TestSubspaceLeq:
                 assert subspace_leq(a, c)
 
 
-class TestIntegerEchelon:
-    """The fast integer path must agree with the Fraction path exactly."""
+class TestIntegerRref:
+    """The integer closure arithmetic must agree with the Fraction path exactly."""
 
     @staticmethod
-    def _echelon(m):
-        ech = IntegerEchelon(m.cols)
+    def _residue(row, basis):
+        # One elimination step per residue, in insertion order: each residue
+        # is zero on the pivots before it, so the result is zero on them all.
+        residue = primitive_int_row(row)
+        for b in basis:
+            residue = eliminate(residue, b, next(c for c, x in enumerate(b) if x))
+        return residue
+
+    @classmethod
+    def _basis(cls, m):
+        basis = []
         for row in m:
-            residue = ech.reduce(primitive_int_row(row))
+            residue = cls._residue(row, basis)
             if any(residue):
-                ech = ech.adjoin(residue)
-        return ech
+                basis.append(residue)
+        return basis
 
     @settings(max_examples=80, deadline=None)
     @given(matrices(min_rows=1))
     def test_matches_row_space_canonical(self, m):
-        assert self._echelon(m).rows == tuple(primitive_int_row(r) for r in row_space_canonical(m))
+        rows, pivots = integer_rref(self._basis(m))
+        assert rows == tuple(primitive_int_row(r) for r in row_space_canonical(m))
+        assert pivots == rref(m)[2]
 
     @settings(max_examples=60, deadline=None)
     @given(matrices(min_rows=1))
     def test_membership_matches(self, m):
         canon = row_space_canonical(m)
-        ech = self._echelon(m)
+        basis = self._basis(m)
+        assert len(basis) == canon.rows
         for row in m:
-            assert not any(ech.reduce(primitive_int_row(row)))
+            assert not any(self._residue(row, basis))
             assert row_in_row_space(row, canon)
+        for unit in RationalMatrix.identity(m.cols):
+            assert any(self._residue(unit, basis)) != row_in_row_space(unit, canon)

@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -10,18 +9,17 @@ from rlct import (
     ArrangementSpec,
     CentralityError,
     EmptyArrangementError,
-    RationalMatrix,
     RlctPair,
     build_lattice,
+    localizations_bruteforce,
     normalize,
     pair_less,
     parse_factored_product,
-    rank,
     rlct_affine,
     rlct_central,
     rlct_line_arrangement_2d,
 )
-from rlct.ratlinalg import row_in_row_space, row_space_canonical, subspace_leq
+from rlct.ratlinalg import subspace_leq
 from rlct.threshold import maximal_central_localizations
 
 from conftest import random_central_arrangement, random_invertible
@@ -214,28 +212,7 @@ class TestLocalization:
                     assert a == b or not a < b
 
     def test_matches_all_subsets_oracle(self):
-        # Independent route: scan every subset, test consistency by rank of
-        # the plain vs augmented Fraction matrices, close under span
-        # membership, keep the inclusion-maximal member sets.
-        def bruteforce_member_sets(arr):
-            closed = set()
-            aug_rows = [
-                tuple(arr.normals.row(j)) + (arr.offsets[j],) for j in range(arr.n)
-            ]
-            for r in range(1, arr.n + 1):
-                for comb in combinations(range(arr.n), r):
-                    plain = RationalMatrix([arr.normals.row(j) for j in comb], cols=arr.dim)
-                    augmented = RationalMatrix([aug_rows[j] for j in comb], cols=arr.dim + 1)
-                    if rank(plain) != rank(augmented):
-                        continue
-                    canon = row_space_canonical(augmented)
-                    closed.add(
-                        frozenset(
-                            k for k in range(arr.n) if row_in_row_space(aug_rows[k], canon)
-                        )
-                    )
-            return {m for m in closed if not any(m < other for other in closed)}
-
+        # Independent route: `localizations_bruteforce` scans every subset.
         rng = random.Random(77)
         for _ in range(40):
             d = rng.randint(1, 3)
@@ -251,17 +228,15 @@ class TestLocalization:
             arr = normalize(
                 ArrangementSpec(rows, [rng.randint(1, 3) for _ in range(n)], offsets=offsets)
             )
-            produced = set()
-            for point, sub in maximal_central_localizations(arr):
-                produced.add(
-                    frozenset(
-                        j
-                        for j in range(arr.n)
-                        if sum(a * x for a, x in zip(arr.normals.row(j), point)) + arr.offsets[j]
-                        == 0
-                    )
+            produced = sorted(
+                tuple(
+                    j
+                    for j in range(arr.n)
+                    if sum(a * x for a, x in zip(arr.normals.row(j), point)) + arr.offsets[j] == 0
                 )
-            assert produced == bruteforce_member_sets(arr)
+                for point, sub in maximal_central_localizations(arr)
+            )
+            assert produced == localizations_bruteforce(arr)
 
 
 class TestAffine:
