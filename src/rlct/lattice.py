@@ -5,9 +5,9 @@ space itself is excluded). `_closure` extends each frontier flat by one
 outside row at a time, so the cost scales with the lattice size, not with
 2^n. It serves both the central lattice (rows: the normals) and the affine
 localizations in `threshold.py` (rows: (a | b)), and flags maximal flats.
-It works on integer residues and member bitmasks only; canonical rows
-(`integer_rref`) are formed where they are read (the lattice order,
-`Flat.rows`, affine witness points), rational ones only for output.
+It works on integer rows and member bitmasks only: each flat carries its
+canonical primitive rows, which give the lattice order, `Flat.rows` and
+affine witness points; rational rows are formed only for output.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .arrangement import NormalizedArrangement
 from .errors import CentralityError, EmptyArrangementError
-from .ratlinalg import RationalMatrix, eliminate, integer_rref, primitive_int_row
+from .ratlinalg import RationalMatrix, eliminate, primitive_int_row
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,7 @@ class Flat:
     """One element of the intersection lattice, as plain integer data.
 
     rows: canonical basis of the span of member normals, as primitive
-        integer rows with positive pivots (`integer_rref`); dividing each
+        integer rows with positive pivots, in pivot order; dividing each
         row by its pivot gives the rational RREF, `normal_space`.
     mask: member bitmask; bit j is set iff hyperplane j contains the flat.
     weight: total multiplicity of the hyperplanes containing the flat
@@ -91,29 +91,33 @@ class InclusionDag:
 
 
 def _closure(rows: list[tuple[int, ...]], d: int) -> list[tuple[tuple[tuple[int, ...], ...], int, bool]]:
-    """Every flat spanned by `rows`, as (basis, member bitmask, maximal).
+    """Every flat spanned by `rows`, as (canonical rows, member bitmask, maximal).
 
     Rows are primitive integer vectors with d columns (normals) or d + 1
     (rows (a | b), offset last). Closure by rank level from the ambient
-    space ((), 0, rows grouped by value): a frontier item is (basis, mask,
-    groups), `basis` the residues chosen so far in insertion order and
-    `groups` each primitive residue of the outside rows modulo the span,
+    space ((), 0, rows grouped by value): a frontier item is (span, mask,
+    groups), `span` the primitive-integer RREF of the span in pivot order
+    and `groups` each primitive residue of the outside rows modulo the span,
     with the bitmask of the rows that have it. Two rows give the same child
     iff their residues are equal, so a group is exactly the child's new
-    members. Only a child with a new mask gets its groups (`_child_groups`),
-    so every flat is built once. A residue that is zero on the normal
-    columns has no common point and is skipped; a flat is maximal iff every
-    residue is of that kind, i.e. iff its member set is inclusion-maximal.
+    members. Only a child with a new mask is built (`_child`), so every
+    flat is built once. A residue that is zero on the normal columns has no
+    common point and is skipped; a flat is maximal iff every residue is of
+    that kind, i.e. iff its member set is inclusion-maximal.
 
-    One elimination step per group gives the child's residues, the same as
-    reducing under the child's echelon: let S be a span with RREF pivot
-    columns P. For x outside S, the vectors of Qx + S that vanish on P form
-    a line (S restricted to P is the identity), so the residue of x, the
-    primitive vector with positive lead on it, does not depend on the basis
-    of S. The chosen residue e vanishes on P and leads at a new column c;
-    the child's pivots are P + {c}. For a parent residue r of x,
-    e[c]·r − r[c]·e lies in Qx + S_child, vanishes on P + {c} and keeps a
-    nonzero coefficient on x: it is on the child's line.
+    One elimination step per row and group gives the child's rows and
+    residues, the same as reducing under the child's echelon: let S be a
+    span with RREF pivot columns P. For x outside S, the vectors of Qx + S
+    that vanish on P form a line (S restricted to P is the identity), so
+    the residue of x, the primitive vector with positive lead on it, does
+    not depend on the basis of S. The chosen residue e vanishes on P and
+    leads at a new column c; the child's pivots are P + {c}. For a parent
+    residue r of x, e[c]·r − r[c]·e lies in Qx + S_child, vanishes on
+    P + {c} and keeps a nonzero coefficient on x: it is on the child's
+    line. An eliminated parent row is still zero on every other pivot, and
+    its positive lead does not move, so it is the canonical row. Sorting in
+    descending tuple order puts rows in pivot order: each pivot is
+    positive, and each row is zero before its pivot.
     """
     start: dict[tuple[int, ...], int] = {}
     for j, row in enumerate(rows):
@@ -123,7 +127,7 @@ def _closure(rows: list[tuple[int, ...]], d: int) -> list[tuple[tuple[tuple[int,
     flats = []
     while frontier:
         next_frontier = []
-        for basis, mask, groups in frontier:
+        for span, mask, groups in frontier:
             maximal = True
             for residue, group in groups.items():
                 if not any(residue[:d]):
@@ -133,18 +137,21 @@ def _closure(rows: list[tuple[int, ...]], d: int) -> list[tuple[tuple[tuple[int,
                 child = mask | group
                 if child not in seen:
                     seen.add(child)
-                    next_frontier.append((basis + (residue,), child, _child_groups(groups, residue)))
+                    child_rows, child_groups = _child(span, groups, residue)
+                    next_frontier.append((child_rows, child, child_groups))
             if mask:  # the ambient space (mask 0) is not a flat
-                flats.append((basis, mask, maximal))
+                flats.append((span, mask, maximal))
         frontier = next_frontier
     return flats
 
 
-def _child_groups(groups: dict[tuple[int, ...], int], residue: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """The outside rows' residue groups once `residue` joins the span.
+def _child(
+    rows: tuple[tuple[int, ...], ...], groups: dict[tuple[int, ...], int], residue: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]:
+    """The canonical rows and outside residue groups once `residue` joins the span.
 
-    Every other residue takes one elimination step at `residue`'s lead
-    column, and groups whose new residues are equal merge.
+    Every parent row and every other residue take one elimination step at
+    `residue`'s lead column, and groups whose new residues are equal merge.
     """
     pc = next(c for c, x in enumerate(residue) if x)
     out: dict[tuple[int, ...], int] = {}
@@ -152,15 +159,16 @@ def _child_groups(groups: dict[tuple[int, ...], int], residue: tuple[int, ...]) 
         if other != residue:
             other = eliminate(other, residue, pc)
             out[other] = out.get(other, 0) | group
-    return out
+    stepped = [eliminate(row, residue, pc) for row in rows]
+    return tuple(sorted(stepped + [residue], reverse=True)), out
 
 
 def build_lattice(arr: NormalizedArrangement) -> IntersectionLattice:
     """Enumerate every flat of a central arrangement with its weight and members.
 
-    The flats are the closure of the normals (see `_closure`); member sets
-    are the engine's exact bitmasks, and the weight is the sum of member
-    multiplicities. Each flat's canonical rows come from `integer_rref`.
+    The flats are the closure of the normals (see `_closure`), which also
+    gives each flat's canonical rows; member sets are the engine's exact
+    bitmasks, and the weight is the sum of member multiplicities.
     """
     if not arr.is_central:
         raise CentralityError("the intersection lattice is defined for central arrangements; localize first")
@@ -168,7 +176,7 @@ def build_lattice(arr: NormalizedArrangement) -> IntersectionLattice:
     if n == 0:
         raise EmptyArrangementError("arrangement has no hyperplanes")
     normals = [primitive_int_row(row) for row in arr.normals]
-    closure = [(integer_rref(basis), mask) for basis, mask, _ in _closure(normals, d)]
+    closure = _closure(normals, d)
 
     # Lattice order is (codim, rational RREF entries row-major). Every RREF
     # entry is x/p with p a pivot, 0 < p <= P, so two distinct entries differ
@@ -177,19 +185,17 @@ def build_lattice(arr: NormalizedArrangement) -> IntersectionLattice:
     # equally: the integer key gives exactly the rational order. A common
     # denominator is no option, since the lcm of the pivots can run to
     # thousands of digits.
-    top_pivot = max(row[pc] for (rows, pivots), _ in closure for row, pc in zip(rows, pivots))
+    top_pivot = max(next(x for x in row if x) for rows, _, _ in closure for row in rows)
     shift = 2 * top_pivot.bit_length()
 
     def order(item):
-        rows, pivots = item[0]
-        scaled = ((x << shift) // row[pc] for row, pc in zip(rows, pivots) for x in row)
-        return (len(rows), tuple(scaled))
+        rows = item[0]
+        pivots = (next(x for x in row if x) for row in rows)
+        return (len(rows), tuple((x << shift) // p for row, p in zip(rows, pivots) for x in row))
 
     closure.sort(key=order)
     mult = arr.multiplicities
-    flats = tuple(
-        Flat(rows, mask, sum(mult[j] for j in range(n) if mask >> j & 1)) for (rows, _), mask in closure
-    )
+    flats = tuple(Flat(rows, mask, sum(mult[j] for j in range(n) if mask >> j & 1)) for rows, mask, _ in closure)
     return IntersectionLattice(flats=flats, dim=d, n_hyperplanes=n)
 
 

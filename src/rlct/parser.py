@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Sequence
 
 from .arrangement import ArrangementSpec, NormalizedArrangement
 from .errors import NonlinearFactorError, ParseError, UnknownVariableError
@@ -259,15 +258,13 @@ def parse_factored_product(text: str) -> ArrangementSpec:
     return _Parser(text).parse()
 
 
-def format_factored_product(arr: NormalizedArrangement, variables: Sequence[str] | None = None) -> str:
+def format_factored_product(arr: NormalizedArrangement) -> str:
     """Render a normalized arrangement so `parse_factored_product` reads it back.
 
     A `vars` prefix pins the variable order, since re-parsing would otherwise
     infer it from the order of first appearance.
     """
-    names = tuple(variables) if variables is not None else arr.var_names()
-    if len(names) != arr.dim:
-        raise ValueError(f"{len(names)} names for {arr.dim} variables")
+    names = arr.var_names()
     parts = []
     for j in range(arr.n):
         normal, offset, mult = arr.hyperplane(j)

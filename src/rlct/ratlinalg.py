@@ -6,16 +6,14 @@ matrices span the same row space if and only if `row_space_canonical`
 returns bit-identical results for both. The oracles and the output edge
 use them.
 
-The lattice closure works on primitive integer rows instead: `eliminate`
-is its one elimination step, and `integer_rref` turns the residues it
-collects for a flat into the rational RREF with each row rescaled to a
-primitive integer vector, which carries exactly the same identity
-guarantee.
+The lattice closure works on primitive integer rows instead, and
+`eliminate` is its one elimination step. The rows it carries for a flat
+are the rational RREF with each row rescaled to a primitive integer
+vector, which carries exactly the same identity guarantee.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Sequence, Union
@@ -236,11 +234,7 @@ def subspace_leq(w1_normals: RationalMatrix, w2_normals: RationalMatrix) -> bool
 
 def _primitive(row: Sequence[int]) -> tuple[int, ...]:
     """Divide out the gcd and make the leading nonzero entry positive."""
-    g = 0
-    for x in row:
-        g = gcd(g, x)
-        if g == 1:
-            break
+    g = gcd(*row)
     if g == 0:
         return tuple(row)
     lead = next(x for x in row if x != 0)
@@ -268,21 +262,3 @@ def eliminate(row: tuple[int, ...], pivot_row: tuple[int, ...], pc: int) -> tupl
         return row
     p = pivot_row[pc]
     return _primitive([p * a - c * b for a, b in zip(row, pivot_row)])
-
-
-def integer_rref(basis: Sequence[tuple[int, ...]]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Canonical rows and pivot columns of the span of `basis`.
-
-    `basis` holds primitive residues in insertion order, each zero on the
-    pivot (leading) columns of the ones before it, as the closure builds
-    them. Back-substituting each into the rows before it gives the rational
-    RREF with every row rescaled to a primitive vector: unique per span.
-    """
-    rows, pivots = [], []
-    for residue in basis:
-        pc = next(c for c, x in enumerate(residue) if x)
-        rows = [eliminate(row, residue, pc) for row in rows]
-        position = bisect(pivots, pc)
-        rows.insert(position, residue)
-        pivots.insert(position, pc)
-    return tuple(rows), tuple(pivots)

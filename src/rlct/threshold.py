@@ -17,7 +17,7 @@ from functools import total_ordering
 from .arrangement import NormalizedArrangement
 from .errors import CentralityError, EmptyArrangementError, InvalidMultiplicityError
 from .lattice import Flat, IntersectionLattice, _closure, build_lattice
-from .ratlinalg import RationalMatrix, format_rational, integer_rref, primitive_int_row
+from .ratlinalg import RationalMatrix, format_rational, primitive_int_row
 
 
 @total_ordering
@@ -202,23 +202,24 @@ def maximal_central_localizations(
     The lattice's closure engine runs on the augmented rows (a | b): it
     drops extensions that pivot in the offset column (no common point) and
     flags a flat maximal when no outside hyperplane extends it consistently.
-    Only the maximal flats get canonical rows, for the witness point: the
-    particular solution with free variables at zero.
+    A maximal flat's canonical rows give its witness point: the particular
+    solution with free variables at zero.
     """
     n, d = arr.n, arr.dim
     if n == 0:
         raise EmptyArrangementError("arrangement has no hyperplanes")
     augmented = [primitive_int_row(tuple(arr.normals.row(j)) + (arr.offsets[j],)) for j in range(n)]
     found = sorted(
-        (tuple(j for j in range(n) if mask >> j & 1), basis)
-        for basis, mask, maximal in _closure(augmented, d)
+        (tuple(j for j in range(n) if mask >> j & 1), rows)
+        for rows, mask, maximal in _closure(augmented, d)
         if maximal
     )
     out = []
-    for members, basis in found:
+    for members, rows in found:
         point = [Fraction(0)] * d
-        for row, pc in zip(*integer_rref(basis)):
-            point[pc] = Fraction(-row[d], row[pc])  # never pc == d: the rows are consistent
+        for row in rows:
+            pc = next(c for c, x in enumerate(row) if x)  # never pc == d: the rows are consistent
+            point[pc] = Fraction(-row[d], row[pc])
         sub = NormalizedArrangement(
             normals=RationalMatrix([arr.normals.row(j) for j in members], cols=d),
             offsets=(Fraction(0),) * len(members),

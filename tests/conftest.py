@@ -3,7 +3,14 @@
 import random
 from fractions import Fraction
 
+from hypothesis import settings
+
 from rlct import ArrangementSpec, NormalizedArrangement, RationalMatrix, normalize, rank
+
+# Hypothesis draws the same examples on every run and every Python; each
+# test keeps its own max_examples.
+settings.register_profile("seeded", derandomize=True)
+settings.load_profile("seeded")
 
 
 def random_rational(rng: random.Random, span: int = 4, max_den: int = 3) -> Fraction:

@@ -23,7 +23,7 @@ from rlct import (
 )
 from rlct import lattice
 from rlct.lattice import _closure
-from rlct.ratlinalg import integer_rref, primitive_int_row, row_in_row_space
+from rlct.ratlinalg import primitive_int_row, row_in_row_space
 
 from conftest import random_central_arrangement, random_invertible
 
@@ -270,22 +270,22 @@ class TestClosureEngine:
             top = rank(arr.normals)
             low_rank_seen |= top < arr.dim
             rows = [primitive_int_row(arr.normals.row(j)) for j in range(arr.n)]
-            maximal = [(basis, mask) for basis, mask, flag in _closure(rows, arr.dim) if flag]
+            maximal = [(flat_rows, mask) for flat_rows, mask, flag in _closure(rows, arr.dim) if flag]
             assert len(maximal) == 1
-            basis, mask = maximal[0]
-            assert len(basis) == top
+            flat_rows, mask = maximal[0]
+            assert len(flat_rows) == top
             assert mask == (1 << arr.n) - 1
         assert low_rank_seen
 
     def test_each_flat_is_built_once(self, monkeypatch):
         calls = []
-        child_groups = lattice._child_groups
+        child = lattice._child
 
-        def counted(groups, residue):
+        def counted(rows, groups, residue):
             calls.append(residue)
-            return child_groups(groups, residue)
+            return child(rows, groups, residue)
 
-        monkeypatch.setattr(lattice, "_child_groups", counted)
+        monkeypatch.setattr(lattice, "_child", counted)
         braid = arrangement(
             [[int(c == i) - int(c == j) for c in range(7)] for i in range(7) for j in range(i + 1, 7)], [1] * 21
         )
@@ -304,7 +304,7 @@ class TestClosureEngine:
     def test_masks_and_rows_match_the_rational_span(self, data):
         # Every subset of rows with a common point closes to the rows in its
         # rational span; those closed sets are exactly the returned masks, and
-        # each flat's residues canonicalize to its span's RREF.
+        # each flat's rows are its span's RREF as primitive integer rows.
         d = data.draw(st.integers(1, 3), label="d")
         affine = data.draw(st.booleans(), label="affine")
         normal = st.lists(st.integers(-2, 2), min_size=d, max_size=d).filter(any)
@@ -319,8 +319,8 @@ class TestClosureEngine:
                 spans[sum(1 << j for j, row in enumerate(rows) if row_in_row_space(row, canon))] = canon
         flats = _closure(rows, d)
         assert sorted(mask for _, mask, _ in flats) == sorted(spans)
-        for basis, mask, _ in flats:
-            assert integer_rref(basis)[0] == tuple(primitive_int_row(r) for r in spans[mask])
+        for flat_rows, mask, _ in flats:
+            assert flat_rows == tuple(primitive_int_row(r) for r in spans[mask])
 
 
 class TestExport:

@@ -113,6 +113,10 @@ class TestParseErrors:
             parse_factored_product("   ")
 
 
+# Distinct identifiers, including one that is also the "vars" keyword.
+NAME_POOL = ["u", "v_2", "_w", "X", "vars"]
+
+
 class TestFormatRoundTrip:
     def test_named_examples(self):
         for text in ["x*y", "x*y^2*z^2*(x+y+z)", "x*(x-1)", "(x + 1/2*y - 3)^4*(y - 2)"]:
@@ -141,6 +145,9 @@ class TestFormatRoundTrip:
                 rows.append(row)
                 offsets.append(F(rng.randint(-2, 2), rng.randint(1, 2)))
                 mults.append(rng.randint(1, 4))
-            arr = normalize(ArrangementSpec(rows, mults, offsets=offsets))
+            names = rng.sample(NAME_POOL, d)
+            arr = normalize(ArrangementSpec(rows, mults, offsets=offsets, variables=names))
             printed = format_factored_product(arr)
-            assert normalize(parse_factored_product(printed)) == arr
+            again = normalize(parse_factored_product(printed))
+            assert again == arr
+            assert again.variables == tuple(names)

@@ -16,7 +16,8 @@ from rlct import (
     rref,
     subspace_leq,
 )
-from rlct.ratlinalg import eliminate, integer_rref, primitive_int_row, row_in_row_space
+from rlct.lattice import _closure
+from rlct.ratlinalg import eliminate, primitive_int_row, row_in_row_space
 
 from conftest import random_invertible
 
@@ -178,42 +179,37 @@ class TestSubspaceLeq:
                 assert subspace_leq(a, c)
 
 
-class TestIntegerRref:
-    """The integer closure arithmetic must agree with the Fraction path exactly."""
+class TestClosureRows:
+    """The closure's integer rows must agree with the Fraction path exactly."""
 
     @staticmethod
-    def _residue(row, basis):
-        # One elimination step per residue, in insertion order: each residue
-        # is zero on the pivots before it, so the result is zero on them all.
+    def _residue(row, canonical):
+        # One elimination step per canonical row, at its pivot: each row is
+        # zero on the other pivots, so the result is zero on them all.
         residue = primitive_int_row(row)
-        for b in basis:
+        for b in canonical:
             residue = eliminate(residue, b, next(c for c, x in enumerate(b) if x))
         return residue
-
-    @classmethod
-    def _basis(cls, m):
-        basis = []
-        for row in m:
-            residue = cls._residue(row, basis)
-            if any(residue):
-                basis.append(residue)
-        return basis
 
     @settings(max_examples=80, deadline=None)
     @given(matrices(min_rows=1))
     def test_matches_row_space_canonical(self, m):
-        rows, pivots = integer_rref(self._basis(m))
-        assert rows == tuple(primitive_int_row(r) for r in row_space_canonical(m))
-        assert pivots == rref(m)[2]
+        flats = _closure([primitive_int_row(r) for r in m if any(r)], m.cols)
+        canon = tuple(primitive_int_row(r) for r in row_space_canonical(m))
+        if not canon:
+            assert flats == []
+            return
+        maximal = [rows for rows, _, flag in flats if flag]
+        assert maximal == [canon]
+        assert tuple(next(c for c, x in enumerate(r) if x) for r in canon) == rref(m)[2]
 
     @settings(max_examples=60, deadline=None)
     @given(matrices(min_rows=1))
     def test_membership_matches(self, m):
         canon = row_space_canonical(m)
-        basis = self._basis(m)
-        assert len(basis) == canon.rows
+        rows = [primitive_int_row(r) for r in canon]
         for row in m:
-            assert not any(self._residue(row, basis))
+            assert not any(self._residue(row, rows))
             assert row_in_row_space(row, canon)
         for unit in RationalMatrix.identity(m.cols):
-            assert any(self._residue(unit, basis)) != row_in_row_space(unit, canon)
+            assert any(self._residue(unit, rows)) != row_in_row_space(unit, canon)
