@@ -3,7 +3,9 @@
 For a central arrangement the pair is read off the intersection lattice:
 the threshold is the minimum of codim(W)/weight(W) over all flats W, and
 the multiplicity is the length of the longest strictly nested chain of
-flats achieving that minimum. Affine arrangements reduce to finitely many
+flats achieving that minimum. The minimizers' member sets are closed under
+union and intersection, so that length is the number of join-irreducibles
+of the lattice they form. Affine arrangements reduce to finitely many
 central ones, one per maximal set of hyperplanes with a common point, and
 the global pair is the minimum of the local pairs in the singularity order.
 """
@@ -74,10 +76,9 @@ class RlctResult:
 def rlct_central(arr: NormalizedArrangement) -> RlctResult:
     """Threshold and multiplicity of a central arrangement, exactly.
 
-    The multiplicity is found by dynamic programming for the longest chain
-    in the minimizers' containment order, processing flats by decreasing
-    codimension; ties break toward the deterministic lattice order so the
-    witness chain is reproducible.
+    The multiplicity is the number of join-irreducibles of the minimizers'
+    member sets (see `_longest_chain`); the witness chain is picked in a
+    fixed order derived from the lattice order, so it is reproducible.
     """
     if not arr.is_central:
         raise CentralityError("rlct_central needs a central arrangement; use rlct_affine")
@@ -96,37 +97,34 @@ def rlct_central(arr: NormalizedArrangement) -> RlctResult:
 
 
 def _longest_chain(flats: list[Flat]) -> tuple[int, list[Flat]]:
-    """Longest strictly nested chain among `flats`, with one witness.
+    """Longest strictly nested chain of the minimizer flats, with one witness.
 
-    Containment reverses member sets (valid because all flats come from one
-    lattice): flat j lies strictly inside flat i iff members(i) is a proper
-    subset of members(j). `flats` must be in lattice order (see
-    `IntersectionLattice`), so a stable sort on codim alone gives the
-    deterministic processing order. Returns (length, chain smallest-flat-first).
+    The minimizers' member masks, with the empty set, are the minimizing sets
+    of the submodular r - lambda*w, so they are closed under union and
+    intersection and form a distributive lattice; by Birkhoff's theorem its
+    maximal chains all have length m, the number of join-irreducibles. These
+    are the J_e, the meet of the masks containing hyperplane e. Every other
+    mask containing e strictly contains J_e and so has larger codim; hence,
+    by increasing codim, a mask is a J_e iff it has a member that no earlier
+    mask has. A mask's rank in the lattice is the number of J_e inside it.
+    The chain ends at the first flat of rank 1 in the processing order
+    (decreasing codim, stable on the lattice order `flats` must be in), and
+    each earlier link is the first flat whose mask strictly contains the last
+    one's, with rank one higher. Returns (m, chain smallest-flat-first).
     """
-    if not flats:
-        return 0, []
-    masks = [flat.mask for flat in flats]
-    # Process by decreasing codim; every proper subflat of a flat has
-    # strictly larger codim, so predecessors are always processed first.
-    # First-wins ties keep the witness deterministic.
-    order = sorted(range(len(flats)), key=lambda i: -flats[i].codim)
-    best_len = [0] * len(flats)
-    parent: list[int | None] = [None] * len(flats)
-    for pos, i in enumerate(order):
-        best_len[i] = 1
-        for j in order[:pos]:
-            if best_len[j] + 1 > best_len[i] and masks[i] != masks[j] and masks[i] & masks[j] == masks[i]:
-                best_len[i] = best_len[j] + 1
-                parent[i] = j
-    end = max(order, key=best_len.__getitem__)  # the first longest, as processed
+    order = sorted(flats, key=lambda flat: -flat.codim)
+    irreducibles, seen = [], 0
+    for flat in reversed(order):
+        if flat.mask & ~seen:
+            irreducibles.append(flat.mask)
+        seen |= flat.mask
+    rank = {flat.mask: sum(j & flat.mask == j for j in irreducibles) for flat in flats}
     chain = []
-    node: int | None = end
-    while node is not None:
-        chain.append(flats[node])
-        node = parent[node]
+    while len(chain) < len(irreducibles):
+        below = chain[-1].mask if chain else 0
+        chain.append(next(f for f in order if rank[f.mask] == len(chain) + 1 and f.mask & below == below))
     chain.reverse()
-    return best_len[end], chain
+    return len(irreducibles), chain
 
 
 def rlct_line_arrangement_2d(multiplicities) -> RlctPair:

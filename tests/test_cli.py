@@ -2,6 +2,7 @@
 
 import json
 
+import rlct.threshold
 from rlct.cli import main
 
 
@@ -70,6 +71,20 @@ class TestCompute:
         assert code == 0
         result = json.loads(out)
         assert result["verify"] == {"lattice_match": True, "chain_match": True}
+
+    def test_verify_checks_the_witness_chain(self, capsys, monkeypatch):
+        # A chain of the right length and members, but largest flat first.
+        longest_chain = rlct.threshold._longest_chain
+
+        def reversed_chain(flats):
+            m, chain = longest_chain(flats)
+            return m, chain[::-1]
+
+        monkeypatch.setattr(rlct.threshold, "_longest_chain", reversed_chain)
+        code, out, err = run_cli(capsys, "compute", "--poly", "x*y^2*z^2*(x+y+z)", "--verify")
+        assert code == 1
+        assert json.loads(out)["verify"] == {"lattice_match": True, "chain_match": False}
+        assert "verification mismatch" in err
 
     def test_verify_size_guard_is_user_error(self, capsys):
         poly = "*".join(f"(x+{k}*y)" for k in range(21))

@@ -12,6 +12,7 @@ from rlct import (
     RlctPair,
     build_lattice,
     localizations_bruteforce,
+    longest_chain_bruteforce,
     normalize,
     pair_less,
     parse_factored_product,
@@ -119,6 +120,73 @@ class TestCentral:
                 assert F(flat.codim, flat.weight) == result.pair.threshold
             for low, high in zip(result.witness_chain, result.witness_chain[1:]):
                 assert subspace_leq(low.normal_space, high.normal_space) and low != high
+
+
+def _join_irreducibles(masks):
+    """The distinct J_e: for each hyperplane e in some mask, the meet of the
+    masks that contain e."""
+    union = 0
+    for mask in masks:
+        union |= mask
+    meets = set()
+    for e in range(union.bit_length()):
+        if union >> e & 1:
+            meet = union
+            for mask in masks:
+                if mask >> e & 1:
+                    meet &= mask
+            meets.add(meet)
+    return meets
+
+
+def _multiplicity_corpus():
+    rng = random.Random(78)
+    corpus = [random_central_arrangement(rng, max_n=8, max_d=5) for _ in range(60)]
+    # Rank-deficient weighted draws: rows combine fewer base normals than d.
+    for _ in range(60):
+        d = rng.randint(2, 5)
+        base = [[rng.randint(-2, 2) for _ in range(d - 1)] + [1] for _ in range(rng.randint(1, d - 1))]
+        n = rng.randint(2, 8)
+        rows = []
+        while len(rows) < n:
+            row = [sum(rng.randint(-2, 2) * b[i] for b in base) for i in range(d)]
+            if any(row):
+                rows.append(row)
+        corpus.append(normalize(ArrangementSpec(rows, [rng.randint(1, 4) for _ in rows])))
+    for k in range(1, 7):
+        corpus.append(normalize(ArrangementSpec([[int(i == j) for j in range(k)] for i in range(k)], [1] * k)))
+    for k in range(4, 7):  # braid A3-A5
+        rows = [[int(c == i) - int(c == j) for c in range(k)] for i in range(k) for j in range(i + 1, k)]
+        corpus.append(normalize(ArrangementSpec(rows, [1] * len(rows))))
+    # A weighted pencil of lines with the top weight equal to the rest: m = 2.
+    corpus.append(normalize(ArrangementSpec([[1, 0], [1, 1], [1, 2], [0, 1]], [3, 1, 1, 1])))
+    return corpus
+
+
+class TestJoinIrreducibles:
+    """The identity the multiplicity path relies on: the minimizer member
+    sets with the empty set are closed under union and intersection, so m is
+    the number of join-irreducibles J_e and a flat's rank counts the J_e
+    inside it."""
+
+    def test_minimizer_masks_form_a_distributive_lattice(self):
+        checked = 0
+        for arr in _multiplicity_corpus():
+            result = rlct_central(arr)
+            masks = {flat.mask for flat in result.minimizer_flats}
+            closed = masks | {0}
+            assert all(a | b in closed and a & b in closed for a in closed for b in closed)
+            irreducibles = _join_irreducibles(masks)
+            assert result.pair.multiplicity == len(irreducibles)
+            if len(masks) <= 50:
+                assert longest_chain_bruteforce(result.minimizer_flats) == len(irreducibles)
+                checked += 1
+            chain = result.witness_chain
+            ranks = [sum(j & flat.mask == j for j in irreducibles) for flat in reversed(chain)]
+            assert ranks == list(range(1, len(irreducibles) + 1))
+            for low, high in zip(chain, chain[1:]):
+                assert subspace_leq(low.normal_space, high.normal_space) and low != high
+        assert checked >= 100
 
 
 class TestClosedForm2d:
@@ -277,6 +345,36 @@ class TestInvariances:
             t = random_invertible(rng, arr.dim)
             image = normalize(ArrangementSpec(arr.normals @ t, arr.multiplicities))
             assert rlct_central(image).pair == rlct_central(arr).pair
+
+    def test_affine_coordinate_change(self):
+        # x = T y + c sends a.x + b = 0 to (a T).y + (a.c + b) = 0.
+        rng = random.Random(79)
+        several = 0
+        for _ in range(60):
+            d = rng.randint(1, 3)
+            n = rng.randint(1, 6)
+            rows = []
+            while len(rows) < n:
+                row = [F(rng.randint(-2, 2)) for _ in range(d)]
+                if any(row):
+                    rows.append(row)
+            offsets = [F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n)]
+            arr = normalize(
+                ArrangementSpec(rows, [rng.randint(1, 3) for _ in range(n)], offsets=offsets)
+            )
+            t = random_invertible(rng, d)
+            c = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d)]
+            shifted = [
+                b + sum(a * x for a, x in zip(arr.normals.row(j), c)) for j, b in enumerate(arr.offsets)
+            ]
+            image = normalize(ArrangementSpec(arr.normals @ t, arr.multiplicities, offsets=shifted))
+            before, after = rlct_affine(arr), rlct_affine(image)
+            assert after.global_pair == before.global_pair
+            assert sorted(loc.pair for loc in after.localizations) == sorted(
+                loc.pair for loc in before.localizations
+            )
+            several += len(before.localizations) > 1
+        assert several >= 30
 
     def test_multiplicity_scaling(self):
         rng = random.Random(75)
