@@ -47,7 +47,7 @@ def main() -> None:
     result = pair_of("x*y^2*z^2*(x+y+z)")
     for flat in result.witness_chain:
         ratio = Fraction(flat.codim, flat.weight)
-        rows = flat.normal_space.to_string_lists()
+        rows = flat.to_json_dict()["normal_space"]
         print(f"  codim {flat.codim}, weight {flat.weight}, ratio {ratio}, normal space {rows}")
     print(f"  chain length = multiplicity m = {result.pair.multiplicity}")
 

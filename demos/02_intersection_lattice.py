@@ -41,10 +41,10 @@ def main() -> None:
         )
     print(f"\nminimum ratio (the threshold) = {min(ratios)}")
 
-    dag = inclusion_dag(lat)
-    print(f"strict containments: {len(dag.pairs)} pairs")
+    pairs = inclusion_dag(lat)
+    print(f"strict containments: {len(pairs)} pairs")
     origin = max(range(len(lat.flats)), key=lambda i: lat.flats[i].codim)
-    below = sorted(j for (i, j) in dag.pairs if i == origin)
+    below = sorted(j for (i, j) in pairs if i == origin)
     print(f"the origin (flat {origin}) sits inside every other flat: {below}")
 
     reference = lattice_bruteforce(arr)

@@ -38,7 +38,6 @@ from .errors import (
 )
 from .lattice import (
     Flat,
-    InclusionDag,
     IntersectionLattice,
     build_lattice,
     inclusion_dag,
@@ -88,7 +87,6 @@ __all__ = [
     "DimensionError",
     "EmptyArrangementError",
     "Flat",
-    "InclusionDag",
     "InsufficientDataError",
     "IntersectionLattice",
     "InvalidHyperplaneError",

@@ -30,7 +30,7 @@ from .arrangement import (
 from .errors import RlctError, SizeLimitError
 from .oracle import lattice_bruteforce, localizations_bruteforce, longest_chain_bruteforce
 from .parser import parse_factored_product
-from .ratlinalg import as_rational, format_rational, subspace_leq
+from .ratlinalg import RationalMatrix, as_rational, format_rational, subspace_leq
 from .threshold import RlctResult, rlct_affine, rlct_central
 from .volume import estimate_volume, fit_asymptotics, synthetic_samples
 
@@ -123,18 +123,19 @@ def epsilon_grid(args: argparse.Namespace) -> list[float]:
 def run_verification(arr: NormalizedArrangement, result: RlctResult) -> dict:
     """Compare the production lattice and chain length against the oracles,
     and check that the witness chain is m minimizers, each strictly inside
-    the next (geometrically, on normal spaces)."""
+    the next (geometrically, on the rational span of its rows)."""
     reference = lattice_bruteforce(arr)
     produced = result.lattice
     lattice_match = [f.to_json_dict() for f in produced.flats] == [
         f.to_json_dict() for f in reference.flats
     ]
     chain = result.witness_chain
-    spaces = [flat.normal_space for flat in chain]
+    spaces = [RationalMatrix(flat.rows) for flat in chain]
     chain_match = (
         longest_chain_bruteforce(result.minimizer_flats) == result.pair.multiplicity == len(chain)
         and all(flat in result.minimizer_flats for flat in chain)
-        and all(subspace_leq(low, high) and low != high for low, high in zip(spaces, spaces[1:]))
+        and all(subspace_leq(low, high) and not subspace_leq(high, low)
+                for low, high in zip(spaces, spaces[1:]))
     )
     return {"lattice_match": lattice_match, "chain_match": chain_match}
 

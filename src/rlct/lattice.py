@@ -6,18 +6,18 @@ outside row at a time, so the cost scales with the lattice size, not with
 2^n. It serves both the central lattice (rows: the normals) and the affine
 localizations in `threshold.py` (rows: (a | b)), and flags maximal flats.
 It works on integer rows and member bitmasks only: each flat carries its
-canonical primitive rows, which give the lattice order, `Flat.rows` and
-affine witness points; rational rows are formed only for output.
+canonical primitive rows, which give the lattice order, `Flat.rows`,
+affine witness points and the exact "p/q" strings of the JSON output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
 from .arrangement import NormalizedArrangement
 from .errors import CentralityError, EmptyArrangementError
-from .ratlinalg import RationalMatrix, eliminate, primitive_int_row
+from .ratlinalg import eliminate, primitive_int_row
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,8 @@ class Flat:
 
     rows: canonical basis of the span of member normals, as primitive
         integer rows with positive pivots, in pivot order; dividing each
-        row by its pivot gives the rational RREF, `normal_space`.
+        row by its pivot gives the rational RREF of the normal space,
+        which `to_json_dict` prints under "normal_space".
     mask: member bitmask; bit j is set iff hyperplane j contains the flat.
     weight: total multiplicity of the hyperplanes containing the flat
         (serialized under the key "s").
@@ -45,20 +46,27 @@ class Flat:
         """Indices of exactly the hyperplanes containing the flat."""
         return frozenset(j for j in range(self.mask.bit_length()) if self.mask >> j & 1)
 
-    @property
-    def normal_space(self) -> RationalMatrix:
-        """The canonical rational RREF of the normal space (pivot entries 1)."""
-        pivots = (next(x for x in row if x) for row in self.rows)
-        rows = [[Fraction(x, p) for x in row] for row, p in zip(self.rows, pivots)]
-        return RationalMatrix(rows, cols=len(self.rows[0]))
-
     def to_json_dict(self) -> dict:
         return {
-            "normal_space": self.normal_space.to_string_lists(),
+            "normal_space": [_rref_strings(row) for row in self.rows],
             "codim": self.codim,
             "s": self.weight,
             "members": sorted(self.members),
         }
+
+
+def _rref_strings(row: tuple[int, ...]) -> list[str]:
+    """Each entry x / pivot in lowest terms, as `format_rational` prints it.
+
+    The pivot p is the row's first nonzero entry, which is positive, so with
+    g = gcd(x, p) the reduced denominator p // g is positive too.
+    """
+    p = next(x for x in row if x)
+    out = []
+    for x in row:
+        g = gcd(x, p)
+        out.append(str(x // g) if g == p else f"{x // g}/{p // g}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -75,19 +83,6 @@ class IntersectionLattice:
 
     def __len__(self) -> int:
         return len(self.flats)
-
-
-@dataclass(frozen=True)
-class InclusionDag:
-    """Containment structure over a lattice's flats.
-
-    pairs holds every (i, j) with flats[i] strictly inside flats[j];
-    topological_order lists flat indices by decreasing codimension, so
-    each flat appears before everything that contains it.
-    """
-
-    pairs: frozenset[tuple[int, int]]
-    topological_order: tuple[int, ...]
 
 
 def _closure(rows: list[tuple[int, ...]], d: int) -> list[tuple[tuple[tuple[int, ...], ...], int, bool]]:
@@ -199,27 +194,24 @@ def build_lattice(arr: NormalizedArrangement) -> IntersectionLattice:
     return IntersectionLattice(flats=flats, dim=d, n_hyperplanes=n)
 
 
-def inclusion_dag(lat: IntersectionLattice) -> InclusionDag:
-    """Strict containment between all flat pairs, via member-set reversal.
+def inclusion_dag(lat: IntersectionLattice) -> frozenset[tuple[int, int]]:
+    """Every (i, j) with flats[i] strictly inside flats[j], via member-set reversal.
 
     Within one lattice, flat_i is contained in flat_j exactly when
     members(flat_j) is a proper subset of members(flat_i); this matches the
     geometric subspace test and is property-checked against it.
     """
     masks = [flat.mask for flat in lat.flats]
-    pairs = frozenset(
+    return frozenset(
         (i, j) for i, mi in enumerate(masks) for j, mj in enumerate(masks) if mi != mj and mi & mj == mj
     )
-    order = sorted(range(len(masks)), key=lambda i: -lat.flats[i].codim)
-    return InclusionDag(pairs=pairs, topological_order=tuple(order))
 
 
 def lattice_to_json_dict(lat: IntersectionLattice) -> dict:
     """Debug/test export: all flats plus the strict containment pairs."""
-    dag = inclusion_dag(lat)
     return {
         "dim": lat.dim,
         "n_hyperplanes": lat.n_hyperplanes,
         "flats": [flat.to_json_dict() for flat in lat.flats],
-        "containment_pairs": sorted(dag.pairs),
+        "containment_pairs": sorted(inclusion_dag(lat)),
     }

@@ -40,23 +40,23 @@ def lattice_bruteforce(arr: NormalizedArrangement) -> IntersectionLattice:
         for comb in combinations(range(n), r):
             stacked = RationalMatrix([arr.normals.row(j) for j in comb], cols=d)
             kernels.setdefault(kernel_basis(stacked))
-    flats = []
+    keyed = []
     for kernel in kernels:
         mask = 0
         for j in range(n):
             if all(sum(a * v for a, v in zip(arr.normals.row(j), vec)) == 0 for vec in kernel):
                 mask |= 1 << j
-        flats.append(
-            Flat(
-                rows=tuple(primitive_int_row(row) for row in kernel_basis(kernel)),
-                mask=mask,
-                weight=sum(arr.multiplicities[j] for j in range(n) if mask >> j & 1),
-            )
+        space = kernel_basis(kernel)
+        flat = Flat(
+            rows=tuple(primitive_int_row(row) for row in space),
+            mask=mask,
+            weight=sum(arr.multiplicities[j] for j in range(n) if mask >> j & 1),
         )
-    # The rational reference order, against which the production path's
-    # integer sort key is checked.
-    flats.sort(key=lambda flat: (flat.codim, flat.normal_space.entries))
-    return IntersectionLattice(flats=tuple(flats), dim=d, n_hyperplanes=n)
+        # The rational reference order, against which the production path's
+        # integer sort key is checked.
+        keyed.append(((space.rows, space.entries), flat))
+    keyed.sort(key=lambda item: item[0])
+    return IntersectionLattice(flats=tuple(flat for _, flat in keyed), dim=d, n_hyperplanes=n)
 
 
 def localizations_bruteforce(arr: NormalizedArrangement) -> list[tuple[int, ...]]:
@@ -82,8 +82,9 @@ def localizations_bruteforce(arr: NormalizedArrangement) -> list[tuple[int, ...]
 def longest_chain_bruteforce(flats) -> int:
     """Length of the longest strictly nested chain, by exhaustive extension.
 
-    Containment is tested geometrically on normal spaces (subspace_leq), not
-    through member sets, so this really is an independent route.
+    Containment is tested geometrically on the rational span of each flat's
+    rows (subspace_leq both ways), not through member sets, so this really
+    is an independent route.
     """
     flats = list(flats)
     if len(flats) > MAX_BRUTEFORCE_CHAIN_FLATS:
@@ -92,12 +93,12 @@ def longest_chain_bruteforce(flats) -> int:
         )
     if not flats:
         return 0
-    spaces = [flat.normal_space for flat in flats]
+    spaces = [RationalMatrix(flat.rows) for flat in flats]
     strictly_above: list[list[int]] = []
     for i, low in enumerate(spaces):
         above = []
         for j, high in enumerate(spaces):
-            if i != j and subspace_leq(low, high) and low != high:
+            if i != j and subspace_leq(low, high) and not subspace_leq(high, low):
                 above.append(j)
         strictly_above.append(above)
 

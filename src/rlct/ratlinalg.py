@@ -3,8 +3,8 @@
 `RationalMatrix` and its functions are built on `fractions.Fraction`, so
 elimination never rounds and canonical forms are unique per row space: two
 matrices span the same row space if and only if `row_space_canonical`
-returns bit-identical results for both. The oracles and the output edge
-use them.
+returns bit-identical results for both. Arrangements hold their normals
+in them, and the oracles and `--verify` compute with them.
 
 The lattice closure works on primitive integer rows instead, and
 `eliminate` is its one elimination step. The rows it carries for a flat

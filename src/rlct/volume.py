@@ -5,9 +5,9 @@ For small eps this volume behaves like C * eps^t * (-ln eps)^(m-1), where
 sampled volumes recovers the pair numerically. That makes the sampler an
 end-to-end statistical check on the exact combinatorial computation.
 
-Sampling uses the counter-based Philox generator: sample k always consumes
-stream positions [k*dim, (k+1)*dim) of the seed's stream, so estimates are
-bit-identical for any block-aligned chunking or parallel split of the work.
+Sampling uses the counter-based Philox generator, one stream per call drawn
+chunk by chunk: sample k always consumes stream positions [k*dim, (k+1)*dim)
+of the seed's stream, so estimates do not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -23,11 +23,7 @@ from .arrangement import NormalizedArrangement
 from .errors import DegenerateBoxError, DimensionError, InsufficientDataError
 from .ratlinalg import as_rational
 
-# Philox advances in 4x64-bit counter blocks, so chunk boundaries must land
-# on whole blocks (CHUNK_SAMPLES * dim divisible by 4) for chunked generation
-# to reproduce one continuous stream. Any power of two >= 4 satisfies that.
 CHUNK_SAMPLES = 1 << 16
-_PHILOX_BLOCK = 4
 
 Box = tuple[tuple[Fraction, Fraction], ...]
 
@@ -106,16 +102,12 @@ def estimate_volume(
 
     log_epsilon = np.log(epsilon)
     dim = arr.dim
+    rng = np.random.Generator(np.random.Philox(key=seed))
     hits = 0
     start = 0
     while start < samples:
         count = min(CHUNK_SAMPLES, samples - start)
-        draws_before = start * dim
-        if draws_before % _PHILOX_BLOCK:
-            raise AssertionError("chunk start is not block-aligned")
-        bitgen = np.random.Philox(key=seed)
-        bitgen.advance(draws_before // _PHILOX_BLOCK)
-        points = lo + np.random.Generator(bitgen).random((count, dim)) * width
+        points = lo + rng.random((count, dim)) * width
         # Compare log|f| so that huge factors cannot overflow to inf and
         # turn inf * 0 into NaN; log 0 = -inf still counts as a hit.
         with np.errstate(divide="ignore"):

@@ -115,8 +115,26 @@ class TestBuildLattice:
         for _ in range(10):
             arr = random_central_arrangement(rng, max_n=6, max_d=4)
             for flat in build_lattice(arr).flats:
-                assert flat.normal_space == row_space_canonical(flat.normal_space)
-                assert flat.codim == flat.normal_space.rows
+                assert flat.rows == tuple(
+                    primitive_int_row(r) for r in row_space_canonical(RationalMatrix(flat.rows))
+                )
+
+    def test_normal_space_strings_are_the_rational_rref(self):
+        # The JSON strings are formed from the integer rows without Fractions;
+        # they must be the canonical rational RREF, entry for entry. Large
+        # spans give pivots with many divisors, so unreduced or mis-signed
+        # entries show up.
+        rng = random.Random(39)
+        draws = [random_central_arrangement(rng, max_n=6, max_d=4) for _ in range(10)]
+        draws += [random_central_arrangement(rng, max_n=6, max_d=4, span=1000) for _ in range(20)]
+        draws += [random_central_arrangement(rng, max_n=6, max_d=4, span=60, max_den=12) for _ in range(10)]
+        checked = 0
+        for arr in draws:
+            for flat in build_lattice(arr).flats:
+                expected = row_space_canonical(RationalMatrix(flat.rows)).to_string_lists()
+                assert flat.to_json_dict()["normal_space"] == expected
+                checked += any("/" in x for row in expected for x in row)
+        assert checked >= 100
 
     def test_repeat_build_is_identical(self):
         rng = random.Random(38)
@@ -169,12 +187,11 @@ class TestBuildLattice:
 class TestInclusionDag:
     def test_cross_containments(self):
         lat = build_lattice(arrangement([[1, 0], [0, 1]], [1, 1]))
-        dag = inclusion_dag(lat)
+        pairs = inclusion_dag(lat)
         # flats: [line x=0? no: rows sorted lex] indices 0,1 codim 1; 2 = origin.
-        assert (2, 0) in dag.pairs and (2, 1) in dag.pairs
-        assert (0, 1) not in dag.pairs and (1, 0) not in dag.pairs
-        assert (0, 2) not in dag.pairs
-        assert dag.topological_order[0] == 2
+        assert (2, 0) in pairs and (2, 1) in pairs
+        assert (0, 1) not in pairs and (1, 0) not in pairs
+        assert (0, 2) not in pairs
 
     def test_nested_chain_exists_in_four_planes(self):
         lat = build_lattice(
@@ -186,34 +203,24 @@ class TestInclusionDag:
         planes = [f for f in flats if f.codim == 1 and f.weight == 2]
         assert len(planes) == 2
         i_origin, i_line = flats.index(origin), flats.index(line)
-        dag = inclusion_dag(lat)
-        assert (i_origin, i_line) in dag.pairs
+        pairs = inclusion_dag(lat)
+        assert (i_origin, i_line) in pairs
         for plane in planes:
-            assert (i_line, flats.index(plane)) in dag.pairs
+            assert (i_line, flats.index(plane)) in pairs
 
     def test_matches_pairwise_subspace_oracle(self):
         rng = random.Random(35)
         for _ in range(12):
             arr = random_central_arrangement(rng, max_n=6, max_d=4)
             lat = build_lattice(arr)
-            dag = inclusion_dag(lat)
-            for i, low in enumerate(lat.flats):
-                for j, high in enumerate(lat.flats):
+            pairs = inclusion_dag(lat)
+            spaces = [RationalMatrix(flat.rows) for flat in lat.flats]
+            for i, low in enumerate(spaces):
+                for j, high in enumerate(spaces):
                     if i == j:
                         continue
-                    expected = (
-                        subspace_leq(low.normal_space, high.normal_space)
-                        and low.normal_space != high.normal_space
-                    )
-                    assert ((i, j) in dag.pairs) == expected
-
-    def test_topological_order_decreasing_codim(self):
-        rng = random.Random(36)
-        arr = random_central_arrangement(rng, max_n=6, max_d=4)
-        lat = build_lattice(arr)
-        order = inclusion_dag(lat).topological_order
-        codims = [lat.flats[i].codim for i in order]
-        assert codims == sorted(codims, reverse=True)
+                    expected = subspace_leq(low, high) and not subspace_leq(high, low)
+                    assert ((i, j) in pairs) == expected
 
 
 def _low_rank_or_parallel(rng, affine):
