@@ -30,7 +30,8 @@ from .arrangement import (
 from .errors import RlctError, SizeLimitError
 from .oracle import lattice_bruteforce, localizations_bruteforce, longest_chain_bruteforce
 from .parser import parse_factored_product
-from .ratlinalg import RationalMatrix, as_rational, format_rational, subspace_leq
+from .ratlinalg import (RationalMatrix, as_rational, format_rational, row_space_canonical,
+                        subspace_leq)
 from .threshold import RlctResult, rlct_affine, rlct_central
 from .volume import estimate_volume, fit_asymptotics, synthetic_samples
 
@@ -123,11 +124,16 @@ def epsilon_grid(args: argparse.Namespace) -> list[float]:
 def run_verification(arr: NormalizedArrangement, result: RlctResult) -> dict:
     """Compare the production lattice and chain length against the oracles,
     and check that the witness chain is m minimizers, each strictly inside
-    the next (geometrically, on the rational span of its rows)."""
+    the next (geometrically, on the rational span of its rows).
+
+    The oracle side prints each normal space by rational elimination, not
+    by the production formatter, so a fault in either one shows."""
     reference = lattice_bruteforce(arr)
     produced = result.lattice
     lattice_match = [f.to_json_dict() for f in produced.flats] == [
-        f.to_json_dict() for f in reference.flats
+        {**f.to_json_dict(),
+         "normal_space": row_space_canonical(RationalMatrix(f.rows)).to_string_lists()}
+        for f in reference.flats
     ]
     chain = result.witness_chain
     spaces = [RationalMatrix(flat.rows) for flat in chain]

@@ -2,6 +2,7 @@
 
 import json
 
+import rlct.lattice
 import rlct.threshold
 from rlct.cli import main
 
@@ -84,6 +85,22 @@ class TestCompute:
         code, out, err = run_cli(capsys, "compute", "--poly", "x*y^2*z^2*(x+y+z)", "--verify")
         assert code == 1
         assert json.loads(out)["verify"] == {"lattice_match": True, "chain_match": False}
+        assert "verification mismatch" in err
+
+    def test_verify_checks_the_printed_normal_spaces(self, capsys, monkeypatch):
+        # A formatter that leaves x/p unreduced whenever 5 divides x.
+        rref_strings = rlct.lattice._rref_strings
+
+        def unreduced(row):
+            p = next(x for x in row if x)
+            return [f"{x}/{p}" if x % 5 == 0 and x and x != p else s
+                    for x, s in zip(row, rref_strings(row))]
+
+        monkeypatch.setattr(rlct.lattice, "_rref_strings", unreduced)
+        code, out, err = run_cli(capsys, "compute", "--poly", "vars x, y, z; (4*x + 10*y + z)*y",
+                                 "--verify")
+        assert code == 1
+        assert json.loads(out)["verify"]["lattice_match"] is False
         assert "verification mismatch" in err
 
     def test_verify_size_guard_is_user_error(self, capsys):

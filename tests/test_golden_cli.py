@@ -76,6 +76,15 @@ CASES = [
         ["compute", "--poly", _braid(4), "--format", "csv"],
         "54b73d1638dfbc88a3716314ac9ab3fbf9e506d2a3a5e03dbbe5b613291f7d69",
     ),
+    # Recorded before estimate_volume reused a descending sweep's draw. The
+    # samples cross a chunk boundary; CSV prints values computed from integer
+    # hit counts, so no BLAS rounding enters the digest.
+    (
+        "volume-fit-csv",
+        ["volume-fit", "--poly", "x*y^2*z^2*(x+y+z)", "--samples", "70001", "--seed", "3",
+         "--format", "csv"],
+        "18a3ef9c4eafa913f19e2fcec5858e24d9e41c6c5a7188e2af3671f00d063120",
+    ),
 ]
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import rlct.volume
 from rlct import (
     DegenerateBoxError,
     DimensionError,
@@ -52,11 +53,40 @@ class TestEstimateVolume:
         b = estimate_volume(arr_of("x*y"), None, 0.01, 123_456, seed=9)
         assert a == b
 
-    def test_chunking_invisible(self):
-        # One sample short of two full chunks vs exactly on the boundary.
-        small = estimate_volume(arr_of("x*y"), None, 0.01, (1 << 16) + 1, seed=3)
-        again = estimate_volume(arr_of("x*y"), None, 0.01, (1 << 16) + 1, seed=3)
-        assert small == again
+    def test_chunking_invisible(self, monkeypatch):
+        # A descending sweep reuses its first draw, which is chunked.
+        arr = arr_of("x*y")
+
+        def sweep():
+            return [estimate_volume(arr, None, eps, 20_003, seed=3) for eps in default_epsilon_grid()]
+
+        default = sweep()
+        for chunk in (7, 1000):
+            monkeypatch.setattr(rlct.volume, "CHUNK_SAMPLES", chunk)
+            assert sweep() == default
+
+    def test_sweeps_reuse_only_their_own_draw(self):
+        # Ascending epsilon never reuses the last call's draw, so it is the
+        # reference for descending sweeps, alone and interleaved with a key
+        # that differs in one field.
+        arr = arr_of("x*y")
+        grid = default_epsilon_grid()
+        base = (None, 20_003, 1)
+        for other in (((0, 1), (-1, 1)), 20_003, 1), (None, 20_003, 2), (None, 50_000, 1):
+            keys = (base, other)
+            ascending = {
+                key: [estimate_volume(arr, key[0], eps, key[1], seed=key[2]) for eps in grid[::-1]][::-1]
+                for key in keys
+            }
+            assert ascending[base] != ascending[other]
+            interleaved = {key: [] for key in keys}
+            for eps in grid:
+                for key in keys:
+                    interleaved[key].append(estimate_volume(arr, key[0], eps, key[1], seed=key[2]))
+            assert interleaved == ascending
+            for key in keys:
+                alone = [estimate_volume(arr, key[0], eps, key[1], seed=key[2]) for eps in grid]
+                assert alone == ascending[key]
 
     def test_monotone_in_epsilon_for_fixed_seed(self):
         arr = arr_of("x*y")
