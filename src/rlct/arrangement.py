@@ -26,6 +26,9 @@ from .errors import (
 )
 from .ratlinalg import RationalLike, RationalMatrix, as_rational, format_rational
 
+# A variable name: the parser's NAME token, so every name can be read back.
+IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"
+
 
 def _check_multiplicities(multiplicities: Sequence[int]) -> tuple[int, ...]:
     out = []
@@ -71,8 +74,7 @@ class ArrangementSpec:
             variables = tuple(variables)
             if len(variables) != normals.cols:
                 raise DimensionError(f"{len(variables)} variable names for {normals.cols} columns")
-            # The parser's NAME token; other names cannot be read back.
-            names_ok = all(isinstance(v, str) and re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", v) for v in variables)
+            names_ok = all(isinstance(v, str) and re.fullmatch(IDENTIFIER, v) for v in variables)
             if not names_ok or len(set(variables)) < len(variables):
                 raise DimensionError(f"variable names {list(variables)} are not distinct identifiers")
         object.__setattr__(self, "normals", normals)
@@ -231,13 +233,18 @@ def arrangement_from_csv(text: str, dim: int | None = None) -> ArrangementSpec:
     Columns are d rational normal entries, then the multiplicity, then an
     optional offset. The offset column is only recognizable when `dim` is
     given; without it every line is read as central (d = width - 1).
-    Blank lines and lines starting with '#' are skipped.
+    Blank lines and lines starting with '#' are skipped; trailing empty
+    fields are ignored and any other empty field is an error.
     """
     rows = []
     for line_no, record in enumerate(csv.reader(io.StringIO(text)), start=1):
-        fields = [f.strip() for f in record if f.strip() != ""]
+        fields = [f.strip() for f in record]
+        while fields and fields[-1] == "":
+            fields.pop()
         if not fields or fields[0].startswith("#"):
             continue
+        if "" in fields:
+            raise DimensionError(f"line {line_no}: empty field {fields.index('') + 1}")
         if dim is None:
             d = len(fields) - 1
             has_offset = False

@@ -20,233 +20,181 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .arrangement import ArrangementSpec, NormalizedArrangement
+from .arrangement import IDENTIFIER, ArrangementSpec, NormalizedArrangement
 from .errors import NonlinearFactorError, ParseError, UnknownVariableError
 from .ratlinalg import RationalMatrix, format_rational
 
-_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)|(?P<sym>[*^()+\-,;/]))")
+# Any other non-space character is a "bad" token, so the matches cover the text.
+_TOKEN = re.compile(rf"\s*(?:(?P<name>{IDENTIFIER})|(?P<int>\d+)|(?P<sym>[*^()+\-,;/])|(?P<bad>\S))")
 
 Token = tuple[str, str, int]  # (kind, text, position)
 
 
 def _tokenize(text: str) -> list[Token]:
+    """Tokens of `text`, then two end tokens, so one token of lookahead never runs off."""
     tokens: list[Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            break
-        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
-    rest = text[pos:]
-    if rest.strip():
-        bad = pos + (len(rest) - len(rest.lstrip()))
-        raise ParseError(f"unexpected character {text[bad]!r}", bad)
-    return tokens
+    for m in _TOKEN.finditer(text):
+        tok = (m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup))
+        if tok[0] == "bad":
+            raise ParseError(f"unexpected character {tok[1]!r}", tok[2])
+        tokens.append(tok)
+    end = ("end", "", len(text))
+    return tokens + [end, end]
+
+
+def _expected(what: str, tok: Token) -> ParseError:
+    found = "end of input" if tok[0] == "end" else repr(tok[1])
+    return ParseError(f"{what}, found {found}", tok[2])
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
-        self.declared: list[str] | None = None
-        self.seen: list[str] = []
+        self.names: list[str] = []
+        self.declared = False
 
     # -- token stream helpers -------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token | None:
-        i = self.index + ahead
-        return self.tokens[i] if i < len(self.tokens) else None
+    def peek(self, ahead: int = 0) -> Token:
+        return self.tokens[self.index + ahead]
 
-    def advance(self) -> Token | None:
-        tok = self.peek()
-        if tok is not None:
-            self.index += 1
+    def advance(self) -> Token:
+        tok = self.tokens[self.index]
+        self.index += 1
         return tok
 
-    def at_sym(self, symbol: str, ahead: int = 0) -> bool:
-        tok = self.peek(ahead)
-        return tok is not None and tok[0] == "sym" and tok[1] == symbol
-
-    def end_pos(self) -> int:
-        return len(self.text)
-
-    def expect_sym(self, symbol: str) -> None:
-        tok = self.advance()
-        if tok is None:
-            raise ParseError(f"expected {symbol!r} but input ended", self.end_pos())
-        if tok[0] != "sym" or tok[1] != symbol:
-            raise ParseError(f"expected {symbol!r}, found {tok[1]!r}", tok[2])
+    def at(self, *symbols: str) -> bool:
+        # Only symbol tokens have punctuation as their text.
+        return self.tokens[self.index][1] in symbols
 
     # -- variables -------------------------------------------------------
 
     def variable(self, name: str, pos: int) -> str:
-        if self.declared is not None:
-            if name not in self.declared:
+        if name not in self.names:
+            if self.declared:
                 raise UnknownVariableError(f"unknown variable {name!r}", pos)
-        elif name not in self.seen:
-            self.seen.append(name)
+            self.names.append(name)
         return name
 
     # -- grammar ----------------------------------------------------------
 
     def parse(self) -> ArrangementSpec:
-        self.maybe_vardecl()
+        self.vardecl()
         factors = [self.factor()]
         while True:
-            tok = self.peek()
-            if tok is None:
+            kind, value, pos = self.peek()
+            if kind == "end":
                 break
-            kind, value, pos = tok
-            if kind == "sym" and value == "*":
+            if value == "*":
                 self.advance()
-                factors.append(self.factor())
-            elif kind == "name" or (kind == "sym" and value == "("):
-                factors.append(self.factor())
-            else:
+            elif kind != "name" and value != "(":
                 raise ParseError(f"unexpected {value!r}", pos)
-        names = tuple(self.declared if self.declared is not None else self.seen)
-        if not names:
-            raise ParseError("no variables appear in the product", self.end_pos())
-        normals, offsets, mults = [], [], []
-        for coeffs, const, exponent in factors:
-            normals.append([coeffs.get(v, Fraction(0)) for v in names])
-            offsets.append(const)
-            mults.append(exponent)
+            factors.append(self.factor())
+        if not self.names:
+            raise ParseError("no variables appear in the product", pos)
+        normals = [[coeffs.get(v, Fraction(0)) for v in self.names] for coeffs, _, _ in factors]
         return ArrangementSpec(
-            RationalMatrix(normals, cols=len(names)), mults, offsets=offsets, variables=names
+            RationalMatrix(normals, cols=len(self.names)),
+            [exponent for _, _, exponent in factors],
+            offsets=[const for _, const, _ in factors],
+            variables=tuple(self.names),
         )
 
-    def maybe_vardecl(self) -> None:
-        tok = self.peek()
-        if tok is None or tok[0] != "name" or tok[1] != "vars":
+    def vardecl(self) -> None:
+        """`vars a, b;` is a declaration only if its run of names and commas ends in ';'."""
+        if self.peek()[1] != "vars":
             return
-        # It is only a declaration if a ';' follows a run of names and commas.
-        i = self.index + 1
-        while i < len(self.tokens):
-            kind, value, _ = self.tokens[i]
-            if kind == "sym" and value == ";":
-                break
-            if kind == "name" or (kind == "sym" and value == ","):
-                i += 1
-                continue
+        end = 1
+        while self.tokens[end][0] == "name" or self.tokens[end][1] == ",":
+            end += 1
+        if self.tokens[end][1] != ";":
             return
-        else:
-            return
-        self.advance()
-        declared: list[str] = []
-        while True:
-            tok = self.advance()
-            if tok is None:
-                raise ParseError("unterminated vars declaration", self.end_pos())
-            kind, value, pos = tok
-            if kind != "name":
-                raise ParseError(f"expected a variable name, found {value!r}", pos)
-            if value in declared:
-                raise ParseError(f"variable {value!r} declared twice", pos)
-            declared.append(value)
-            tok = self.advance()
-            if tok is None:
-                raise ParseError("unterminated vars declaration", self.end_pos())
-            if tok[1] == ";":
-                break
-            if tok[1] != ",":
-                raise ParseError(f"expected ',' or ';' in vars declaration, found {tok[1]!r}", tok[2])
-        self.declared = declared
+        # Names sit in the even slots of the run, separators in the odd ones.
+        for slot, tok in enumerate(self.tokens[1 : end + 1]):
+            if slot % 2:
+                if tok[1] not in (",", ";"):
+                    raise _expected("expected ',' or ';' in vars declaration", tok)
+            elif tok[0] != "name":
+                raise _expected("expected a variable name", tok)
+            elif tok[1] in self.names:
+                raise ParseError(f"variable {tok[1]!r} declared twice", tok[2])
+            else:
+                self.names.append(tok[1])
+        self.declared = True
+        self.index = end + 1
 
     def factor(self) -> tuple[dict[str, Fraction], Fraction, int]:
         tok = self.advance()
-        if tok is None:
-            raise ParseError("expected a factor but input ended", self.end_pos())
-        kind, value, pos = tok
-        if kind == "name":
-            coeffs = {self.variable(value, pos): Fraction(1)}
+        if tok[0] == "name":
+            coeffs = {self.variable(tok[1], tok[2]): Fraction(1)}
             const = Fraction(0)
-        elif kind == "sym" and value == "(":
+        elif tok[1] == "(":
             coeffs, const = self.linexpr()
-            self.expect_sym(")")
+            if not self.at(")"):
+                raise _expected("expected ')'", self.peek())
+            self.advance()
         else:
-            raise ParseError(f"expected a variable or '(', found {value!r}", pos)
+            raise _expected("expected a variable or '('", tok)
         exponent = 1
-        if self.at_sym("^"):
+        if self.at("^"):
             self.advance()
             tok = self.advance()
-            if tok is None:
-                raise ParseError("expected an exponent but input ended", self.end_pos())
             if tok[0] != "int":
-                raise ParseError(f"exponent must be a non-negative integer, found {tok[1]!r}", tok[2])
+                raise _expected("exponent must be a non-negative integer", tok)
             exponent = int(tok[1])
         return coeffs, const, exponent
 
     def linexpr(self) -> tuple[dict[str, Fraction], Fraction]:
         coeffs: dict[str, Fraction] = {}
         const = Fraction(0)
-        sign = Fraction(1)
-        if self.at_sym("+") or self.at_sym("-"):
-            sign = Fraction(1) if self.advance()[1] == "+" else Fraction(-1)
+        sign = -1 if self.at("-") else 1
+        if self.at("+", "-"):
+            self.advance()
         while True:
             name, coef = self.term()
             if name is None:
                 const += sign * coef
             else:
                 coeffs[name] = coeffs.get(name, Fraction(0)) + sign * coef
-            if not (self.at_sym("+") or self.at_sym("-")):
+            if not self.at("+", "-"):
                 return coeffs, const
-            sign = Fraction(1) if self.advance()[1] == "+" else Fraction(-1)
+            sign = 1 if self.advance()[1] == "+" else -1
 
     def term(self) -> tuple[str | None, Fraction]:
-        tok = self.advance()
-        if tok is None:
-            raise ParseError("expected a term but input ended", self.end_pos())
-        kind, value, pos = tok
-        if kind == "name":
-            name = self.variable(value, pos)
-            self.check_linear_tail(name)
-            return name, Fraction(1)
-        if kind != "int":
-            raise ParseError(f"expected a coefficient or variable, found {value!r}", pos)
-        coef = Fraction(int(value))
-        if self.at_sym("/"):
+        kind, value, pos = self.advance()
+        if kind == "int":
+            coef = Fraction(int(value))
+            if self.at("/"):
+                self.advance()
+                kind, value, pos = self.advance()
+                if kind != "int":
+                    raise ParseError("expected a denominator after '/'", pos)
+                if int(value) == 0:
+                    raise ParseError("zero denominator", pos)
+                coef /= int(value)
+            star = self.at("*")
+            if star:
+                self.advance()
+            kind, value, pos = self.peek()
+            if kind != "name":
+                if star:
+                    raise ParseError("expected a variable after '*'", pos)
+                return None, coef
             self.advance()
-            tok = self.advance()
-            if tok is None or tok[0] != "int":
-                raise ParseError("expected a denominator after '/'", tok[2] if tok else self.end_pos())
-            if int(tok[1]) == 0:
-                raise ParseError("zero denominator", tok[2])
-            coef /= int(tok[1])
-        took_star = False
-        if self.at_sym("*"):
-            self.advance()
-            took_star = True
-        tok = self.peek()
-        if tok is not None and tok[0] == "name":
-            self.advance()
-            name = self.variable(tok[1], tok[2])
-            self.check_linear_tail(name)
-            return name, coef
-        if took_star:
-            raise ParseError(
-                "expected a variable after '*'", tok[2] if tok else self.end_pos()
-            )
-        return None, coef
-
-    def check_linear_tail(self, name: str) -> None:
-        """A variable inside parentheses may not be squared or multiplied by another."""
-        tok = self.peek()
-        if tok is None:
-            return
-        kind, value, pos = tok
-        if kind == "sym" and value == "^":
-            raise NonlinearFactorError(f"exponent on {name!r} inside a factor is not linear", pos)
-        if kind == "name":
-            raise NonlinearFactorError(f"product of variables {name!r} and {value!r} is not linear", pos)
-        if kind == "sym" and value == "*":
-            after = self.peek(1)
-            if after is not None and after[0] == "name":
-                raise NonlinearFactorError(
-                    f"product of variables {name!r} and {after[1]!r} is not linear", after[2]
-                )
+        elif kind == "name":
+            coef = Fraction(1)
+        else:
+            raise _expected("expected a coefficient or variable", (kind, value, pos))
+        name = self.variable(value, pos)
+        # Inside parentheses a variable may be neither raised to a power nor
+        # multiplied by another variable, directly or across one '*'.
+        if self.at("^"):
+            raise NonlinearFactorError(f"exponent on {name!r} inside a factor is not linear", self.peek()[2])
+        other = self.peek(1) if self.at("*") else self.peek()
+        if other[0] == "name":
+            raise NonlinearFactorError(f"product of variables {name!r} and {other[1]!r} is not linear", other[2])
+        return name, coef
 
 
 def parse_factored_product(text: str) -> ArrangementSpec:

@@ -185,3 +185,13 @@ class TestCsvIngestion:
     def test_empty_file(self):
         with pytest.raises(EmptyArrangementError):
             arrangement_from_csv("# nothing here\n")
+
+    def test_empty_field_does_not_shift_columns(self):
+        # Dropping the gap would read "1,,2" as the 1-D row x with multiplicity 2.
+        for text in ["1,,2\n2,,1\n", "1, ,2\n"]:
+            with pytest.raises(DimensionError, match="line 1: empty field 2"):
+                arrangement_from_csv(text)
+
+    def test_trailing_empty_fields_are_ignored(self):
+        assert arrangement_from_csv("1,0,2,\n") == arrangement_from_csv("1,0,2\n")
+        assert arrangement_from_csv("1,0,2, ,\n").dim == 2

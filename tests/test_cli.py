@@ -147,6 +147,15 @@ class TestCompute:
         assert json.loads(out)["lambda"] == "1"
         assert len(json.loads(out)["localizations"]) == 2
 
+    def test_csv_empty_field_is_user_error(self, tmp_path, capsys):
+        path = tmp_path / "gap.csv"
+        for text in ["1,,2\n2,,1\n", "1, ,2\n"]:
+            path.write_text(text)
+            code, out, err = run_cli(capsys, "compute", "--input", str(path))
+            assert code == 2
+            assert out == ""
+            assert "line 1: empty field 2" in err
+
 
 class TestLocalize:
     def test_central_input_single_localization(self, capsys):

@@ -10,6 +10,7 @@ from rlct import (
     NonlinearFactorError,
     ParseError,
     RationalMatrix,
+    RlctError,
     UnknownVariableError,
     format_factored_product,
     normalize,
@@ -111,6 +112,77 @@ class TestParseErrors:
     def test_empty_input(self):
         with pytest.raises(ParseError):
             parse_factored_product("   ")
+
+    # (text, exception class, position): the class and position of each error
+    # are part of the interface; the message wording is not.
+    @pytest.mark.parametrize(
+        "text, cls, position",
+        [
+            # Empty or truncated input: the position is len(text).
+            ("x*)y", ParseError, 2),
+            ("(x+y", ParseError, 4),
+            ("x^", ParseError, 2),
+            ("x*", ParseError, 2),
+            ("   ", ParseError, 3),
+            # Tokens and exponents.
+            ("x^-2", ParseError, 2),
+            ("x$y", ParseError, 1),
+            ("3", ParseError, 0),
+            (";", ParseError, 0),
+            # Terms inside parentheses.
+            ("(2*)", ParseError, 3),
+            ("(x*2)", ParseError, 2),
+            ("(1/0 x)", ParseError, 3),
+            ("(1/ x)", ParseError, 4),
+            ("(x+)", ParseError, 3),
+            # vars declarations.
+            ("vars x y; x", ParseError, 7),
+            ("vars x,; x", ParseError, 7),
+            ("vars ;x", ParseError, 5),
+            ("vars x, x; x", ParseError, 8),
+            ("vars x; y", UnknownVariableError, 8),
+            # Nonlinear factors.
+            ("(x y)", NonlinearFactorError, 3),
+            ("(2*x*y)", NonlinearFactorError, 5),
+            ("(x^2+y)", NonlinearFactorError, 2),
+        ],
+    )
+    def test_error_class_and_position(self, text, cls, position):
+        with pytest.raises(ParseError) as err:
+            parse_factored_product(text)
+        assert type(err.value) is cls
+        assert err.value.position == position
+
+    def test_input_that_ends_early_names_the_end(self):
+        with pytest.raises(ParseError, match=r"expected '\)', found end of input \(at position 4\)"):
+            parse_factored_product("(x+y")
+
+
+FUZZ_TOKENS = "x y z vars xy 2 1 0 3/4 * ^ ( ) + - , ; / x1 $".split() + [" "]
+
+
+def test_random_token_strings_parse_or_fail_in_range():
+    """Every string parses or fails at a position inside it; what parses reads back."""
+    rng = random.Random(2024)
+    parsed = 0
+    for _ in range(20_000):
+        text = "".join(rng.choice(FUZZ_TOKENS) for _ in range(rng.randint(0, 10)))
+        if rng.random() < 0.3:
+            text = "vars " + text
+        try:
+            spec = parse_factored_product(text)
+        except RlctError as err:
+            assert 0 <= err.position <= len(text), text
+            continue
+        try:
+            arr = normalize(spec)
+        except RlctError:
+            continue
+        again = normalize(parse_factored_product(format_factored_product(arr)))
+        assert again == arr, text
+        assert again.variables == spec.variables, text
+        parsed += 1
+    assert parsed > 500
 
 
 # Distinct identifiers, including one that is also the "vars" keyword.
