@@ -46,7 +46,6 @@ from .lattice import (
 from .oracle import lattice_bruteforce, localizations_bruteforce, longest_chain_bruteforce
 from .parser import format_factored_product, parse_factored_product
 from .ratlinalg import (
-    Rational,
     RationalMatrix,
     as_rational,
     format_rational,
@@ -96,7 +95,6 @@ __all__ = [
     "NonlinearFactorError",
     "NormalizedArrangement",
     "ParseError",
-    "Rational",
     "RationalMatrix",
     "RlctError",
     "RlctPair",

@@ -102,7 +102,6 @@ class NormalizedArrangement:
     normals: RationalMatrix
     offsets: tuple[Fraction, ...]
     multiplicities: tuple[int, ...]
-    is_central: bool
     # Names are presentation only; they do not enter equality or hashing.
     variables: tuple[str, ...] | None = field(default=None, compare=False)
 
@@ -113,6 +112,11 @@ class NormalizedArrangement:
     @property
     def dim(self) -> int:
         return self.normals.cols
+
+    @property
+    def is_central(self) -> bool:
+        """Every hyperplane passes through the origin."""
+        return not any(self.offsets)
 
     def hyperplane(self, j: int) -> tuple[tuple[Fraction, ...], Fraction, int]:
         return self.normals.row(j), self.offsets[j], self.multiplicities[j]
@@ -158,7 +162,6 @@ def normalize(spec: ArrangementSpec) -> NormalizedArrangement:
         normals=normals,
         offsets=offsets,
         multiplicities=multiplicities,
-        is_central=all(b == 0 for b in offsets),
         variables=spec.variables,
     )
 

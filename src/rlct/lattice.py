@@ -81,9 +81,6 @@ class IntersectionLattice:
     dim: int
     n_hyperplanes: int
 
-    def __len__(self) -> int:
-        return len(self.flats)
-
 
 def _closure(rows: list[tuple[int, ...]], d: int) -> list[tuple[tuple[tuple[int, ...], ...], int, bool]]:
     """Every flat spanned by `rows`, as (canonical rows, member bitmask, maximal).

@@ -14,13 +14,12 @@ vector, which carries exactly the same identity guarantee.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import DimensionError
-
-Rational = Fraction
 
 RationalLike = Union[Fraction, int, str]
 
@@ -48,6 +47,7 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
+@dataclass(frozen=True, slots=True)
 class RationalMatrix:
     """Immutable dense matrix of Fractions, row-major.
 
@@ -56,7 +56,8 @@ class RationalMatrix:
     compare by shape and entries.
     """
 
-    __slots__ = ("_data", "_cols")
+    entries: tuple[tuple[Fraction, ...], ...]
+    cols: int
 
     def __init__(self, rows: Iterable[Iterable[RationalLike]] = (), cols: int | None = None):
         data = tuple(tuple(as_rational(x) for x in row) for row in rows)
@@ -71,8 +72,8 @@ class RationalMatrix:
             raise DimensionError("a matrix with no rows needs an explicit column count")
         if cols < 1:
             raise DimensionError("matrices must have at least one column")
-        self._data = data
-        self._cols = cols
+        object.__setattr__(self, "entries", data)
+        object.__setattr__(self, "cols", cols)
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
@@ -81,60 +82,44 @@ class RationalMatrix:
 
     @property
     def rows(self) -> int:
-        return len(self._data)
-
-    @property
-    def cols(self) -> int:
-        return self._cols
-
-    @property
-    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self._data
+        return len(self.entries)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self._data[i]
+        return self.entries[i]
 
     def __getitem__(self, index: tuple[int, int]) -> Fraction:
         i, j = index
-        return self._data[i][j]
+        return self.entries[i][j]
 
     def __iter__(self) -> Iterator[tuple[Fraction, ...]]:
-        return iter(self._data)
+        return iter(self.entries)
 
     def __len__(self) -> int:
-        return len(self._data)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        return self._cols == other._cols and self._data == other._data
-
-    def __hash__(self) -> int:
-        return hash((self._cols, self._data))
+        return len(self.entries)
 
     def __repr__(self) -> str:
-        body = ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self._data)
-        return f"RationalMatrix([{body}], cols={self._cols})"
+        body = ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.entries)
+        return f"RationalMatrix([{body}], cols={self.cols})"
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self._cols != other.rows:
+        if self.cols != other.rows:
             raise DimensionError("inner dimensions do not match")
         cols = other.cols
         out = []
-        for row in self._data:
+        for row in self.entries:
             out.append(
-                [sum((row[k] * other._data[k][j] for k in range(self._cols)), Fraction(0)) for j in range(cols)]
+                [sum((row[k] * other.entries[k][j] for k in range(self.cols)), Fraction(0)) for j in range(cols)]
             )
         return RationalMatrix(out, cols=cols)
 
     def scale_row(self, i: int, factor: RationalLike) -> "RationalMatrix":
         c = as_rational(factor)
-        rows = list(self._data)
+        rows = list(self.entries)
         rows[i] = tuple(c * x for x in rows[i])
-        return RationalMatrix(rows, cols=self._cols)
+        return RationalMatrix(rows, cols=self.cols)
 
     def to_string_lists(self) -> list[list[str]]:
-        return [[format_rational(x) for x in row] for row in self._data]
+        return [[format_rational(x) for x in row] for row in self.entries]
 
 
 def rref(matrix: RationalMatrix) -> tuple[RationalMatrix, int, tuple[int, ...]]:
@@ -144,10 +129,10 @@ def rref(matrix: RationalMatrix) -> tuple[RationalMatrix, int, tuple[int, ...]]:
     input: pivots are 1, pivot columns are otherwise zero, zero rows trail.
     """
     work = [list(row) for row in matrix]
-    n_rows, n_cols = matrix.rows, matrix.cols
-    pivot_cols: list[int] = []
+    n_rows, width = matrix.rows, matrix.cols
+    pivots: list[int] = []
     r = 0
-    for c in range(n_cols):
+    for c in range(width):
         if r == n_rows:
             break
         pivot_row = next((i for i in range(r, n_rows) if work[i][c] != 0), None)
@@ -161,9 +146,9 @@ def rref(matrix: RationalMatrix) -> tuple[RationalMatrix, int, tuple[int, ...]]:
             if i != r and work[i][c] != 0:
                 factor = work[i][c]
                 work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
-        pivot_cols.append(c)
+        pivots.append(c)
         r += 1
-    return RationalMatrix(work, cols=n_cols), r, tuple(pivot_cols)
+    return RationalMatrix(work, cols=width), r, tuple(pivots)
 
 
 def rank(matrix: RationalMatrix) -> int:
@@ -186,18 +171,18 @@ def kernel_basis(matrix: RationalMatrix) -> RationalMatrix:
     The result has cols(M) - rank(M) rows and is itself in canonical
     (RREF, no zero rows) form.
     """
-    reduced, rk, pivot_cols = rref(matrix)
-    n_cols = matrix.cols
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(n_cols) if c not in pivot_set]
+    reduced, rk, pivots = rref(matrix)
+    width = matrix.cols
+    pivot_set = set(pivots)
+    free = [c for c in range(width) if c not in pivot_set]
     basis = []
-    for f in free_cols:
-        vec = [Fraction(0)] * n_cols
+    for f in free:
+        vec = [Fraction(0)] * width
         vec[f] = Fraction(1)
-        for i, p in enumerate(pivot_cols):
+        for i, p in enumerate(pivots):
             vec[p] = -reduced[i, f]
         basis.append(vec)
-    return row_space_canonical(RationalMatrix(basis, cols=n_cols))
+    return row_space_canonical(RationalMatrix(basis, cols=width))
 
 
 def row_in_row_space(row: Sequence[RationalLike], canonical: RationalMatrix) -> bool:
@@ -248,10 +233,8 @@ def _primitive(row: Sequence[int]) -> tuple[int, ...]:
 def primitive_int_row(row: Sequence[RationalLike]) -> tuple[int, ...]:
     """Rescale a rational row to the primitive integer vector with positive lead."""
     fracs = [as_rational(x) for x in row]
-    scale = 1
-    for x in fracs:
-        scale = scale * x.denominator // gcd(scale, x.denominator)
-    return _primitive([int(x * scale) for x in fracs])
+    scale = lcm(*(x.denominator for x in fracs))
+    return _primitive([x.numerator * (scale // x.denominator) for x in fracs])
 
 
 def eliminate(row: tuple[int, ...], pivot_row: tuple[int, ...], pc: int) -> tuple[int, ...]:

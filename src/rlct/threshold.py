@@ -222,7 +222,6 @@ def maximal_central_localizations(
             normals=RationalMatrix([arr.normals.row(j) for j in members], cols=d),
             offsets=(Fraction(0),) * len(members),
             multiplicities=tuple(arr.multiplicities[j] for j in members),
-            is_central=True,
             variables=arr.variables,
         )
         out.append((tuple(point), sub))

@@ -1,5 +1,6 @@
 """Rational matrix operations: frozen examples plus algebraic properties."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -177,6 +178,63 @@ class TestSubspaceLeq:
                 assert a == b
             if subspace_leq(a, b) and subspace_leq(b, c):
                 assert subspace_leq(a, c)
+
+
+class TestRationalMatrixValue:
+    """Equality, hashing and printing depend only on the entries and the width."""
+
+    def test_equal_entries_are_equal_values(self):
+        a = RationalMatrix([[1, "1/2"], [0, 3]])
+        b = RationalMatrix([[F(1), F(1, 2)], [F(0), F(3)]], cols=2)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert RationalMatrix([[1, 2]]) != RationalMatrix([[1, 3]])
+
+    def test_one_dict_key_and_one_set_member(self):
+        a, b = RationalMatrix([[2, -1]]), RationalMatrix([[2, -1]])
+        assert len({a: 1, b: 2}) == 1
+        assert len({a, b}) == 1
+
+    def test_zero_row_matrices_differ_by_width(self):
+        assert RationalMatrix([], cols=2) != RationalMatrix([], cols=3)
+        assert RationalMatrix([], cols=2) == RationalMatrix([], cols=2)
+
+    def test_never_equal_to_a_non_matrix(self):
+        m = RationalMatrix([[1, 2]])
+        assert m != ((F(1), F(2)),)
+        assert m != (((F(1), F(2)),), 2)
+        assert m != {"entries": ((F(1), F(2)),), "cols": 2}
+
+    def test_repr(self):
+        assert repr(RationalMatrix([[1, "1/2"]])) == "RationalMatrix([[1, 1/2]], cols=2)"
+
+    def test_immutable(self):
+        m = RationalMatrix([[1, 2]])
+        with pytest.raises(AttributeError):
+            m.cols = 3
+        assert m.cols == 2
+
+
+class TestPrimitiveIntRow:
+    def test_seeded_rows(self):
+        rng = random.Random(11)
+        for _ in range(500):
+            width = rng.randint(1, 6)
+            row = [
+                F(rng.randint(-50, 50), rng.choice([1, 2, 3, 7, 10**9 + 7, 2**61 - 1, rng.randint(1, 10**6)]))
+                if rng.random() < 0.7 else F(0)
+                for _ in range(width)
+            ]
+            if not any(row):
+                row[rng.randrange(width)] = F(rng.randint(1, 9), rng.randint(1, 10**12))
+            r = primitive_int_row(row)
+            assert len(r) == width
+            assert all(type(x) is int for x in r)
+            assert math.gcd(*r) == 1
+            assert next(x for x in r if x) > 0
+            for i in range(width):
+                for j in range(width):
+                    assert r[i] * row[j] == r[j] * row[i]
 
 
 class TestClosureRows:

@@ -9,6 +9,7 @@ from rlct import (
     ArrangementSpec,
     CentralityError,
     EmptyArrangementError,
+    NormalizedArrangement,
     RlctPair,
     build_lattice,
     localizations_bruteforce,
@@ -341,6 +342,19 @@ class TestAffine:
         report = rlct_affine(arr)
         assert len(report.localizations) == 2
         assert report.global_pair == pair(F(1, 2), 1)
+
+    def test_hand_built_arrangement_is_central_only_by_its_offsets(self):
+        # x*(x-1) built directly: centrality is read off the offsets, so a
+        # value cannot claim to be central while an offset is nonzero.
+        arr = NormalizedArrangement(
+            normals=RationalMatrix([[1], [1]]), offsets=(0, -1), multiplicities=(1, 1)
+        )
+        assert not arr.is_central
+        with pytest.raises(CentralityError):
+            rlct_central(arr)
+        report = rlct_affine(arr)
+        assert report.global_pair == pair(1, 1)
+        assert len(report.localizations) == 2
 
 
 class TestInvariances:
