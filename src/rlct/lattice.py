@@ -13,11 +13,12 @@ affine witness points and the exact "p/q" strings of the JSON output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .arrangement import NormalizedArrangement
 from .errors import CentralityError, EmptyArrangementError
-from .ratlinalg import eliminate, primitive_int_row
+from .ratlinalg import eliminate, integer_rank, primitive_int_row
 
 
 @dataclass(frozen=True)
@@ -71,15 +72,41 @@ def _rref_strings(row: tuple[int, ...]) -> list[str]:
 
 @dataclass(frozen=True)
 class IntersectionLattice:
-    """All flats of a central arrangement, deterministically ordered.
+    """All flats of a central arrangement, ordered on first read.
 
-    Flats are sorted by codimension and then lexicographically by their
-    canonical normal-space matrix, so output order is reproducible.
+    `triples` holds the closure's (rows, mask, weight) per flat. `flats`
+    sorts them by `_lattice_order` and builds the `Flat`s on first read,
+    which `rlct_central` never does: it orders only its minimizers.
     """
 
-    flats: tuple[Flat, ...]
+    triples: tuple[tuple[tuple[tuple[int, ...], ...], int, int], ...]
     dim: int
     n_hyperplanes: int
+
+    @cached_property
+    def flats(self) -> tuple[Flat, ...]:
+        return tuple(Flat(*triple) for triple in _lattice_order(self.triples))
+
+
+def _lattice_order(triples):
+    """(rows, mask, weight) triples in lattice order: (codim, rational RREF
+    entries row-major). Every RREF entry is x/p with p a pivot, 0 < p <= P,
+    so two distinct entries differ by at least 1/P^2. Scaled by 2^shift >
+    P^2 they differ by more than 1, so flooring keeps every strict
+    inequality, and equal entries floor equally: the integer key gives
+    exactly the rational order on any set of triples, with P the largest
+    pivot among them. A common denominator is no option, since the lcm of
+    the pivots can run to thousands of digits.
+    """
+    top_pivot = max(next(x for x in row if x) for rows, _, _ in triples for row in rows)
+    shift = 2 * top_pivot.bit_length()
+
+    def key(triple):
+        rows = triple[0]
+        pivots = (next(x for x in row if x) for row in rows)
+        return (len(rows), tuple((x << shift) // p for row, p in zip(rows, pivots) for x in row))
+
+    return sorted(triples, key=key)
 
 
 def _closure(rows: list[tuple[int, ...]], d: int) -> list[tuple[tuple[tuple[int, ...], ...], int, bool]]:
@@ -110,10 +137,19 @@ def _closure(rows: list[tuple[int, ...]], d: int) -> list[tuple[tuple[tuple[int,
     its positive lead does not move, so it is the canonical row. Sorting in
     descending tuple order puts rows in pivot order: each pivot is
     positive, and each row is zero before its pivot.
+
+    Let r be the rank of `rows`. For a flat of codim r - 1 with pivots P,
+    the vectors of the row space that vanish on P form one line, so every
+    outside row has the same residue: such a child gets one group, one
+    other residue eliminated once, with the mask of all outside rows. On
+    normals that group is the top flat; on rows (a | b) it leads either at
+    the offset (the flat is maximal, as at the points of a generic affine
+    draw) or at a normal column (every hyperplane meets at one point).
     """
     start: dict[tuple[int, ...], int] = {}
     for j, row in enumerate(rows):
         start[row] = start.get(row, 0) | 1 << j
+    top, full = integer_rank(start), (1 << len(rows)) - 1
     seen = {0}
     frontier = [((), 0, start)]
     flats = []
@@ -129,7 +165,10 @@ def _closure(rows: list[tuple[int, ...]], d: int) -> list[tuple[tuple[tuple[int,
                 child = mask | group
                 if child not in seen:
                     seen.add(child)
-                    child_rows, child_groups = _child(span, groups, residue)
+                    outside = groups
+                    if len(span) + 2 == top:  # codim r - 1: one residue left
+                        outside = {next(other for other in groups if other != residue): full & ~child}
+                    child_rows, child_groups = _child(span, outside, residue)
                     next_frontier.append((child_rows, child, child_groups))
             if mask:  # the ambient space (mask 0) is not a flat
                 flats.append((span, mask, maximal))
@@ -168,27 +207,11 @@ def build_lattice(arr: NormalizedArrangement) -> IntersectionLattice:
     if n == 0:
         raise EmptyArrangementError("arrangement has no hyperplanes")
     normals = [primitive_int_row(row) for row in arr.normals]
-    closure = _closure(normals, d)
-
-    # Lattice order is (codim, rational RREF entries row-major). Every RREF
-    # entry is x/p with p a pivot, 0 < p <= P, so two distinct entries differ
-    # by at least 1/P^2. Scaled by 2^shift > P^2 they differ by more than 1,
-    # so flooring keeps every strict inequality, and equal entries floor
-    # equally: the integer key gives exactly the rational order. A common
-    # denominator is no option, since the lcm of the pivots can run to
-    # thousands of digits.
-    top_pivot = max(next(x for x in row if x) for rows, _, _ in closure for row in rows)
-    shift = 2 * top_pivot.bit_length()
-
-    def order(item):
-        rows = item[0]
-        pivots = (next(x for x in row if x) for row in rows)
-        return (len(rows), tuple((x << shift) // p for row, p in zip(rows, pivots) for x in row))
-
-    closure.sort(key=order)
     mult = arr.multiplicities
-    flats = tuple(Flat(rows, mask, sum(mult[j] for j in range(n) if mask >> j & 1)) for rows, mask, _ in closure)
-    return IntersectionLattice(flats=flats, dim=d, n_hyperplanes=n)
+    triples = tuple(
+        (rows, mask, sum(mult[j] for j in range(n) if mask >> j & 1)) for rows, mask, _ in _closure(normals, d)
+    )
+    return IntersectionLattice(triples=triples, dim=d, n_hyperplanes=n)
 
 
 def inclusion_dag(lat: IntersectionLattice) -> frozenset[tuple[int, int]]:

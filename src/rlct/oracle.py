@@ -10,11 +10,12 @@ with the closure-based production routines, which is the point; the CLI
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import combinations
 
 from .arrangement import NormalizedArrangement
 from .errors import CentralityError, SizeLimitError
-from .lattice import Flat, IntersectionLattice
+from .lattice import Flat
 from .ratlinalg import (RationalMatrix, kernel_basis, primitive_int_row, rank, row_in_row_space,
                         row_space_canonical, subspace_leq)
 
@@ -22,7 +23,11 @@ MAX_BRUTEFORCE_HYPERPLANES = 20
 MAX_BRUTEFORCE_CHAIN_FLATS = 50
 
 
-def lattice_bruteforce(arr: NormalizedArrangement) -> IntersectionLattice:
+# The oracle's flats, in its own rational order, with the arrangement's shape.
+ReferenceLattice = namedtuple("ReferenceLattice", "flats dim n_hyperplanes")
+
+
+def lattice_bruteforce(arr: NormalizedArrangement) -> ReferenceLattice:
     """All-subsets intersection lattice; cost grows as 2^n.
 
     Flats are kernels of stacked normal subsets; the normal space of a flat
@@ -56,7 +61,7 @@ def lattice_bruteforce(arr: NormalizedArrangement) -> IntersectionLattice:
         # integer sort key is checked.
         keyed.append(((space.rows, space.entries), flat))
     keyed.sort(key=lambda item: item[0])
-    return IntersectionLattice(flats=tuple(flat for _, flat in keyed), dim=d, n_hyperplanes=n)
+    return ReferenceLattice(flats=tuple(flat for _, flat in keyed), dim=d, n_hyperplanes=n)
 
 
 def localizations_bruteforce(arr: NormalizedArrangement) -> list[tuple[int, ...]]:

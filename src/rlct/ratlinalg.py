@@ -245,3 +245,14 @@ def eliminate(row: tuple[int, ...], pivot_row: tuple[int, ...], pc: int) -> tupl
         return row
     p = pivot_row[pc]
     return _primitive([p * a - c * b for a, b in zip(row, pivot_row)])
+
+
+def integer_rank(rows: Iterable[tuple[int, ...]]) -> int:
+    """Rank of integer rows: one echelon pass of `eliminate`, keyed by pivot column."""
+    echelon: dict[int, tuple[int, ...]] = {}
+    for row in rows:
+        for pc, pivot_row in echelon.items():
+            row = eliminate(row, pivot_row, pc)
+        if any(row):
+            echelon[next(c for c, x in enumerate(row) if x)] = row
+    return len(echelon)

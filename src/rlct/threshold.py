@@ -18,7 +18,7 @@ from functools import total_ordering
 
 from .arrangement import NormalizedArrangement
 from .errors import CentralityError, EmptyArrangementError, InvalidMultiplicityError
-from .lattice import Flat, IntersectionLattice, _closure, build_lattice
+from .lattice import Flat, IntersectionLattice, _closure, _lattice_order, build_lattice
 from .ratlinalg import RationalMatrix, format_rational, primitive_int_row
 
 
@@ -76,20 +76,27 @@ class RlctResult:
 def rlct_central(arr: NormalizedArrangement) -> RlctResult:
     """Threshold and multiplicity of a central arrangement, exactly.
 
-    The multiplicity is the number of join-irreducibles of the minimizers'
-    member sets (see `_longest_chain`); the witness chain is picked in a
-    fixed order derived from the lattice order, so it is reproducible.
+    The threshold is the least codim/weight over the closure's integer
+    triples, compared as c·w' < c'·w. Only the minimizers are sorted, by the
+    key that orders any set of flats exactly, and built as `Flat`s, so
+    `lattice.flats` stays unbuilt until read. The multiplicity is the number
+    of join-irreducibles of the minimizers' member sets (see
+    `_longest_chain`); the witness chain is picked in a fixed order derived
+    from the lattice order, so it is reproducible.
     """
     if not arr.is_central:
         raise CentralityError("rlct_central needs a central arrangement; use rlct_affine")
     lat = build_lattice(arr)
-    ratios = [Fraction(flat.codim, flat.weight) for flat in lat.flats]
-    threshold = min(ratios)
-    minimizers = [flat for flat, ratio in zip(lat.flats, ratios) if ratio == threshold]
+    codim, weight = 1, 0  # 1/0 is above every ratio
+    for rows, _, w in lat.triples:
+        if len(rows) * weight < codim * w:
+            codim, weight = len(rows), w
+    tied = [triple for triple in lat.triples if len(triple[0]) * weight == codim * triple[2]]
+    minimizers = [Flat(*triple) for triple in _lattice_order(tied)]
 
     multiplicity, chain = _longest_chain(minimizers)
     return RlctResult(
-        pair=RlctPair(threshold=threshold, multiplicity=multiplicity),
+        pair=RlctPair(threshold=Fraction(codim, weight), multiplicity=multiplicity),
         witness_chain=tuple(chain),
         minimizer_flats=tuple(minimizers),
         lattice=lat,

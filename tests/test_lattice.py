@@ -15,6 +15,7 @@ from rlct import (
     build_lattice,
     inclusion_dag,
     lattice_to_json_dict,
+    localizations_bruteforce,
     normalize,
     parse_factored_product,
     rank,
@@ -24,6 +25,7 @@ from rlct import (
 from rlct import lattice
 from rlct.lattice import _closure
 from rlct.ratlinalg import primitive_int_row, row_in_row_space
+from rlct.threshold import maximal_central_localizations
 
 from conftest import random_central_arrangement, random_invertible
 
@@ -305,6 +307,41 @@ class TestClosureEngine:
                 flats = _closure(rows, arr.dim)
                 assert len(calls) == len(flats)
         assert len(flats) == 876
+
+    def test_codim_r_minus_1_children_take_one_residue(self):
+        # A child of codim r - 1 (r the rank of the rows) gets one residue
+        # group holding every outside row. A translated central arrangement
+        # reaches the top flat through it, and so does a rank-deficient
+        # affine one; generic affine draws with n > d + 1 end there at an
+        # offset lead, as maximal flats.
+        rng = random.Random(44)
+        texts = ("(x-1)*(y-2)*(x+y-3)", "vars x, y, z; (x-1)*(y-1)*(x+y-2)*(x-y)")
+        single = [normalize(parse_factored_product(text)) for text in texts]
+        generic = []
+        for _ in range(8):
+            d = rng.randint(2, 4)
+            point = [rng.randint(-3, 3) for _ in range(d)]
+            base = [[rng.randint(-3, 3) for _ in range(d - 1)] + [1] for _ in range(rng.randint(1, d))]
+            coefs = [[rng.randint(-2, 2) for _ in base] for _ in range(d + 3)]
+            normals = [[sum(k * b[c] for k, b in zip(coef, base)) for c in range(d)] for coef in coefs]
+            normals = [row for row in normals if any(row)]
+            offsets = [-sum(a * x for a, x in zip(row, point)) for row in normals]
+            mults = [rng.randint(1, 3) for _ in normals]
+            single.append(normalize(ArrangementSpec(normals, mults, offsets=offsets)))
+            rows = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(rng.randint(d + 2, d + 4))]
+            offsets = [rng.randint(-9, 9) for _ in rows]
+            generic.append(normalize(ArrangementSpec(rows, [1] * len(rows), offsets=offsets)))
+        for arr in single + generic:
+            produced = sorted(
+                tuple(j for j, (a, b) in enumerate(zip(arr.normals, arr.offsets))
+                      if sum(x * y for x, y in zip(a, point)) + b == 0)
+                for point, _ in maximal_central_localizations(arr)
+            )
+            assert produced == localizations_bruteforce(arr)
+            if arr in single:
+                assert produced == [tuple(range(arr.n))]
+            augmented = [primitive_int_row(a + (b,)) for a, b in zip(arr.normals, arr.offsets)]
+            self._check_maximal_flags(_closure(augmented, arr.dim))
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())

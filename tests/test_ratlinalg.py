@@ -18,7 +18,7 @@ from rlct import (
     subspace_leq,
 )
 from rlct.lattice import _closure
-from rlct.ratlinalg import eliminate, primitive_int_row, row_in_row_space
+from rlct.ratlinalg import eliminate, integer_rank, primitive_int_row, row_in_row_space
 
 from conftest import random_invertible
 
@@ -271,3 +271,10 @@ class TestClosureRows:
             assert row_in_row_space(row, canon)
         for unit in RationalMatrix.identity(m.cols):
             assert any(self._residue(unit, rows)) != row_in_row_space(unit, canon)
+
+    @settings(max_examples=80, deadline=None)
+    @given(matrices())
+    def test_integer_rank_matches_rank(self, m):
+        rows = [primitive_int_row(r) for r in m]
+        assert integer_rank(rows) == rank(m)
+        assert integer_rank(rows + rows[::-1]) == integer_rank(rows)

@@ -196,6 +196,26 @@ class TestJoinIrreducibles:
         assert checked >= 100
 
 
+class TestMinimizersFromTriples:
+    """`rlct_central` picks the minimizers on the closure's integer triples
+    and orders only them; they must be the lattice's flats at lambda, in
+    lattice order, and the full order must stay unbuilt until read."""
+
+    def test_minimizers_are_the_lattice_flats_at_lambda(self):
+        rng = random.Random(85)
+        tied = [random_central_arrangement(rng, max_n=7, max_d=4, max_mult=1, span=1) for _ in range(40)]
+        coordinate = normalize(ArrangementSpec([[int(i == j) for j in range(6)] for i in range(6)], [1] * 6))
+        ties = 0
+        for arr in _multiplicity_corpus() + tied + [coordinate]:
+            result = rlct_central(arr)
+            assert "flats" not in vars(result.lattice)
+            at_lambda = [f for f in result.lattice.flats if F(f.codim, f.weight) == result.pair.threshold]
+            assert list(result.minimizer_flats) == at_lambda
+            ties += len(at_lambda) > 1
+        assert ties >= 30
+        assert len(result.minimizer_flats) == len(result.lattice.flats) == 63
+
+
 class TestClosedForm2d:
     def test_balanced_pair(self):
         assert rlct_line_arrangement_2d([1, 1]) == pair(1, 2)
