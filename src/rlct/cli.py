@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -33,7 +32,7 @@ from .parser import parse_factored_product
 from .ratlinalg import (RationalMatrix, as_rational, format_rational, row_space_canonical,
                         subspace_leq)
 from .threshold import RlctResult, rlct_affine, rlct_central
-from .volume import estimate_volume, fit_asymptotics, synthetic_samples
+from .volume import epsilon_grid, estimate_volume, fit_asymptotics, synthetic_samples
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -107,18 +106,6 @@ def parse_box(spec: str | None, dim: int):
     if len(intervals) == 1 and dim > 1:
         intervals = intervals * dim
     return intervals
-
-
-def epsilon_grid(args: argparse.Namespace) -> list[float]:
-    if args.eps_points < 1:
-        raise RlctError("--eps-points must be at least 1")
-    if not 0 < args.eps_min <= args.eps_max:
-        raise RlctError("need 0 < eps-min <= eps-max")
-    if args.eps_points == 1:
-        return [args.eps_max]
-    lo, hi = math.log(args.eps_min), math.log(args.eps_max)
-    step = (hi - lo) / (args.eps_points - 1)
-    return [math.exp(hi - k * step) for k in range(args.eps_points)]
 
 
 def run_verification(arr: NormalizedArrangement, result: RlctResult) -> dict:
@@ -205,7 +192,7 @@ def _localization_report(arr: NormalizedArrangement, args: argparse.Namespace) -
 def cmd_volume_fit(args: argparse.Namespace) -> int:
     arr = load_arrangement(args)
     exact = rlct_central(arr) if arr.is_central else rlct_affine(arr).global_result
-    grid = epsilon_grid(args)
+    grid = epsilon_grid(args.eps_min, args.eps_max, args.eps_points)
     box = parse_box(args.box, arr.dim)
 
     if args.selftest:

@@ -9,10 +9,11 @@ Sampling uses the counter-based Philox generator, one stream per call drawn
 chunk by chunk: sample k always consumes stream positions [k*dim, (k+1)*dim)
 of the seed's stream, so estimates do not depend on the chunk size.
 
-A sweep over a descending epsilon grid on one (arrangement, box, samples,
-seed) draws its points once: `estimate_volume` keeps the log|f| values of
-its last call's hits, and a call with the same key and a strictly smaller
-epsilon counts from them. Every other call draws again.
+A sweep down `epsilon_grid` (the grid `rlct volume-fit` samples) on one
+(arrangement, box, samples, seed) draws its points once: `estimate_volume`
+keeps the log|f| values of the drawing call's hits, and a call with the
+same key and an equal or smaller epsilon counts from them. Every other call
+draws again.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ from typing import Sequence
 import numpy as np
 
 from .arrangement import NormalizedArrangement
-from .errors import DegenerateBoxError, DimensionError, InsufficientDataError
+from .errors import DegenerateBoxError, DimensionError, InsufficientDataError, RlctError
 from .ratlinalg import as_rational
 
 CHUNK_SAMPLES = 1 << 16
 
-# The last estimate_volume call: ((arr, bounds, samples, seed), log epsilon,
-# the log|f| values of each chunk that are at or below that log epsilon).
+# The last estimate_volume call that drew: ((arr, bounds, samples, seed),
+# its log epsilon, one array of the log|f| values at or below that).
 _last_sweep = None
 
 Box = tuple[tuple[Fraction, Fraction], ...]
@@ -41,9 +42,22 @@ def default_box(dim: int) -> Box:
     return tuple((Fraction(-1), Fraction(1)) for _ in range(dim))
 
 
+def epsilon_grid(eps_min: float, eps_max: float, points: int) -> list[float]:
+    """`points` values from eps_max down to eps_min, evenly spaced in log10."""
+    if points < 1:
+        raise RlctError("need at least one eps point")
+    if not 0 < eps_min <= eps_max:
+        raise RlctError("need 0 < eps-min <= eps-max")
+    if points == 1:
+        return [eps_max]
+    hi, lo = math.log10(eps_max), math.log10(eps_min)
+    step = (hi - lo) / (points - 1)
+    return [10.0 ** (hi - k * step) for k in range(points)]
+
+
 def default_epsilon_grid() -> list[float]:
-    """Nine geometric points from 1e-2 down to 1e-6."""
-    return [10.0 ** (-2 - 0.5 * k) for k in range(9)]
+    """Nine points from 1e-2 down to 1e-6, the `rlct volume-fit` default."""
+    return epsilon_grid(1e-6, 1e-2, 9)
 
 
 def normalize_box(box: Sequence[Sequence], dim: int) -> Box:
@@ -93,17 +107,15 @@ def estimate_volume(
     is box_volume * hit_fraction, with the usual binomial standard error.
     Fixed (arr, box, epsilon, samples, seed) gives a bit-identical result.
 
-    The call keeps the log|f| values of its hits as a module-level record.
-    The next call with an equal (arr, box, samples, seed) and a strictly
-    smaller epsilon counts its hits from that record instead of drawing the
-    points again; the counts, and so the results, are the same as a fresh
-    draw's. Any other call (a new key, or an equal or larger epsilon) drops
-    the record and draws. So a sweep from the largest epsilon down draws
-    once, and rerunning a sweep draws again. The record holds at most one
-    float64 per hit at the sweep's first epsilon, and after a sweep only the
-    hits at its smallest epsilon. On the benchmark's volume-fit ops, whose
-    hit fractions at eps = 1e-2 lie between 0.056 and 0.56, that is at most
-    1.07 MiB.
+    A call that draws keeps the log|f| values of its hits as a module-level
+    record; a later call with an equal (arr, box, samples, seed) and an
+    equal or smaller epsilon counts its hits from it instead of drawing
+    again, with the same counts, and so results, as a fresh draw. Any other
+    call (a new key, or a larger epsilon) drops the record and draws. So a
+    sweep from the largest epsilon down draws once, and so does its rerun.
+    The record holds one float64 per hit at the drawing epsilon: at most
+    1.07 MiB on the benchmark's volume-fit ops, whose hit fractions at
+    eps = 1e-2 lie between 0.056 and 0.56.
     """
     global _last_sweep
     if samples < 1:
@@ -124,12 +136,11 @@ def estimate_volume(
 
     log_epsilon = np.log(epsilon)
     key = (arr, bounds, samples, seed)
-    last = _last_sweep
-    if last is not None and last[0] == key and log_epsilon < last[1]:
-        kept = [log_f[log_f <= log_epsilon] for log_f in last[2]]
+    if _last_sweep is not None and _last_sweep[0] == key and log_epsilon <= _last_sweep[1]:
+        hits = np.count_nonzero(_last_sweep[2] <= log_epsilon)
     else:
         # Drop the old record first, so that two draws are never held at once.
-        last = _last_sweep = None
+        _last_sweep = None
         rng = np.random.Generator(np.random.Philox(key=seed))
         kept = []
         start = 0
@@ -142,9 +153,8 @@ def estimate_volume(
                 log_f = np.log(np.abs(points @ normals.T + offsets)) @ exponents
             kept.append(log_f[log_f <= log_epsilon])
             start += count
-    _last_sweep = (key, log_epsilon, kept)
-
-    hits = sum(chunk.size for chunk in kept)
+        _last_sweep = (key, log_epsilon, np.concatenate(kept))
+        hits = _last_sweep[2].size
     fraction = hits / samples
     return VolumeSample(
         epsilon=float(epsilon),

@@ -4,6 +4,7 @@ import json
 
 import rlct.lattice
 import rlct.threshold
+from rlct import default_epsilon_grid, estimate_volume, normalize, parse_factored_product
 from rlct.cli import main
 
 
@@ -256,12 +257,26 @@ class TestVolumeFit:
         assert code == 0
         assert json.loads(out)["samples"][0]["volume"] <= 16.0
 
-    def test_bad_grid_is_user_error(self, capsys):
-        code, _, err = run_cli(
-            capsys, "volume-fit", "--poly", "x*y", "--eps-min", "0.5", "--eps-max", "0.1"
+    def test_sweep_equals_library_sweep(self, capsys):
+        # The CLI samples default_epsilon_grid() itself, so a library sweep
+        # reproduces its samples bit for bit.
+        code, out, _ = run_cli(
+            capsys, "volume-fit", "--poly", "x*y^2*z^2*(x+y+z)", "--samples", "70001", "--seed", "3"
         )
-        assert code == 2
-        assert "eps" in err
+        assert code == 0
+        arr = normalize(parse_factored_product("x*y^2*z^2*(x+y+z)"))
+        library = [estimate_volume(arr, None, eps, 70001, seed=3) for eps in default_epsilon_grid()]
+        assert json.loads(out)["samples"] == [
+            {"epsilon": s.epsilon, "volume": s.volume_estimate, "std_error": s.std_error,
+             "sample_count": s.sample_count}
+            for s in library
+        ]
+
+    def test_bad_grid_is_user_error(self, capsys):
+        for grid in (("--eps-min", "0.5", "--eps-max", "0.1"), ("--eps-points", "0"), ("--eps-min", "0")):
+            code, _, err = run_cli(capsys, "volume-fit", "--poly", "x*y", *grid)
+            assert code == 2
+            assert "eps" in err
         code, _, err = run_cli(capsys, "volume-fit", "--poly", "x*y", "--box", "1/0,1")
         assert code == 2
         assert "zero denominator" in err

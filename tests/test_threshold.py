@@ -17,6 +17,7 @@ from rlct import (
     normalize,
     pair_less,
     parse_factored_product,
+    rank,
     rlct_affine,
     rlct_central,
     rlct_line_arrangement_2d,
@@ -156,10 +157,13 @@ def _multiplicity_corpus():
         n = rng.randint(2, 8)
         rows = []
         while len(rows) < n:
-            row = [sum(rng.randint(-2, 2) * b[i] for b in base) for i in range(d)]
+            coeffs = [rng.randint(-2, 2) for _ in base]
+            row = [sum(c * b[i] for c, b in zip(coeffs, base)) for i in range(d)]
             if any(row):
                 rows.append(row)
-        corpus.append(normalize(ArrangementSpec(rows, [rng.randint(1, 4) for _ in rows])))
+        arr = normalize(ArrangementSpec(rows, [rng.randint(1, 4) for _ in rows]))
+        assert rank(arr.normals) < arr.dim
+        corpus.append(arr)
     for k in range(1, 7):
         corpus.append(normalize(ArrangementSpec([[int(i == j) for j in range(k)] for i in range(k)], [1] * k)))
     for k in range(4, 7):  # braid A3-A5

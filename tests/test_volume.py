@@ -31,6 +31,14 @@ def xy_volume(eps: float) -> float:
     return 4.0 * eps * (1.0 - math.log(eps))
 
 
+class TestEpsilonGrid:
+    def test_default_grid(self):
+        assert default_epsilon_grid() == [10.0 ** (-2 - 0.5 * k) for k in range(9)]
+
+    def test_one_point_is_eps_max(self):
+        assert rlct.volume.epsilon_grid(0.001, 0.3, 1) == [0.3]
+
+
 class TestEstimateVolume:
     def test_interval_slab(self):
         # f = x on [-1,1]: the region |x| <= 1/2 has volume exactly 1.
@@ -87,6 +95,32 @@ class TestEstimateVolume:
             for key in keys:
                 alone = [estimate_volume(arr, key[0], eps, key[1], seed=key[2]) for eps in grid]
                 assert alone == ascending[key]
+
+    def test_record_rule(self, monkeypatch):
+        # Draws are counted by the Philox streams they open. A descending
+        # sweep, its rerun and an equal-epsilon repeat draw once; a larger
+        # epsilon or another key draws again. Every result is a fresh draw's.
+        arr = arr_of("x*y")
+        grid = default_epsilon_grid()
+        fresh = {}
+        for seed in (1, 2):
+            for eps in grid:
+                monkeypatch.setattr(rlct.volume, "_last_sweep", None)
+                fresh[eps, seed] = estimate_volume(arr, None, eps, 20_003, seed=seed)
+        streams = []
+        philox = np.random.Philox
+        monkeypatch.setattr(np.random, "Philox", lambda **kw: streams.append(kw) or philox(**kw))
+
+        def draws(calls, seed=1):
+            for eps in calls:
+                assert estimate_volume(arr, None, eps, 20_003, seed=seed) == fresh[eps, seed]
+            return len(streams)
+
+        assert draws(grid[1:] + grid[1:] + grid[-1:]) == 1
+        assert draws(grid[:1]) == 2
+        assert draws(grid[1:]) == 2
+        assert draws(grid[:1], seed=2) == 3
+        assert draws(grid[:1]) == 4
 
     def test_monotone_in_epsilon_for_fixed_seed(self):
         arr = arr_of("x*y")
