@@ -6,9 +6,10 @@ Subcommands:
     volume-fit  Monte Carlo volume curve plus asymptotic fit
     parse       normalize the input and echo it back as JSON
 
-Exit codes: 0 on success, 1 when --verify finds a mismatch between the
-production path and the brute-force oracles (a bug signal), 2 on user or
-input errors. All rationals in output are exact "p/q" strings.
+Exit codes: 0 on success, 1 when --verify (the checks of
+`rlct.oracle.verify_central` and `verify_report`) finds a mismatch
+between the production path and the brute-force oracles (a bug signal),
+2 on user or input errors. All rationals in output are exact "p/q" strings.
 """
 
 from __future__ import annotations
@@ -27,11 +28,10 @@ from .arrangement import (
     normalize,
 )
 from .errors import RlctError, SizeLimitError
-from .oracle import lattice_bruteforce, localizations_bruteforce, longest_chain_bruteforce
+from .oracle import verify_central, verify_report
 from .parser import parse_factored_product
-from .ratlinalg import (RationalMatrix, as_rational, format_rational, row_space_canonical,
-                        subspace_leq)
-from .threshold import RlctResult, rlct_affine, rlct_central
+from .ratlinalg import as_rational, format_rational
+from .threshold import rlct_affine, rlct_central
 from .volume import epsilon_grid, estimate_volume, fit_asymptotics, synthetic_samples
 
 EXIT_OK = 0
@@ -108,32 +108,7 @@ def parse_box(spec: str | None, dim: int):
     return intervals
 
 
-def run_verification(arr: NormalizedArrangement, result: RlctResult) -> dict:
-    """Compare the production lattice and chain length against the oracles,
-    and check that the witness chain is m minimizers, each strictly inside
-    the next (geometrically, on the rational span of its rows).
-
-    The oracle side prints each normal space by rational elimination, not
-    by the production formatter, so a fault in either one shows."""
-    reference = lattice_bruteforce(arr)
-    produced = result.lattice
-    lattice_match = [f.to_json_dict() for f in produced.flats] == [
-        {**f.to_json_dict(),
-         "normal_space": row_space_canonical(RationalMatrix(f.rows)).to_string_lists()}
-        for f in reference.flats
-    ]
-    chain = result.witness_chain
-    spaces = [RationalMatrix(flat.rows) for flat in chain]
-    chain_match = (
-        longest_chain_bruteforce(result.minimizer_flats) == result.pair.multiplicity == len(chain)
-        and all(flat in result.minimizer_flats for flat in chain)
-        and all(subspace_leq(low, high) and not subspace_leq(high, low)
-                for low, high in zip(spaces, spaces[1:]))
-    )
-    return {"lattice_match": lattice_match, "chain_match": chain_match}
-
-
-def _emit_report(arr: NormalizedArrangement, body: dict, pair, verification: dict | None, args) -> int:
+def _emit_report(arr: NormalizedArrangement, body: dict, verification: dict | None, args) -> int:
     """Print a compute/localize result and turn a verification mismatch into exit 1."""
     doc = {"input": arrangement_to_json_dict(arr)}
     doc.update(body)
@@ -143,12 +118,12 @@ def _emit_report(arr: NormalizedArrangement, body: dict, pair, verification: dic
         print(json.dumps(doc, indent=2))
     elif args.format == "csv":
         print("lambda,m")
-        print(f"{format_rational(pair.threshold)},{pair.multiplicity}")
+        print(f"{body['lambda']},{body['m']}")
     else:
         print(f"arrangement: {arr.n} hyperplanes in dimension {arr.dim}"
               f" ({'central' if arr.is_central else 'affine'})")
-        print(f"lambda = {format_rational(pair.threshold)}")
-        print(f"m = {pair.multiplicity}")
+        print(f"lambda = {body['lambda']}")
+        print(f"m = {body['m']}")
         if "localizations" in doc:
             for loc in doc["localizations"]:
                 point = ", ".join(loc["point"])
@@ -164,8 +139,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
     if not arr.is_central:
         return _localization_report(arr, args)
     result = rlct_central(arr)
-    verification = run_verification(arr, result) if args.verify else None
-    return _emit_report(arr, result.to_json_dict(), result.pair, verification, args)
+    verification = verify_central(arr, result) if args.verify else None
+    return _emit_report(arr, result.to_json_dict(), verification, args)
 
 
 def cmd_localize(args: argparse.Namespace) -> int:
@@ -173,20 +148,10 @@ def cmd_localize(args: argparse.Namespace) -> int:
 
 
 def _localization_report(arr: NormalizedArrangement, args: argparse.Namespace) -> int:
-    """The affine report: every maximal localization plus the global pair;
-    --verify also checks the hyperplanes through each reported point."""
+    """The affine report: every maximal localization plus the global pair."""
     report = rlct_affine(arr)
-    verification = None
-    if args.verify:
-        checks = [run_verification(loc.arrangement, loc.result) for loc in report.localizations]
-        verification = {key: all(c[key] for c in checks) for key in ("lattice_match", "chain_match")}
-        found = sorted(
-            tuple(j for j, (normal, offset) in enumerate(zip(arr.normals, arr.offsets))
-                  if sum(a * x for a, x in zip(normal, loc.point)) + offset == 0)
-            for loc in report.localizations
-        )
-        verification["localization_match"] = found == localizations_bruteforce(arr)
-    return _emit_report(arr, report.to_json_dict(), report.global_pair, verification, args)
+    verification = verify_report(arr, report) if args.verify else None
+    return _emit_report(arr, report.to_json_dict(), verification, args)
 
 
 def cmd_volume_fit(args: argparse.Namespace) -> int:

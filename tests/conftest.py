@@ -1,4 +1,5 @@
-"""Shared generators for randomized tests. Everything is seeded explicitly."""
+"""Shared generators for randomized tests, and one injected fault. Everything
+is seeded explicitly."""
 
 import random
 from fractions import Fraction
@@ -46,3 +47,13 @@ def random_invertible(rng: random.Random, d: int, span: int = 3) -> RationalMatr
         )
         if rank(candidate) == d:
             return candidate
+
+
+def unreduced_rref_strings(rref_strings):
+    """A faulty `lattice._rref_strings` that leaves x/p unreduced whenever 5 divides x."""
+
+    def unreduced(row):
+        p = next(x for x in row if x)
+        return [f"{x}/{p}" if x % 5 == 0 and x and x != p else s for x, s in zip(row, rref_strings(row))]
+
+    return unreduced

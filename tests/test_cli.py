@@ -7,6 +7,8 @@ import rlct.threshold
 from rlct import default_epsilon_grid, estimate_volume, normalize, parse_factored_product
 from rlct.cli import main
 
+from conftest import unreduced_rref_strings
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -89,15 +91,7 @@ class TestCompute:
         assert "verification mismatch" in err
 
     def test_verify_checks_the_printed_normal_spaces(self, capsys, monkeypatch):
-        # A formatter that leaves x/p unreduced whenever 5 divides x.
-        rref_strings = rlct.lattice._rref_strings
-
-        def unreduced(row):
-            p = next(x for x in row if x)
-            return [f"{x}/{p}" if x % 5 == 0 and x and x != p else s
-                    for x, s in zip(row, rref_strings(row))]
-
-        monkeypatch.setattr(rlct.lattice, "_rref_strings", unreduced)
+        monkeypatch.setattr(rlct.lattice, "_rref_strings", unreduced_rref_strings(rlct.lattice._rref_strings))
         code, out, err = run_cli(capsys, "compute", "--poly", "vars x, y, z; (4*x + 10*y + z)*y",
                                  "--verify")
         assert code == 1
@@ -194,6 +188,17 @@ class TestLocalize:
         assert code == 0
         result = json.loads(out)
         assert result["verify"] == {"lattice_match": True, "chain_match": True, "localization_match": True}
+
+    def test_verify_checks_the_localizations(self, capsys, monkeypatch):
+        # Every reported localization checks out, but one of the two is missing.
+        maximal = rlct.threshold.maximal_central_localizations
+        monkeypatch.setattr(rlct.threshold, "maximal_central_localizations", lambda arr: maximal(arr)[:-1])
+        code, out, err = run_cli(capsys, "localize", "--poly", "x*(x-1)", "--verify")
+        assert code == 1
+        result = json.loads(out)
+        assert len(result["localizations"]) == 1
+        assert result["verify"] == {"lattice_match": True, "chain_match": True, "localization_match": False}
+        assert "verification mismatch" in err
 
     def test_negative_seed_is_user_error(self, capsys):
         code, _, err = run_cli(

@@ -1,9 +1,13 @@
 """Brute-force reference paths and their agreement with production."""
 
+import ast
+import inspect
 import random
 
 import pytest
 
+import rlct.lattice
+import rlct.oracle
 from rlct import (
     ArrangementSpec,
     SizeLimitError,
@@ -12,10 +16,12 @@ from rlct import (
     longest_chain_bruteforce,
     normalize,
     parse_factored_product,
+    rlct_affine,
     rlct_central,
 )
+from rlct.oracle import verify_report
 
-from conftest import random_central_arrangement
+from conftest import random_central_arrangement, unreduced_rref_strings
 
 
 def flats_key(lattice):
@@ -59,6 +65,21 @@ class TestLatticeBruteforce:
         for arr in arrangements:
             assert flats_key(lattice_bruteforce(arr)) == flats_key(build_lattice(arr))
 
+    def test_sees_a_production_formatter_fault(self, monkeypatch):
+        # The oracle prints its own rational RREF, so a fault in the
+        # production formatter shows up as a difference.
+        arr = normalize(parse_factored_product("vars x, y, z; (4*x + 10*y + z)*y"))
+        assert flats_key(lattice_bruteforce(arr)) == flats_key(build_lattice(arr))
+        monkeypatch.setattr(rlct.lattice, "_rref_strings", unreduced_rref_strings(rlct.lattice._rref_strings))
+        assert flats_key(lattice_bruteforce(arr)) != flats_key(build_lattice(arr))
+
+    def test_shares_no_production_module(self):
+        tree = ast.parse(inspect.getsource(rlct.oracle))
+        imported = {(node.module, alias.name) for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert not {module for module, _ in imported} & {"lattice", "threshold"}
+        assert not {name for _, name in imported} & {"primitive_int_row", "eliminate", "integer_rank"}
+
 
 class TestLongestChainBruteforce:
     def test_antichain(self):
@@ -98,3 +119,14 @@ class TestLongestChainBruteforce:
             result = rlct_central(arr)
             if len(result.minimizer_flats) <= 50:
                 assert longest_chain_bruteforce(result.minimizer_flats) == result.pair.multiplicity
+
+
+class TestVerify:
+    def test_report_with_line_localizations(self):
+        # x = 0 and x = 1 each meet the plane y = z in a line: two localizations.
+        arr = normalize(parse_factored_product("vars x, y, z; x*(x-1)*(y-z)"))
+        report = rlct_affine(arr)
+        assert len(report.localizations) == 2
+        assert verify_report(arr, report) == {
+            "lattice_match": True, "chain_match": True, "localization_match": True
+        }
