@@ -5,9 +5,9 @@ space itself is excluded). `_closure` extends each frontier flat by one
 outside row at a time, so the cost scales with the lattice size, not with
 2^n. It serves both the central lattice (rows: the normals) and the affine
 localizations in `threshold.py` (rows: (a | b)), and flags maximal flats.
-It works on integer rows and member bitmasks only: each flat carries its
-canonical primitive rows, which give the lattice order, `Flat.rows`,
-affine witness points and the exact "p/q" strings of the JSON output.
+It works on integer rows and member bitmasks. A flat carries its residue
+chain; only the flats that are read get `_canonical_rows`, from which come
+the lattice order, `Flat.rows`, witness points and the "p/q" strings.
 """
 
 from __future__ import annotations
@@ -74,9 +74,9 @@ def _rref_strings(row: tuple[int, ...]) -> list[str]:
 class IntersectionLattice:
     """All flats of a central arrangement, ordered on first read.
 
-    `triples` holds the closure's (rows, mask, weight) per flat. `flats`
-    sorts them by `_lattice_order` and builds the `Flat`s on first read,
-    which `rlct_central` never does: it orders only its minimizers.
+    `triples` holds the closure's (residue chain, mask, weight) per flat.
+    `flats` reduces and sorts them by `_lattice_order` on first read, which
+    `rlct_central` never does: it reduces and orders only its minimizers.
     """
 
     triples: tuple[tuple[tuple[tuple[int, ...], ...], int, int], ...]
@@ -85,38 +85,60 @@ class IntersectionLattice:
 
     @cached_property
     def flats(self) -> tuple[Flat, ...]:
-        return tuple(Flat(*triple) for triple in _lattice_order(self.triples))
+        return tuple(_lattice_order(self.triples))
 
 
-def _lattice_order(triples):
-    """(rows, mask, weight) triples in lattice order: (codim, rational RREF
-    entries row-major). Every RREF entry is x/p with p a pivot, 0 < p <= P,
-    so two distinct entries differ by at least 1/P^2. Scaled by 2^shift >
-    P^2 they differ by more than 1, so flooring keeps every strict
-    inequality, and equal entries floor equally: the integer key gives
-    exactly the rational order on any set of triples, with P the largest
-    pivot among them. A common denominator is no option, since the lcm of
-    the pivots can run to thousands of digits.
+def _lattice_order(triples) -> list[Flat]:
+    """(chain, mask, weight) triples as `Flat`s with canonical rows, in lattice
+    order: (codim, rational RREF entries row-major). Every RREF entry is x/p
+    with p a pivot, 0 < p <= P, so two distinct entries differ by at least
+    1/P^2. Scaled by 2^shift > P^2 they differ by more than 1, so flooring
+    keeps every strict inequality, and equal entries floor equally: the
+    integer key gives exactly the rational order on any set of flats, with P
+    the largest pivot among them. A common denominator is no option, since
+    the lcm of the pivots can run to thousands of digits.
     """
-    top_pivot = max(next(x for x in row if x) for rows, _, _ in triples for row in rows)
+    flats = [Flat(_canonical_rows(chain), mask, weight) for chain, mask, weight in triples]
+    top_pivot = max(next(filter(None, row)) for flat in flats for row in flat.rows)
     shift = 2 * top_pivot.bit_length()
 
-    def key(triple):
-        rows = triple[0]
-        pivots = (next(x for x in row if x) for row in rows)
-        return (len(rows), tuple((x << shift) // p for row, p in zip(rows, pivots) for x in row))
+    def key(flat):
+        pivots = (next(filter(None, row)) for row in flat.rows)
+        return (flat.codim, tuple((x << shift) // p for row, p in zip(flat.rows, pivots) for x in row))
 
-    return sorted(triples, key=key)
+    return sorted(flats, key=key)
+
+
+def _canonical_rows(chain: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """A residue chain's span as canonical rows: primitive, positive pivots,
+    pivot order, each row zero on the other pivots.
+
+    r_j, the j-th chain row, leads at c_j and is zero at every earlier
+    lead. For j in order, every earlier row not zero at c_j takes one step
+    p·row − row[c_j]·r_j, p = r_j[c_j] > 0, made primitive. As r_j is zero
+    at c_1 … c_{j-1}, row i keeps its zeros there and its positive lead c_i
+    (if c_j < c_i the row is zero at c_j, else r_j is zero up to c_j), so it
+    ends as the span's one primitive vector that leads positive at c_i and
+    is zero on the other pivots: the canonical row. Descending tuple order
+    is pivot order.
+    """
+    rows = list(chain)
+    for j, residue in enumerate(chain):
+        pc = residue.index(next(filter(None, residue)))
+        for i in range(j):
+            if rows[i][pc]:
+                rows[i] = eliminate(rows[i], residue, pc)
+    return tuple(sorted(rows, reverse=True))
 
 
 def _closure(rows: list[tuple[int, ...]], d: int) -> list[tuple[tuple[tuple[int, ...], ...], int, bool]]:
-    """Every flat spanned by `rows`, as (canonical rows, member bitmask, maximal).
+    """Every flat spanned by `rows`, as (residue chain, member bitmask, maximal).
 
     Rows are primitive integer vectors with d columns (normals) or d + 1
     (rows (a | b), offset last). Closure by rank level from the ambient
-    space ((), 0, rows grouped by value): a frontier item is (span, mask,
-    groups), `span` the primitive-integer RREF of the span in pivot order
-    and `groups` each primitive residue of the outside rows modulo the span,
+    space ((), 0, rows grouped by value): a frontier item is (chain, mask,
+    groups), `chain` the residues that joined the span, in order, and
+    `groups` each primitive residue of the outside rows modulo the span,
     with the bitmask of the rows that have it. Two rows give the same child
     iff their residues are equal, so a group is exactly the child's new
     members. Only a child with a new mask is built (`_child`), so every
@@ -124,19 +146,17 @@ def _closure(rows: list[tuple[int, ...]], d: int) -> list[tuple[tuple[tuple[int,
     common point and is skipped; a flat is maximal iff every residue is of
     that kind, i.e. iff its member set is inclusion-maximal.
 
-    One elimination step per row and group gives the child's rows and
-    residues, the same as reducing under the child's echelon: let S be a
-    span with RREF pivot columns P. For x outside S, the vectors of Qx + S
-    that vanish on P form a line (S restricted to P is the identity), so
-    the residue of x, the primitive vector with positive lead on it, does
-    not depend on the basis of S. The chosen residue e vanishes on P and
-    leads at a new column c; the child's pivots are P + {c}. For a parent
-    residue r of x, e[c]·r − r[c]·e lies in Qx + S_child, vanishes on
-    P + {c} and keeps a nonzero coefficient on x: it is on the child's
-    line. An eliminated parent row is still zero on every other pivot, and
-    its positive lead does not move, so it is the canonical row. Sorting in
-    descending tuple order puts rows in pivot order: each pivot is
-    positive, and each row is zero before its pivot.
+    One elimination step per group gives the child's residues, the same as
+    reducing under the child's echelon: let S be a span with RREF pivot
+    columns P. For x outside S, the vectors of Qx + S that vanish on P form
+    a line (S restricted to P is the identity), so the residue of x, the
+    primitive vector with positive lead on it, does not depend on the basis
+    of S. The chosen residue e vanishes on P and leads at a new column c;
+    the child's pivots are P + {c}. For a parent residue r of x,
+    e[c]·r − r[c]·e lies in Qx + S_child, vanishes on P + {c} and keeps a
+    nonzero coefficient on x: it is on the child's line. So the chain is
+    all the next level needs: each residue is primitive, leads positive and
+    is zero at every earlier residue's lead (see `_canonical_rows`).
 
     Let r be the rank of `rows`. For a flat of codim r - 1 with pivots P,
     the vectors of the row space that vanish on P form one line, so every
@@ -155,7 +175,7 @@ def _closure(rows: list[tuple[int, ...]], d: int) -> list[tuple[tuple[tuple[int,
     flats = []
     while frontier:
         next_frontier = []
-        for span, mask, groups in frontier:
+        for chain, mask, groups in frontier:
             maximal = True
             for residue, group in groups.items():
                 if not any(residue[:d]):
@@ -166,39 +186,35 @@ def _closure(rows: list[tuple[int, ...]], d: int) -> list[tuple[tuple[tuple[int,
                 if child not in seen:
                     seen.add(child)
                     outside = groups
-                    if len(span) + 2 == top:  # codim r - 1: one residue left
+                    if len(chain) + 2 == top:  # codim r - 1: one residue left
                         outside = {next(other for other in groups if other != residue): full & ~child}
-                    child_rows, child_groups = _child(span, outside, residue)
-                    next_frontier.append((child_rows, child, child_groups))
+                    child_chain, child_groups = _child(chain, outside, residue)
+                    next_frontier.append((child_chain, child, child_groups))
             if mask:  # the ambient space (mask 0) is not a flat
-                flats.append((span, mask, maximal))
+                flats.append((chain, mask, maximal))
         frontier = next_frontier
     return flats
 
 
 def _child(
-    rows: tuple[tuple[int, ...], ...], groups: dict[tuple[int, ...], int], residue: tuple[int, ...]
+    chain: tuple[tuple[int, ...], ...], groups: dict[tuple[int, ...], int], residue: tuple[int, ...]
 ) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]:
-    """The canonical rows and outside residue groups once `residue` joins the span.
-
-    Every parent row and every other residue take one elimination step at
-    `residue`'s lead column, and groups whose new residues are equal merge.
-    """
+    """The chain with `residue` appended, and the outside residue groups:
+    every other residue takes one step at its lead, and equal ones merge."""
     pc = next(c for c, x in enumerate(residue) if x)
     out: dict[tuple[int, ...], int] = {}
     for other, group in groups.items():
         if other != residue:
             other = eliminate(other, residue, pc)
             out[other] = out.get(other, 0) | group
-    stepped = [eliminate(row, residue, pc) for row in rows]
-    return tuple(sorted(stepped + [residue], reverse=True)), out
+    return chain + (residue,), out
 
 
 def build_lattice(arr: NormalizedArrangement) -> IntersectionLattice:
     """Enumerate every flat of a central arrangement with its weight and members.
 
     The flats are the closure of the normals (see `_closure`), which also
-    gives each flat's canonical rows; member sets are the engine's exact
+    gives each flat's residue chain; member sets are the engine's exact
     bitmasks, and the weight is the sum of member multiplicities.
     """
     if not arr.is_central:
@@ -209,7 +225,7 @@ def build_lattice(arr: NormalizedArrangement) -> IntersectionLattice:
     normals = [primitive_int_row(row) for row in arr.normals]
     mult = arr.multiplicities
     triples = tuple(
-        (rows, mask, sum(mult[j] for j in range(n) if mask >> j & 1)) for rows, mask, _ in _closure(normals, d)
+        (chain, mask, sum(mult[j] for j in range(n) if mask >> j & 1)) for chain, mask, _ in _closure(normals, d)
     )
     return IntersectionLattice(triples=triples, dim=d, n_hyperplanes=n)
 

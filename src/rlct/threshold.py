@@ -18,7 +18,7 @@ from functools import total_ordering
 
 from .arrangement import NormalizedArrangement
 from .errors import CentralityError, EmptyArrangementError, InvalidMultiplicityError
-from .lattice import Flat, IntersectionLattice, _closure, _lattice_order, build_lattice
+from .lattice import Flat, IntersectionLattice, _canonical_rows, _closure, _lattice_order, build_lattice
 from .ratlinalg import RationalMatrix, format_rational, primitive_int_row
 
 
@@ -77,8 +77,8 @@ def rlct_central(arr: NormalizedArrangement) -> RlctResult:
     """Threshold and multiplicity of a central arrangement, exactly.
 
     The threshold is the least codim/weight over the closure's integer
-    triples, compared as c·w' < c'·w. Only the minimizers are sorted, by the
-    key that orders any set of flats exactly, and built as `Flat`s, so
+    triples, compared as c·w' < c'·w. Only the minimizers get canonical
+    rows and are sorted, by the key that orders any set of flats exactly, so
     `lattice.flats` stays unbuilt until read. The multiplicity is the number
     of join-irreducibles of the minimizers' member sets (see
     `_longest_chain`); the witness chain is picked in a fixed order derived
@@ -88,11 +88,10 @@ def rlct_central(arr: NormalizedArrangement) -> RlctResult:
         raise CentralityError("rlct_central needs a central arrangement; use rlct_affine")
     lat = build_lattice(arr)
     codim, weight = 1, 0  # 1/0 is above every ratio
-    for rows, _, w in lat.triples:
-        if len(rows) * weight < codim * w:
-            codim, weight = len(rows), w
-    tied = [triple for triple in lat.triples if len(triple[0]) * weight == codim * triple[2]]
-    minimizers = [Flat(*triple) for triple in _lattice_order(tied)]
+    for residues, _, w in lat.triples:
+        if len(residues) * weight < codim * w:
+            codim, weight = len(residues), w
+    minimizers = _lattice_order(t for t in lat.triples if len(t[0]) * weight == codim * t[2])
 
     multiplicity, chain = _longest_chain(minimizers)
     return RlctResult(
@@ -207,22 +206,22 @@ def maximal_central_localizations(
     The lattice's closure engine runs on the augmented rows (a | b): it
     drops extensions that pivot in the offset column (no common point) and
     flags a flat maximal when no outside hyperplane extends it consistently.
-    A maximal flat's canonical rows give its witness point: the particular
-    solution with free variables at zero.
+    Only a maximal flat's chain is reduced to canonical rows, which give its
+    witness point: the particular solution with free variables at zero.
     """
     n, d = arr.n, arr.dim
     if n == 0:
         raise EmptyArrangementError("arrangement has no hyperplanes")
     augmented = [primitive_int_row(tuple(arr.normals.row(j)) + (arr.offsets[j],)) for j in range(n)]
     found = sorted(
-        (tuple(j for j in range(n) if mask >> j & 1), rows)
-        for rows, mask, maximal in _closure(augmented, d)
+        (tuple(j for j in range(n) if mask >> j & 1), chain)
+        for chain, mask, maximal in _closure(augmented, d)
         if maximal
     )
     out = []
-    for members, rows in found:
+    for members, chain in found:
         point = [Fraction(0)] * d
-        for row in rows:
+        for row in _canonical_rows(chain):
             pc = next(c for c, x in enumerate(row) if x)  # never pc == d: the rows are consistent
             point[pc] = Fraction(-row[d], row[pc])
         sub = NormalizedArrangement(

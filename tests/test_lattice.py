@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +23,7 @@ from rlct import (
     subspace_leq,
 )
 from rlct import lattice
-from rlct.lattice import _closure
+from rlct.lattice import _canonical_rows, _closure
 from rlct.ratlinalg import primitive_int_row, row_in_row_space
 from rlct.threshold import maximal_central_localizations
 
@@ -343,18 +343,23 @@ class TestClosureEngine:
             augmented = [primitive_int_row(a + (b,)) for a, b in zip(arr.normals, arr.offsets)]
             self._check_maximal_flags(_closure(augmented, arr.dim))
 
-    @settings(max_examples=80, deadline=None)
-    @given(st.data())
-    def test_masks_and_rows_match_the_rational_span(self, data):
-        # Every subset of rows with a common point closes to the rows in its
-        # rational span; those closed sets are exactly the returned masks, and
-        # each flat's rows are its span's RREF as primitive integer rows.
+    @staticmethod
+    def _draw_rows(data):
+        # Up to six small primitive rows: normals, or (a | b) with the offset last.
         d = data.draw(st.integers(1, 3), label="d")
         affine = data.draw(st.booleans(), label="affine")
         normal = st.lists(st.integers(-2, 2), min_size=d, max_size=d).filter(any)
         offset = st.lists(st.integers(-1, 1), min_size=int(affine), max_size=int(affine))
         drawn = data.draw(st.lists(st.tuples(normal, offset), min_size=1, max_size=6), label="rows")
-        rows = [primitive_int_row(a + b) for a, b in drawn]
+        return [primitive_int_row(a + b) for a, b in drawn], d
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_masks_and_rows_match_the_rational_span(self, data):
+        # Every subset of rows with a common point closes to the rows in its
+        # rational span; those closed sets are exactly the returned masks, and
+        # each flat's reduced chain is its span's RREF as primitive integer rows.
+        rows, d = self._draw_rows(data)
         spans = {}
         for subset in range(1, 1 << len(rows)):
             members = [row for j, row in enumerate(rows) if subset >> j & 1]
@@ -363,8 +368,27 @@ class TestClosureEngine:
                 spans[sum(1 << j for j, row in enumerate(rows) if row_in_row_space(row, canon))] = canon
         flats = _closure(rows, d)
         assert sorted(mask for _, mask, _ in flats) == sorted(spans)
-        for flat_rows, mask, _ in flats:
-            assert flat_rows == tuple(primitive_int_row(r) for r in spans[mask])
+        for chain, mask, _ in flats:
+            assert _canonical_rows(chain) == tuple(primitive_int_row(r) for r in spans[mask])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_chains_are_residue_chains(self, data):
+        # A chain has one row per codim; each row is primitive, leads positive
+        # and is zero at every earlier row's lead. Canonical rows are a chain
+        # that the reducer leaves unchanged.
+        rows, d = self._draw_rows(data)
+        for chain, mask, _ in _closure(rows, d):
+            members = RationalMatrix([row for j, row in enumerate(rows) if mask >> j & 1])
+            assert len(chain) == rank(members)
+            leads = []
+            for row in chain:
+                lead = next(c for c, x in enumerate(row) if x)
+                assert row[lead] > 0 and gcd(*row) == 1
+                assert not any(row[c] for c in leads)
+                leads.append(lead)
+            canon = tuple(primitive_int_row(r) for r in row_space_canonical(members))
+            assert _canonical_rows(canon) == canon
 
 
 class TestExport:

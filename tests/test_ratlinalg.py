@@ -17,7 +17,7 @@ from rlct import (
     rref,
     subspace_leq,
 )
-from rlct.lattice import _closure
+from rlct.lattice import _canonical_rows, _closure
 from rlct.ratlinalg import eliminate, integer_rank, primitive_int_row, row_in_row_space
 
 from conftest import random_invertible
@@ -257,7 +257,7 @@ class TestClosureRows:
         if not canon:
             assert flats == []
             return
-        maximal = [rows for rows, _, flag in flats if flag]
+        maximal = [_canonical_rows(chain) for chain, _, flag in flats if flag]
         assert maximal == [canon]
         assert tuple(next(c for c, x in enumerate(r) if x) for r in canon) == rref(m)[2]
 

@@ -22,6 +22,7 @@ from rlct import (
     rlct_central,
     rlct_line_arrangement_2d,
 )
+from rlct import lattice, threshold
 from rlct.ratlinalg import RationalMatrix, subspace_leq
 from rlct.threshold import maximal_central_localizations
 
@@ -218,6 +219,35 @@ class TestMinimizersFromTriples:
             ties += len(at_lambda) > 1
         assert ties >= 30
         assert len(result.minimizer_flats) == len(result.lattice.flats) == 63
+
+    def test_only_the_flats_read_are_reduced(self, monkeypatch):
+        # The closure carries residue chains; canonical rows are formed for
+        # the minimizers, the maximal localizations and, on its first read,
+        # every flat of `lattice.flats`, one reduction per flat.
+        calls = []
+        reduce = lattice._canonical_rows
+
+        def counted(chain):
+            calls.append(chain)
+            return reduce(chain)
+
+        monkeypatch.setattr(lattice, "_canonical_rows", counted)
+        monkeypatch.setattr(threshold, "_canonical_rows", counted)
+        rng = random.Random(86)
+        skipped = 0
+        for _ in range(30):
+            arr = random_central_arrangement(rng, max_n=7, max_d=4)
+            calls.clear()
+            result = rlct_central(arr)
+            assert len(calls) == len(result.minimizer_flats)
+            skipped += len(result.lattice.triples) - len(calls)
+            calls.clear()
+            assert len(result.lattice.flats) == len(calls) == len(result.lattice.triples)
+            offsets = [rng.randint(-2, 2) for _ in range(arr.n)]
+            affine = normalize(ArrangementSpec(arr.normals, arr.multiplicities, offsets=offsets))
+            calls.clear()
+            assert len(maximal_central_localizations(affine)) == len(calls)
+        assert skipped >= 100
 
 
 class TestClosedForm2d:
