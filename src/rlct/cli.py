@@ -6,6 +6,10 @@ Subcommands:
     volume-fit  Monte Carlo volume curve plus asymptotic fit
     parse       normalize the input and echo it back as JSON
 
+`compute` and `localize` share one parser definition and one handler,
+`cmd_report`: `compute` on central input gets `rlct_central` and
+`verify_central`, everything else `rlct_affine` and `verify_report`.
+
 Exit codes: 0 on success, 1 when --verify (the checks of
 `rlct.oracle.verify_central` and `verify_report`) finds a mismatch
 between the production path and the brute-force oracles (a bug signal),
@@ -52,15 +56,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
             "--format", choices=("json", "csv", "human"), default="json", help="output format"
         )
 
-    compute = sub.add_parser("compute", help="compute the threshold pair")
-    add_input_flags(compute)
-    compute.add_argument("--verify", action="store_true", help="cross-check against brute-force oracles")
-    compute.set_defaults(func=cmd_compute)
-
-    localize = sub.add_parser("localize", help="report all maximal central localizations")
-    add_input_flags(localize)
-    localize.add_argument("--verify", action="store_true", help="cross-check against brute-force oracles")
-    localize.set_defaults(func=cmd_localize)
+    for name, help_text in (
+        ("compute", "compute the threshold pair"),
+        ("localize", "report all maximal central localizations"),
+    ):
+        report = sub.add_parser(name, help=help_text)
+        add_input_flags(report)
+        report.add_argument("--verify", action="store_true", help="cross-check against brute-force oracles")
+        report.set_defaults(func=cmd_report)
 
     volume = sub.add_parser("volume-fit", help="Monte Carlo volume curve and asymptotic fit")
     add_input_flags(volume)
@@ -134,24 +137,16 @@ def _emit_report(arr: NormalizedArrangement, body: dict, verification: dict | No
     return EXIT_OK
 
 
-def cmd_compute(args: argparse.Namespace) -> int:
+def cmd_report(args: argparse.Namespace) -> int:
+    """`compute` on central input prints the central pair; every other
+    input, and `localize` always, prints the affine localization report."""
     arr = load_arrangement(args)
-    if not arr.is_central:
-        return _localization_report(arr, args)
-    result = rlct_central(arr)
-    verification = verify_central(arr, result) if args.verify else None
+    if args.command == "compute" and arr.is_central:
+        result, verify = rlct_central(arr), verify_central
+    else:
+        result, verify = rlct_affine(arr), verify_report
+    verification = verify(arr, result) if args.verify else None
     return _emit_report(arr, result.to_json_dict(), verification, args)
-
-
-def cmd_localize(args: argparse.Namespace) -> int:
-    return _localization_report(load_arrangement(args), args)
-
-
-def _localization_report(arr: NormalizedArrangement, args: argparse.Namespace) -> int:
-    """The affine report: every maximal localization plus the global pair."""
-    report = rlct_affine(arr)
-    verification = verify_report(arr, report) if args.verify else None
-    return _emit_report(arr, report.to_json_dict(), verification, args)
 
 
 def cmd_volume_fit(args: argparse.Namespace) -> int:
@@ -188,14 +183,13 @@ def cmd_volume_fit(args: argparse.Namespace) -> int:
         "fit": asdict(fit),
         "fit_fixed_m": asdict(fit_fixed_m),
     }
+    # One row format for the --gnuplot file and the csv table.
+    rows = [[f"{x:.12g}" for x in (s.epsilon, s.volume_estimate, s.std_error)] for s in samples]
+    columns = ["epsilon", "volume", "std_error"]
     if args.gnuplot:
-        lines = ["# epsilon volume std_error"]
-        lines += [f"{s.epsilon:.12g} {s.volume_estimate:.12g} {s.std_error:.12g}" for s in samples]
-        Path(args.gnuplot).write_text("\n".join(lines) + "\n")
+        Path(args.gnuplot).write_text("".join(" ".join(r) + "\n" for r in [["#", *columns], *rows]))
     if args.format == "csv":
-        print("epsilon,volume,std_error")
-        for s in samples:
-            print(f"{s.epsilon:.12g},{s.volume_estimate:.12g},{s.std_error:.12g}")
+        print("\n".join(",".join(r) for r in [columns, *rows]))
         print(json.dumps({"exact": doc["exact"], "fit": doc["fit"]}), file=sys.stderr)
     elif args.format == "human":
         print(f"exact pair: lambda = {doc['exact']['lambda']}, m = {doc['exact']['m']}")

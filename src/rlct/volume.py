@@ -48,6 +48,8 @@ def epsilon_grid(eps_min: float, eps_max: float, points: int) -> list[float]:
         raise RlctError("need at least one eps point")
     if not 0 < eps_min <= eps_max:
         raise RlctError("need 0 < eps-min <= eps-max")
+    if not math.isfinite(eps_max):
+        raise RlctError(f"eps-max must be finite, got {eps_max}")
     if points == 1:
         return [eps_max]
     hi, lo = math.log10(eps_max), math.log10(eps_min)

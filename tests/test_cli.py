@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 import rlct.lattice
 import rlct.threshold
 from rlct import default_epsilon_grid, estimate_volume, normalize, parse_factored_product
@@ -207,6 +209,15 @@ class TestLocalize:
         assert code == 2
         assert err.strip()
 
+    @pytest.mark.parametrize("verify", [(), ("--verify",)])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+    @pytest.mark.parametrize("poly", ["vars x, y; x*(x-1)*y*(y-1)*(x-y)", "vars x, y, z; x*(x-1)*(y-z)"])
+    def test_matches_compute_on_affine(self, capsys, poly, fmt, verify):
+        compute = run_cli(capsys, "compute", "--poly", poly, "--format", fmt, *verify)
+        localize = run_cli(capsys, "localize", "--poly", poly, "--format", fmt, *verify)
+        assert compute == localize
+        assert compute[0] == 0 and compute[1]
+
     def test_agrees_with_compute_on_central(self, capsys):
         _, compute_out, _ = run_cli(capsys, "compute", "--poly", "x*y^2*z^2*(x+y+z)")
         _, localize_out, _ = run_cli(capsys, "localize", "--poly", "x*y^2*z^2*(x+y+z)")
@@ -276,6 +287,12 @@ class TestVolumeFit:
              "sample_count": s.sample_count}
             for s in library
         ]
+
+    def test_infinite_eps_max_is_user_error(self, capsys):
+        code, out, err = run_cli(capsys, "volume-fit", "--poly", "x*y", "--eps-max", "inf")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "eps-max" in err and "nan" not in err
 
     def test_bad_grid_is_user_error(self, capsys):
         for grid in (("--eps-min", "0.5", "--eps-max", "0.1"), ("--eps-points", "0"), ("--eps-min", "0")):

@@ -10,6 +10,7 @@ from rlct import (
     DegenerateBoxError,
     DimensionError,
     InsufficientDataError,
+    RlctError,
     VolumeSample,
     default_epsilon_grid,
     estimate_volume,
@@ -37,6 +38,12 @@ class TestEpsilonGrid:
 
     def test_one_point_is_eps_max(self):
         assert rlct.volume.epsilon_grid(0.001, 0.3, 1) == [0.3]
+
+    def test_infinite_eps_max_is_rejected(self):
+        # 0 * inf is NaN: an unchecked grid would be nine NaNs.
+        for points in (1, 9):
+            with pytest.raises(RlctError, match="eps-max"):
+                rlct.volume.epsilon_grid(1e-6, float("inf"), points)
 
 
 class TestEstimateVolume:
