@@ -9,6 +9,8 @@ Subcommands:
 `compute` and `localize` share one parser definition and one handler,
 `cmd_report`: `compute` on central input gets `rlct_central` and
 `verify_central`, everything else `rlct_affine` and `verify_report`.
+Every report prints through `emit`, the one switch on --format, and the
+argparse parser is built once per process, at import.
 
 Exit codes: 0 on success, 1 when --verify (the checks of
 `rlct.oracle.verify_central` and `verify_report`) finds a mismatch
@@ -111,66 +113,58 @@ def parse_box(spec: str | None, dim: int):
     return intervals
 
 
-def _emit_report(arr: NormalizedArrangement, body: dict, verification: dict | None, args) -> int:
-    """Print a compute/localize result and turn a verification mismatch into exit 1."""
-    doc = {"input": arrangement_to_json_dict(arr)}
-    doc.update(body)
-    if verification is not None:
-        doc["verify"] = verification
-    if args.format == "json":
-        print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        print("lambda,m")
-        print(f"{body['lambda']},{body['m']}")
-    else:
-        print(f"arrangement: {arr.n} hyperplanes in dimension {arr.dim}"
-              f" ({'central' if arr.is_central else 'affine'})")
-        print(f"lambda = {body['lambda']}")
-        print(f"m = {body['m']}")
-        if "localizations" in doc:
-            for loc in doc["localizations"]:
-                point = ", ".join(loc["point"])
-                print(f"  at ({point}): lambda = {loc['lambda']}, m = {loc['m']}")
-    if verification is not None and not all(verification.values()):
-        print("verification mismatch between production and oracle paths", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
-    return EXIT_OK
+def emit(fmt: str, doc: dict, **lines: list[str]) -> None:
+    """Print `doc` as indented JSON, or the `csv` or `human` lines, as --format asks."""
+    print(json.dumps(doc, indent=2) if fmt == "json" else "\n".join(lines[fmt]))
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     """`compute` on central input prints the central pair; every other
-    input, and `localize` always, prints the affine localization report."""
+    input, and `localize` always, prints the affine localization report.
+    A verification mismatch gives exit 1."""
     arr = load_arrangement(args)
     if args.command == "compute" and arr.is_central:
         result, verify = rlct_central(arr), verify_central
     else:
         result, verify = rlct_affine(arr), verify_report
-    verification = verify(arr, result) if args.verify else None
-    return _emit_report(arr, result.to_json_dict(), verification, args)
+    doc = {"input": arrangement_to_json_dict(arr), **result.to_json_dict()}
+    if args.verify:
+        doc["verify"] = verify(arr, result)
+    human = [
+        f"arrangement: {arr.n} hyperplanes in dimension {arr.dim}"
+        f" ({'central' if arr.is_central else 'affine'})",
+        f"lambda = {doc['lambda']}",
+        f"m = {doc['m']}",
+    ] + [
+        f"  at ({', '.join(loc['point'])}): lambda = {loc['lambda']}, m = {loc['m']}"
+        for loc in doc.get("localizations", ())
+    ]
+    emit(args.format, doc, csv=["lambda,m", f"{doc['lambda']},{doc['m']}"], human=human)
+    if args.verify and not all(doc["verify"].values()):
+        print("verification mismatch between production and oracle paths", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
+    return EXIT_OK
 
 
 def cmd_volume_fit(args: argparse.Namespace) -> int:
+    """The grid and the box are checked before the exact pair is solved,
+    so a bad --eps-* or --box fails without running the closure."""
     arr = load_arrangement(args)
-    exact = rlct_central(arr) if arr.is_central else rlct_affine(arr).global_result
     grid = epsilon_grid(args.eps_min, args.eps_max, args.eps_points)
     box = parse_box(args.box, arr.dim)
+    exact = rlct_central(arr) if arr.is_central else rlct_affine(arr).global_result
+    lam, m = exact.pair.threshold, exact.pair.multiplicity
 
     if args.selftest:
-        samples = synthetic_samples(
-            float(exact.pair.threshold), exact.pair.multiplicity, 1.0, grid
-        )
+        samples = synthetic_samples(float(lam), m, 1.0, grid)
     else:
         samples = [
             estimate_volume(arr, box, eps, samples=args.samples, seed=args.seed) for eps in grid
         ]
     fit = fit_asymptotics(samples)
-    fit_fixed_m = fit_asymptotics(samples, fixed_multiplicity=exact.pair.multiplicity)
     doc = {
         "input": arrangement_to_json_dict(arr),
-        "exact": {
-            "lambda": format_rational(exact.pair.threshold),
-            "m": exact.pair.multiplicity,
-        },
+        "exact": {"lambda": format_rational(lam), "m": m},
         "samples": [
             {
                 "epsilon": s.epsilon,
@@ -181,61 +175,51 @@ def cmd_volume_fit(args: argparse.Namespace) -> int:
             for s in samples
         ],
         "fit": asdict(fit),
-        "fit_fixed_m": asdict(fit_fixed_m),
+        "fit_fixed_m": asdict(fit_asymptotics(samples, fixed_multiplicity=m)),
     }
     # One row format for the --gnuplot file and the csv table.
     rows = [[f"{x:.12g}" for x in (s.epsilon, s.volume_estimate, s.std_error)] for s in samples]
     columns = ["epsilon", "volume", "std_error"]
     if args.gnuplot:
         Path(args.gnuplot).write_text("".join(" ".join(r) + "\n" for r in [["#", *columns], *rows]))
+    human = [
+        f"exact pair: lambda = {doc['exact']['lambda']}, m = {m}",
+        f"fitted:     lambda_hat = {fit.lambda_hat:.4f}, m_hat = {fit.m_hat:.4f}",
+    ] + [f"  eps = {s.epsilon:.3e}  V = {s.volume_estimate:.6e}  +- {s.std_error:.2e}" for s in samples]
+    emit(args.format, doc, csv=[",".join(r) for r in [columns, *rows]], human=human)
     if args.format == "csv":
-        print("\n".join(",".join(r) for r in [columns, *rows]))
         print(json.dumps({"exact": doc["exact"], "fit": doc["fit"]}), file=sys.stderr)
-    elif args.format == "human":
-        print(f"exact pair: lambda = {doc['exact']['lambda']}, m = {doc['exact']['m']}")
-        print(f"fitted:     lambda_hat = {fit.lambda_hat:.4f}, m_hat = {fit.m_hat:.4f}")
-        for s in samples:
-            print(f"  eps = {s.epsilon:.3e}  V = {s.volume_estimate:.6e}  +- {s.std_error:.2e}")
-    else:
-        print(json.dumps(doc, indent=2))
-    if args.selftest:
-        close = abs(fit.lambda_hat - float(exact.pair.threshold)) < 1e-6 and (
-            abs(fit.m_hat - exact.pair.multiplicity) < 1e-6
-        )
-        if not close:
-            print("synthetic self-test failed to recover the exact pair", file=sys.stderr)
-            return EXIT_VERIFY_FAILED
+    close = abs(fit.lambda_hat - float(lam)) < 1e-6 and abs(fit.m_hat - m) < 1e-6
+    if args.selftest and not close:
+        print("synthetic self-test failed to recover the exact pair", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     return EXIT_OK
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
     arr = load_arrangement(args)
-    doc = arrangement_to_json_dict(arr)
-    if args.format == "human":
-        names = arr.var_names()
-        for j in range(arr.n):
-            normal, offset, mult = arr.hyperplane(j)
-            form = " + ".join(
-                f"{format_rational(c)}*{names[i]}" for i, c in enumerate(normal) if c != 0
-            )
-            if offset != 0:
-                form += f" + {format_rational(offset)}"
-            print(f"[{mult}] {form} = 0")
-    elif args.format == "csv":
-        for j in range(arr.n):
-            normal, offset, mult = arr.hyperplane(j)
-            fields = [format_rational(c) for c in normal] + [str(mult)]
-            if not arr.is_central:
-                fields.append(format_rational(offset))
-            print(",".join(fields))
-    else:
-        print(json.dumps(doc, indent=2))
+    names = arr.var_names()
+    human, csv = [], []
+    for j in range(arr.n):
+        normal, offset, mult = arr.hyperplane(j)
+        terms = [f"{format_rational(c)}*{names[i]}" for i, c in enumerate(normal) if c != 0]
+        if offset != 0:
+            terms.append(format_rational(offset))
+        human.append(f"[{mult}] {' + '.join(terms)} = 0")
+        fields = [format_rational(c) for c in normal] + [str(mult)]
+        if not arr.is_central:
+            fields.append(format_rational(offset))
+        csv.append(",".join(fields))
+    emit(args.format, arrangement_to_json_dict(arr), csv=csv, human=human)
     return EXIT_OK
 
 
+# Built once per process; `main` only parses, however often it is called.
+_PARSER = build_arg_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except SizeLimitError as exc:

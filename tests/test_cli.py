@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import rlct.cli
 import rlct.lattice
 import rlct.threshold
 from rlct import default_epsilon_grid, estimate_volume, normalize, parse_factored_product
@@ -294,6 +295,52 @@ class TestVolumeFit:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "eps-max" in err and "nan" not in err
 
+    @pytest.mark.parametrize("bad", [("--eps-points", "0"), ("--eps-min", "0"), ("--box", "1,2,3")])
+    def test_grid_and_box_fail_before_the_exact_pair(self, capsys, monkeypatch, bad):
+        def unreachable(arr):
+            raise AssertionError("solved the exact pair before checking the grid and box")
+
+        monkeypatch.setattr(rlct.cli, "rlct_central", unreachable)
+        monkeypatch.setattr(rlct.cli, "rlct_affine", unreachable)
+        code, out, err = run_cli(capsys, "volume-fit", "--poly", "x*y", *bad)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_selftest_csv_and_human_bytes(self, capsys):
+        argv = ("volume-fit", "--poly", "x*y^2*z^2*(x+y+z)", "--selftest")
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert out.splitlines() == [
+            "epsilon,volume,std_error",
+            "0.01,2.12075924419,0",
+            "0.00316227766017,1.86342275592,0",
+            "0.001,1.50894665561,0",
+            "0.000316227766017,1.15496138989,0",
+            "0.0001,0.848303697677,0",
+            "3.16227766017e-05,0.603748972918,0",
+            "1e-05,0.419151848781,0",
+            "3.16227766017e-06,0.285204751381,0",
+            "1e-06,0.190868331977,0",
+        ]
+        summary = json.loads(err)
+        assert summary["exact"] == {"lambda": "1/2", "m": 3}
+        assert abs(summary["fit"]["lambda_hat"] - 0.5) < 1e-6
+        code, out, err = run_cli(capsys, *argv, "--format", "human")
+        assert code == 0 and err == ""
+        assert out == (
+            "exact pair: lambda = 1/2, m = 3\n"
+            "fitted:     lambda_hat = 0.5000, m_hat = 3.0000\n"
+            "  eps = 1.000e-02  V = 2.120759e+00  +- 0.00e+00\n"
+            "  eps = 3.162e-03  V = 1.863423e+00  +- 0.00e+00\n"
+            "  eps = 1.000e-03  V = 1.508947e+00  +- 0.00e+00\n"
+            "  eps = 3.162e-04  V = 1.154961e+00  +- 0.00e+00\n"
+            "  eps = 1.000e-04  V = 8.483037e-01  +- 0.00e+00\n"
+            "  eps = 3.162e-05  V = 6.037490e-01  +- 0.00e+00\n"
+            "  eps = 1.000e-05  V = 4.191518e-01  +- 0.00e+00\n"
+            "  eps = 3.162e-06  V = 2.852048e-01  +- 0.00e+00\n"
+            "  eps = 1.000e-06  V = 1.908683e-01  +- 0.00e+00\n"
+        )
+
     def test_bad_grid_is_user_error(self, capsys):
         for grid in (("--eps-min", "0.5", "--eps-max", "0.1"), ("--eps-points", "0"), ("--eps-min", "0")):
             code, _, err = run_cli(capsys, "volume-fit", "--poly", "x*y", *grid)
@@ -340,3 +387,26 @@ class TestParseCommand:
         code, out, _ = run_cli(capsys, "parse", "--poly", "x*(x-1)", "--format", "csv")
         assert code == 0
         assert out.splitlines() == ["1,1,-1", "1,1,0"]
+
+    def test_exact_human_and_csv_lines(self, capsys):
+        # A squared factor with a fractional normal, an offset and a variable
+        # that only some factors use: one loop builds both formats.
+        poly = "vars x, y; (1/2*x - y + 3)^2*(x+y)*x*(x-1)"
+        code, out, err = run_cli(capsys, "parse", "--poly", poly, "--format", "human")
+        assert (code, err) == (0, "")
+        assert out == "[2] 1*x + -2*y + 6 = 0\n[1] 1*x + -1 = 0\n[1] 1*x = 0\n[1] 1*x + 1*y = 0\n"
+        code, out, err = run_cli(capsys, "parse", "--poly", poly, "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out == "1,-2,2,6\n1,0,1,-1\n1,0,1,0\n1,1,1,0\n"
+
+
+class TestMain:
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        # The parser is built at import; main only parses with it.
+        def rebuilt():
+            raise AssertionError("main rebuilt the argument parser")
+
+        monkeypatch.setattr(rlct.cli, "build_arg_parser", rebuilt)
+        code, out, _ = run_cli(capsys, "compute", "--poly", "x*y")
+        assert code == 0
+        assert json.loads(out)["lambda"] == "1"
