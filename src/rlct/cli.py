@@ -10,7 +10,9 @@ Subcommands:
 `cmd_report`: `compute` on central input gets `rlct_central` and
 `verify_central`, everything else `rlct_affine` and `verify_report`.
 Every report prints through `emit`, the one switch on --format, and the
-argparse parser is built once per process, at import.
+argparse parser is built once per process, at import. JSON reports print
+the bytes of `json.dumps(doc, indent=2)`, but through C-level joins
+(`_indented_json`): an `indent` makes `json.dumps` skip its C encoder.
 
 Exit codes: 0 on success, 1 when --verify (the checks of
 `rlct.oracle.verify_central` and `verify_report`) finds a mismatch
@@ -24,6 +26,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .arrangement import (
@@ -113,9 +116,40 @@ def parse_box(spec: str | None, dim: int):
     return intervals
 
 
+# The C-level text of the two scalar types that fill a report's lists.
+_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__}
+
+
+def _indented_json(obj, pad: str = "\n") -> str:
+    """Exactly `json.dumps(obj, indent=2)`, with every container one `str.join`.
+
+    `pad` is the newline and indent of `obj`'s own line. A list whose items
+    are all of exact type str or all of exact type int is joined straight
+    from `_SCALAR_TEXT`; any other scalar (float, bool, None, subclasses)
+    takes `json.dumps(x)`, the C encoder, which prints it as the indented
+    encoder does. Dict keys must be `str`, as they are in every report.
+    """
+    if not isinstance(obj, (dict, list, tuple)):
+        return _SCALAR_TEXT.get(type(obj), json.dumps)(obj)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        items = (f"{encode_basestring_ascii(k)}: {_indented_json(v, inner)}" for k, v in obj.items())
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    kinds = set(map(type, obj))
+    text = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+    items = map(text, obj) if text else (_indented_json(x, inner) for x in obj)
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+
 def emit(fmt: str, doc: dict, **lines: list[str]) -> None:
-    """Print `doc` as indented JSON, or the `csv` or `human` lines, as --format asks."""
-    print(json.dumps(doc, indent=2) if fmt == "json" else "\n".join(lines[fmt]))
+    """Print `doc` as indented JSON, or the `csv` or `human` lines, as --format asks.
+
+    The JSON is the bytes of `json.dumps(doc, indent=2)`, built by
+    `_indented_json` from C-level joins instead of the pure-Python encoder.
+    """
+    print(_indented_json(doc) if fmt == "json" else "\n".join(lines[fmt]))
 
 
 def cmd_report(args: argparse.Namespace) -> int:

@@ -13,7 +13,7 @@ the lattice order, `Flat.rows`, witness points and the "p/q" strings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
 
 from .arrangement import NormalizedArrangement
@@ -49,25 +49,32 @@ class Flat:
 
     def to_json_dict(self) -> dict:
         return {
-            "normal_space": [_rref_strings(row) for row in self.rows],
+            "normal_space": [list(_rref_strings(row)) for row in self.rows],
             "codim": self.codim,
             "s": self.weight,
-            "members": sorted(self.members),
+            "members": [j for j in range(self.mask.bit_length()) if self.mask >> j & 1],
         }
 
 
-def _rref_strings(row: tuple[int, ...]) -> list[str]:
+@lru_cache(maxsize=4096)
+def _rref_strings(row: tuple[int, ...]) -> tuple[str, ...]:
     """Each entry x / pivot in lowest terms, as `format_rational` prints it.
 
     The pivot p is the row's first nonzero entry, which is positive, so with
     g = gcd(x, p) the reduced denominator p // g is positive too.
+
+    The cache is sound: the strings are a pure function of the row, an
+    immutable tuple of ints, and they come back as an immutable tuple, which
+    `Flat.to_json_dict` copies into a fresh list. Flats of one lattice share
+    most rows (a coordinate arrangement has k distinct rows over 2^k - 1
+    flats), so most calls are hits; the bound keeps the cache small.
     """
     p = next(x for x in row if x)
     out = []
     for x in row:
         g = gcd(x, p)
         out.append(str(x // g) if g == p else f"{x // g}/{p // g}")
-    return out
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,12 @@
 """End-to-end exercise of the command-line surfaces."""
 
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rlct.cli
 import rlct.lattice
@@ -11,6 +15,7 @@ from rlct import default_epsilon_grid, estimate_volume, normalize, parse_factore
 from rlct.cli import main
 
 from conftest import unreduced_rref_strings
+from test_golden_cli import CASES, PARALLEL_DOUBLE_PLANES
 
 
 def run_cli(capsys, *argv):
@@ -410,3 +415,49 @@ class TestMain:
         code, out, _ = run_cli(capsys, "compute", "--poly", "x*y")
         assert code == 0
         assert json.loads(out)["lambda"] == "1"
+
+
+# JSON trees as reports hold them, plus the leaves they never hold: keys and
+# strings with quotes, backslashes, control and non-ASCII characters; floats
+# with NaN, the infinities and -0.0; numpy floats; bools; tuples; empty
+# containers; lists of one exact scalar type (the printer's fast path).
+_TRICKY = st.sampled_from(['"', "\\", "\x00", "\n\t", "\x7f", "é", "λ", "\u2028", "\U0001f600", ""])
+_TEXT = st.text(max_size=8) | _TRICKY
+_FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324])
+_LEAVES = (
+    _TEXT | st.integers() | st.booleans() | st.none() | _FLOATS | _FLOATS.map(np.float64)
+    | st.lists(_TEXT, max_size=4) | st.lists(st.integers(), max_size=4) | st.lists(st.booleans(), max_size=3)
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda kids: st.lists(kids, max_size=4) | st.tuples(kids, kids) | st.dictionaries(_TEXT, kids, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestIndentedJson:
+    @settings(max_examples=400)
+    @given(_TREES)
+    def test_equals_stdlib_indent_2(self, tree):
+        assert rlct.cli._indented_json(tree) == json.dumps(tree, indent=2)
+
+    def test_equals_stdlib_on_the_golden_reports(self, capsys, monkeypatch, tmp_path):
+        docs = []
+        emit = rlct.cli.emit
+
+        def recording_emit(fmt, doc, **lines):
+            docs.append(doc)
+            emit(fmt, doc, **lines)
+
+        monkeypatch.setattr(rlct.cli, "emit", recording_emit)
+        path = tmp_path / "parallel.json"
+        path.write_text(json.dumps(PARALLEL_DOUBLE_PLANES))
+        for _, argv, _ in CASES:
+            assert main([str(path) if a == "{parallel}" else a for a in argv]) == 0
+        assert main(["volume-fit", "--poly", "x*y", "--samples", "20000", "--seed", "1", "--eps-points", "3",
+                     "--eps-min", "1e-3", "--box=-2,2;-2,2"]) == 0
+        assert main(["parse", "--poly", "vars x, y; (1/2*x - y + 3)^2*(x+y)*x*(x-1)"]) == 0
+        capsys.readouterr()
+        assert len(docs) == len(CASES) + 2
+        for doc in docs:
+            assert rlct.cli._indented_json(doc) == json.dumps(doc, indent=2)

@@ -19,6 +19,7 @@ from rlct import (
     normalize,
     parse_factored_product,
     rank,
+    rlct_central,
     row_space_canonical,
     subspace_leq,
 )
@@ -144,6 +145,18 @@ class TestBuildLattice:
         first = lattice_to_json_dict(build_lattice(arr))
         second = lattice_to_json_dict(build_lattice(arr))
         assert first == second
+
+    def test_cached_strings_do_not_leak_between_docs(self):
+        # `_rref_strings` is cached, so every doc must get its own lists: a
+        # caller that edits one report cannot change the next.
+        result = rlct_central(normalize(parse_factored_product("vars x, y, z; (2*x - 3*y)*(4*x + 6*y + 5*z)")))
+        first, second = result.to_json_dict(), result.to_json_dict()
+        expected = [["1", "-3/2", "0"]]
+        assert first["minimizer_flats"][0]["normal_space"] == expected
+        first["minimizer_flats"][0]["normal_space"][0][1] = "edited"
+        first["minimizer_flats"][0]["normal_space"].append(["0", "0", "1"])
+        assert second["minimizer_flats"][0]["normal_space"] == expected
+        assert result.to_json_dict() == second
 
     def test_degenerate_entries_match_bruteforce(self):
         # Entries in {-1, 0, 1} maximize flat coincidences and stress dedup.
