@@ -66,17 +66,24 @@ from .threshold import (
     rlct_central,
     rlct_line_arrangement_2d,
 )
-from .volume import (
-    AsymptoticFit,
-    VolumeSample,
-    default_box,
-    default_epsilon_grid,
-    estimate_volume,
-    fit_asymptotics,
-    synthetic_samples,
-)
 
 __version__ = "0.1.0"
+
+# The Monte Carlo layer, and numpy with it, loads on the first use of one of
+# these names; the exact engine above needs neither.
+_VOLUME_NAMES = frozenset({
+    "AsymptoticFit", "VolumeSample", "default_box", "default_epsilon_grid",
+    "estimate_volume", "fit_asymptotics", "synthetic_samples",
+})
+
+
+def __getattr__(name: str):
+    if name in _VOLUME_NAMES:
+        from . import volume
+
+        return getattr(volume, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ArrangementSpec",

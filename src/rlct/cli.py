@@ -13,6 +13,8 @@ Every report prints through `emit`, the one switch on --format, and the
 argparse parser is built once per process, at import. JSON reports print
 the bytes of `json.dumps(doc, indent=2)`, but through C-level joins
 (`_indented_json`): an `indent` makes `json.dumps` skip its C encoder.
+`rlct.volume`, and numpy with it, loads on the first `volume-fit`, through
+the module `__getattr__`; `compute`, `localize` and `parse` never load it.
 
 Exit codes: 0 on success, 1 when --verify (the checks of
 `rlct.oracle.verify_central` and `verify_report`) finds a mismatch
@@ -28,6 +30,7 @@ import sys
 from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .arrangement import (
     NormalizedArrangement,
@@ -41,11 +44,32 @@ from .oracle import verify_central, verify_report
 from .parser import parse_factored_product
 from .ratlinalg import as_rational, format_rational
 from .threshold import rlct_affine, rlct_central
-from .volume import epsilon_grid, estimate_volume, fit_asymptotics, synthetic_samples
+
+if TYPE_CHECKING:
+    from .volume import epsilon_grid, estimate_volume, fit_asymptotics, synthetic_samples
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USER_ERROR = 2
+
+# Bound on first use by `__getattr__`, so only `volume-fit` loads numpy.
+_VOLUME_NAMES = ("epsilon_grid", "estimate_volume", "fit_asymptotics", "synthetic_samples")
+
+
+def __getattr__(name: str):
+    """Import `rlct.volume` and bind `_VOLUME_NAMES` as module globals.
+
+    `setdefault` keeps a global that is already set, so a wrapper put on
+    `rlct.cli.estimate_volume` (a test's monkeypatch, a benchmark tracer)
+    stays what `cmd_volume_fit` calls.
+    """
+    if name not in _VOLUME_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import volume
+
+    for each in _VOLUME_NAMES:
+        globals().setdefault(each, getattr(volume, each))
+    return globals()[name]
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -183,6 +207,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_volume_fit(args: argparse.Namespace) -> int:
     """The grid and the box are checked before the exact pair is solved,
     so a bad --eps-* or --box fails without running the closure."""
+    __getattr__("estimate_volume")  # the volume names are module globals from here on
     arr = load_arrangement(args)
     grid = epsilon_grid(args.eps_min, args.eps_max, args.eps_points)
     box = parse_box(args.box, arr.dim)

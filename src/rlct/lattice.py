@@ -231,10 +231,18 @@ def build_lattice(arr: NormalizedArrangement) -> IntersectionLattice:
         raise EmptyArrangementError("arrangement has no hyperplanes")
     normals = [primitive_int_row(row) for row in arr.normals]
     mult = arr.multiplicities
-    triples = tuple(
-        (chain, mask, sum(mult[j] for j in range(n) if mask >> j & 1)) for chain, mask, _ in _closure(normals, d)
-    )
+    triples = tuple((chain, mask, _weight(mask, mult)) for chain, mask, _ in _closure(normals, d))
     return IntersectionLattice(triples=triples, dim=d, n_hyperplanes=n)
+
+
+def _weight(mask: int, mult: tuple[int, ...]) -> int:
+    """The sum of mult[j] over the members j of `mask`, one step per member."""
+    total = 0
+    while mask:
+        low = mask & -mask
+        total += mult[low.bit_length() - 1]
+        mask ^= low
+    return total
 
 
 def inclusion_dag(lat: IntersectionLattice) -> frozenset[tuple[int, int]]:
