@@ -43,17 +43,17 @@ from .errors import RlctError, SizeLimitError
 from .oracle import verify_central, verify_report
 from .parser import parse_factored_product
 from .ratlinalg import as_rational, format_rational
-from .threshold import rlct_affine, rlct_central
+from .threshold import box_localizations, rlct_affine, rlct_central
 
 if TYPE_CHECKING:
-    from .volume import epsilon_grid, estimate_volume, fit_asymptotics, synthetic_samples
+    from .volume import epsilon_grid, estimate_volume, fit_asymptotics, normalize_box, synthetic_samples
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USER_ERROR = 2
 
 # Bound on first use by `__getattr__`, so only `volume-fit` loads numpy.
-_VOLUME_NAMES = ("epsilon_grid", "estimate_volume", "fit_asymptotics", "synthetic_samples")
+_VOLUME_NAMES = ("epsilon_grid", "estimate_volume", "fit_asymptotics", "normalize_box", "synthetic_samples")
 
 
 def __getattr__(name: str):
@@ -205,14 +205,15 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_volume_fit(args: argparse.Namespace) -> int:
-    """The grid and the box are checked before the exact pair is solved,
+    """`exact` is the pair of the sampled box (the default box without
+    --box): the most singular local pair on it (see `box_localizations`).
+    The grid and the box are checked before the exact pair is solved,
     so a bad --eps-* or --box fails without running the closure."""
     __getattr__("estimate_volume")  # the volume names are module globals from here on
     arr = load_arrangement(args)
     grid = epsilon_grid(args.eps_min, args.eps_max, args.eps_points)
-    box = parse_box(args.box, arr.dim)
-    exact = rlct_central(arr) if arr.is_central else rlct_affine(arr).global_result
-    lam, m = exact.pair.threshold, exact.pair.multiplicity
+    box = normalize_box(parse_box(args.box, arr.dim), arr.dim)
+    lam, m = min(rlct_central(sub).pair for sub in box_localizations(arr, box)).astuple()
 
     if args.selftest:
         samples = synthetic_samples(float(lam), m, 1.0, grid)

@@ -9,7 +9,8 @@ in them, and the oracles and `--verify` compute with them.
 The lattice closure works on primitive integer rows instead, and
 `eliminate` is its one elimination step. The rows it carries for a flat
 are the rational RREF with each row rescaled to a primitive integer
-vector, which carries exactly the same identity guarantee.
+vector, which carries exactly the same identity guarantee. `meets_box`
+decides on such rows whether a flat meets a closed box.
 """
 
 from __future__ import annotations
@@ -256,3 +257,57 @@ def integer_rank(rows: Iterable[tuple[int, ...]]) -> int:
         if any(row):
             echelon[next(c for c, x in enumerate(row) if x)] = row
     return len(echelon)
+
+
+def meets_box(rows: Sequence[tuple[int, ...]], bounds: Sequence[tuple[Fraction, Fraction]]) -> bool:
+    """Whether some x with lo <= x <= hi solves a·x + b = 0 for every integer
+    row (a | b), decided exactly by phase one of the simplex method.
+
+    With x = lo + s and w = hi - lo the question is whether A·s = r,
+    0 <= s <= w has a solution, r = -(A·lo + b). In equality form with
+    slacks t = w - s >= 0, each row s_i + t_i = w_i starts with t_i basic,
+    and each equation, scaled to integers with r >= 0, gets an artificial
+    variable. The pivots lower the artificials' sum, choosing the entering
+    and the leaving variable by Bland's rule so that no cycle occurs; the
+    box meets the solutions iff the sum ends at 0. An equation 0 = r with
+    r != 0 keeps its artificial positive. Rows stay integer: a pivot scales
+    each other row by the pivot entry, which is positive, and cuts it by its
+    gcd, so no sign and no ratio changes. (Fourier–Motzkin, the textbook
+    alternative, can blow up doubly exponentially: a codim-4 flat in 8
+    variables took seconds.)
+    """
+    d, k = len(bounds), len(rows)
+    width = d + d + k  # columns s, t, artificials; the right side is last
+    table = []
+    for i, row in enumerate(rows):
+        r = -row[d] - sum(a * low for a, (low, _) in zip(row, bounds))
+        scale = r.denominator if r >= 0 else -r.denominator
+        line = [scale * a for a in row[:d]] + [0] * (d + k) + [int(scale * r)]
+        line[d + d + i] = 1
+        table.append(line)
+    for i, (low, high) in enumerate(bounds):
+        line = [0] * width + [(high - low).numerator]
+        line[i] = line[d + i] = (high - low).denominator
+        table.append(line)
+    basis = [d + d + i for i in range(k)] + [d + i for i in range(d)]
+    # Reduced costs of the artificials' sum, then its negated value.
+    cost = [-sum(line[j] for line in table[:k]) for j in range(d + d)] + [0] * k
+    cost.append(-sum(line[-1] for line in table[:k]))
+    while True:
+        enter = next((j for j in range(width) if cost[j] < 0), None)
+        if enter is None:
+            return cost[-1] == 0
+        # Some entry is positive, since the artificials' sum is bounded below.
+        leave = min(
+            (i for i in range(len(table)) if table[i][enter] > 0),
+            key=lambda i: (Fraction(table[i][-1], table[i][enter]), basis[i]),
+        )
+        pivot, p = table[leave], table[leave][enter]
+        for line in table + [cost]:
+            if line is not pivot and line[enter]:
+                f = line[enter]
+                line[:] = [p * x - f * y for x, y in zip(line, pivot)]
+                g = gcd(*line)
+                if g > 1:
+                    line[:] = [x // g for x in line]
+        basis[leave] = enter

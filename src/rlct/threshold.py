@@ -8,6 +8,8 @@ union and intersection, so that length is the number of join-irreducibles
 of the lattice they form. Affine arrangements reduce to finitely many
 central ones, one per maximal set of hyperplanes with a common point, and
 the global pair is the minimum of the local pairs in the singularity order.
+The pair of a closed box is the minimum over the flats that meet it
+(`box_localizations`).
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from fractions import Fraction
 from functools import total_ordering
 
 from .arrangement import NormalizedArrangement
-from .errors import CentralityError, EmptyArrangementError, InvalidMultiplicityError
+from .errors import CentralityError, EmptyArrangementError, InvalidMultiplicityError, RlctError
 from .lattice import Flat, IntersectionLattice, _canonical_rows, _closure, _lattice_order, build_lattice
-from .ratlinalg import RationalMatrix, format_rational, primitive_int_row
+from .ratlinalg import RationalMatrix, format_rational, meets_box, primitive_int_row
 
 
 @total_ordering
@@ -212,10 +214,9 @@ def maximal_central_localizations(
     n, d = arr.n, arr.dim
     if n == 0:
         raise EmptyArrangementError("arrangement has no hyperplanes")
-    augmented = [primitive_int_row(tuple(arr.normals.row(j)) + (arr.offsets[j],)) for j in range(n)]
     found = sorted(
         (tuple(j for j in range(n) if mask >> j & 1), chain)
-        for chain, mask, maximal in _closure(augmented, d)
+        for chain, mask, maximal in _closure(_augmented(arr), d)
         if maximal
     )
     out = []
@@ -224,14 +225,52 @@ def maximal_central_localizations(
         for row in _canonical_rows(chain):
             pc = next(c for c, x in enumerate(row) if x)  # never pc == d: the rows are consistent
             point[pc] = Fraction(-row[d], row[pc])
-        sub = NormalizedArrangement(
-            normals=RationalMatrix([arr.normals.row(j) for j in members], cols=d),
-            offsets=(Fraction(0),) * len(members),
-            multiplicities=tuple(arr.multiplicities[j] for j in members),
-            variables=arr.variables,
-        )
-        out.append((tuple(point), sub))
+        out.append((tuple(point), _centered(arr, members)))
     return out
+
+
+def _augmented(arr: NormalizedArrangement) -> list[tuple[int, ...]]:
+    """Each hyperplane's primitive integer row (a | b)."""
+    return [primitive_int_row(tuple(arr.normals.row(j)) + (arr.offsets[j],)) for j in range(arr.n)]
+
+
+def _centered(arr: NormalizedArrangement, members) -> NormalizedArrangement:
+    """The hyperplanes `members` of `arr`, moved to pass through the origin."""
+    return NormalizedArrangement(
+        normals=RationalMatrix([arr.normals.row(j) for j in members], cols=arr.dim),
+        offsets=(Fraction(0),) * len(members),
+        multiplicities=tuple(arr.multiplicities[j] for j in members),
+        variables=arr.variables,
+    )
+
+
+def box_localizations(arr: NormalizedArrangement, bounds) -> list[NormalizedArrangement]:
+    """The central sub-arrangements whose pairs give the pair of a closed box.
+
+    The local pair at a point is the pair of the hyperplanes through it, and
+    more hyperplanes through a point are never less singular: the flats of
+    the fewer are flats of the more, with weights at least as large. So the
+    most singular point of the box lies on a flat of the augmented closure
+    that meets the box and is inclusion-maximal among those that do. The walk
+    takes flats by decreasing member count, skips a flat inside one already
+    taken, and tests the rest with `meets_box`, exactly over Q; a witness
+    point would not do, since a flat can cross a box away from it. A central
+    input's first flat holds every hyperplane and is `arr` itself, so a box
+    that this flat meets, as any box around the origin does, costs one test
+    and no closure. `bounds` is one (lo, hi) pair of rationals per
+    coordinate. A box that no hyperplane meets is an error.
+    """
+    rows = _augmented(arr)
+    if arr.is_central and meets_box(rows, bounds):
+        return [arr]
+    flats = sorted(((mask, chain) for chain, mask, _ in _closure(rows, arr.dim)), key=lambda f: -f[0].bit_count())
+    taken = []
+    for mask, chain in flats:
+        if all(mask & m != mask for m in taken) and meets_box(chain, bounds):
+            taken.append(mask)
+    if not taken:
+        raise RlctError("no hyperplane meets the box, so the polynomial has no zero there")
+    return [_centered(arr, [j for j in range(arr.n) if m >> j & 1]) for m in taken]
 
 
 def rlct_affine(arr: NormalizedArrangement) -> LocalizationReport:

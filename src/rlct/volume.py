@@ -7,7 +7,9 @@ end-to-end statistical check on the exact combinatorial computation.
 
 Sampling uses the counter-based Philox generator, one stream per call drawn
 chunk by chunk: sample k always consumes stream positions [k*dim, (k+1)*dim)
-of the seed's stream, so estimates do not depend on the chunk size.
+of the seed's stream, so estimates do not depend on the chunk size. A draw
+allocates its buffers once and evaluates every chunk of CHUNK_SAMPLES points
+in place (`_draw_hits`); 2^14 points keep the buffers cache-sized.
 
 A sweep down `epsilon_grid` (the grid `rlct volume-fit` samples) on one
 (arrangement, box, samples, seed) draws its points once: `estimate_volume`
@@ -29,7 +31,7 @@ from .arrangement import NormalizedArrangement
 from .errors import DegenerateBoxError, DimensionError, InsufficientDataError, RlctError
 from .ratlinalg import as_rational
 
-CHUNK_SAMPLES = 1 << 16
+CHUNK_SAMPLES = 1 << 14
 
 # The last estimate_volume call that drew: ((arr, bounds, samples, seed),
 # its log epsilon, one array of the log|f| values at or below that).
@@ -62,7 +64,10 @@ def default_epsilon_grid() -> list[float]:
     return epsilon_grid(1e-6, 1e-2, 9)
 
 
-def normalize_box(box: Sequence[Sequence], dim: int) -> Box:
+def normalize_box(box: Sequence[Sequence] | None, dim: int) -> Box:
+    """The box as exact (lo, hi) pairs with lo < hi; None is `default_box`."""
+    if box is None:
+        return default_box(dim)
     out = []
     for bounds in box:
         lo, hi = bounds
@@ -118,23 +123,24 @@ def estimate_volume(
     The record holds one float64 per hit at the drawing epsilon: at most
     1.07 MiB on the benchmark's volume-fit ops, whose hit fractions at
     eps = 1e-2 lie between 0.056 and 0.56.
+
+    A draw runs in chunks of size = min(CHUNK_SAMPLES, samples) points
+    through three buffers allocated once per draw (see `_draw_hits`), so
+    its memory is about size * (dim + n + 1) float64s plus the record:
+    1.1 MiB for 4 variables and 4 hyperplanes at the default chunk.
     """
     global _last_sweep
     if samples < 1:
         raise InsufficientDataError("need at least one sample")
     if not epsilon > 0:
         raise DegenerateBoxError(f"epsilon must be positive, got {epsilon}")
-    bounds = normalize_box(box, arr.dim) if box is not None else default_box(arr.dim)
+    bounds = normalize_box(box, arr.dim)
     lo = np.array(_floats([x for b in bounds for x in b], "a box bound")[0::2])
     widths = _floats([b[1] - b[0] for b in bounds], "a box width")
     width = np.array(widths)
     box_volume = math.prod(widths)
     if not math.isfinite(box_volume):
         raise DegenerateBoxError("the box volume is outside the float range")
-
-    normals = np.array([_floats(row, "a normal entry") for row in arr.normals])
-    offsets = np.array(_floats(arr.offsets, "an offset"))
-    exponents = np.array(_floats(arr.multiplicities, "a multiplicity"))
 
     log_epsilon = np.log(epsilon)
     key = (arr, bounds, samples, seed)
@@ -143,19 +149,7 @@ def estimate_volume(
     else:
         # Drop the old record first, so that two draws are never held at once.
         _last_sweep = None
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        kept = []
-        start = 0
-        while start < samples:
-            count = min(CHUNK_SAMPLES, samples - start)
-            points = lo + rng.random((count, arr.dim)) * width
-            # Compare log|f| so that huge factors cannot overflow to inf and
-            # turn inf * 0 into NaN; log 0 = -inf still counts as a hit.
-            with np.errstate(divide="ignore"):
-                log_f = np.log(np.abs(points @ normals.T + offsets)) @ exponents
-            kept.append(log_f[log_f <= log_epsilon])
-            start += count
-        _last_sweep = (key, log_epsilon, np.concatenate(kept))
+        _last_sweep = (key, log_epsilon, _draw_hits(arr, lo, width, samples, seed, log_epsilon))
         hits = _last_sweep[2].size
     fraction = hits / samples
     return VolumeSample(
@@ -164,6 +158,49 @@ def estimate_volume(
         std_error=box_volume * float(np.sqrt(fraction * (1.0 - fraction) / samples)),
         sample_count=samples,
     )
+
+
+def _draw_hits(
+    arr: NormalizedArrangement,
+    lo: np.ndarray,
+    width: np.ndarray,
+    samples: int,
+    seed: int,
+    log_epsilon: float,
+) -> np.ndarray:
+    """The log|f| values at or below log_epsilon of `samples` fresh points.
+
+    Three buffers, allocated once, serve every chunk: points (size, dim),
+    forms (size, n) and log|f| (size,), with size = min(CHUNK_SAMPLES,
+    samples); the last chunk uses a leading slice. Each float operation is
+    the one of `lo + rng.random((count, dim)) * width` and
+    `log(abs(points @ normals.T + offsets)) @ exponents`, in that order,
+    written into the buffers with `out=`, so the hits are bit for bit those
+    of the allocating form.
+    """
+    normals_t = np.array([_floats(row, "a normal entry") for row in arr.normals]).T.copy()
+    offsets = np.array(_floats(arr.offsets, "an offset"))
+    exponents = np.array(_floats(arr.multiplicities, "a multiplicity"))
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    size = min(CHUNK_SAMPLES, samples)
+    points, forms, log_f = np.empty((size, arr.dim)), np.empty((size, arr.n)), np.empty(size)
+    kept = []
+    # Compare log|f| so that huge factors cannot overflow to inf and turn
+    # inf * 0 into NaN; log 0 = -inf still counts as a hit.
+    with np.errstate(divide="ignore"):
+        for start in range(0, samples, size):
+            count = min(size, samples - start)
+            p, fm, lf = points[:count], forms[:count], log_f[:count]
+            rng.random(out=p)
+            np.multiply(p, width, out=p)
+            np.add(lo, p, out=p)
+            np.matmul(p, normals_t, out=fm)
+            np.add(fm, offsets, out=fm)
+            np.abs(fm, out=fm)
+            np.log(fm, out=fm)
+            np.matmul(fm, exponents, out=lf)
+            kept.append(lf[lf <= log_epsilon])
+    return np.concatenate(kept)
 
 
 def _floats(values, what: str) -> list[float]:

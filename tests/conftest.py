@@ -1,12 +1,14 @@
 """Shared generators for randomized tests, and one injected fault. Everything
 is seeded explicitly."""
 
+import itertools
 import random
 from fractions import Fraction
 
 from hypothesis import settings
 
 from rlct import ArrangementSpec, NormalizedArrangement, RationalMatrix, normalize, rank
+from rlct.ratlinalg import rref
 
 # Hypothesis draws the same examples on every run and every Python; each
 # test keeps its own max_examples.
@@ -57,3 +59,28 @@ def unreduced_rref_strings(rref_strings):
         return [f"{x}/{p}" if x % 5 == 0 and x and x != p else s for x, s in zip(row, rref_strings(row))]
 
     return unreduced
+
+
+def meets_box_bruteforce(rows, bounds) -> bool:
+    """Whether a·x + b = 0 for every row (a | b) has a solution with
+    lo <= x <= hi, by vertex enumeration in Fractions.
+
+    The solutions in the box form a bounded polyhedron, so if there are any,
+    one is a vertex: the unique solution of the equations together with
+    some coordinates fixed at a bound. Every choice of bound per coordinate
+    (none, lo or hi) is solved by `rref` and its solution checked.
+    """
+    d = len(bounds)
+    for choice in itertools.product((None, 0, 1), repeat=d):
+        system = [tuple(Fraction(x) for x in row) for row in rows]
+        for i, side in enumerate(choice):
+            if side is not None:
+                system.append(tuple(Fraction(int(c == i)) for c in range(d)) + (-bounds[i][side],))
+        if not system:
+            continue
+        reduced, r, pivots = rref(RationalMatrix(system, cols=d + 1))
+        if r == d and pivots == tuple(range(d)):
+            point = [-reduced[i, d] for i in range(d)]
+            if all(lo <= x <= hi for x, (lo, hi) in zip(point, bounds)):
+                return True
+    return False

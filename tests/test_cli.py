@@ -279,6 +279,37 @@ class TestVolumeFit:
         assert code == 0
         assert json.loads(out)["samples"][0]["volume"] <= 16.0
 
+    @pytest.mark.parametrize(
+        "poly, box",
+        [
+            ("x^3*(x-1/10)", "1/20,1/5"),  # the whole arrangement's pair (1/3, 1) is at x = 0
+            ("x*y", "1,2;-1,1"),  # only the line y = 0, not the point (0, 0), meets the box
+            ("vars x, y; x*(x-1)", "1/2,2;5,6"),  # x = 1 crosses the box away from (1, 0)
+        ],
+    )
+    def test_exact_is_the_pair_of_the_box(self, capsys, poly, box):
+        code, out, _ = run_cli(capsys, "volume-fit", "--poly", poly, "--box", box, "--selftest")
+        assert code == 0
+        assert json.loads(out)["exact"] == {"lambda": "1", "m": 1}
+
+    def test_box_without_a_zero_is_user_error(self, capsys):
+        code, out, err = run_cli(capsys, "volume-fit", "--poly", "x*(x-1)", "--box", "2,3", "--samples", "100")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "no zero" in err
+
+    def test_central_exact_pair_is_one_rlct_central(self, capsys, monkeypatch):
+        # The benchmark's ops: central input, default box. One rlct_central
+        # call on the input itself, through this module's binding, and no
+        # augmented closure.
+        calls = []
+        monkeypatch.setattr(rlct.cli, "rlct_central", lambda arr: calls.append(arr) or rlct.threshold.rlct_central(arr))
+        monkeypatch.setattr(rlct.threshold, "_closure", None)
+        code, out, _ = run_cli(capsys, "volume-fit", "--poly", "x*y^2*z^2*(x+y+z)", "--selftest")
+        assert code == 0
+        assert calls == [normalize(parse_factored_product("x*y^2*z^2*(x+y+z)"))]
+        assert json.loads(out)["exact"] == {"lambda": "1/2", "m": 3}
+
     def test_sweep_equals_library_sweep(self, capsys):
         # The CLI samples default_epsilon_grid() itself, so a library sweep
         # reproduces its samples bit for bit.

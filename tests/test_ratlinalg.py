@@ -18,9 +18,9 @@ from rlct import (
     subspace_leq,
 )
 from rlct.lattice import _canonical_rows, _closure
-from rlct.ratlinalg import eliminate, integer_rank, primitive_int_row, row_in_row_space
+from rlct.ratlinalg import eliminate, integer_rank, meets_box, primitive_int_row, row_in_row_space
 
-from conftest import random_invertible
+from conftest import meets_box_bruteforce, random_invertible
 
 F = Fraction
 
@@ -278,3 +278,63 @@ class TestClosureRows:
         rows = [primitive_int_row(r) for r in m]
         assert integer_rank(rows) == rank(m)
         assert integer_rank(rows + rows[::-1]) == integer_rank(rows)
+
+
+class TestMeetsBox:
+    """`meets_box` (phase one of the simplex method) against vertex enumeration."""
+
+    B = staticmethod(lambda *intervals: [(F(lo), F(hi)) for lo, hi in intervals])
+
+    def test_examples(self):
+        unit = self.B((0, 1), (0, 1))
+        assert meets_box([(10, -1)], self.B(("1/20", "1/5")))  # x = 1/10
+        assert not meets_box([(1, 0)], self.B(("1/20", "1/5")))  # x = 0
+        # x = 1 crosses [1/2, 2] x [5, 6] far from the witness point (1, 0).
+        assert meets_box([(1, 0, -1)], self.B(("1/2", 2), (5, 6)))
+        assert meets_box([(1, 1, -2)], unit)  # touches the corner (1, 1)
+        assert not meets_box([(1, 1, -2), (1, -1, 1)], unit)  # the point (1/2, 3/2)
+        assert not meets_box([(1, 1, 0), (1, 1, -1)], unit)  # parallel: no common point
+        assert meets_box([(2, 2, 2, -5)], self.B((0, 1), (0, 1), (0, 1)))
+        assert not meets_box([(2, 2, 2, -7)], self.B((0, 1), (0, 1), (0, 1)))
+        assert meets_box([], unit)
+
+    def test_matches_vertex_enumeration(self):
+        rng = random.Random(91)
+        outcomes = []
+        for _ in range(300):
+            d = rng.randint(1, 4)
+            bounds = []
+            for _ in range(d):
+                lo = F(rng.randint(-6, 4), rng.randint(1, 3))
+                bounds.append((lo, lo + F(rng.randint(1, 6), rng.randint(1, 3))))
+            # About half the rows pass through one point of the box, so both answers occur.
+            inside = [F(rng.randint(0, 4), 4) * (hi - lo) + lo for lo, hi in bounds]
+            rows = []
+            for _ in range(rng.randint(0, d)):
+                normal = [rng.randint(-3, 3) for _ in range(d)]
+                if rng.random() < 0.5:
+                    offset = -sum(a * x for a, x in zip(normal, inside))
+                else:
+                    offset = F(rng.randint(-9, 9), rng.randint(1, 2))
+                # Any integer multiple: meets_box must not rely on positive leads.
+                scale = rng.choice((-2, -1, 1, 3))
+                rows.append(tuple(scale * x for x in primitive_int_row(normal + [offset])))
+            expected = meets_box_bruteforce(rows, bounds)
+            assert meets_box(rows, bounds) == expected, (rows, bounds)
+            outcomes.append(expected)
+        assert 50 < sum(outcomes) < 250
+
+    def test_many_variables(self):
+        # Twelve variables, six equations through a known point of the box:
+        # met, and missed once x_0 = 2 is added. Fourier–Motzkin would
+        # blow up here; the simplex takes a few pivots.
+        rng = random.Random(92)
+        bounds = self.B(*[(-1, 1)] * 12)
+        for _ in range(5):
+            inside = [F(rng.randint(-3, 3), 4) for _ in range(12)]
+            rows = []
+            for _ in range(6):
+                normal = [rng.randint(-5, 5) for _ in range(12)]
+                rows.append(primitive_int_row(normal + [-sum(a * x for a, x in zip(normal, inside))]))
+            assert meets_box(rows, bounds)
+            assert not meets_box(rows + [(1,) + (0,) * 11 + (-2,)], bounds)

@@ -1,5 +1,6 @@
 """Threshold pair computation: golden values, closed form, localization."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from rlct import (
     CentralityError,
     EmptyArrangementError,
     NormalizedArrangement,
+    RlctError,
     RlctPair,
     build_lattice,
     localizations_bruteforce,
@@ -24,9 +26,9 @@ from rlct import (
 )
 from rlct import lattice, threshold
 from rlct.ratlinalg import RationalMatrix, subspace_leq
-from rlct.threshold import maximal_central_localizations
+from rlct.threshold import box_localizations, maximal_central_localizations
 
-from conftest import random_central_arrangement, random_invertible
+from conftest import meets_box_bruteforce, random_central_arrangement, random_invertible
 
 F = Fraction
 
@@ -409,6 +411,72 @@ class TestAffine:
         report = rlct_affine(arr)
         assert report.global_pair == pair(1, 1)
         assert len(report.localizations) == 2
+
+
+class TestBoxPair:
+    """The pair of a closed box: the most singular pair of `box_localizations`."""
+
+    @staticmethod
+    def box_pair(arr, box):
+        bounds = [(F(lo), F(hi)) for lo, hi in box]
+        return min(rlct_central(sub).pair for sub in box_localizations(arr, bounds))
+
+    def test_examples(self):
+        assert self.box_pair(arr_of("x^3*(x-1/10)"), [("1/20", "1/5")]) == pair(1, 1)
+        assert self.box_pair(arr_of("x^3*(x-1/10)"), [(-1, 1)]) == pair(F(1, 3), 1)
+        # Only the non-maximal flat y = 0 meets this box.
+        assert self.box_pair(arr_of("x*y"), [(1, 2), (-1, 1)]) == pair(1, 1)
+        # x = 1 crosses the box away from its witness point (1, 0).
+        assert self.box_pair(arr_of("vars x, y; x*(x-1)"), [("1/2", 2), (5, 6)]) == pair(1, 1)
+        with pytest.raises(RlctError, match="no zero"):
+            box_localizations(arr_of("x*(x-1)"), [(F(2), F(3))])
+
+    def test_central_input_meeting_the_box_runs_no_closure(self, monkeypatch):
+        # The flat of every hyperplane comes first in the walk and contains all others.
+        monkeypatch.setattr(threshold, "_closure", None)
+        arr = arr_of("x*y^2*z^2*(x+y+z)")
+        assert box_localizations(arr, [(F(-1), F(1))] * 3) == [arr]
+        # A line of common points that meets the box above the origin.
+        arr = arr_of("vars x, y, z; x*y*(x+y)")
+        assert box_localizations(arr, [(F(-1), F(1)), (F(0), F(1)), (F(5), F(6))]) == [arr]
+
+    def test_matches_all_subsets(self):
+        # Independent route: each subset of hyperplanes whose common points
+        # meet the box (by vertex enumeration) offers its centered pair.
+        rng = random.Random(83)
+        local = empty = 0
+        for _ in range(30):
+            d = rng.randint(1, 3)
+            n = rng.randint(1, 5)
+            rows, offsets = [], []
+            for _ in range(n):
+                while True:
+                    row = [F(rng.randint(-2, 2)) for _ in range(d)]
+                    if any(row):
+                        break
+                rows.append(row)
+                offsets.append(F(rng.randint(-2, 2), rng.randint(1, 2)))
+            arr = normalize(ArrangementSpec(rows, [rng.randint(1, 3) for _ in range(n)], offsets=offsets))
+            bounds = []
+            for _ in range(d):
+                lo = F(rng.randint(-3, 2), rng.randint(1, 2))
+                bounds.append((lo, lo + F(rng.randint(1, 3), rng.randint(1, 2))))
+            planes = [tuple(arr.normals.row(j)) + (arr.offsets[j],) for j in range(arr.n)]
+            candidates = [
+                rlct_central(normalize(ArrangementSpec([arr.normals.row(j) for j in subset],
+                                                       [arr.multiplicities[j] for j in subset]))).pair
+                for size in range(1, arr.n + 1)
+                for subset in itertools.combinations(range(arr.n), size)
+                if meets_box_bruteforce([planes[j] for j in subset], bounds)
+            ]
+            if not candidates:
+                empty += 1
+                with pytest.raises(RlctError):
+                    box_localizations(arr, bounds)
+                continue
+            assert self.box_pair(arr, bounds) == min(candidates)
+            local += min(candidates) != rlct_affine(arr).global_pair
+        assert empty >= 3 and local >= 3, (empty, local)
 
 
 class TestInvariances:

@@ -76,9 +76,42 @@ class TestEstimateVolume:
             return [estimate_volume(arr, None, eps, 20_003, seed=3) for eps in default_epsilon_grid()]
 
         default = sweep()
-        for chunk in (7, 1000):
+        # The buffers' edges: one chunk exactly, a last chunk of one sample,
+        # and a chunk larger than the draw.
+        for chunk in (7, 1000, 20_003, 20_002, 1 << 16):
             monkeypatch.setattr(rlct.volume, "CHUNK_SAMPLES", chunk)
             assert sweep() == default
+
+    def test_in_place_loop_is_the_allocating_loop(self):
+        # The chunk loop writes into buffers; this is the allocating form of
+        # the same float operations, in the same order. Every kept log|f|
+        # must agree bit for bit, so a reordered operation fails here even
+        # where it moves no hit count.
+        arr = arr_of("vars x, y, z; (3/2*x - 5/3*y + 1/7*z + 1/3)^2*(2*x + y - 1/3)^3*(x - 7/4*z + 1/5)")
+        box = [("-1/3", "2"), ("-1", "5/4"), ("1/7", "9/5")]
+        samples = 3 * rlct.volume.CHUNK_SAMPLES + 12_345
+        bounds = rlct.volume.normalize_box(box, arr.dim)
+        lo = np.array([float(b[0]) for b in bounds])
+        width = np.array([float(b[1] - b[0]) for b in bounds])
+        normals = np.array([[float(x) for x in row] for row in arr.normals])
+        offsets = np.array([float(x) for x in arr.offsets])
+        exponents = np.array([float(x) for x in arr.multiplicities])
+        rng = np.random.Generator(np.random.Philox(key=11))
+        log_f = []
+        for start in range(0, samples, 1 << 16):
+            points = lo + rng.random((min(1 << 16, samples - start), arr.dim)) * width
+            with np.errstate(divide="ignore"):
+                log_f.append(np.log(np.abs(points @ normals.T + offsets)) @ exponents)
+        log_f = np.concatenate(log_f)
+
+        grid = rlct.volume.epsilon_grid(1e-4, 1.0, 9)
+        sweep = [estimate_volume(arr, box, eps, samples, seed=11) for eps in grid]
+        hits = [np.count_nonzero(log_f <= np.log(eps)) for eps in grid]
+        box_volume = math.prod(float(hi - lo) for lo, hi in bounds)
+        assert [s.volume_estimate for s in sweep] == [box_volume * (h / samples) for h in hits]
+        assert 0 < hits[-1] < hits[0] < samples
+        kept = rlct.volume._last_sweep[2]
+        assert kept.tobytes() == log_f[log_f <= np.log(grid[0])].tobytes()
 
     def test_sweeps_reuse_only_their_own_draw(self):
         # Ascending epsilon never reuses the last call's draw, so it is the
