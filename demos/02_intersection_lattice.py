@@ -10,13 +10,7 @@ closure-based construction against the all-subsets brute force.
 
 from fractions import Fraction
 
-from rlct import (
-    build_lattice,
-    inclusion_dag,
-    lattice_bruteforce,
-    normalize,
-    parse_factored_product,
-)
+from rlct import build_lattice, lattice_bruteforce, normalize, parse_factored_product
 
 
 def main() -> None:
@@ -41,7 +35,9 @@ def main() -> None:
         )
     print(f"\nminimum ratio (the threshold) = {min(ratios)}")
 
-    pairs = inclusion_dag(lat)
+    # Flat i lies strictly inside flat j iff j's members are a proper subset of i's.
+    masks = [flat.mask for flat in lat.flats]
+    pairs = [(i, j) for i, mi in enumerate(masks) for j, mj in enumerate(masks) if mi != mj and mi & mj == mj]
     print(f"strict containments: {len(pairs)} pairs")
     origin = max(range(len(lat.flats)), key=lambda i: lat.flats[i].codim)
     below = sorted(j for (i, j) in pairs if i == origin)

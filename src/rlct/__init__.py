@@ -36,25 +36,19 @@ from .errors import (
     SizeLimitError,
     UnknownVariableError,
 )
-from .lattice import (
-    Flat,
-    IntersectionLattice,
-    build_lattice,
-    inclusion_dag,
-    lattice_to_json_dict,
-)
-from .oracle import lattice_bruteforce, localizations_bruteforce, longest_chain_bruteforce
-from .parser import format_factored_product, parse_factored_product
-from .ratlinalg import (
-    RationalMatrix,
-    as_rational,
-    format_rational,
+from .lattice import Flat, IntersectionLattice, build_lattice
+from .oracle import (
     kernel_basis,
+    lattice_bruteforce,
+    localizations_bruteforce,
+    longest_chain_bruteforce,
     rank,
     row_space_canonical,
     rref,
     subspace_leq,
 )
+from .parser import format_factored_product, parse_factored_product
+from .ratlinalg import RationalMatrix, as_rational, format_rational
 from .threshold import (
     Localization,
     LocalizationReport,
@@ -120,10 +114,8 @@ __all__ = [
     "fit_asymptotics",
     "format_factored_product",
     "format_rational",
-    "inclusion_dag",
     "kernel_basis",
     "lattice_bruteforce",
-    "lattice_to_json_dict",
     "localizations_bruteforce",
     "longest_chain_bruteforce",
     "maximal_central_localizations",

@@ -101,7 +101,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     volume.add_argument("--eps-min", type=float, default=1e-6)
     volume.add_argument("--eps-max", type=float, default=1e-2)
     volume.add_argument("--eps-points", type=int, default=9)
-    volume.add_argument("--box", metavar="SPEC", default=None, help='bounds "lo,hi;lo,hi;..."')
+    volume.add_argument("--box", metavar="SPEC", default=None,
+                        help='bounds "lo,hi;lo,hi;..."; a negative first bound needs --box="-1,1;..."')
     volume.add_argument("--gnuplot", metavar="FILE", default=None, help="write plot-ready data file")
     volume.add_argument(
         "--selftest",

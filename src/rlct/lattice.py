@@ -87,8 +87,6 @@ class IntersectionLattice:
     """
 
     triples: tuple[tuple[tuple[tuple[int, ...], ...], int, int], ...]
-    dim: int
-    n_hyperplanes: int
 
     @cached_property
     def flats(self) -> tuple[Flat, ...]:
@@ -226,13 +224,12 @@ def build_lattice(arr: NormalizedArrangement) -> IntersectionLattice:
     """
     if not arr.is_central:
         raise CentralityError("the intersection lattice is defined for central arrangements; localize first")
-    n, d = arr.n, arr.dim
-    if n == 0:
+    if arr.n == 0:
         raise EmptyArrangementError("arrangement has no hyperplanes")
     normals = [primitive_int_row(row) for row in arr.normals]
     mult = arr.multiplicities
-    triples = tuple((chain, mask, _weight(mask, mult)) for chain, mask, _ in _closure(normals, d))
-    return IntersectionLattice(triples=triples, dim=d, n_hyperplanes=n)
+    triples = tuple((chain, mask, _weight(mask, mult)) for chain, mask, _ in _closure(normals, arr.dim))
+    return IntersectionLattice(triples=triples)
 
 
 def _weight(mask: int, mult: tuple[int, ...]) -> int:
@@ -244,25 +241,3 @@ def _weight(mask: int, mult: tuple[int, ...]) -> int:
         mask ^= low
     return total
 
-
-def inclusion_dag(lat: IntersectionLattice) -> frozenset[tuple[int, int]]:
-    """Every (i, j) with flats[i] strictly inside flats[j], via member-set reversal.
-
-    Within one lattice, flat_i is contained in flat_j exactly when
-    members(flat_j) is a proper subset of members(flat_i); this matches the
-    geometric subspace test and is property-checked against it.
-    """
-    masks = [flat.mask for flat in lat.flats]
-    return frozenset(
-        (i, j) for i, mi in enumerate(masks) for j, mj in enumerate(masks) if mi != mj and mi & mj == mj
-    )
-
-
-def lattice_to_json_dict(lat: IntersectionLattice) -> dict:
-    """Debug/test export: all flats plus the strict containment pairs."""
-    return {
-        "dim": lat.dim,
-        "n_hyperplanes": lat.n_hyperplanes,
-        "flats": [flat.to_json_dict() for flat in lat.flats],
-        "containment_pairs": sorted(inclusion_dag(lat)),
-    }

@@ -7,20 +7,116 @@ products against kernel basis vectors. It is all Fraction arithmetic,
 flats print themselves, and nothing is shared with the integer closure
 of production, which is the point: `verify_central` and `verify_report`
 (behind the CLI `--verify` flag) and the test suite compare the two.
+
+The module owns its Fraction linear algebra (`rref`, `rank`,
+`row_space_canonical`, `kernel_basis`, `row_in_row_space`,
+`subspace_leq`); no production module calls it, and it imports nothing
+from `lattice` or `threshold`.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from fractions import Fraction
 from itertools import combinations
+from typing import Sequence
 
 from .arrangement import NormalizedArrangement
-from .errors import CentralityError, SizeLimitError
-from .ratlinalg import (RationalMatrix, kernel_basis, rank, row_in_row_space, row_space_canonical,
-                        subspace_leq)
+from .errors import CentralityError, DimensionError, SizeLimitError
+from .ratlinalg import RationalLike, RationalMatrix, as_rational
 
 MAX_BRUTEFORCE_HYPERPLANES = 20
 MAX_BRUTEFORCE_CHAIN_FLATS = 50
+
+
+def rref(matrix: RationalMatrix) -> tuple[RationalMatrix, int, tuple[int, ...]]:
+    """Reduced row echelon form by Gauss-Jordan elimination.
+
+    Returns (R, rank, pivot_columns). R is unique for the row space of the
+    input: pivots are 1, pivot columns are otherwise zero, zero rows trail.
+    """
+    work = [list(row) for row in matrix]
+    n_rows, width = matrix.rows, matrix.cols
+    pivots: list[int] = []
+    r = 0
+    for c in range(width):
+        if r == n_rows:
+            break
+        pivot_row = next((i for i in range(r, n_rows) if work[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        pivot = work[r][c]
+        if pivot != 1:
+            work[r] = [x / pivot for x in work[r]]
+        for i in range(n_rows):
+            if i != r and work[i][c] != 0:
+                factor = work[i][c]
+                work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+    return RationalMatrix(work, cols=width), r, tuple(pivots)
+
+
+def rank(matrix: RationalMatrix) -> int:
+    return rref(matrix)[1]
+
+
+def row_space_canonical(matrix: RationalMatrix) -> RationalMatrix:
+    """RREF with zero rows removed: the canonical representative of a row space.
+
+    Equal row spaces map to equal (hashable) matrices, so the result doubles
+    as a dedup key.
+    """
+    reduced, rk, _ = rref(matrix)
+    return RationalMatrix(reduced.entries[:rk], cols=matrix.cols)
+
+
+def kernel_basis(matrix: RationalMatrix) -> RationalMatrix:
+    """Canonical basis of the right kernel {x : Mx = 0}, one vector per row.
+
+    The result has cols(M) - rank(M) rows and is itself in canonical
+    (RREF, no zero rows) form.
+    """
+    reduced, rk, pivots = rref(matrix)
+    width = matrix.cols
+    pivot_set = set(pivots)
+    free = [c for c in range(width) if c not in pivot_set]
+    basis = []
+    for f in free:
+        vec = [Fraction(0)] * width
+        vec[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            vec[p] = -reduced[i, f]
+        basis.append(vec)
+    return row_space_canonical(RationalMatrix(basis, cols=width))
+
+
+def row_in_row_space(row: Sequence[RationalLike], canonical: RationalMatrix) -> bool:
+    """Membership test against a matrix already in canonical (RREF) form."""
+    residue = [as_rational(x) for x in row]
+    if len(residue) != canonical.cols:
+        raise DimensionError("row length does not match matrix width")
+    for basis_row in canonical:
+        lead = next((c for c, x in enumerate(basis_row) if x != 0), None)
+        if lead is None:
+            continue
+        factor = residue[lead]
+        if factor != 0:
+            residue = [a - factor * b for a, b in zip(residue, basis_row)]
+    return all(x == 0 for x in residue)
+
+
+def subspace_leq(w1_normals: RationalMatrix, w2_normals: RationalMatrix) -> bool:
+    """True iff the flat with normal space w1 lies inside the flat with normal space w2.
+
+    Containment of flats reverses containment of their normal spaces, so this
+    checks row_space(w2) <= row_space(w1). Inputs need not be canonical.
+    """
+    if w1_normals.cols != w2_normals.cols:
+        raise DimensionError("normal spaces live in different ambient dimensions")
+    canon1 = row_space_canonical(w1_normals)
+    return all(row_in_row_space(row, canon1) for row in w2_normals)
 
 
 class ReferenceFlat(namedtuple("ReferenceFlat", "rows mask weight")):
@@ -37,8 +133,8 @@ class ReferenceFlat(namedtuple("ReferenceFlat", "rows mask weight")):
                 "s": self.weight, "members": members}
 
 
-# The oracle's flats, in its own rational order, with the arrangement's shape.
-ReferenceLattice = namedtuple("ReferenceLattice", "flats dim n_hyperplanes")
+# The oracle's flats, in its own rational order.
+ReferenceLattice = namedtuple("ReferenceLattice", "flats")
 
 
 def lattice_bruteforce(arr: NormalizedArrangement) -> ReferenceLattice:
@@ -71,7 +167,7 @@ def lattice_bruteforce(arr: NormalizedArrangement) -> ReferenceLattice:
         # integer sort key is checked.
         keyed.append(((space.rows, space.entries), flat))
     keyed.sort(key=lambda item: item[0])
-    return ReferenceLattice(flats=tuple(flat for _, flat in keyed), dim=d, n_hyperplanes=n)
+    return ReferenceLattice(flats=tuple(flat for _, flat in keyed))
 
 
 def localizations_bruteforce(arr: NormalizedArrangement) -> list[tuple[int, ...]]:

@@ -1,15 +1,13 @@
-"""Exact linear algebra over the rationals, and the integer rows of the closure.
+"""Exact rationals at the edges, and the integer rows of the closure.
 
-`RationalMatrix` and its functions are built on `fractions.Fraction`, so
-elimination never rounds and canonical forms are unique per row space: two
-matrices span the same row space if and only if `row_space_canonical`
-returns bit-identical results for both. Arrangements hold their normals
-in them, and the oracles and `--verify` compute with them.
+`RationalMatrix` is a matrix of `fractions.Fraction`, so nothing read in
+or printed ever rounds; arrangements hold their normals in it, and
+`as_rational` and `format_rational` read and print single values.
 
 The lattice closure works on primitive integer rows instead, and
 `eliminate` is its one elimination step. The rows it carries for a flat
 are the rational RREF with each row rescaled to a primitive integer
-vector, which carries exactly the same identity guarantee. `meets_box`
+vector, so two flats are equal if and only if their rows are. `meets_box`
 decides on such rows whether a flat meets a closed box.
 """
 
@@ -121,96 +119,6 @@ class RationalMatrix:
 
     def to_string_lists(self) -> list[list[str]]:
         return [[format_rational(x) for x in row] for row in self.entries]
-
-
-def rref(matrix: RationalMatrix) -> tuple[RationalMatrix, int, tuple[int, ...]]:
-    """Reduced row echelon form by Gauss-Jordan elimination.
-
-    Returns (R, rank, pivot_columns). R is unique for the row space of the
-    input: pivots are 1, pivot columns are otherwise zero, zero rows trail.
-    """
-    work = [list(row) for row in matrix]
-    n_rows, width = matrix.rows, matrix.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(width):
-        if r == n_rows:
-            break
-        pivot_row = next((i for i in range(r, n_rows) if work[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        pivot = work[r][c]
-        if pivot != 1:
-            work[r] = [x / pivot for x in work[r]]
-        for i in range(n_rows):
-            if i != r and work[i][c] != 0:
-                factor = work[i][c]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-    return RationalMatrix(work, cols=width), r, tuple(pivots)
-
-
-def rank(matrix: RationalMatrix) -> int:
-    return rref(matrix)[1]
-
-
-def row_space_canonical(matrix: RationalMatrix) -> RationalMatrix:
-    """RREF with zero rows removed: the canonical representative of a row space.
-
-    Equal row spaces map to equal (hashable) matrices, so the result doubles
-    as a dedup key.
-    """
-    reduced, rk, _ = rref(matrix)
-    return RationalMatrix(reduced.entries[:rk], cols=matrix.cols)
-
-
-def kernel_basis(matrix: RationalMatrix) -> RationalMatrix:
-    """Canonical basis of the right kernel {x : Mx = 0}, one vector per row.
-
-    The result has cols(M) - rank(M) rows and is itself in canonical
-    (RREF, no zero rows) form.
-    """
-    reduced, rk, pivots = rref(matrix)
-    width = matrix.cols
-    pivot_set = set(pivots)
-    free = [c for c in range(width) if c not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * width
-        vec[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            vec[p] = -reduced[i, f]
-        basis.append(vec)
-    return row_space_canonical(RationalMatrix(basis, cols=width))
-
-
-def row_in_row_space(row: Sequence[RationalLike], canonical: RationalMatrix) -> bool:
-    """Membership test against a matrix already in canonical (RREF) form."""
-    residue = [as_rational(x) for x in row]
-    if len(residue) != canonical.cols:
-        raise DimensionError("row length does not match matrix width")
-    for basis_row in canonical:
-        lead = next((c for c, x in enumerate(basis_row) if x != 0), None)
-        if lead is None:
-            continue
-        factor = residue[lead]
-        if factor != 0:
-            residue = [a - factor * b for a, b in zip(residue, basis_row)]
-    return all(x == 0 for x in residue)
-
-
-def subspace_leq(w1_normals: RationalMatrix, w2_normals: RationalMatrix) -> bool:
-    """True iff the flat with normal space w1 lies inside the flat with normal space w2.
-
-    Containment of flats reverses containment of their normal spaces, so this
-    checks row_space(w2) <= row_space(w1). Inputs need not be canonical.
-    """
-    if w1_normals.cols != w2_normals.cols:
-        raise DimensionError("normal spaces live in different ambient dimensions")
-    canon1 = row_space_canonical(w1_normals)
-    return all(row_in_row_space(row, canon1) for row in w2_normals)
 
 
 # ---------------------------------------------------------------------------

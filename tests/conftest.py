@@ -8,7 +8,7 @@ from fractions import Fraction
 from hypothesis import settings
 
 from rlct import ArrangementSpec, NormalizedArrangement, RationalMatrix, normalize, rank
-from rlct.ratlinalg import rref
+from rlct.oracle import rref
 
 # Hypothesis draws the same examples on every run and every Python; each
 # test keeps its own max_examples.

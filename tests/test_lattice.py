@@ -13,8 +13,6 @@ from rlct import (
     CentralityError,
     RationalMatrix,
     build_lattice,
-    inclusion_dag,
-    lattice_to_json_dict,
     localizations_bruteforce,
     normalize,
     parse_factored_product,
@@ -25,7 +23,8 @@ from rlct import (
 )
 from rlct import lattice
 from rlct.lattice import _canonical_rows, _closure
-from rlct.ratlinalg import primitive_int_row, row_in_row_space
+from rlct.oracle import row_in_row_space
+from rlct.ratlinalg import primitive_int_row
 from rlct.threshold import maximal_central_localizations
 
 from conftest import random_central_arrangement, random_invertible
@@ -142,8 +141,8 @@ class TestBuildLattice:
     def test_repeat_build_is_identical(self):
         rng = random.Random(38)
         arr = random_central_arrangement(rng, max_n=8, max_d=4)
-        first = lattice_to_json_dict(build_lattice(arr))
-        second = lattice_to_json_dict(build_lattice(arr))
+        first = [f.to_json_dict() for f in build_lattice(arr).flats]
+        second = [f.to_json_dict() for f in build_lattice(arr).flats]
         assert first == second
 
     def test_cached_strings_do_not_leak_between_docs(self):
@@ -200,42 +199,20 @@ class TestBuildLattice:
 
 
 class TestInclusionDag:
-    def test_cross_containments(self):
-        lat = build_lattice(arrangement([[1, 0], [0, 1]], [1, 1]))
-        pairs = inclusion_dag(lat)
-        # flats: [line x=0? no: rows sorted lex] indices 0,1 codim 1; 2 = origin.
-        assert (2, 0) in pairs and (2, 1) in pairs
-        assert (0, 1) not in pairs and (1, 0) not in pairs
-        assert (0, 2) not in pairs
-
-    def test_nested_chain_exists_in_four_planes(self):
-        lat = build_lattice(
-            arrangement([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], [1, 2, 2, 1])
-        )
-        flats = lat.flats
-        origin = next(f for f in flats if f.codim == 3)
-        line = next(f for f in flats if f.codim == 2 and f.weight == 4)
-        planes = [f for f in flats if f.codim == 1 and f.weight == 2]
-        assert len(planes) == 2
-        i_origin, i_line = flats.index(origin), flats.index(line)
-        pairs = inclusion_dag(lat)
-        assert (i_origin, i_line) in pairs
-        for plane in planes:
-            assert (i_line, flats.index(plane)) in pairs
-
     def test_matches_pairwise_subspace_oracle(self):
         rng = random.Random(35)
         for _ in range(12):
             arr = random_central_arrangement(rng, max_n=6, max_d=4)
-            lat = build_lattice(arr)
-            pairs = inclusion_dag(lat)
-            spaces = [RationalMatrix(flat.rows) for flat in lat.flats]
+            flats = build_lattice(arr).flats
+            spaces = [RationalMatrix(flat.rows) for flat in flats]
             for i, low in enumerate(spaces):
                 for j, high in enumerate(spaces):
                     if i == j:
                         continue
+                    # Flat i lies strictly inside flat j iff j's members are a proper subset of i's.
+                    mi, mj = flats[i].mask, flats[j].mask
                     expected = subspace_leq(low, high) and not subspace_leq(high, low)
-                    assert ((i, j) in pairs) == expected
+                    assert (mi != mj and mi & mj == mj) == expected
 
 
 def _low_rank_or_parallel(rng, affine):
@@ -403,12 +380,3 @@ class TestClosureEngine:
             canon = tuple(primitive_int_row(r) for r in row_space_canonical(members))
             assert _canonical_rows(canon) == canon
 
-
-class TestExport:
-    def test_json_dict_shape(self):
-        lat = build_lattice(arrangement([[1, 0], [0, 1]], [1, 2]))
-        doc = lattice_to_json_dict(lat)
-        assert doc["dim"] == 2 and doc["n_hyperplanes"] == 2
-        assert len(doc["flats"]) == 3
-        assert all(set(f) == {"normal_space", "codim", "s", "members"} for f in doc["flats"])
-        assert sorted(doc["containment_pairs"]) == doc["containment_pairs"]

@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import pathlib
 import random
 
 import pytest
@@ -79,6 +80,32 @@ class TestLatticeBruteforce:
                     if isinstance(node, ast.ImportFrom) for alias in node.names}
         assert not {module for module, _ in imported} & {"lattice", "threshold"}
         assert not {name for _, name in imported} & {"primitive_int_row", "eliminate", "integer_rank"}
+
+    def test_owns_the_fraction_linear_algebra(self):
+        # Every module of the package: its package imports as (module, name),
+        # and the functions it defines. The oracle reaches neither `lattice`
+        # nor `threshold`, not even through another module, and only it
+        # defines or imports the Fraction linear algebra (`__init__`
+        # re-exports it).
+        package = pathlib.Path(rlct.oracle.__file__).parent
+        trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+        imports = {
+            stem: {(node.module.split(".")[-1] if node.module else alias.name, alias.name)
+                   for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level for alias in node.names}
+            for stem, tree in trees.items()
+        }
+        reached, todo = set(), ["oracle"]
+        while todo:
+            for module, _ in imports[todo.pop()]:
+                if module not in reached:
+                    reached.add(module)
+                    todo.append(module)
+        assert "arrangement" in reached and not reached & {"lattice", "threshold"}
+        moved = {"rref", "rank", "row_space_canonical", "kernel_basis", "row_in_row_space", "subspace_leq"}
+        for stem, tree in trees.items():
+            defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+            owned = (defined | {name for _, name in imports[stem]}) & moved
+            assert owned == (moved if stem == "oracle" else set()) or stem == "__init__", stem
 
 
 class TestLongestChainBruteforce:

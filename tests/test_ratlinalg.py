@@ -18,7 +18,8 @@ from rlct import (
     subspace_leq,
 )
 from rlct.lattice import _canonical_rows, _closure
-from rlct.ratlinalg import eliminate, integer_rank, meets_box, primitive_int_row, row_in_row_space
+from rlct.oracle import row_in_row_space
+from rlct.ratlinalg import eliminate, integer_rank, meets_box, primitive_int_row
 
 from conftest import meets_box_bruteforce, random_invertible
 

@@ -25,7 +25,8 @@ from rlct import (
     rlct_line_arrangement_2d,
 )
 from rlct import lattice, threshold
-from rlct.ratlinalg import RationalMatrix, subspace_leq
+from rlct.oracle import MAX_BRUTEFORCE_HYPERPLANES, subspace_leq
+from rlct.ratlinalg import RationalMatrix, primitive_int_row
 from rlct.threshold import box_localizations, maximal_central_localizations
 
 from conftest import meets_box_bruteforce, random_central_arrangement, random_invertible
@@ -554,3 +555,86 @@ class TestInvariances:
         second = rlct_central(arr)
         assert first.pair.threshold == second.pair.threshold
         assert first.to_json_dict() == second.to_json_dict()
+
+
+def _distinct(count, draw, rows=()):
+    """`rows` extended by calls of `draw` until `count` rows lie on distinct lines."""
+    rows = list(rows)
+    seen = {primitive_int_row(row) for row in rows}
+    while len(rows) < count:
+        row = draw()
+        if any(row) and primitive_int_row(row) not in seen:
+            seen.add(primitive_int_row(row))
+            rows.append(row)
+    return rows
+
+
+def _past_the_oracle_cap(rng, kind):
+    """A seeded arrangement of more hyperplanes than the oracle takes, 21-28,
+    multiplicities 1-4. "small": entries in [-2, 2] in 3 variables or in
+    [-1, 1] in 4; the origin is then mostly the one minimizer. "pencil": in
+    3 variables, 10 rows through one line, their weights tripled, so the
+    line and the origin compete. "twin": 11-14 weighted lines of the plane,
+    placed twice in disjoint variables, so that m >= 2. "affine": lines of
+    the plane, entries and offsets in [-2, 2]."""
+    n = rng.randint(MAX_BRUTEFORCE_HYPERPLANES + 1, MAX_BRUTEFORCE_HYPERPLANES + 6)
+    if kind == "twin":
+        block = _distinct(n // 2 + 1, lambda: [rng.randint(-3, 3), rng.randint(-3, 3)])
+        weights = [rng.randint(1, 4) for _ in block]
+        return normalize(ArrangementSpec([r + [0, 0] for r in block] + [[0, 0] + r for r in block], weights * 2))
+    if kind == "affine":
+        normals = [[a, b] for a in range(-2, 3) for b in range(-2, 3) if a or b]
+        rows = _distinct(n, lambda: rng.choice(normals) + [rng.randint(-2, 2)])
+        weights = [rng.randint(1, 4) for _ in rows]
+        return normalize(ArrangementSpec([r[:2] for r in rows], weights, offsets=[r[2] for r in rows]))
+    d, span = rng.choice([(3, 2), (4, 1)]) if kind == "small" else (3, 2)
+    rows = []
+    if kind == "pencil":
+        b1, b2 = [1, 0, rng.randint(-2, 2)], [0, 1, rng.randint(-2, 2)]
+        rows = _distinct(10, lambda: [rng.randint(-3, 3) * x + rng.randint(-3, 3) * y for x, y in zip(b1, b2)])
+    weights = [3 * rng.randint(1, 4) for _ in rows]
+    rows = _distinct(n, lambda: [rng.randint(-span, span) for _ in range(d)], rows)
+    weights += [rng.randint(1, 4) for _ in rows[len(weights):]]
+    return normalize(ArrangementSpec(rows, weights))
+
+def _without(arr, j):
+    """`arr` with hyperplane j deleted."""
+    keep = [k for k in range(arr.n) if k != j]
+    return normalize(ArrangementSpec([arr.normals.row(k) for k in keep], [arr.multiplicities[k] for k in keep],
+                                     offsets=[arr.offsets[k] for k in keep]))
+
+
+class TestRelationsPastTheOracleCap:
+    """Relations between exact answers that need no oracle, on draws the
+    all-subsets oracle refuses (more than 20 hyperplanes)."""
+
+    def test_deleting_a_hyperplane_never_lowers_lambda(self):
+        rng = random.Random(211)
+        for kind in ["small", "pencil", "twin"] * 3:
+            arr = _past_the_oracle_cap(rng, kind)
+            weights = {flat.rows: flat.weight for flat in build_lattice(arr).flats}
+            lam = rlct_central(arr).pair.threshold
+            for j in rng.sample(range(arr.n), 3):
+                smaller = _without(arr, j)
+                for flat in build_lattice(smaller).flats:
+                    # The key is the canonical rows, so the codim is the same.
+                    assert weights[flat.rows] >= flat.weight
+                assert rlct_central(smaller).pair.threshold >= lam
+
+    def test_deleting_a_hyperplane_never_lowers_the_global_lambda(self):
+        rng = random.Random(212)
+        for _ in range(4):
+            arr = _past_the_oracle_cap(rng, "affine")
+            lam = rlct_affine(arr).global_pair.threshold
+            for j in rng.sample(range(arr.n), 2):
+                assert rlct_affine(_without(arr, j)).global_pair.threshold >= lam
+
+    def test_scaling_multiplicities_keeps_m_and_the_minimizers(self):
+        rng = random.Random(213)
+        for kind in ["small", "pencil", "twin"] * 3:
+            arr = _past_the_oracle_cap(rng, kind)
+            t = rng.randint(2, 5)
+            base = rlct_central(arr)
+            scaled = rlct_central(normalize(ArrangementSpec(arr.normals, [t * s for s in arr.multiplicities])))
+            assert scaled.pair == pair(base.pair.threshold / t, base.pair.multiplicity)
+            assert [f.members for f in scaled.minimizer_flats] == [f.members for f in base.minimizer_flats]
