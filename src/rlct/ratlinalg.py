@@ -5,10 +5,13 @@ or printed ever rounds; arrangements hold their normals in it, and
 `as_rational` and `format_rational` read and print single values.
 
 The lattice closure works on primitive integer rows instead, and
-`eliminate` is its one elimination step. The rows it carries for a flat
-are the rational RREF with each row rescaled to a primitive integer
-vector, so two flats are equal if and only if their rows are. `meets_box`
-decides on such rows whether a flat meets a closed box.
+`eliminate` is its elimination step. The closure's hot loop,
+`lattice._child`, runs the same step inline, and a test
+(`tests/test_lattice.py::TestInlineStep`) pins the two together. The rows
+the closure carries for a flat are the rational RREF with each row
+rescaled to a primitive integer vector, so two flats are equal if and
+only if their rows are. `meets_box` decides on such rows whether a flat
+meets a closed box.
 """
 
 from __future__ import annotations
@@ -131,12 +134,11 @@ def _primitive(row: Sequence[int]) -> tuple[int, ...]:
     g = gcd(*row)
     if g == 0:
         return tuple(row)
-    lead = next(x for x in row if x != 0)
-    if lead < 0:
+    if next(filter(None, row)) < 0:
         g = -g
     if g == 1:
         return tuple(row)
-    return tuple(x // g for x in row)
+    return tuple([x // g for x in row])
 
 
 def primitive_int_row(row: Sequence[RationalLike]) -> tuple[int, ...]:
@@ -148,11 +150,19 @@ def primitive_int_row(row: Sequence[RationalLike]) -> tuple[int, ...]:
 
 def eliminate(row: tuple[int, ...], pivot_row: tuple[int, ...], pc: int) -> tuple[int, ...]:
     """Clear column `pc` of `row` with `pivot_row` (nonzero there), as a
-    primitive vector; a row already zero there is returned unchanged."""
+    primitive vector; a row already zero there is returned unchanged.
+
+    The factors p = pivot_row[pc] and c = row[pc] are divided by gcd(p, c)
+    first: that scales the step by a positive constant, so the primitive
+    result is the same and the products are smaller. `lattice._child` runs
+    this step inline, and a test pins the two together.
+    """
     c = row[pc]
     if not c:
         return row
     p = pivot_row[pc]
+    g = gcd(p, c)
+    p, c = p // g, c // g
     return _primitive([p * a - c * b for a, b in zip(row, pivot_row)])
 
 

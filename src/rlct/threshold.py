@@ -210,6 +210,9 @@ def maximal_central_localizations(
     flags a flat maximal when no outside hyperplane extends it consistently.
     Only a maximal flat's chain is reduced to canonical rows, which give its
     witness point: the particular solution with free variables at zero.
+    Points whose hyperplanes have the same normals and multiplicities, in
+    order, share one sub-arrangement object. The key is made from small
+    integer ids of the normals, so no `Fraction` row is hashed per point.
     """
     n, d = arr.n, arr.dim
     if n == 0:
@@ -219,13 +222,20 @@ def maximal_central_localizations(
         for chain, mask, maximal in _closure(_augmented(arr), d)
         if maximal
     )
+    ids: dict[tuple[Fraction, ...], int] = {}
+    normal_ids = [ids.setdefault(row, len(ids)) for row in arr.normals]
+    subs: dict[tuple[tuple[int, int], ...], NormalizedArrangement] = {}
     out = []
     for members, chain in found:
         point = [Fraction(0)] * d
         for row in _canonical_rows(chain):
             pc = next(c for c, x in enumerate(row) if x)  # never pc == d: the rows are consistent
             point[pc] = Fraction(-row[d], row[pc])
-        out.append((tuple(point), _centered(arr, members)))
+        key = tuple((normal_ids[j], arr.multiplicities[j]) for j in members)
+        sub = subs.get(key)
+        if sub is None:
+            sub = subs[key] = _centered(arr, members)
+        out.append((tuple(point), sub))
     return out
 
 
@@ -277,11 +287,17 @@ def rlct_affine(arr: NormalizedArrangement) -> LocalizationReport:
     """Global pair of an affine arrangement via its maximal localizations.
 
     Central inputs produce a single localization at the origin, so the
-    report then agrees with `rlct_central` exactly.
+    report then agrees with `rlct_central` exactly. Each distinct local
+    arrangement is solved once (`maximal_central_localizations` shares its
+    object), and its localizations share the `RlctResult`.
     """
+    results: dict[int, RlctResult] = {}  # by sub-arrangement object
     localizations = []
     for point, sub in maximal_central_localizations(arr):
-        localizations.append(Localization(point=point, arrangement=sub, result=rlct_central(sub)))
+        result = results.get(id(sub))
+        if result is None:
+            result = results[id(sub)] = rlct_central(sub)
+        localizations.append(Localization(point=point, arrangement=sub, result=result))
     # The first most singular pair; RlctPair orders by pair_less.
     best = min(range(len(localizations)), key=lambda i: localizations[i].pair)
     return LocalizationReport(localizations=tuple(localizations), global_index=best)

@@ -22,9 +22,9 @@ from rlct import (
     subspace_leq,
 )
 from rlct import lattice
-from rlct.lattice import _canonical_rows, _closure
+from rlct.lattice import _canonical_rows, _child, _closure
 from rlct.oracle import row_in_row_space
-from rlct.ratlinalg import primitive_int_row
+from rlct.ratlinalg import eliminate, primitive_int_row
 from rlct.threshold import maximal_central_localizations
 
 from conftest import random_central_arrangement, random_invertible
@@ -192,6 +192,38 @@ class TestBuildLattice:
             reference = [f.to_json_dict() for f in lattice_bruteforce(arr).flats]
             assert produced == reference
 
+    def test_big_integer_entries_match_bruteforce_at_larger_sizes(self):
+        # 12-digit entries in 4-6 variables. Some rows are multiples of an
+        # earlier row (normalize merges them) and some are small combinations
+        # of two earlier rows, so the closure's residues carry large entries
+        # through many steps and merge into flats with more members than codim.
+        from rlct import lattice_bruteforce
+
+        rng = random.Random(779)
+        big = 10**12
+        merged = crowded = 0
+        for _ in range(8):
+            d, n = rng.randint(4, 6), rng.randint(7, 9)
+            rows = [[rng.randint(-big, big) for _ in range(d)] for _ in range(2)]
+            while len(rows) < n:
+                kind = rng.random()
+                if kind < 0.2:
+                    row = [rng.choice([-3, 2, 7]) * x for x in rng.choice(rows)]
+                elif kind < 0.6:
+                    a, b = rng.sample(rows, 2)
+                    s, t = rng.choice([-2, -1, 1, 3]), rng.choice([-1, 1, 2])
+                    row = [s * x + t * y for x, y in zip(a, b)]
+                else:
+                    row = [rng.randint(-big, big) for _ in range(d)]
+                if any(row):
+                    rows.append(row)
+            arr = normalize(ArrangementSpec(rows, [rng.randint(1, 3) for _ in range(n)]))
+            merged += arr.n < n
+            flats = build_lattice(arr).flats
+            crowded += sum(bin(f.mask).count("1") > f.codim for f in flats)
+            assert [f.to_json_dict() for f in flats] == [f.to_json_dict() for f in lattice_bruteforce(arr).flats]
+        assert merged and crowded
+
     def test_rejects_affine(self):
         arr = normalize(ArrangementSpec([[1, 0]], [1], offsets=[1]))
         with pytest.raises(CentralityError):
@@ -237,6 +269,88 @@ def _engine_corpus():
         corpus.append(_low_rank_or_parallel(rng, affine=False))
         corpus.append(_low_rank_or_parallel(rng, affine=True))
     return corpus
+
+
+def _raw_step(row, pivot_row, pc):
+    """p·row − c·pivot_row as written, p and c the entries at column pc."""
+    p, c = pivot_row[pc], row[pc]
+    return [p * a - c * b for a, b in zip(row, pivot_row)]
+
+
+def _reference_step(row, pivot_row, pc):
+    """The raw step divided by its gcd, lead made positive; a row already
+    zero at pc is returned as it is."""
+    if not row[pc]:
+        return row
+    raw = _raw_step(row, pivot_row, pc)
+    g = gcd(*raw)
+    if next(x for x in raw if x) < 0:
+        g = -g
+    return tuple(x // g for x in raw)
+
+
+def _step_cases():
+    """Seeded (groups, residue, pivot column) as the closure hands them to
+    `_child`: distinct primitive rows with positive leads, the residue among
+    them, entries up to 10^15. The residue's pivot carries small factors that
+    the outside rows share there. Some outside rows lead before the pivot,
+    some at it (their step can lead negative), some are zero there, and some
+    are another row plus a multiple of the residue, so the two must merge."""
+    rng = random.Random(227)
+    big = 10**15
+    for _ in range(80):
+        width = rng.randint(3, 7)
+        pc = rng.randrange(width - 1)
+        factor = rng.choice([2, 6, 30, 77, 2**20])
+        residue = primitive_int_row(
+            [0] * pc + [factor * rng.randint(1, big // factor)] + [rng.randint(-big, big) for _ in range(width - pc - 1)]
+        )
+        rows = [residue]
+        for _ in range(rng.randint(2, 8)):
+            lead = rng.randint(0, pc)
+            row = [0] * lead + [rng.randint(-big, big) for _ in range(width - lead)]
+            row[lead] = rng.randint(1, big)
+            kind = rng.random()
+            if kind < 0.2:
+                row[pc] = 0
+            elif kind < 0.6:
+                row[pc] = rng.choice([2, 3, 5, 7, 11, 2**10]) * rng.randint(-(10**6), 10**6) or 1
+            if rng.random() < 0.4:
+                t = rng.randint(-3, 3) or 1
+                rows.append(primitive_int_row([a + t * b for a, b in zip(row, residue)]))
+            rows.append(primitive_int_row(row))
+        rows = [row for row in dict.fromkeys(rows) if any(row)]
+        # Some masks have two bits, as a merged start group does.
+        groups = {row: 1 << j | (j % 3 == 1) << (j + 20) for j, row in enumerate(rng.sample(rows, len(rows)))}
+        yield groups, residue, pc
+
+
+class TestInlineStep:
+    """`_child` runs the elimination step inline; it must stay `eliminate`."""
+
+    def test_child_matches_eliminate(self):
+        shared = negative = merged = 0
+        for groups, residue, pc in _step_cases():
+            expected = {}
+            for other, group in groups.items():
+                if other != residue:
+                    step = eliminate(other, residue, pc)
+                    expected[step] = expected.get(step, 0) | group
+                    shared += bool(other[pc]) and gcd(residue[pc], other[pc]) > 1
+                    negative += bool(other[pc]) and next(filter(None, _raw_step(other, residue, pc))) < 0
+            chain = ((1,) + (0,) * (len(residue) - 1),)
+            child_chain, out = _child(chain, groups, residue)
+            assert child_chain == chain + (residue,)
+            assert list(out.items()) == list(expected.items())
+            merged += len(out) < len(groups) - 1
+        assert shared > 100 and negative > 100 and merged > 20
+
+    def test_eliminate_matches_reference_step(self):
+        for groups, residue, pc in _step_cases():
+            for pivot_row in (residue, tuple(-x for x in residue)):
+                for other in groups:
+                    if other != residue:
+                        assert eliminate(other, pivot_row, pc) == _reference_step(other, pivot_row, pc)
 
 
 class TestClosureEngine:

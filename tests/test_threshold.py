@@ -413,6 +413,31 @@ class TestAffine:
         assert report.global_pair == pair(1, 1)
         assert len(report.localizations) == 2
 
+    def test_each_distinct_localization_is_solved_once(self, monkeypatch):
+        # A 3-D grid and a slanted plane: 36 points, but 9 distinct local
+        # arrangements. The plane x = 1 and the slanted one are double, so the
+        # same normals with other multiplicities are another local arrangement
+        # (5 distinct normal sets).
+        k = 3
+        rows = [[1, 0, 0]] * k + [[0, 1, 0]] * k + [[0, 0, 1]] * k + [[1, 1, 1]]
+        offsets = [-i for _ in range(3) for i in range(k)] + [-(2 * k - 2)]
+        mults = [1, 2, 1] + [1] * (2 * k) + [2]
+        arr = normalize(ArrangementSpec(rows, mults, offsets=offsets))
+        fresh = [
+            threshold.Localization(point, sub, rlct_central(sub))
+            for point, sub in maximal_central_localizations(arr)
+        ]
+        best = min(range(len(fresh)), key=lambda i: fresh[i].pair)
+        expected = threshold.LocalizationReport(tuple(fresh), best).to_json_dict()
+        distinct = {(loc.arrangement.normals, loc.arrangement.multiplicities) for loc in fresh}
+
+        calls = []
+        central = threshold.rlct_central
+        monkeypatch.setattr(threshold, "rlct_central", lambda sub: calls.append(sub) or central(sub))
+        report = rlct_affine(arr)
+        assert len(calls) == len(distinct) < len(report.localizations)
+        assert report.to_json_dict() == expected
+
 
 class TestBoxPair:
     """The pair of a closed box: the most singular pair of `box_localizations`."""
