@@ -46,14 +46,17 @@ from .ratlinalg import as_rational, format_rational
 from .threshold import box_localizations, rlct_affine, rlct_central
 
 if TYPE_CHECKING:
-    from .volume import epsilon_grid, estimate_volume, fit_asymptotics, normalize_box, synthetic_samples
+    from .volume import check_fit_epsilons, epsilon_grid, estimate_volume, fit_asymptotics, normalize_box
+    from .volume import synthetic_samples
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USER_ERROR = 2
 
 # Bound on first use by `__getattr__`, so only `volume-fit` loads numpy.
-_VOLUME_NAMES = ("epsilon_grid", "estimate_volume", "fit_asymptotics", "normalize_box", "synthetic_samples")
+_VOLUME_NAMES = (
+    "check_fit_epsilons", "epsilon_grid", "estimate_volume", "fit_asymptotics", "normalize_box", "synthetic_samples"
+)
 
 
 def __getattr__(name: str):
@@ -208,11 +211,13 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_volume_fit(args: argparse.Namespace) -> int:
     """`exact` is the pair of the sampled box (the default box without
     --box): the most singular local pair on it (see `box_localizations`).
-    The grid and the box are checked before the exact pair is solved,
-    so a bad --eps-* or --box fails without running the closure."""
+    The grid, the fit's rules on it (0 < eps < 1, three distinct values)
+    and the box are checked before the exact pair is solved and before any
+    draw, so a bad --eps-* or --box fails without running the closure."""
     __getattr__("estimate_volume")  # the volume names are module globals from here on
     arr = load_arrangement(args)
     grid = epsilon_grid(args.eps_min, args.eps_max, args.eps_points)
+    check_fit_epsilons(grid)
     box = normalize_box(parse_box(args.box, arr.dim), arr.dim)
     lam, m = min(rlct_central(sub).pair for sub in box_localizations(arr, box)).astuple()
 

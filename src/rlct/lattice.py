@@ -132,7 +132,7 @@ def _canonical_rows(chain: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...]
         pc = residue.index(next(filter(None, residue)))
         for i in range(j):
             if rows[i][pc]:
-                rows[i] = eliminate(rows[i], residue, pc)
+                (rows[i],) = eliminate({rows[i]: 0}, residue)
     return tuple(sorted(rows, reverse=True))
 
 
@@ -146,12 +146,12 @@ def _closure(rows: list[tuple[int, ...]], d: int) -> list[tuple[tuple[tuple[int,
     `groups` each primitive residue of the outside rows modulo the span,
     with the bitmask of the rows that have it. Two rows give the same child
     iff their residues are equal, so a group is exactly the child's new
-    members. Only a child with a new mask is built (`_child`, which runs
-    `ratlinalg.eliminate`'s step inline), so every flat is built once. On
-    rows (a | b), a residue that is zero on the normal columns has no common
-    point and is skipped; a flat is maximal iff every residue is of that
-    kind, i.e. iff its member set is inclusion-maximal. Normals alone never
-    give such a residue, so the test runs only on rows with an offset.
+    members. Only a child with a new mask is built, by one `eliminate` call
+    on the groups, so every flat is built once. On rows (a | b), a residue
+    that is zero on the normal columns has no common point and is skipped;
+    a flat is maximal iff every residue is of that kind, i.e. iff its member
+    set is inclusion-maximal. Normals alone never give such a residue, so
+    the test runs only on rows with an offset.
 
     One elimination step per group gives the child's residues, the same as
     reducing under the child's echelon: let S be a span with RREF pivot
@@ -196,44 +196,11 @@ def _closure(rows: list[tuple[int, ...]], d: int) -> list[tuple[tuple[tuple[int,
                     outside = groups
                     if len(chain) + 2 == top:  # codim r - 1: one residue left
                         outside = {next(other for other in groups if other != residue): full & ~child}
-                    child_chain, child_groups = _child(chain, outside, residue)
-                    next_frontier.append((child_chain, child, child_groups))
+                    next_frontier.append((chain + (residue,), child, eliminate(outside, residue)))
             if mask:  # the ambient space (mask 0) is not a flat
                 flats.append((chain, mask, maximal))
         frontier = next_frontier
     return flats
-
-
-def _child(
-    chain: tuple[tuple[int, ...], ...], groups: dict[tuple[int, ...], int], residue: tuple[int, ...]
-) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]:
-    """The chain with `residue` appended, and the outside residue groups:
-    every other residue takes one step at its lead, and equal ones merge.
-
-    This is the closure's hot loop, so it runs the step of
-    `ratlinalg.eliminate` inline, with no call per residue: p·other −
-    c·residue, with p and c first divided by gcd(p, c), then divided by its
-    own gcd, signed so that its lead is positive. The result is the same
-    primitive vector, and `tests/test_lattice.py::TestInlineStep` pins the
-    two together.
-    """
-    pc = residue.index(next(filter(None, residue)))
-    p = residue[pc]
-    out: dict[tuple[int, ...], int] = {}
-    for other, group in groups.items():
-        c = other[pc]
-        if c:
-            if other == residue:
-                continue
-            g = gcd(p, c)
-            q, c = p // g, c // g
-            row = [q * a - c * b for a, b in zip(other, residue)]
-            g = gcd(*row)
-            if next(filter(None, row)) < 0:
-                g = -g
-            other = tuple(row) if g == 1 else tuple([x // g for x in row])
-        out[other] = out.get(other, 0) | group
-    return chain + (residue,), out
 
 
 def build_lattice(arr: NormalizedArrangement) -> IntersectionLattice:

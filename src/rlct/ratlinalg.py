@@ -5,10 +5,9 @@ or printed ever rounds; arrangements hold their normals in it, and
 `as_rational` and `format_rational` read and print single values.
 
 The lattice closure works on primitive integer rows instead, and
-`eliminate` is its elimination step. The closure's hot loop,
-`lattice._child`, runs the same step inline, and a test
-(`tests/test_lattice.py::TestInlineStep`) pins the two together. The rows
-the closure carries for a flat are the rational RREF with each row
+`eliminate` is the package's one elimination step: the closure runs it once
+per flat, and `lattice._canonical_rows` and `integer_rank` run it too. The
+rows the closure carries for a flat are the rational RREF with each row
 rescaled to a primitive integer vector, so two flats are equal if and
 only if their rows are. `meets_box` decides on such rows whether a flat
 meets a closed box.
@@ -129,52 +128,60 @@ class RationalMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _primitive(row: Sequence[int]) -> tuple[int, ...]:
-    """Divide out the gcd and make the leading nonzero entry positive."""
-    g = gcd(*row)
-    if g == 0:
-        return tuple(row)
-    if next(filter(None, row)) < 0:
-        g = -g
-    if g == 1:
-        return tuple(row)
-    return tuple([x // g for x in row])
-
-
 def primitive_int_row(row: Sequence[RationalLike]) -> tuple[int, ...]:
-    """Rescale a rational row to the primitive integer vector with positive lead."""
+    """Rescale a rational row to the primitive integer vector with positive
+    lead; a zero row stays zero."""
     fracs = [as_rational(x) for x in row]
     scale = lcm(*(x.denominator for x in fracs))
-    return _primitive([x.numerator * (scale // x.denominator) for x in fracs])
+    ints = [x.numerator * (scale // x.denominator) for x in fracs]
+    g = gcd(*ints) or 1
+    if next(filter(None, ints), 1) < 0:
+        g = -g
+    return tuple([x // g for x in ints])
 
 
-def eliminate(row: tuple[int, ...], pivot_row: tuple[int, ...], pc: int) -> tuple[int, ...]:
-    """Clear column `pc` of `row` with `pivot_row` (nonzero there), as a
-    primitive vector; a row already zero there is returned unchanged.
+def eliminate(groups: dict[tuple[int, ...], int], residue: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """Every row of `groups` but `residue` after one step at the residue's lead,
+    with the bitmasks of rows that become equal OR-ed, in insertion order.
 
-    The factors p = pivot_row[pc] and c = row[pc] are divided by gcd(p, c)
-    first: that scales the step by a positive constant, so the primitive
-    result is the same and the products are smaller. `lattice._child` runs
-    this step inline, and a test pins the two together.
+    A row `other` with c = other[pc] nonzero at the lead pc becomes
+    p·other − c·residue, p = residue[pc], with p and c first divided by
+    gcd(p, c) (a positive factor, so the result is the same and the products
+    smaller), then divided by its own gcd and signed so that its lead is
+    positive. A row zero at pc passes through unchanged. The rows must be
+    primitive with positive leads and none a multiple of the residue but the
+    residue itself, so that no step ends at zero. This is the closure's hot
+    loop, so the step is written out here, with no call per row.
     """
-    c = row[pc]
-    if not c:
-        return row
-    p = pivot_row[pc]
-    g = gcd(p, c)
-    p, c = p // g, c // g
-    return _primitive([p * a - c * b for a, b in zip(row, pivot_row)])
+    pc = residue.index(next(filter(None, residue)))
+    p = residue[pc]
+    out: dict[tuple[int, ...], int] = {}
+    for other, group in groups.items():
+        c = other[pc]
+        if c:
+            if other == residue:
+                continue
+            g = gcd(p, c)
+            q, c = p // g, c // g
+            row = [q * a - c * b for a, b in zip(other, residue)]
+            g = gcd(*row)
+            if next(filter(None, row)) < 0:
+                g = -g
+            other = tuple(row) if g == 1 else tuple([x // g for x in row])
+        out[other] = out.get(other, 0) | group
+    return out
 
 
 def integer_rank(rows: Iterable[tuple[int, ...]]) -> int:
-    """Rank of integer rows: one echelon pass of `eliminate`, keyed by pivot column."""
-    echelon: dict[int, tuple[int, ...]] = {}
-    for row in rows:
-        for pc, pivot_row in echelon.items():
-            row = eliminate(row, pivot_row, pc)
-        if any(row):
-            echelon[next(c for c, x in enumerate(row) if x)] = row
-    return len(echelon)
+    """Rank of primitive integer rows with positive leads (zero rows are
+    dropped): steps of `eliminate` on the first remaining row, one per unit
+    of rank, until no row is left."""
+    groups = dict.fromkeys(filter(any, rows), 0)
+    rank = 0
+    while groups:
+        groups = eliminate(groups, next(iter(groups)))
+        rank += 1
+    return rank
 
 
 def meets_box(rows: Sequence[tuple[int, ...]], bounds: Sequence[tuple[Fraction, Fraction]]) -> bool:

@@ -211,18 +211,22 @@ def _floats(values, what: str) -> list[float]:
         raise DegenerateBoxError(f"{what} is outside the float range") from None
 
 
+def check_fit_epsilons(epsilons: Sequence[float]) -> None:
+    """The fit's rules on epsilon: every value in (0, 1), at least three distinct."""
+    if any(not 0 < eps < 1 for eps in epsilons):
+        raise InsufficientDataError("asymptotic fitting needs 0 < epsilon < 1")
+    if len(set(epsilons)) < 3:
+        raise InsufficientDataError("need at least three distinct epsilon values")
+
+
 def _usable(samples: Sequence[VolumeSample]) -> tuple[np.ndarray, np.ndarray]:
+    eps = [s.epsilon for s in samples]
+    check_fit_epsilons(eps)
     if any(s.volume_estimate <= 0 for s in samples):
         raise InsufficientDataError(
             "a volume estimate is zero; increase the sample count or the epsilon range"
         )
-    if any(not 0 < s.epsilon < 1 for s in samples):
-        raise InsufficientDataError("asymptotic fitting needs 0 < epsilon < 1")
-    eps = np.array([s.epsilon for s in samples])
-    if len(np.unique(eps)) < 3:
-        raise InsufficientDataError("need at least three distinct epsilon values")
-    vol = np.array([s.volume_estimate for s in samples])
-    return eps, vol
+    return np.array(eps), np.array([s.volume_estimate for s in samples])
 
 
 def fit_asymptotics(

@@ -331,7 +331,17 @@ class TestVolumeFit:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "eps-max" in err and "nan" not in err
 
-    @pytest.mark.parametrize("bad", [("--eps-points", "0"), ("--eps-min", "0"), ("--box", "1,2,3")])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ("--eps-points", "0"),
+            ("--eps-min", "0"),
+            ("--box", "1,2,3"),
+            ("--eps-max", "1"),
+            ("--eps-points", "2"),
+            ("--eps-min", "0.01", "--eps-max", "0.01"),
+        ],
+    )
     def test_grid_and_box_fail_before_the_exact_pair(self, capsys, monkeypatch, bad):
         def unreachable(arr):
             raise AssertionError("solved the exact pair before checking the grid and box")
@@ -341,6 +351,12 @@ class TestVolumeFit:
         code, out, err = run_cli(capsys, "volume-fit", "--poly", "x*y", *bad)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_selftest_epsilon_of_one_is_an_epsilon_error(self, capsys):
+        # Nothing is sampled, so the sample-count advice would be wrong.
+        code, out, err = run_cli(capsys, "volume-fit", "--poly", "x*y", "--selftest", "--eps-max", "1")
+        assert code == 2 and out == ""
+        assert err == "error: asymptotic fitting needs 0 < epsilon < 1\n", err
 
     def test_selftest_csv_and_human_bytes(self, capsys):
         argv = ("volume-fit", "--poly", "x*y^2*z^2*(x+y+z)", "--selftest")

@@ -22,7 +22,7 @@ from rlct import (
     subspace_leq,
 )
 from rlct import lattice
-from rlct.lattice import _canonical_rows, _child, _closure
+from rlct.lattice import _canonical_rows, _closure
 from rlct.oracle import row_in_row_space
 from rlct.ratlinalg import eliminate, primitive_int_row
 from rlct.threshold import maximal_central_localizations
@@ -291,7 +291,7 @@ def _reference_step(row, pivot_row, pc):
 
 def _step_cases():
     """Seeded (groups, residue, pivot column) as the closure hands them to
-    `_child`: distinct primitive rows with positive leads, the residue among
+    `eliminate`: distinct primitive rows with positive leads, the residue among
     them, entries up to 10^15. The residue's pivot carries small factors that
     the outside rows share there. Some outside rows lead before the pivot,
     some at it (their step can lead negative), some are zero there, and some
@@ -325,32 +325,34 @@ def _step_cases():
         yield groups, residue, pc
 
 
-class TestInlineStep:
-    """`_child` runs the elimination step inline; it must stay `eliminate`."""
+def _reference_groups(groups, pivot_row, pc):
+    """`_reference_step` on every row but the pivot row, equal results OR-ed."""
+    out = {}
+    for other, group in groups.items():
+        if other != pivot_row:
+            step = _reference_step(other, pivot_row, pc)
+            out[step] = out.get(step, 0) | group
+    return out
 
-    def test_child_matches_eliminate(self):
-        shared = negative = merged = 0
-        for groups, residue, pc in _step_cases():
-            expected = {}
-            for other, group in groups.items():
-                if other != residue:
-                    step = eliminate(other, residue, pc)
-                    expected[step] = expected.get(step, 0) | group
-                    shared += bool(other[pc]) and gcd(residue[pc], other[pc]) > 1
-                    negative += bool(other[pc]) and next(filter(None, _raw_step(other, residue, pc))) < 0
-            chain = ((1,) + (0,) * (len(residue) - 1),)
-            child_chain, out = _child(chain, groups, residue)
-            assert child_chain == chain + (residue,)
-            assert list(out.items()) == list(expected.items())
-            merged += len(out) < len(groups) - 1
-        assert shared > 100 and negative > 100 and merged > 20
+
+class TestEliminationStep:
+    """`eliminate`, the package's one elimination step, against a plain one."""
 
     def test_eliminate_matches_reference_step(self):
+        shared = negative = merged = 0
         for groups, residue, pc in _step_cases():
-            for pivot_row in (residue, tuple(-x for x in residue)):
-                for other in groups:
-                    if other != residue:
-                        assert eliminate(other, pivot_row, pc) == _reference_step(other, pivot_row, pc)
+            out = eliminate(groups, residue)
+            assert list(out.items()) == list(_reference_groups(groups, residue, pc).items())
+            for other in groups:
+                if other != residue and other[pc]:
+                    shared += gcd(residue[pc], other[pc]) > 1
+                    negative += next(filter(None, _raw_step(other, residue, pc))) < 0
+            merged += len(out) < len(groups) - 1
+            # A pivot row with a negative lead, not itself among the rows.
+            outside = {other: group for other, group in groups.items() if other != residue}
+            negated = tuple(-x for x in residue)
+            assert list(eliminate(outside, negated).items()) == list(_reference_groups(outside, negated, pc).items())
+        assert shared > 100 and negative > 100 and merged > 20
 
 
 class TestClosureEngine:
@@ -392,13 +394,13 @@ class TestClosureEngine:
 
     def test_each_flat_is_built_once(self, monkeypatch):
         calls = []
-        child = lattice._child
+        step = lattice.eliminate
 
-        def counted(rows, groups, residue):
+        def counted(groups, residue):
             calls.append(residue)
-            return child(rows, groups, residue)
+            return step(groups, residue)
 
-        monkeypatch.setattr(lattice, "_child", counted)
+        monkeypatch.setattr(lattice, "eliminate", counted)
         braid = arrangement(
             [[int(c == i) - int(c == j) for c in range(7)] for i in range(7) for j in range(i + 1, 7)], [1] * 21
         )

@@ -19,7 +19,7 @@ from rlct import (
 )
 from rlct.lattice import _canonical_rows, _closure
 from rlct.oracle import row_in_row_space
-from rlct.ratlinalg import eliminate, integer_rank, meets_box, primitive_int_row
+from rlct.ratlinalg import integer_rank, meets_box, primitive_int_row
 
 from conftest import meets_box_bruteforce, random_invertible
 
@@ -243,11 +243,13 @@ class TestClosureRows:
 
     @staticmethod
     def _residue(row, canonical):
-        # One elimination step per canonical row, at its pivot: each row is
-        # zero on the other pivots, so the result is zero on them all.
+        # One elimination step b[pc]·residue − residue[pc]·b per canonical row b,
+        # at its pivot pc: each row is zero on the other pivots, so the
+        # result is zero on them all.
         residue = primitive_int_row(row)
         for b in canonical:
-            residue = eliminate(residue, b, next(c for c, x in enumerate(b) if x))
+            pc = next(c for c, x in enumerate(b) if x)
+            residue = [b[pc] * x - residue[pc] * y for x, y in zip(residue, b)]
         return residue
 
     @settings(max_examples=80, deadline=None)
