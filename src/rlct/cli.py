@@ -19,13 +19,15 @@ the module `__getattr__`; `compute`, `localize` and `parse` never load it.
 Exit codes: 0 on success, 1 when --verify (the checks of
 `rlct.oracle.verify_central` and `verify_report`) finds a mismatch
 between the production path and the brute-force oracles (a bug signal),
-2 on user or input errors. All rationals in output are exact "p/q" strings.
+2 on user or input errors, 141 (128 + SIGPIPE) when the reader of stdout
+closes it early. All rationals in output are exact "p/q" strings.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
@@ -52,6 +54,7 @@ if TYPE_CHECKING:
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USER_ERROR = 2
+EXIT_BROKEN_PIPE = 141
 
 # Bound on first use by `__getattr__`, so only `volume-fit` loads numpy.
 _VOLUME_NAMES = (
@@ -105,7 +108,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     volume.add_argument("--eps-max", type=float, default=1e-2)
     volume.add_argument("--eps-points", type=int, default=9)
     volume.add_argument("--box", metavar="SPEC", default=None,
-                        help='bounds "lo,hi;lo,hi;..."; a negative first bound needs --box="-1,1;..."')
+                        help='bounds "lo,hi;lo,hi;...", or one "lo,hi" for every coordinate; '
+                        'a negative first bound needs --box="-1,1;..."')
     volume.add_argument("--gnuplot", metavar="FILE", default=None, help="write plot-ready data file")
     volume.add_argument(
         "--selftest",
@@ -213,7 +217,8 @@ def cmd_volume_fit(args: argparse.Namespace) -> int:
     --box): the most singular local pair on it (see `box_localizations`).
     The grid, the fit's rules on it (0 < eps < 1, three distinct values)
     and the box are checked before the exact pair is solved and before any
-    draw, so a bad --eps-* or --box fails without running the closure."""
+    draw, so a bad --eps-* or --box fails without running the closure. The
+    sweep draws once, at max(grid), and counts each point with `.at`."""
     __getattr__("estimate_volume")  # the volume names are module globals from here on
     arr = load_arrangement(args)
     grid = epsilon_grid(args.eps_min, args.eps_max, args.eps_points)
@@ -224,9 +229,8 @@ def cmd_volume_fit(args: argparse.Namespace) -> int:
     if args.selftest:
         samples = synthetic_samples(float(lam), m, 1.0, grid)
     else:
-        samples = [
-            estimate_volume(arr, box, eps, samples=args.samples, seed=args.seed) for eps in grid
-        ]
+        top = estimate_volume(arr, box, max(grid), samples=args.samples, seed=args.seed)
+        samples = [top.at(eps) for eps in grid]
     fit = fit_asymptotics(samples)
     doc = {
         "input": arrangement_to_json_dict(arr),
@@ -288,6 +292,12 @@ def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader closed stdout (`rlct ... | head`): exit quietly, as a
+        # SIGPIPE would end the process; the unflushed rest goes to devnull.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except SizeLimitError as exc:
         print(f"error: {exc} (drop --verify or shrink the input)", file=sys.stderr)
         return EXIT_USER_ERROR

@@ -11,17 +11,16 @@ of the seed's stream, so estimates do not depend on the chunk size. A draw
 allocates its buffers once and evaluates every chunk of CHUNK_SAMPLES points
 in place (`_draw_hits`); 2^14 points keep the buffers cache-sized.
 
-A sweep down `epsilon_grid` (the grid `rlct volume-fit` samples) on one
-(arrangement, box, samples, seed) draws its points once: `estimate_volume`
-keeps the log|f| values of the drawing call's hits, and a call with the
-same key and an equal or smaller epsilon counts from them. Every other call
-draws again.
+Every `estimate_volume` call draws once, and its sample keeps the log|f|
+of its hits, so a sweep down `epsilon_grid` (the grid `rlct volume-fit`
+samples) draws at the largest epsilon and counts each smaller one from that
+sample with `VolumeSample.at`. The module holds no state between calls.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -32,10 +31,6 @@ from .errors import DegenerateBoxError, DimensionError, InsufficientDataError, R
 from .ratlinalg import as_rational
 
 CHUNK_SAMPLES = 1 << 14
-
-# The last estimate_volume call that drew: ((arr, bounds, samples, seed),
-# its log epsilon, one array of the log|f| values at or below that).
-_last_sweep = None
 
 Box = tuple[tuple[Fraction, Fraction], ...]
 
@@ -82,12 +77,26 @@ def normalize_box(box: Sequence[Sequence] | None, dim: int) -> Box:
 
 @dataclass(frozen=True)
 class VolumeSample:
-    """One Monte Carlo estimate of V(eps) with its binomial standard error."""
+    """One Monte Carlo estimate of V(eps) with its binomial standard error.
+
+    A sampled estimate keeps its draw, (box volume, log|f| of the hits at
+    or below log epsilon of the call that drew), outside `==`, `hash` and
+    `repr`; samples taken from it with `at` share it.
+    """
 
     epsilon: float
     volume_estimate: float
     std_error: float
     sample_count: int
+    _draw: tuple[float, np.ndarray] | None = field(default=None, compare=False, repr=False)
+
+    def at(self, eps: float) -> VolumeSample:
+        """The sample that a fresh draw at eps gives, bit for bit, counted
+        from this sample's hits: needs 0 < eps <= epsilon and a draw."""
+        if self._draw is None or not 0 < eps <= self.epsilon:
+            raise RlctError(f"at() needs a sampled estimate and 0 < eps <= {self.epsilon}, got {eps}")
+        hits = np.count_nonzero(self._draw[1] <= np.log(eps))
+        return _sample(eps, int(hits), self.sample_count, self._draw)
 
 
 @dataclass(frozen=True)
@@ -114,22 +123,16 @@ def estimate_volume(
     is box_volume * hit_fraction, with the usual binomial standard error.
     Fixed (arr, box, epsilon, samples, seed) gives a bit-identical result.
 
-    A call that draws keeps the log|f| values of its hits as a module-level
-    record; a later call with an equal (arr, box, samples, seed) and an
-    equal or smaller epsilon counts its hits from it instead of drawing
-    again, with the same counts, and so results, as a fresh draw. Any other
-    call (a new key, or a larger epsilon) drops the record and draws. So a
-    sweep from the largest epsilon down draws once, and so does its rerun.
-    The record holds one float64 per hit at the drawing epsilon: at most
-    1.07 MiB on the benchmark's volume-fit ops, whose hit fractions at
-    eps = 1e-2 lie between 0.056 and 0.56.
+    Every call draws once. The sample keeps the log|f| of its hits, so a
+    sweep draws at its largest epsilon and takes the others with `.at(eps)`.
+    That is one float64 per hit: at most 1.07 MiB on the benchmark's
+    volume-fit ops, whose hit fractions at eps = 1e-2 lie in [0.056, 0.56].
 
     A draw runs in chunks of size = min(CHUNK_SAMPLES, samples) points
     through three buffers allocated once per draw (see `_draw_hits`), so
-    its memory is about size * (dim + n + 1) float64s plus the record:
+    its memory is about size * (dim + n + 1) float64s plus the hits:
     1.1 MiB for 4 variables and 4 hyperplanes at the default chunk.
     """
-    global _last_sweep
     if samples < 1:
         raise InsufficientDataError("need at least one sample")
     if not epsilon > 0:
@@ -137,26 +140,22 @@ def estimate_volume(
     bounds = normalize_box(box, arr.dim)
     lo = np.array(_floats([x for b in bounds for x in b], "a box bound")[0::2])
     widths = _floats([b[1] - b[0] for b in bounds], "a box width")
-    width = np.array(widths)
     box_volume = math.prod(widths)
     if not math.isfinite(box_volume):
         raise DegenerateBoxError("the box volume is outside the float range")
+    log_f = _draw_hits(arr, lo, np.array(widths), samples, seed, np.log(epsilon))
+    return _sample(epsilon, log_f.size, samples, (box_volume, log_f))
 
-    log_epsilon = np.log(epsilon)
-    key = (arr, bounds, samples, seed)
-    if _last_sweep is not None and _last_sweep[0] == key and log_epsilon <= _last_sweep[1]:
-        hits = np.count_nonzero(_last_sweep[2] <= log_epsilon)
-    else:
-        # Drop the old record first, so that two draws are never held at once.
-        _last_sweep = None
-        _last_sweep = (key, log_epsilon, _draw_hits(arr, lo, width, samples, seed, log_epsilon))
-        hits = _last_sweep[2].size
-    fraction = hits / samples
+
+def _sample(epsilon: float, hits: int, samples: int, draw: tuple[float, np.ndarray]) -> VolumeSample:
+    """The estimate from `hits` of `samples` points of `draw`'s box."""
+    box_volume, fraction = draw[0], hits / samples
     return VolumeSample(
         epsilon=float(epsilon),
         volume_estimate=box_volume * fraction,
         std_error=box_volume * float(np.sqrt(fraction * (1.0 - fraction) / samples)),
         sample_count=samples,
+        _draw=draw,
     )
 
 

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -462,6 +466,20 @@ class TestMain:
         code, out, _ = run_cli(capsys, "compute", "--poly", "x*y")
         assert code == 0
         assert json.loads(out)["lambda"] == "1"
+
+    def test_closed_stdout_exits_141_quietly(self):
+        # A reader that stops early (`rlct compute ... | head -c 10`) closes the
+        # pipe under a report of about 1 MB: exit 128 + SIGPIPE, nothing on stderr.
+        src = str(Path(rlct.cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, rlct.cli; sys.exit(rlct.cli.main(sys.argv[1:]))"
+        poly = "x1*x2*x3*x4*x5*x6*x7*x8*x9*x10"
+        proc = subprocess.Popen([sys.executable, "-c", code, "compute", "--poly", poly],
+                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.read(10) == b'{\n  "input'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=120), err) == (141, b"")
 
 
 # JSON trees as reports hold them, plus the leaves they never hold: keys and

@@ -69,7 +69,7 @@ class TestEstimateVolume:
         assert a == b
 
     def test_chunking_invisible(self, monkeypatch):
-        # A descending sweep reuses its first draw, which is chunked.
+        # Every call draws, chunk by chunk.
         arr = arr_of("x*y")
 
         def sweep():
@@ -110,7 +110,7 @@ class TestEstimateVolume:
         box_volume = math.prod(float(hi - lo) for lo, hi in bounds)
         assert [s.volume_estimate for s in sweep] == [box_volume * (h / samples) for h in hits]
         assert 0 < hits[-1] < hits[0] < samples
-        kept = rlct.volume._last_sweep[2]
+        kept = estimate_volume(arr, box, grid[0], samples, seed=11)._draw[1]
         assert kept.tobytes() == log_f[log_f <= np.log(grid[0])].tobytes()
 
     def test_sweeps_reuse_only_their_own_draw(self):
@@ -136,31 +136,31 @@ class TestEstimateVolume:
                 alone = [estimate_volume(arr, key[0], eps, key[1], seed=key[2]) for eps in grid]
                 assert alone == ascending[key]
 
-    def test_record_rule(self, monkeypatch):
-        # Draws are counted by the Philox streams they open. A descending
-        # sweep, its rerun and an equal-epsilon repeat draw once; a larger
-        # epsilon or another key draws again. Every result is a fresh draw's.
+    def test_one_stream_per_call(self, monkeypatch):
+        # Draws are counted by the Philox streams they open: every
+        # estimate_volume call opens one, and `.at` opens none. A sample
+        # taken with `.at` is the fresh draw's at that epsilon.
         arr = arr_of("x*y")
         grid = default_epsilon_grid()
-        fresh = {}
-        for seed in (1, 2):
-            for eps in grid:
-                monkeypatch.setattr(rlct.volume, "_last_sweep", None)
-                fresh[eps, seed] = estimate_volume(arr, None, eps, 20_003, seed=seed)
         streams = []
         philox = np.random.Philox
         monkeypatch.setattr(np.random, "Philox", lambda **kw: streams.append(kw) or philox(**kw))
-
-        def draws(calls, seed=1):
-            for eps in calls:
-                assert estimate_volume(arr, None, eps, 20_003, seed=seed) == fresh[eps, seed]
-            return len(streams)
-
-        assert draws(grid[1:] + grid[1:] + grid[-1:]) == 1
-        assert draws(grid[:1]) == 2
-        assert draws(grid[1:]) == 2
-        assert draws(grid[:1], seed=2) == 3
-        assert draws(grid[:1]) == 4
+        for seed in (1, 2):
+            fresh = [estimate_volume(arr, None, eps, 20_003, seed=seed) for eps in grid]
+            top = estimate_volume(arr, None, grid[0], 20_003, seed=seed)
+            assert len(streams) == 10 * seed
+            assert [top.at(eps) for eps in grid] == fresh
+            assert [fresh[1].at(eps) for eps in grid[1:]] == fresh[1:]
+            assert len(streams) == 10 * seed
+        assert fresh[0].volume_estimate > fresh[4].volume_estimate > 0
+        for bad in (grid[0] * 1.5, 0.0, -grid[0], float("nan")):
+            with pytest.raises(RlctError):
+                top.at(bad)
+        with pytest.raises(RlctError):
+            synthetic_samples(1.0, 2, 1.0, grid)[0].at(grid[1])
+        # The draw takes no part in ==, hash or repr.
+        bare = VolumeSample(top.epsilon, top.volume_estimate, top.std_error, 20_003)
+        assert (top.at(grid[0]), hash(top), repr(top)) == (bare, hash(bare), repr(bare))
 
     def test_monotone_in_epsilon_for_fixed_seed(self):
         arr = arr_of("x*y")
