@@ -185,17 +185,28 @@ def _json_rationals(value, what: str) -> list:
     return value
 
 
+# The keys of each JSON input form; the matrix form's are those `rlct parse` writes.
+_POLYNOMIAL_KEYS = ("polynomial",)
+_MATRIX_KEYS = ("variables", "normals", "offsets", "multiplicities", "central")
+
+
 def arrangement_from_json(document: str | Mapping) -> ArrangementSpec:
     """Read the JSON input document.
 
     Either {"polynomial": "<factored text>"} or
     {"variables": [...]?, "normals": [[...]], "offsets": [...]?,
-     "multiplicities": [...]} with rationals as "p/q" strings or integers.
-    Documents of any other shape raise DimensionError.
+     "multiplicities": [...], "central": ...?} with rationals as "p/q"
+    strings or integers: the keys `rlct parse` writes. "central" is read
+    back from the offsets, so its value is ignored. Documents of any other
+    shape, an unknown key among them, raise DimensionError.
     """
     data = json.loads(document) if isinstance(document, str) else document
     if not isinstance(data, Mapping):
         raise DimensionError("JSON input must be an object")
+    form, allowed = ("polynomial", _POLYNOMIAL_KEYS) if "polynomial" in data else ("matrix", _MATRIX_KEYS)
+    unknown = next((key for key in data if key not in allowed), None)
+    if unknown is not None:
+        raise DimensionError(f"JSON input has unknown key {unknown!r}; the {form} form takes only {', '.join(allowed)}")
     if "polynomial" in data:
         from .parser import parse_factored_product
 

@@ -45,7 +45,7 @@ from .errors import RlctError, SizeLimitError
 from .oracle import verify_central, verify_report
 from .parser import parse_factored_product
 from .ratlinalg import as_rational, format_rational
-from .threshold import box_localizations, rlct_affine, rlct_central
+from .threshold import box_pair, rlct_affine, rlct_central
 
 if TYPE_CHECKING:
     from .volume import check_fit_epsilons, epsilon_grid, estimate_volume, fit_asymptotics, normalize_box
@@ -214,7 +214,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_volume_fit(args: argparse.Namespace) -> int:
     """`exact` is the pair of the sampled box (the default box without
-    --box): the most singular local pair on it (see `box_localizations`).
+    --box): the most singular local pair on it, from one `box_pair` call.
     The grid, the fit's rules on it (0 < eps < 1, three distinct values)
     and the box are checked before the exact pair is solved and before any
     draw, so a bad --eps-* or --box fails without running the closure. The
@@ -224,7 +224,7 @@ def cmd_volume_fit(args: argparse.Namespace) -> int:
     grid = epsilon_grid(args.eps_min, args.eps_max, args.eps_points)
     check_fit_epsilons(grid)
     box = normalize_box(parse_box(args.box, arr.dim), arr.dim)
-    lam, m = min(rlct_central(sub).pair for sub in box_localizations(arr, box)).astuple()
+    lam, m = box_pair(arr, box).astuple()
 
     if args.selftest:
         samples = synthetic_samples(float(lam), m, 1.0, grid)

@@ -8,8 +8,8 @@ union and intersection, so that length is the number of join-irreducibles
 of the lattice they form. Affine arrangements reduce to finitely many
 central ones, one per maximal set of hyperplanes with a common point, and
 the global pair is the minimum of the local pairs in the singularity order.
-The pair of a closed box is the minimum over the flats that meet it
-(`box_localizations`).
+The pair of a closed box is the minimum of the local pairs over the
+inclusion-maximal flats that meet it (`box_pair`).
 """
 
 from __future__ import annotations
@@ -254,33 +254,33 @@ def _centered(arr: NormalizedArrangement, members) -> NormalizedArrangement:
     )
 
 
-def box_localizations(arr: NormalizedArrangement, bounds) -> list[NormalizedArrangement]:
-    """The central sub-arrangements whose pairs give the pair of a closed box.
+def box_pair(arr: NormalizedArrangement, bounds) -> RlctPair:
+    """The pair of a closed box: the most singular local pair on it.
 
     The local pair at a point is the pair of the hyperplanes through it, and
     more hyperplanes through a point are never less singular: the flats of
     the fewer are flats of the more, with weights at least as large. So the
     most singular point of the box lies on a flat of the augmented closure
-    that meets the box and is inclusion-maximal among those that do. The walk
-    takes flats by decreasing member count, skips a flat inside one already
-    taken, and tests the rest with `meets_box`, exactly over Q; a witness
-    point would not do, since a flat can cross a box away from it. A central
-    input's first flat holds every hyperplane and is `arr` itself, so a box
-    that this flat meets, as any box around the origin does, costs one test
-    and no closure. `bounds` is one (lo, hi) pair of rationals per
-    coordinate. A box that no hyperplane meets is an error.
+    that meets the box and is inclusion-maximal among those that do, and the
+    box's pair is the least `rlct_central` pair of those flats' centered
+    hyperplanes. When every hyperplane passes through one point of the box,
+    central input or not, the flat of all of them is the only such flat: one
+    `meets_box` test and no closure. Otherwise the walk takes flats by
+    decreasing member count, skips a flat inside one already taken, and tests
+    the rest with `meets_box`, exactly over Q; a witness point would not do,
+    since a flat can cross a box away from it. `bounds` is one (lo, hi) pair
+    of rationals per coordinate. A box that no hyperplane meets is an error.
     """
     rows = _augmented(arr)
-    if arr.is_central and meets_box(rows, bounds):
-        return [arr]
-    flats = sorted(((mask, chain) for chain, mask, _ in _closure(rows, arr.dim)), key=lambda f: -f[0].bit_count())
-    taken = []
-    for mask, chain in flats:
-        if all(mask & m != mask for m in taken) and meets_box(chain, bounds):
-            taken.append(mask)
+    taken = [(1 << arr.n) - 1] if meets_box(rows, bounds) else []
+    if not taken:
+        flats = sorted(((mask, chain) for chain, mask, _ in _closure(rows, arr.dim)), key=lambda f: -f[0].bit_count())
+        for mask, chain in flats:
+            if all(mask & m != mask for m in taken) and meets_box(chain, bounds):
+                taken.append(mask)
     if not taken:
         raise RlctError("no hyperplane meets the box, so the polynomial has no zero there")
-    return [_centered(arr, [j for j in range(arr.n) if m >> j & 1]) for m in taken]
+    return min(rlct_central(_centered(arr, [j for j in range(arr.n) if m >> j & 1])).pair for m in taken)
 
 
 def rlct_affine(arr: NormalizedArrangement) -> LocalizationReport:

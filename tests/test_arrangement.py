@@ -148,6 +148,15 @@ class TestJsonIngestion:
         with pytest.raises(DimensionError):
             arrangement_from_json({"multiplicities": [1]})
 
+    def test_unknown_key_is_an_error(self):
+        # "offset" for "offsets" would drop the offsets and read x(x - 1) as x^2.
+        with pytest.raises(DimensionError, match="'offset'"):
+            arrangement_from_json({"normals": [[1], [1]], "multiplicities": [1, 1], "offset": [0, -1]})
+
+    def test_polynomial_takes_no_matrix_key(self):
+        with pytest.raises(DimensionError, match="'normals'"):
+            arrangement_from_json({"polynomial": "x", "normals": [[1]], "multiplicities": [1]})
+
     def test_round_trip_through_json_dict(self):
         arr = normalize(
             ArrangementSpec([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], [1, 2, 2, 1])

@@ -304,10 +304,11 @@ class TestVolumeFit:
 
     def test_central_exact_pair_is_one_rlct_central(self, capsys, monkeypatch):
         # The benchmark's ops: central input, default box. One rlct_central
-        # call on the input itself, through this module's binding, and no
-        # augmented closure.
+        # call on the input itself, through the binding `box_pair` calls,
+        # and no augmented closure.
         calls = []
-        monkeypatch.setattr(rlct.cli, "rlct_central", lambda arr: calls.append(arr) or rlct.threshold.rlct_central(arr))
+        central = rlct.threshold.rlct_central
+        monkeypatch.setattr(rlct.threshold, "rlct_central", lambda arr: calls.append(arr) or central(arr))
         monkeypatch.setattr(rlct.threshold, "_closure", None)
         code, out, _ = run_cli(capsys, "volume-fit", "--poly", "x*y^2*z^2*(x+y+z)", "--selftest")
         assert code == 0
@@ -347,9 +348,10 @@ class TestVolumeFit:
         ],
     )
     def test_grid_and_box_fail_before_the_exact_pair(self, capsys, monkeypatch, bad):
-        def unreachable(arr):
+        def unreachable(*args):
             raise AssertionError("solved the exact pair before checking the grid and box")
 
+        monkeypatch.setattr(rlct.cli, "box_pair", unreachable)
         monkeypatch.setattr(rlct.cli, "rlct_central", unreachable)
         monkeypatch.setattr(rlct.cli, "rlct_affine", unreachable)
         code, out, err = run_cli(capsys, "volume-fit", "--poly", "x*y", *bad)

@@ -27,7 +27,7 @@ from rlct import (
 from rlct import lattice, threshold
 from rlct.oracle import MAX_BRUTEFORCE_HYPERPLANES, subspace_leq
 from rlct.ratlinalg import RationalMatrix, primitive_int_row
-from rlct.threshold import box_localizations, maximal_central_localizations
+from rlct.threshold import box_pair, maximal_central_localizations
 
 from conftest import meets_box_bruteforce, random_central_arrangement, random_invertible
 
@@ -440,31 +440,32 @@ class TestAffine:
 
 
 class TestBoxPair:
-    """The pair of a closed box: the most singular pair of `box_localizations`."""
+    """The pair of a closed box: the most singular local pair on it (`box_pair`)."""
 
     @staticmethod
-    def box_pair(arr, box):
-        bounds = [(F(lo), F(hi)) for lo, hi in box]
-        return min(rlct_central(sub).pair for sub in box_localizations(arr, bounds))
+    def bounds(box):
+        return [(F(lo), F(hi)) for lo, hi in box]
 
     def test_examples(self):
-        assert self.box_pair(arr_of("x^3*(x-1/10)"), [("1/20", "1/5")]) == pair(1, 1)
-        assert self.box_pair(arr_of("x^3*(x-1/10)"), [(-1, 1)]) == pair(F(1, 3), 1)
+        assert box_pair(arr_of("x^3*(x-1/10)"), self.bounds([("1/20", "1/5")])) == pair(1, 1)
+        assert box_pair(arr_of("x^3*(x-1/10)"), self.bounds([(-1, 1)])) == pair(F(1, 3), 1)
         # Only the non-maximal flat y = 0 meets this box.
-        assert self.box_pair(arr_of("x*y"), [(1, 2), (-1, 1)]) == pair(1, 1)
+        assert box_pair(arr_of("x*y"), self.bounds([(1, 2), (-1, 1)])) == pair(1, 1)
         # x = 1 crosses the box away from its witness point (1, 0).
-        assert self.box_pair(arr_of("vars x, y; x*(x-1)"), [("1/2", 2), (5, 6)]) == pair(1, 1)
+        assert box_pair(arr_of("vars x, y; x*(x-1)"), self.bounds([("1/2", 2), (5, 6)])) == pair(1, 1)
         with pytest.raises(RlctError, match="no zero"):
-            box_localizations(arr_of("x*(x-1)"), [(F(2), F(3))])
+            box_pair(arr_of("x*(x-1)"), self.bounds([(2, 3)]))
 
     def test_central_input_meeting_the_box_runs_no_closure(self, monkeypatch):
-        # The flat of every hyperplane comes first in the walk and contains all others.
+        # The flat of every hyperplane contains all others, so when it meets
+        # the box it is the only flat taken, central input or not.
         monkeypatch.setattr(threshold, "_closure", None)
-        arr = arr_of("x*y^2*z^2*(x+y+z)")
-        assert box_localizations(arr, [(F(-1), F(1))] * 3) == [arr]
+        assert box_pair(arr_of("x*y^2*z^2*(x+y+z)"), self.bounds([(-1, 1)] * 3)) == pair(F(1, 2), 3)
         # A line of common points that meets the box above the origin.
         arr = arr_of("vars x, y, z; x*y*(x+y)")
-        assert box_localizations(arr, [(F(-1), F(1)), (F(0), F(1)), (F(5), F(6))]) == [arr]
+        assert box_pair(arr, self.bounds([(-1, 1), (0, 1), (5, 6)])) == pair(F(2, 3), 1)
+        # Affine: the three lines meet only at (1, 2), inside the box.
+        assert box_pair(arr_of("(x-1)*(y-2)*(x+y-3)"), self.bounds([(0, 2), (1, 3)])) == pair(F(2, 3), 1)
 
     def test_matches_all_subsets(self):
         # Independent route: each subset of hyperplanes whose common points
@@ -498,11 +499,32 @@ class TestBoxPair:
             if not candidates:
                 empty += 1
                 with pytest.raises(RlctError):
-                    box_localizations(arr, bounds)
+                    box_pair(arr, bounds)
                 continue
-            assert self.box_pair(arr, bounds) == min(candidates)
+            assert box_pair(arr, bounds) == min(candidates)
             local += min(candidates) != rlct_affine(arr).global_pair
         assert empty >= 3 and local >= 3, (empty, local)
+
+    def test_box_around_every_witness_point_gives_the_global_pair(self):
+        # Each maximal flat meets a box holding its witness point, so the
+        # box's inclusion-maximal flats are the maximal localizations, and
+        # two production paths must agree.
+        rng = random.Random(89)
+        several = 0
+        for _ in range(40):
+            d, n = rng.randint(1, 4), rng.randint(1, 8)
+            rows = []
+            while len(rows) < n:
+                row = [F(rng.randint(-2, 2)) for _ in range(d)]
+                if any(row):
+                    rows.append(row)
+            offsets = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+            arr = normalize(ArrangementSpec(rows, [rng.randint(1, 3) for _ in range(n)], offsets=offsets))
+            points = [point for point, _ in maximal_central_localizations(arr)]
+            bounds = [(min(xs) - F(rng.randint(0, 2), 3), max(xs) + F(rng.randint(0, 2), 3)) for xs in zip(*points)]
+            assert box_pair(arr, bounds) == rlct_affine(arr).global_pair
+            several += len(points) > 1
+        assert several >= 20, several
 
 
 class TestInvariances:
