@@ -11,8 +11,10 @@ Subcommands:
 `verify_central`, everything else `rlct_affine` and `verify_report`.
 Every report prints through `emit`, the one switch on --format, and the
 argparse parser is built once per process, at import. JSON reports print
-the bytes of `json.dumps(doc, indent=2)`, but through C-level joins
-(`_indented_json`): an `indent` makes `json.dumps` skip its C encoder.
+the bytes of `json.dumps(doc, indent=2, default=Flat.to_json_dict)`, but
+through C-level joins (`_indented_json`): an `indent` makes `json.dumps`
+skip its C encoder. A report's document holds its `Flat`s, which print
+from their integer rows, one text per distinct row per report.
 `rlct.volume`, and numpy with it, loads on the first `volume-fit`, through
 the module `__getattr__`; `compute`, `localize` and `parse` never load it.
 
@@ -34,6 +36,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from . import lattice
 from .arrangement import (
     NormalizedArrangement,
     arrangement_from_csv,
@@ -42,6 +45,7 @@ from .arrangement import (
     normalize,
 )
 from .errors import RlctError, SizeLimitError
+from .lattice import Flat
 from .oracle import verify_central, verify_report
 from .parser import parse_factored_product
 from .ratlinalg import as_rational, format_rational
@@ -153,33 +157,69 @@ _SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__}
 
 
 def _indented_json(obj, pad: str = "\n") -> str:
-    """Exactly `json.dumps(obj, indent=2)`, with every container one `str.join`.
+    """Exactly `json.dumps(obj, indent=2, default=Flat.to_json_dict)`, with
+    every container one `str.join`.
 
     `pad` is the newline and indent of `obj`'s own line. A list whose items
     are all of exact type str or all of exact type int is joined straight
     from `_SCALAR_TEXT`; any other scalar (float, bool, None, subclasses)
     takes `json.dumps(x)`, the C encoder, which prints it as the indented
     encoder does. Dict keys must be `str`, as they are in every report.
+
+    A `Flat` prints from its integer data, rows, mask and weight, in the
+    layout of `Flat.to_json_dict` (it has at least one row and one member).
+    Each distinct row's text at one indent is built once per call, from the
+    `lattice._rref_strings` bound when the call starts, so a report's witness
+    chain and the localizations that share a result reuse it.
     """
-    if not isinstance(obj, (dict, list, tuple)):
-        return _SCALAR_TEXT.get(type(obj), json.dumps)(obj)
-    if not obj:
-        return "{}" if isinstance(obj, dict) else "[]"
-    inner = pad + "  "
-    if isinstance(obj, dict):
-        items = (f"{encode_basestring_ascii(k)}: {_indented_json(v, inner)}" for k, v in obj.items())
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    kinds = set(map(type, obj))
-    text = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
-    items = map(text, obj) if text else (_indented_json(x, inner) for x in obj)
-    return "[" + inner + ("," + inner).join(items) + pad + "]"
+    rref_strings = lattice._rref_strings
+    row_texts: dict[str, dict[tuple[int, ...], str]] = {}  # by indent, then row; lives for this call
+
+    def flat_text(flat: Flat, pad: str) -> str:
+        inner = pad + "  "
+        row_pad = inner + "  "
+        entry_pad = row_pad + "  "
+        texts = row_texts.setdefault(row_pad, {})
+        rows = []
+        for row in flat.rows:
+            row_text = texts.get(row)
+            if row_text is None:
+                entries = ("," + entry_pad).join(map(encode_basestring_ascii, rref_strings(row)))
+                row_text = texts[row] = "[" + entry_pad + entries + row_pad + "]"
+            rows.append(row_text)
+        members = [str(j) for j in range(flat.mask.bit_length()) if flat.mask >> j & 1]
+        return (
+            f'{{{inner}"normal_space": [{row_pad}{("," + row_pad).join(rows)}{inner}],'
+            f'{inner}"codim": {len(rows)},{inner}"s": {flat.weight},'
+            f'{inner}"members": [{row_pad}{("," + row_pad).join(members)}{inner}]{pad}}}'
+        )
+
+    def text(obj, pad: str) -> str:
+        if not isinstance(obj, (dict, list, tuple)):
+            if type(obj) is Flat:
+                return flat_text(obj, pad)
+            return _SCALAR_TEXT.get(type(obj), json.dumps)(obj)
+        if not obj:
+            return "{}" if isinstance(obj, dict) else "[]"
+        inner = pad + "  "
+        if isinstance(obj, dict):
+            items = (f"{encode_basestring_ascii(k)}: {text(v, inner)}" for k, v in obj.items())
+            return "{" + inner + ("," + inner).join(items) + pad + "}"
+        kinds = set(map(type, obj))
+        scalar = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+        items = map(scalar, obj) if scalar else (text(x, inner) for x in obj)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+    return text(obj, pad)
 
 
 def emit(fmt: str, doc: dict, **lines: list[str]) -> None:
     """Print `doc` as indented JSON, or the `csv` or `human` lines, as --format asks.
 
-    The JSON is the bytes of `json.dumps(doc, indent=2)`, built by
-    `_indented_json` from C-level joins instead of the pure-Python encoder.
+    The JSON is the bytes of `json.dumps(doc, indent=2,
+    default=Flat.to_json_dict)`, built by `_indented_json` from C-level
+    joins instead of the pure-Python encoder; a report's flats print from
+    their integer rows, one text per distinct row.
     """
     print(_indented_json(doc) if fmt == "json" else "\n".join(lines[fmt]))
 
@@ -193,7 +233,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         result, verify = rlct_central(arr), verify_central
     else:
         result, verify = rlct_affine(arr), verify_report
-    doc = {"input": arrangement_to_json_dict(arr), **result.to_json_dict()}
+    doc = {"input": arrangement_to_json_dict(arr), **result.to_json_dict(flat=lambda flat: flat)}
     if args.verify:
         doc["verify"] = verify(arr, result)
     human = [

@@ -65,9 +65,10 @@ def _rref_strings(row: tuple[int, ...]) -> tuple[str, ...]:
 
     The cache is sound: the strings are a pure function of the row, an
     immutable tuple of ints, and they come back as an immutable tuple, which
-    `Flat.to_json_dict` copies into a fresh list. Flats of one lattice share
-    most rows (a coordinate arrangement has k distinct rows over 2^k - 1
-    flats), so most calls are hits; the bound keeps the cache small.
+    `Flat.to_json_dict` copies into a fresh list and the CLI's printer only
+    reads. Flats of one lattice share most rows (a coordinate arrangement
+    has k distinct rows over 2^k - 1 flats), so most calls are hits; the
+    bound keeps the cache small.
     """
     p = next(x for x in row if x)
     out = []
@@ -102,16 +103,19 @@ def _lattice_order(triples) -> list[Flat]:
     integer key gives exactly the rational order on any set of flats, with P
     the largest pivot among them. A common denominator is no option, since
     the lcm of the pivots can run to thousands of digits.
+
+    Flats share most rows, so each distinct row's scaled entries are computed
+    once per call, and a flat's key is (codim, tuple of its row keys). Every
+    row has the same length, so that orders as the row-major entries do.
+    The row keys hold for this call's shift only, and die with the call.
     """
     flats = [Flat(_canonical_rows(chain), mask, weight) for chain, mask, weight in triples]
-    top_pivot = max(next(filter(None, row)) for flat in flats for row in flat.rows)
-    shift = 2 * top_pivot.bit_length()
-
-    def key(flat):
-        pivots = (next(filter(None, row)) for row in flat.rows)
-        return (flat.codim, tuple((x << shift) // p for row, p in zip(flat.rows, pivots) for x in row))
-
-    return sorted(flats, key=key)
+    row_keys = dict.fromkeys(row for flat in flats for row in flat.rows)
+    pivots = [next(filter(None, row)) for row in row_keys]
+    shift = 2 * max(pivots).bit_length()
+    for row, p in zip(row_keys, pivots):
+        row_keys[row] = tuple((x << shift) // p for x in row)
+    return sorted(flats, key=lambda flat: (flat.codim, tuple(map(row_keys.__getitem__, flat.rows))))
 
 
 def _canonical_rows(chain: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:

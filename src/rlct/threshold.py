@@ -66,12 +66,14 @@ class RlctResult:
     minimizer_flats: tuple[Flat, ...]
     lattice: IntersectionLattice
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, *, flat=Flat.to_json_dict) -> dict:
+        """The pair and its flats, by default as plain JSON. `flat` is how each
+        flat enters the document; the CLI keeps the `Flat`s and prints them."""
         return {
             "lambda": format_rational(self.pair.threshold),
             "m": self.pair.multiplicity,
-            "minimizer_flats": [flat.to_json_dict() for flat in self.minimizer_flats],
-            "witness_chain": [flat.to_json_dict() for flat in self.witness_chain],
+            "minimizer_flats": list(map(flat, self.minimizer_flats)),
+            "witness_chain": list(map(flat, self.witness_chain)),
         }
 
 
@@ -169,9 +171,9 @@ class Localization:
     def pair(self) -> RlctPair:
         return self.result.pair
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, *, flat=Flat.to_json_dict) -> dict:
         doc = {"point": [format_rational(x) for x in self.point]}
-        doc.update(self.result.to_json_dict())
+        doc.update(self.result.to_json_dict(flat=flat))
         doc["normals"] = self.arrangement.normals.to_string_lists()
         doc["multiplicities"] = list(self.arrangement.multiplicities)
         return doc
@@ -192,9 +194,9 @@ class LocalizationReport:
     def global_pair(self) -> RlctPair:
         return self.global_result.pair
 
-    def to_json_dict(self) -> dict:
-        doc = self.global_result.to_json_dict()
-        doc["localizations"] = [loc.to_json_dict() for loc in self.localizations]
+    def to_json_dict(self, *, flat=Flat.to_json_dict) -> dict:
+        doc = self.global_result.to_json_dict(flat=flat)
+        doc["localizations"] = [loc.to_json_dict(flat=flat) for loc in self.localizations]
         doc["global_point"] = [format_rational(x) for x in self.localizations[self.global_index].point]
         return doc
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -15,10 +16,18 @@ from hypothesis import strategies as st
 import rlct.cli
 import rlct.lattice
 import rlct.threshold
-from rlct import default_epsilon_grid, estimate_volume, normalize, parse_factored_product
+from rlct import (
+    ArrangementSpec,
+    Flat,
+    build_lattice,
+    default_epsilon_grid,
+    estimate_volume,
+    normalize,
+    parse_factored_product,
+)
 from rlct.cli import main
 
-from conftest import unreduced_rref_strings
+from conftest import random_central_arrangement, unreduced_rref_strings
 from test_golden_cli import CASES, PARALLEL_DOUBLE_PLANES
 
 
@@ -527,4 +536,40 @@ class TestIndentedJson:
         capsys.readouterr()
         assert len(docs) == len(CASES) + 2
         for doc in docs:
-            assert rlct.cli._indented_json(doc) == json.dumps(doc, indent=2)
+            assert rlct.cli._indented_json(doc) == json.dumps(doc, indent=2, default=Flat.to_json_dict)
+
+    def test_a_flat_prints_as_its_json_dict(self):
+        # The printer's own path for a `Flat` and the generic path for its
+        # dict must agree at every indent, on fractional and large pivots.
+        rng = random.Random(94)
+        arrangements = [random_central_arrangement(rng, max_n=7, max_d=4) for _ in range(15)]
+        arrangements += [random_central_arrangement(rng, max_n=6, max_d=4, span=1000) for _ in range(4)]
+        pair = [[1000, 1, 5], [999, 1, 0]]
+        arrangements += [normalize(ArrangementSpec(rows, [1] * len(rows))) for rows in (pair, pair + [[0, 0, 1]])]
+        for arr in arrangements:
+            for flat in build_lattice(arr).flats:
+                for pad in ("\n", "\n  ", "\n      "):
+                    assert rlct.cli._indented_json(flat, pad) == rlct.cli._indented_json(flat.to_json_dict(), pad)
+
+    def test_flats_print_through_the_patched_formatter(self, capsys, monkeypatch):
+        # The printer must read `lattice._rref_strings` when it runs, as
+        # `Flat.to_json_dict` does, not hold a copy bound earlier.
+        polys = [("compute", "vars x, y, z; (4*x + 10*y + z)*y"),
+                 ("localize", "vars x, y, z; (4*x + 10*y + z + 1)*(x - 1)*y")]
+        docs, outs = [], []
+        emit = rlct.cli.emit
+
+        def recording_emit(fmt, doc, **lines):
+            docs.append(doc)
+            emit(fmt, doc, **lines)
+
+        monkeypatch.setattr(rlct.cli, "emit", recording_emit)
+        for command, poly in polys:
+            assert main([command, "--poly", poly]) == 0
+            outs.append(capsys.readouterr().out)
+        monkeypatch.setattr(rlct.lattice, "_rref_strings", unreduced_rref_strings(rlct.lattice._rref_strings))
+        for (command, poly), unpatched in zip(polys, outs):
+            assert main([command, "--poly", poly]) == 0
+            out = capsys.readouterr().out
+            assert out != unpatched
+            assert out == json.dumps(docs[-1], indent=2, default=Flat.to_json_dict) + "\n"

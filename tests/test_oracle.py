@@ -66,6 +66,20 @@ class TestLatticeBruteforce:
         for arr in arrangements:
             assert flats_key(lattice_bruteforce(arr)) == flats_key(build_lattice(arr))
 
+    def test_order_keys_hold_for_one_call_only(self):
+        # The production order scales each row by 2^shift, with shift set by
+        # the largest pivot of the flats sorted in one call. Both lattices
+        # hold the row (1, 0, 0); alternating a large-pivot lattice with a
+        # small-pivot one in one process shows a row key kept across calls.
+        # Each has independent normals of multiplicity 1, so every flat is a
+        # minimizer and rlct_central sorts the whole lattice too.
+        large = normalize(ArrangementSpec([[1000, 1, 5], [999, 1, 0], [1, 0, 0]], [1, 1, 1]))
+        small = normalize(ArrangementSpec([[1, 0, 0], [2, 1, 0], [0, 0, 1]], [1, 1, 1]))
+        for arr in (large, small, large, small):
+            reference = flats_key(lattice_bruteforce(arr))
+            assert flats_key(build_lattice(arr)) == reference
+            assert [f.to_json_dict() for f in rlct_central(arr).minimizer_flats] == reference
+
     def test_sees_a_production_formatter_fault(self, monkeypatch):
         # The oracle prints its own rational RREF, so a fault in the
         # production formatter shows up as a difference.
