@@ -20,6 +20,7 @@ from .arrangement import (
     arrangement_from_csv,
     arrangement_from_json,
     arrangement_to_json_dict,
+    default_box,
     normalize,
 )
 from .errors import (
@@ -66,7 +67,7 @@ __version__ = "0.1.0"
 # The Monte Carlo layer, and numpy with it, loads on the first use of one of
 # these names; the exact engine above needs neither.
 _VOLUME_NAMES = frozenset({
-    "AsymptoticFit", "VolumeSample", "default_box", "default_epsilon_grid",
+    "AsymptoticFit", "VolumeSample", "default_epsilon_grid",
     "estimate_volume", "fit_asymptotics", "synthetic_samples",
 })
 

@@ -6,6 +6,8 @@ of linear forms f = L_1^{s_1} ... L_n^{s_n}. Normalization merges rows
 that define the same affine hyperplane (summing multiplicities), drops
 rows with multiplicity zero, and rescales every normal so its first
 nonzero entry is 1, which makes row identity a plain equality test.
+A closed box, as the sampler and `threshold.box_pair` read it, is checked
+here too (`normalize_box`).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import (
+    DegenerateBoxError,
     DimensionError,
     EmptyArrangementError,
     InvalidHyperplaneError,
@@ -128,6 +131,32 @@ class NormalizedArrangement:
         if self.variables is not None:
             return self.variables
         return tuple(f"x{i + 1}" for i in range(self.dim))
+
+
+# A closed box: one exact (lo, hi) interval per coordinate, lo < hi.
+Box = tuple[tuple[Fraction, Fraction], ...]
+
+
+def default_box(dim: int) -> Box:
+    return tuple((Fraction(-1), Fraction(1)) for _ in range(dim))
+
+
+def normalize_box(box: Sequence[Sequence] | None, dim: int) -> Box:
+    """The box as exact (lo, hi) pairs with lo < hi, one per coordinate;
+    None is `default_box`. Both the sampler and `threshold.box_pair` take
+    their box through here."""
+    if box is None:
+        return default_box(dim)
+    out = []
+    for bounds in box:
+        lo, hi = bounds
+        lo, hi = as_rational(lo), as_rational(hi)
+        if lo >= hi:
+            raise DegenerateBoxError(f"empty interval [{lo}, {hi}]")
+        out.append((lo, hi))
+    if len(out) != dim:
+        raise DimensionError(f"box has {len(out)} intervals for dimension {dim}")
+    return tuple(out)
 
 
 def normalize(spec: ArrangementSpec) -> NormalizedArrangement:

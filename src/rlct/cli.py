@@ -43,6 +43,7 @@ from .arrangement import (
     arrangement_from_json,
     arrangement_to_json_dict,
     normalize,
+    normalize_box,
 )
 from .errors import RlctError, SizeLimitError
 from .lattice import Flat
@@ -52,8 +53,7 @@ from .ratlinalg import as_rational, format_rational
 from .threshold import box_pair, rlct_affine, rlct_central
 
 if TYPE_CHECKING:
-    from .volume import check_fit_epsilons, epsilon_grid, estimate_volume, fit_asymptotics, normalize_box
-    from .volume import synthetic_samples
+    from .volume import check_fit_epsilons, epsilon_grid, estimate_volume, fit_asymptotics, synthetic_samples
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -61,9 +61,7 @@ EXIT_USER_ERROR = 2
 EXIT_BROKEN_PIPE = 141
 
 # Bound on first use by `__getattr__`, so only `volume-fit` loads numpy.
-_VOLUME_NAMES = (
-    "check_fit_epsilons", "epsilon_grid", "estimate_volume", "fit_asymptotics", "normalize_box", "synthetic_samples"
-)
+_VOLUME_NAMES = ("check_fit_epsilons", "epsilon_grid", "estimate_volume", "fit_asymptotics", "synthetic_samples")
 
 
 def __getattr__(name: str):

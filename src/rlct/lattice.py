@@ -13,7 +13,7 @@ the lattice order, `Flat.rows`, witness points and the "p/q" strings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd
 
 from .arrangement import NormalizedArrangement
@@ -56,19 +56,16 @@ class Flat:
         }
 
 
-@lru_cache(maxsize=4096)
 def _rref_strings(row: tuple[int, ...]) -> tuple[str, ...]:
     """Each entry x / pivot in lowest terms, as `format_rational` prints it.
 
     The pivot p is the row's first nonzero entry, which is positive, so with
     g = gcd(x, p) the reduced denominator p // g is positive too.
 
-    The cache is sound: the strings are a pure function of the row, an
-    immutable tuple of ints, and they come back as an immutable tuple, which
-    `Flat.to_json_dict` copies into a fresh list and the CLI's printer only
-    reads. Flats of one lattice share most rows (a coordinate arrangement
-    has k distinct rows over 2^k - 1 flats), so most calls are hits; the
-    bound keeps the cache small.
+    Flats of one report share most rows (a coordinate arrangement has k
+    distinct rows over 2^k - 1 flats), so the CLI's printer keeps each
+    distinct row's text for the report it prints (`cli._indented_json`)
+    and calls this once per distinct row.
     """
     p = next(x for x in row if x)
     out = []

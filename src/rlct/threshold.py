@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
+from functools import cached_property, total_ordering
 
-from .arrangement import NormalizedArrangement
+from .arrangement import NormalizedArrangement, normalize_box
 from .errors import CentralityError, EmptyArrangementError, InvalidMultiplicityError, RlctError
 from .lattice import Flat, IntersectionLattice, _canonical_rows, _closure, _lattice_order, build_lattice
 from .ratlinalg import RationalMatrix, format_rational, meets_box, primitive_int_row
@@ -59,12 +59,20 @@ class RlctResult:
 
     witness_chain is one longest strictly increasing chain of minimizer
     flats (smallest flat first); its length equals the multiplicity.
+    `arrangement` is the central arrangement solved. The result keeps no
+    lattice: `lattice` builds it from `arrangement` on first read and keeps
+    it from then on, so only a caller that reads it (the --verify checks)
+    holds one.
     """
 
     pair: RlctPair
     witness_chain: tuple[Flat, ...]
     minimizer_flats: tuple[Flat, ...]
-    lattice: IntersectionLattice
+    arrangement: NormalizedArrangement
+
+    @cached_property
+    def lattice(self) -> IntersectionLattice:
+        return build_lattice(self.arrangement)
 
     def to_json_dict(self, *, flat=Flat.to_json_dict) -> dict:
         """The pair and its flats, by default as plain JSON. `flat` is how each
@@ -82,27 +90,28 @@ def rlct_central(arr: NormalizedArrangement) -> RlctResult:
 
     The threshold is the least codim/weight over the closure's integer
     triples, compared as c·w' < c'·w. Only the minimizers get canonical
-    rows and are sorted, by the key that orders any set of flats exactly, so
-    `lattice.flats` stays unbuilt until read. The multiplicity is the number
-    of join-irreducibles of the minimizers' member sets (see
-    `_longest_chain`); the witness chain is picked in a fixed order derived
-    from the lattice order, so it is reproducible.
+    rows and are sorted, by the key that orders any set of flats exactly.
+    The result keeps `arr`, not the triples, and its `lattice` is built
+    again only when read. The multiplicity is the number of
+    join-irreducibles of the minimizers' member sets (see `_longest_chain`);
+    the witness chain is picked in a fixed order derived from the lattice
+    order, so it is reproducible.
     """
     if not arr.is_central:
         raise CentralityError("rlct_central needs a central arrangement; use rlct_affine")
-    lat = build_lattice(arr)
+    triples = build_lattice(arr).triples
     codim, weight = 1, 0  # 1/0 is above every ratio
-    for residues, _, w in lat.triples:
+    for residues, _, w in triples:
         if len(residues) * weight < codim * w:
             codim, weight = len(residues), w
-    minimizers = _lattice_order(t for t in lat.triples if len(t[0]) * weight == codim * t[2])
+    minimizers = _lattice_order(t for t in triples if len(t[0]) * weight == codim * t[2])
 
     multiplicity, chain = _longest_chain(minimizers)
     return RlctResult(
         pair=RlctPair(threshold=Fraction(codim, weight), multiplicity=multiplicity),
         witness_chain=tuple(chain),
         minimizer_flats=tuple(minimizers),
-        lattice=lat,
+        arrangement=arr,
     )
 
 
@@ -161,11 +170,17 @@ def rlct_line_arrangement_2d(multiplicities) -> RlctPair:
 
 @dataclass(frozen=True)
 class Localization:
-    """A maximal central sub-arrangement: the hyperplanes through one point."""
+    """A maximal central sub-arrangement: the hyperplanes through one point,
+    centered there, and its result. The sub-arrangement is stored once, as
+    the result's `arrangement`, and localizations that share a result share
+    it too."""
 
     point: tuple[Fraction, ...]
-    arrangement: NormalizedArrangement
     result: RlctResult
+
+    @property
+    def arrangement(self) -> NormalizedArrangement:
+        return self.result.arrangement
 
     @property
     def pair(self) -> RlctPair:
@@ -270,9 +285,12 @@ def box_pair(arr: NormalizedArrangement, bounds) -> RlctPair:
     `meets_box` test and no closure. Otherwise the walk takes flats by
     decreasing member count, skips a flat inside one already taken, and tests
     the rest with `meets_box`, exactly over Q; a witness point would not do,
-    since a flat can cross a box away from it. `bounds` is one (lo, hi) pair
-    of rationals per coordinate. A box that no hyperplane meets is an error.
+    since a flat can cross a box away from it. `bounds` goes through
+    `normalize_box` first: one (lo, hi) pair of rationals per coordinate,
+    lo < hi, or DimensionError or DegenerateBoxError. A box that no
+    hyperplane meets is an error.
     """
+    bounds = normalize_box(bounds, arr.dim)
     rows = _augmented(arr)
     taken = [(1 << arr.n) - 1] if meets_box(rows, bounds) else []
     if not taken:
@@ -291,7 +309,8 @@ def rlct_affine(arr: NormalizedArrangement) -> LocalizationReport:
     Central inputs produce a single localization at the origin, so the
     report then agrees with `rlct_central` exactly. Each distinct local
     arrangement is solved once (`maximal_central_localizations` shares its
-    object), and its localizations share the `RlctResult`.
+    object), and its localizations share the `RlctResult`, which holds that
+    object and no lattice.
     """
     results: dict[int, RlctResult] = {}  # by sub-arrangement object
     localizations = []
@@ -299,7 +318,7 @@ def rlct_affine(arr: NormalizedArrangement) -> LocalizationReport:
         result = results.get(id(sub))
         if result is None:
             result = results[id(sub)] = rlct_central(sub)
-        localizations.append(Localization(point=point, arrangement=sub, result=result))
+        localizations.append(Localization(point=point, result=result))
     # The first most singular pair; RlctPair orders by pair_less.
     best = min(range(len(localizations)), key=lambda i: localizations[i].pair)
     return LocalizationReport(localizations=tuple(localizations), global_index=best)

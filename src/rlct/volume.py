@@ -21,22 +21,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .arrangement import NormalizedArrangement
-from .errors import DegenerateBoxError, DimensionError, InsufficientDataError, RlctError
-from .ratlinalg import as_rational
+# The box helpers live in `arrangement`; `rlct.volume` keeps both names.
+from .arrangement import NormalizedArrangement, default_box, normalize_box
+from .errors import DegenerateBoxError, InsufficientDataError, RlctError
 
 CHUNK_SAMPLES = 1 << 14
-
-Box = tuple[tuple[Fraction, Fraction], ...]
-
-
-def default_box(dim: int) -> Box:
-    return tuple((Fraction(-1), Fraction(1)) for _ in range(dim))
 
 
 def epsilon_grid(eps_min: float, eps_max: float, points: int) -> list[float]:
@@ -57,22 +50,6 @@ def epsilon_grid(eps_min: float, eps_max: float, points: int) -> list[float]:
 def default_epsilon_grid() -> list[float]:
     """Nine points from 1e-2 down to 1e-6, the `rlct volume-fit` default."""
     return epsilon_grid(1e-6, 1e-2, 9)
-
-
-def normalize_box(box: Sequence[Sequence] | None, dim: int) -> Box:
-    """The box as exact (lo, hi) pairs with lo < hi; None is `default_box`."""
-    if box is None:
-        return default_box(dim)
-    out = []
-    for bounds in box:
-        lo, hi = bounds
-        lo, hi = as_rational(lo), as_rational(hi)
-        if lo >= hi:
-            raise DegenerateBoxError(f"empty interval [{lo}, {hi}]")
-        out.append((lo, hi))
-    if len(out) != dim:
-        raise DimensionError(f"box has {len(out)} intervals for dimension {dim}")
-    return tuple(out)
 
 
 @dataclass(frozen=True)

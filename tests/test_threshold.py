@@ -1,5 +1,6 @@
 """Threshold pair computation: golden values, closed form, localization."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -9,6 +10,8 @@ import pytest
 from rlct import (
     ArrangementSpec,
     CentralityError,
+    DegenerateBoxError,
+    DimensionError,
     EmptyArrangementError,
     NormalizedArrangement,
     RlctError,
@@ -253,6 +256,60 @@ class TestMinimizersFromTriples:
         assert skipped >= 100
 
 
+class TestLatticeOnRead:
+    """A result keeps the arrangement it solved, not its lattice: `lattice`
+    is built on first read, and a localization is its point and its result."""
+
+    def test_fields(self):
+        fields = [f.name for f in dataclasses.fields(threshold.RlctResult)]
+        assert fields == ["pair", "witness_chain", "minimizer_flats", "arrangement"]
+        assert [f.name for f in dataclasses.fields(threshold.Localization)] == ["point", "result"]
+
+    def test_no_result_holds_a_lattice_until_read(self):
+        arr = arr_of("x*y^2*z^2*(x+y+z)")
+        result = rlct_central(arr)
+        assert result.arrangement is arr
+        assert "lattice" not in vars(result)
+        lat = result.lattice
+        assert vars(result)["lattice"] is lat is result.lattice
+        report = rlct_affine(arr_of("vars x, y, z; (y-1)*x*(z-2)*(x-2)*(x+y+z-3)*y*(z-1)*(x-1)*(y-2)*z"))
+        assert len(report.localizations) > 1
+        for loc in report.localizations:
+            assert "lattice" not in vars(loc.result)
+        assert report.global_result.lattice.flats
+        assert "lattice" in vars(report.global_result)
+
+    def test_lattice_on_read_is_build_lattice(self):
+        rng = random.Random(91)
+        for _ in range(40):
+            arr = random_central_arrangement(rng, max_n=7, max_d=4)
+            result = rlct_central(arr)
+            expected = [f.to_json_dict() for f in build_lattice(arr).flats]
+            assert [f.to_json_dict() for f in result.lattice.flats] == expected
+
+    def test_a_localization_reads_its_arrangement_off_its_result(self):
+        rng = random.Random(92)
+        shared = 0
+        for _ in range(40):
+            d, n = rng.randint(1, 3), rng.randint(1, 7)
+            rows = []
+            while len(rows) < n:
+                row = [F(rng.randint(-2, 2)) for _ in range(d)]
+                if any(row):
+                    rows.append(row)
+            offsets = [F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n)]
+            arr = normalize(ArrangementSpec(rows, [rng.randint(1, 2) for _ in range(n)], offsets=offsets))
+            report = rlct_affine(arr)
+            expected = maximal_central_localizations(arr)
+            assert [loc.point for loc in report.localizations] == [point for point, _ in expected]
+            for loc, (_, sub) in zip(report.localizations, expected):
+                assert loc.arrangement is loc.result.arrangement
+                assert loc.arrangement == sub
+                assert "lattice" not in vars(loc.result)
+            shared += len({id(loc.result) for loc in report.localizations}) < len(report.localizations)
+        assert shared >= 5, shared
+
+
 class TestClosedForm2d:
     def test_balanced_pair(self):
         assert rlct_line_arrangement_2d([1, 1]) == pair(1, 2)
@@ -424,7 +481,7 @@ class TestAffine:
         mults = [1, 2, 1] + [1] * (2 * k) + [2]
         arr = normalize(ArrangementSpec(rows, mults, offsets=offsets))
         fresh = [
-            threshold.Localization(point, sub, rlct_central(sub))
+            threshold.Localization(point, rlct_central(sub))
             for point, sub in maximal_central_localizations(arr)
         ]
         best = min(range(len(fresh)), key=lambda i: fresh[i].pair)
@@ -455,6 +512,17 @@ class TestBoxPair:
         assert box_pair(arr_of("vars x, y; x*(x-1)"), self.bounds([("1/2", 2), (5, 6)])) == pair(1, 1)
         with pytest.raises(RlctError, match="no zero"):
             box_pair(arr_of("x*(x-1)"), self.bounds([(2, 3)]))
+
+    def test_the_box_is_checked_first(self):
+        # One interval for two coordinates once read a normal entry as the
+        # offset and gave (1, 1); three intervals ended in an IndexError.
+        arr = arr_of("vars x, y; (x-5)*(y-5)")
+        for box in ([(-1, 1)], [(-1, 1)] * 3):
+            with pytest.raises(DimensionError):
+                box_pair(arr, self.bounds(box))
+        # An interval without interior is no box, as for the sampler; it gave (1, 2).
+        with pytest.raises(DegenerateBoxError):
+            box_pair(arr_of("x*y*(x+y-1)"), self.bounds([(0, 0), (-1, 1)]))
 
     def test_central_input_meeting_the_box_runs_no_closure(self, monkeypatch):
         # The flat of every hyperplane contains all others, so when it meets
@@ -510,7 +578,7 @@ class TestBoxPair:
         # box's inclusion-maximal flats are the maximal localizations, and
         # two production paths must agree.
         rng = random.Random(89)
-        several = 0
+        several = flat = 0
         for _ in range(40):
             d, n = rng.randint(1, 4), rng.randint(1, 8)
             rows = []
@@ -522,9 +590,16 @@ class TestBoxPair:
             arr = normalize(ArrangementSpec(rows, [rng.randint(1, 3) for _ in range(n)], offsets=offsets))
             points = [point for point, _ in maximal_central_localizations(arr)]
             bounds = [(min(xs) - F(rng.randint(0, 2), 3), max(xs) + F(rng.randint(0, 2), 3)) for xs in zip(*points)]
-            assert box_pair(arr, bounds) == rlct_affine(arr).global_pair
+            if any(lo == hi for lo, hi in bounds):
+                # One witness point and a zero margin: an interval without interior.
+                with pytest.raises(DegenerateBoxError):
+                    box_pair(arr, bounds)
+                flat += 1
+            else:
+                assert box_pair(arr, bounds) == rlct_affine(arr).global_pair
             several += len(points) > 1
         assert several >= 20, several
+        assert flat == 1, flat
 
 
 class TestInvariances:
