@@ -10,7 +10,8 @@ per flat, and `lattice._canonical_rows` and `integer_rank` run it too. The
 rows the closure carries for a flat are the rational RREF with each row
 rescaled to a primitive integer vector, so two flats are equal if and
 only if their rows are. `meets_box` decides on such rows whether a flat
-meets a closed box.
+meets a closed box, on integers too: it reads each Fraction bound's
+numerator and denominator once, at entry, and builds no Fraction after.
 """
 
 from __future__ import annotations
@@ -186,48 +187,60 @@ def integer_rank(rows: Iterable[tuple[int, ...]]) -> int:
 
 def meets_box(rows: Sequence[tuple[int, ...]], bounds: Sequence[tuple[Fraction, Fraction]]) -> bool:
     """Whether some x with lo <= x <= hi solves a·x + b = 0 for every integer
-    row (a | b), decided exactly by phase one of the simplex method.
+    row (a | b), decided exactly, on integers only, by phase one of the
+    simplex method.
 
-    With x = lo + s and w = hi - lo the question is whether A·s = r,
-    0 <= s <= w has a solution, r = -(A·lo + b). In equality form with
-    slacks t = w - s >= 0, each row s_i + t_i = w_i starts with t_i basic,
-    and each equation, scaled to integers with r >= 0, gets an artificial
-    variable. The pivots lower the artificials' sum, choosing the entering
-    and the leaving variable by Bland's rule so that no cycle occurs; the
-    box meets the solutions iff the sum ends at 0. An equation 0 = r with
-    r != 0 keeps its artificial positive. Rows stay integer: a pivot scales
-    each other row by the pivot entry, which is positive, and cuts it by its
-    gcd, so no sign and no ratio changes. (Fourier–Motzkin, the textbook
-    alternative, can blow up doubly exponentially: a codim-4 flat in 8
-    variables took seconds.)
+    The box is scaled to integers once: with D (`scale`) the lcm of the
+    bounds' denominators, s = D·(x - lo) and w = D·(hi - lo), the question
+    is whether A·s = r, 0 <= s <= w has a solution, r = -(D·b + A·(D·lo)).
+    D·lo, w and r are integers, read off each bound's numerator and
+    denominator at entry. In equality form with slacks t = w - s >= 0, each
+    row s_i + t_i = w_i starts with t_i basic, and each equation, its sign
+    flipped so that r >= 0, starts with an artificial variable basic. The
+    pivots lower the artificials' sum, choosing the entering and the leaving
+    variable by Bland's rule so that no cycle occurs. The ratio test
+    compares right sides over entering entries, c_i / e_i, by
+    cross-multiplying (c_i·e_j < c_j·e_i, both e positive), and breaks ties
+    on the basis index. The box meets the solutions iff the sum ends at 0.
+    An equation 0 = r with r != 0 keeps its artificial positive.
+
+    Artificials get no column, so the tableau is 2d + 1 wide. One that
+    leaves the basis is 0 and never re-enters: what remains is the same LP
+    with that artificial fixed at 0, and its least sum is still 0 iff the
+    equations meet the box, since a solution has every artificial at 0. It
+    still terminates: the set of variables only shrinks, at most once per
+    equation, and on each fixed set Bland's rule cannot cycle. Rows stay
+    integer: a pivot scales each other row by the pivot entry, which is
+    positive, and cuts it by its gcd, so no sign and no ratio changes.
+    (Fourier–Motzkin, the textbook alternative, can blow up doubly
+    exponentially: a codim-4 flat in 8 variables took seconds.)
     """
     d, k = len(bounds), len(rows)
-    width = d + d + k  # columns s, t, artificials; the right side is last
-    table = []
-    for i, row in enumerate(rows):
-        r = -row[d] - sum(a * low for a, (low, _) in zip(row, bounds))
-        scale = r.denominator if r >= 0 else -r.denominator
-        line = [scale * a for a in row[:d]] + [0] * (d + k) + [int(scale * r)]
-        line[d + d + i] = 1
-        table.append(line)
+    scale = lcm(*(x.denominator for bound in bounds for x in bound))
+    lows = [low.numerator * (scale // low.denominator) for low, _ in bounds]
+    table = []  # columns s, t; the right side is last
+    for row in rows:
+        r = -scale * row[d] - sum(a * low for a, low in zip(row, lows))
+        sign = -1 if r < 0 else 1
+        table.append([sign * a for a in row[:d]] + [0] * d + [sign * r])
     for i, (low, high) in enumerate(bounds):
-        line = [0] * width + [(high - low).numerator]
-        line[i] = line[d + i] = (high - low).denominator
+        line = [0] * (d + d) + [high.numerator * (scale // high.denominator) - lows[i]]
+        line[i] = line[d + i] = 1
         table.append(line)
     basis = [d + d + i for i in range(k)] + [d + i for i in range(d)]
     # Reduced costs of the artificials' sum, then its negated value.
-    cost = [-sum(line[j] for line in table[:k]) for j in range(d + d)] + [0] * k
-    cost.append(-sum(line[-1] for line in table[:k]))
+    cost = [-sum(line[j] for line in table[:k]) for j in range(d + d + 1)]
     while True:
-        enter = next((j for j in range(width) if cost[j] < 0), None)
+        enter = next((j for j in range(d + d) if cost[j] < 0), None)
         if enter is None:
             return cost[-1] == 0
         # Some entry is positive, since the artificials' sum is bounded below.
-        leave = min(
-            (i for i in range(len(table)) if table[i][enter] > 0),
-            key=lambda i: (Fraction(table[i][-1], table[i][enter]), basis[i]),
-        )
-        pivot, p = table[leave], table[leave][enter]
+        leave = -1
+        for i, line in enumerate(table):
+            e = line[enter]
+            if e > 0 and (leave < 0 or (line[-1] * pivot[enter], basis[i]) < (pivot[-1] * e, basis[leave])):
+                leave, pivot = i, line
+        p = pivot[enter]
         for line in table + [cost]:
             if line is not pivot and line[enter]:
                 f = line[enter]

@@ -145,9 +145,9 @@ class TestBuildLattice:
         second = [f.to_json_dict() for f in build_lattice(arr).flats]
         assert first == second
 
-    def test_cached_strings_do_not_leak_between_docs(self):
-        # `_rref_strings` is cached, so every doc must get its own lists: a
-        # caller that edits one report cannot change the next.
+    def test_each_doc_gets_fresh_lists(self):
+        # Every `to_json_dict` call builds new lists from the flats' integer
+        # rows, so a caller that edits one document cannot change the next.
         result = rlct_central(normalize(parse_factored_product("vars x, y, z; (2*x - 3*y)*(4*x + 6*y + 5*z)")))
         first, second = result.to_json_dict(), result.to_json_dict()
         expected = [["1", "-3/2", "0"]]

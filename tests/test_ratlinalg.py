@@ -1,5 +1,7 @@
 """Rational matrix operations: frozen examples plus algebraic properties."""
 
+import ast
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rlct.ratlinalg
 from rlct import (
     DimensionError,
     RationalMatrix,
@@ -326,6 +329,34 @@ class TestMeetsBox:
             assert meets_box(rows, bounds) == expected, (rows, bounds)
             outcomes.append(expected)
         assert 50 < sum(outcomes) < 250
+        # Ratio-test ties and many-digit scales: rows through a vertex of the
+        # box, some repeated or negated, on bounds whose denominators are
+        # distinct large primes, so that their lcm runs to dozens of digits.
+        rng = random.Random(93)
+        primes = [10007, 10009, 999983, 1000003, 998244353, 1000000007, 1000000009, 2147483647]
+        outcomes = []
+        for _ in range(150):
+            d = rng.randint(1, 4)
+            bounds, dens = [], rng.sample(primes, 2 * d)
+            for p, q in zip(dens[::2], dens[1::2]):
+                lo = F(rng.randint(-2 * p, p), p)
+                bounds.append((lo, lo + F(rng.randint(1, 2 * q), q)))
+            vertex = [rng.choice(bound) for bound in bounds]
+            rows = []
+            for _ in range(rng.randint(1, d + 1)):
+                normal = [rng.randint(-2, 2) for _ in range(d)]
+                if rng.random() < 0.7:
+                    offset = -sum(a * x for a, x in zip(normal, vertex))
+                else:
+                    offset = F(rng.randint(-3, 3), rng.choice(primes))
+                scale, again = rng.choice((-1, 2)), rng.choice((-1, 1))
+                rows.append(tuple(scale * x for x in primitive_int_row(normal + [offset])))
+                if rng.random() < 0.3:
+                    rows.append(tuple(again * x for x in rows[-1]))
+            expected = meets_box_bruteforce(rows, bounds)
+            assert meets_box(rows, bounds) == expected, (rows, bounds)
+            outcomes.append(expected)
+        assert 40 < sum(outcomes) < 110
 
     def test_many_variables(self):
         # Twelve variables, six equations through a known point of the box:
@@ -341,3 +372,11 @@ class TestMeetsBox:
                 rows.append(primitive_int_row(normal + [-sum(a * x for a, x in zip(normal, inside))]))
             assert meets_box(rows, bounds)
             assert not meets_box(rows + [(1,) + (0,) * 11 + (-2,)], bounds)
+
+    def test_decides_on_integers(self):
+        # The box is scaled to integers once, at entry, and the ratio test
+        # cross-multiplies: the body names no Fraction and converts nothing to one.
+        tree = ast.parse(inspect.getsource(rlct.ratlinalg))
+        (function,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "meets_box"]
+        names = {getattr(node, "id", getattr(node, "attr", None)) for stmt in function.body for node in ast.walk(stmt)}
+        assert not names & {"Fraction", "as_rational"}
