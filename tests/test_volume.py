@@ -1,6 +1,7 @@
 """Monte Carlo volume estimates and the asymptotic fit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,12 @@ from rlct import (
 )
 
 SEED = 1
+
+# Four variables and four hyperplanes with distinct nonzero offsets, on a box
+# whose lows and widths differ per coordinate: a tile of the sampler's chunk
+# loop built from the wrong vector or along the wrong axis changes its draw.
+UNEQUAL_4D = "vars x, y, z, w; (x + 2/7*y - 1/3)*(3/5*y - z + 1/4)^2*(z + 5/3*w - 2/9)*(2*x - w + 3/8)"
+UNEQUAL_BOX = [("-1/2", "1"), ("-2/3", "3/4"), ("1/5", "7/3"), ("-3/2", "-1/7")]
 
 
 def arr_of(text):
@@ -112,6 +119,58 @@ class TestEstimateVolume:
         assert 0 < hits[-1] < hits[0] < samples
         kept = estimate_volume(arr, box, grid[0], samples, seed=11)._draw[1]
         assert kept.tobytes() == log_f[log_f <= np.log(grid[0])].tobytes()
+
+    def test_chunking_invisible_on_unequal_columns(self, monkeypatch):
+        # Every kept log|f| agrees bit for bit at every chunk size. A chunk of
+        # one row, a last chunk of one row (samples - 1) and a draw of one
+        # sample take the BLAS paths of every other row.
+        arr = arr_of(UNEQUAL_4D)
+        samples = 20_001
+
+        def draw(eps=0.1, count=samples):
+            return estimate_volume(arr, UNEQUAL_BOX, eps, count, seed=5)
+
+        # The allocating form in one chunk: a tile taken along the wrong axis
+        # or from the wrong vector changes the draw at every chunk size.
+        bounds = rlct.volume.normalize_box(UNEQUAL_BOX, arr.dim)
+        lo = np.array([float(b[0]) for b in bounds])
+        width = np.array([float(b[1] - b[0]) for b in bounds])
+        normals = np.array([[float(x) for x in row] for row in arr.normals])
+        offsets = np.array([float(x) for x in arr.offsets])
+        exponents = np.array([float(x) for x in arr.multiplicities])
+        points = lo + np.random.Generator(np.random.Philox(key=5)).random((samples, arr.dim)) * width
+        log_f = np.log(np.abs(points @ normals.T + offsets)) @ exponents
+        default = draw()
+        assert default._draw[1].tobytes() == log_f[log_f <= np.log(0.1)].tobytes()
+        assert 0 < default._draw[1].size < samples
+        for chunk in (1, 2, 7, 4096, 1 << 13, 1 << 14, samples - 1, samples + 1):
+            monkeypatch.setattr(rlct.volume, "CHUNK_SAMPLES", chunk)
+            sample = draw()
+            assert sample == default
+            assert sample._draw[1].tobytes() == default._draw[1].tobytes()
+        assert draw(1e300, 1)._draw[1].tobytes() == draw(1e300)._draw[1][:1].tobytes()
+
+    def test_working_memory_is_set_by_the_chunk(self):
+        # tracemalloc sees numpy's buffers. A draw with no hits keeps nothing,
+        # so its peak is the chunk's buffers and tiles at any sample count,
+        # under the 1.4 MiB that the estimate_volume docstring states.
+        arr = arr_of(UNEQUAL_4D)
+        estimate_volume(arr, UNEQUAL_BOX, 1e-300, 1000, seed=1)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            peaks = []
+            for samples in (100_000, 1_000_000):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                sample = estimate_volume(arr, UNEQUAL_BOX, 1e-300, samples, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                assert sample.volume_estimate == 0.0
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 64 << 10
+        assert max(peaks) < 1.4 * 2**20
 
     def test_sweeps_reuse_only_their_own_draw(self):
         # Ascending epsilon never reuses the last call's draw, so it is the
