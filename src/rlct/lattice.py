@@ -8,6 +8,8 @@ localizations in `threshold.py` (rows: (a | b)), and flags maximal flats.
 It works on integer rows and member bitmasks. A flat carries its residue
 chain; only the flats that are read get `_canonical_rows`, from which come
 the lattice order, `Flat.rows`, witness points and the "p/q" strings.
+`_order` sorts any list of `Flat`s, so `threshold` orders the flats it
+builds without a closure (independent normals) by the same key.
 """
 
 from __future__ import annotations
@@ -92,21 +94,25 @@ class IntersectionLattice:
 
 
 def _lattice_order(triples) -> list[Flat]:
-    """(chain, mask, weight) triples as `Flat`s with canonical rows, in lattice
-    order: (codim, rational RREF entries row-major). Every RREF entry is x/p
-    with p a pivot, 0 < p <= P, so two distinct entries differ by at least
-    1/P^2. Scaled by 2^shift > P^2 they differ by more than 1, so flooring
-    keeps every strict inequality, and equal entries floor equally: the
-    integer key gives exactly the rational order on any set of flats, with P
-    the largest pivot among them. A common denominator is no option, since
-    the lcm of the pivots can run to thousands of digits.
+    """(chain, mask, weight) triples as `Flat`s with canonical rows, in
+    lattice order (see `_order`)."""
+    return _order([Flat(_canonical_rows(chain), mask, weight) for chain, mask, weight in triples])
+
+
+def _order(flats: list[Flat]) -> list[Flat]:
+    """Flats in lattice order: (codim, rational RREF entries row-major). Every
+    RREF entry is x/p with p a pivot, 0 < p <= P, so two distinct entries
+    differ by at least 1/P^2. Scaled by 2^shift > P^2 they differ by more
+    than 1, so flooring keeps every strict inequality, and equal entries
+    floor equally: the integer key gives exactly the rational order on any
+    set of flats, with P the largest pivot among them. A common denominator
+    is no option, since the lcm of the pivots can run to thousands of digits.
 
     Flats share most rows, so each distinct row's scaled entries are computed
     once per call, and a flat's key is (codim, tuple of its row keys). Every
     row has the same length, so that orders as the row-major entries do.
     The row keys hold for this call's shift only, and die with the call.
     """
-    flats = [Flat(_canonical_rows(chain), mask, weight) for chain, mask, weight in triples]
     row_keys = dict.fromkeys(row for flat in flats for row in flat.rows)
     pivots = [next(filter(None, row)) for row in row_keys]
     shift = 2 * max(pivots).bit_length()

@@ -10,6 +10,15 @@ central ones, one per maximal set of hyperplanes with a common point, and
 the global pair is the minimum of the local pairs in the singularity order.
 The pair of a closed box is the minimum of the local pairs over the
 inclusion-maximal flats that meet it (`box_pair`).
+
+When the normals are linearly independent the arrangement is normal
+crossing, and no lattice is needed: every subset of the hyperplanes is a
+flat of codim |S|, so the threshold is 1/s* with s* the largest
+multiplicity and m is the number of hyperplanes with s = s* (Watanabe
+2009). Most localizations of an affine arrangement are of this kind, and
+so is a coordinate arrangement. `rlct_central` then builds the minimizers
+straight from the tied normals, with canonical rows and the sort key that
+the closure path uses, so its output is byte for byte the closure's.
 """
 
 from __future__ import annotations
@@ -20,8 +29,8 @@ from functools import cached_property, total_ordering
 
 from .arrangement import NormalizedArrangement, normalize_box
 from .errors import CentralityError, EmptyArrangementError, InvalidMultiplicityError, RlctError
-from .lattice import Flat, IntersectionLattice, _canonical_rows, _closure, _lattice_order, build_lattice
-from .ratlinalg import RationalMatrix, format_rational, meets_box, primitive_int_row
+from .lattice import Flat, IntersectionLattice, _canonical_rows, _closure, _lattice_order, _order, build_lattice
+from .ratlinalg import RationalMatrix, eliminate, format_rational, integer_rank, meets_box, primitive_int_row
 
 
 @total_ordering
@@ -88,31 +97,78 @@ class RlctResult:
 def rlct_central(arr: NormalizedArrangement) -> RlctResult:
     """Threshold and multiplicity of a central arrangement, exactly.
 
-    The threshold is the least codim/weight over the closure's integer
-    triples, compared as c·w' < c'·w. Only the minimizers get canonical
-    rows and are sorted, by the key that orders any set of flats exactly.
-    The result keeps `arr`, not the triples, and its `lattice` is built
-    again only when read. The multiplicity is the number of
-    join-irreducibles of the minimizers' member sets (see `_longest_chain`);
-    the witness chain is picked in a fixed order derived from the lattice
-    order, so it is reproducible.
+    When the normals are linearly independent (n <= d and their integer
+    rank is n), the arrangement is normal crossing: every subset S of the
+    hyperplanes is a flat of codim |S| and weight the sum of its s_j, so
+    the threshold is 1/s* with s* the largest multiplicity, and the
+    minimizers are the nonempty subsets of the hyperplanes with s = s*
+    (`_normal_crossing_minimizers`), built with no closure. Otherwise the
+    threshold is the least codim/weight over the closure's integer triples,
+    compared as c·w' < c'·w, and only the minimizers get canonical rows.
+    Either way the minimizers are sorted by the key that orders any set of
+    flats exactly (`lattice._order`), and the rows are the unique canonical
+    rows of each flat's normal space, so both paths give the same flats in
+    the same order. The result keeps `arr`, not the triples, and its
+    `lattice` is built again only when read. The multiplicity is the number
+    of join-irreducibles of the minimizers' member sets (see
+    `_longest_chain`); the witness chain is picked in a fixed order derived
+    from the lattice order, so it is reproducible.
     """
     if not arr.is_central:
         raise CentralityError("rlct_central needs a central arrangement; use rlct_affine")
-    triples = build_lattice(arr).triples
-    codim, weight = 1, 0  # 1/0 is above every ratio
-    for residues, _, w in triples:
-        if len(residues) * weight < codim * w:
-            codim, weight = len(residues), w
-    minimizers = _lattice_order(t for t in triples if len(t[0]) * weight == codim * t[2])
+    minimizers = _normal_crossing_minimizers(arr)
+    if minimizers is None:
+        triples = build_lattice(arr).triples
+        codim, weight = 1, 0  # 1/0 is above every ratio
+        for residues, _, w in triples:
+            if len(residues) * weight < codim * w:
+                codim, weight = len(residues), w
+        minimizers = _lattice_order(t for t in triples if len(t[0]) * weight == codim * t[2])
 
     multiplicity, chain = _longest_chain(minimizers)
     return RlctResult(
-        pair=RlctPair(threshold=Fraction(codim, weight), multiplicity=multiplicity),
+        pair=RlctPair(threshold=Fraction(minimizers[0].codim, minimizers[0].weight), multiplicity=multiplicity),
         witness_chain=tuple(chain),
         minimizer_flats=tuple(minimizers),
         arrangement=arr,
     )
+
+
+def _normal_crossing_minimizers(arr: NormalizedArrangement) -> list[Flat] | None:
+    """The minimizer flats, in lattice order, of a central arrangement whose
+    normals are linearly independent; None when they are not.
+
+    The minimizers are the nonempty subsets S of T, the hyperplanes with the
+    largest multiplicity s*, each of weight |S|·s*: a subset's ratio
+    |S| / sum(s_j) is at least 1/s*, with equality iff every s_j = s*. A
+    depth-first walk over T adds one normal at a time to its parent's
+    canonical rows (Gauss–Jordan insertion). As in `_closure`, a node
+    carries the residues of the normals it may still add, modulo its span:
+    primitive, positive lead, zero on every pivot. A child takes one residue,
+    with its lead c a new pivot, and each parent row not zero at c takes one
+    step at c. Such a row leads before c (c is no pivot), where the residue
+    is zero, so it keeps its positive pivot. The rows are then the span's
+    canonical rows, the same that `_canonical_rows` gives the closure's
+    chain. One more `eliminate` step gives the child the later residues.
+    """
+    if not 0 < arr.n <= arr.dim:
+        return None
+    normals = [primitive_int_row(row) for row in arr.normals]
+    if integer_rank(normals) < arr.n:
+        return None
+    top = max(arr.multiplicities)
+    flats = []
+    # (canonical rows, mask, the residues of the tied normals still to add, with their bits)
+    stack = [((), 0, {normals[j]: 1 << j for j, s in enumerate(arr.multiplicities) if s == top})]
+    while stack:
+        rows, mask, outside = stack.pop()
+        later = list(outside.items())
+        for k, (residue, bit) in enumerate(later):
+            child_rows = tuple(sorted([residue, *eliminate(dict.fromkeys(rows, 0), residue)], reverse=True))
+            flats.append(Flat(child_rows, mask | bit, (mask | bit).bit_count() * top))
+            if k + 1 < len(later):
+                stack.append((child_rows, mask | bit, eliminate(dict(later[k + 1 :]), residue)))
+    return _order(flats)
 
 
 def _longest_chain(flats: list[Flat]) -> tuple[int, list[Flat]]:

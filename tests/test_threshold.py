@@ -28,11 +28,17 @@ from rlct import (
     rlct_line_arrangement_2d,
 )
 from rlct import lattice, threshold
-from rlct.oracle import MAX_BRUTEFORCE_HYPERPLANES, subspace_leq
+from rlct.oracle import (
+    MAX_BRUTEFORCE_CHAIN_FLATS,
+    MAX_BRUTEFORCE_HYPERPLANES,
+    subspace_leq,
+    verify_central,
+    verify_report,
+)
 from rlct.ratlinalg import RationalMatrix, primitive_int_row
 from rlct.threshold import box_pair, maximal_central_localizations
 
-from conftest import meets_box_bruteforce, random_central_arrangement, random_invertible
+from conftest import meets_box_bruteforce, random_central_arrangement, random_invertible, random_rational
 
 F = Fraction
 
@@ -229,7 +235,9 @@ class TestMinimizersFromTriples:
     def test_only_the_flats_read_are_reduced(self, monkeypatch):
         # The closure carries residue chains; canonical rows are formed for
         # the minimizers, the maximal localizations and, on its first read,
-        # every flat of `lattice.flats`, one reduction per flat.
+        # every flat of `lattice.flats`, one reduction per flat. Independent
+        # normals build their minimizers' rows with no closure and reduce no
+        # chain.
         calls = []
         reduce = lattice._canonical_rows
 
@@ -241,11 +249,14 @@ class TestMinimizersFromTriples:
         monkeypatch.setattr(threshold, "_canonical_rows", counted)
         rng = random.Random(86)
         skipped = 0
+        kinds = {True: 0, False: 0}
         for _ in range(30):
             arr = random_central_arrangement(rng, max_n=7, max_d=4)
             calls.clear()
             result = rlct_central(arr)
-            assert len(calls) == len(result.minimizer_flats)
+            independent = rank(arr.normals) == arr.n
+            kinds[independent] += 1
+            assert len(calls) == (0 if independent else len(result.minimizer_flats))
             skipped += len(result.lattice.triples) - len(calls)
             calls.clear()
             assert len(result.lattice.flats) == len(calls) == len(result.lattice.triples)
@@ -254,6 +265,109 @@ class TestMinimizersFromTriples:
             calls.clear()
             assert len(maximal_central_localizations(affine)) == len(calls)
         assert skipped >= 100
+        assert min(kinds.values()) >= 5, kinds
+
+
+def _independent_draw(rng, d, n):
+    """n <= d linearly independent normals with rational entries, taken to
+    new coordinates by a random T in GL(d, Q), with ties at the largest
+    multiplicity."""
+    while True:
+        rows = RationalMatrix([[random_rational(rng, max_den=3) for _ in range(d)] for _ in range(n)], cols=d)
+        if rank(rows) == n:
+            break
+    top = rng.randint(1, 3)
+    mults = [rng.choice((top, top, rng.randint(1, top))) for _ in range(n)]
+    mults[rng.randrange(n)] = top
+    return rows @ random_invertible(rng, d), mults
+
+
+class TestNormalCrossing:
+    """Independent normals are solved with no closure: lambda = 1/s*, m is
+    the number of hyperplanes of multiplicity s*, and the minimizers and
+    witness chain must be those the closure gives through `result.lattice`."""
+
+    @staticmethod
+    def check(result, closures):
+        """The result's pair and flats against the closure's; returns the
+        number of minimizers."""
+        arr = result.arrangement
+        top = max(arr.multiplicities)
+        assert rank(arr.normals) == arr.n
+        assert closures == []  # solved with no closure; reading `lattice` runs one
+        assert result.pair == pair(F(1, top), arr.multiplicities.count(top))
+        flats = result.lattice.flats
+        lam = min(F(f.codim, f.weight) for f in flats)
+        at_lambda = [f for f in flats if F(f.codim, f.weight) == lam]
+        assert list(result.minimizer_flats) == at_lambda
+        assert list(result.witness_chain) == threshold._longest_chain(at_lambda)[1]
+        if len(at_lambda) <= MAX_BRUTEFORCE_CHAIN_FLATS:
+            assert all(verify_central(arr, result).values())
+        return len(at_lambda)
+
+    @pytest.fixture
+    def closures(self, monkeypatch):
+        """The arrangements `threshold.build_lattice` is called on."""
+        calls = []
+        build = threshold.build_lattice
+
+        def counted(arr):
+            calls.append(arr)
+            return build(arr)
+
+        monkeypatch.setattr(threshold, "build_lattice", counted)
+        return calls
+
+    def test_central_draws_match_the_closure(self, closures):
+        rng = random.Random(301)
+        sizes = set()
+        for d in range(1, 7):
+            for n in range(1, d + 1):
+                for _ in range(3):
+                    rows, mults = _independent_draw(rng, d, n)
+                    closures.clear()
+                    sizes.add(self.check(rlct_central(normalize(ArrangementSpec(rows, mults))), closures))
+        # Every hyperplane tied: all 2^6 - 1 subsets of six are minimizers.
+        rows, _ = _independent_draw(rng, 6, 6)
+        closures.clear()
+        assert self.check(rlct_central(normalize(ArrangementSpec(rows, [2] * 6))), closures) == 63
+        assert {1, 3, 7, 15, 31} <= sizes, sizes
+
+    def test_affine_localizations_match_the_closure(self, closures):
+        # d + 1 hyperplanes with offsets; in every other draw the last one is
+        # a combination of the first two, through their common flat, so some
+        # localizations have dependent normals and take the closure.
+        rng = random.Random(302)
+        independent = dependent = 0
+        for d in (2, 3, 4):
+            for draw in range(6):
+                rows, mults = _independent_draw(rng, d, d)
+                offsets = [random_rational(rng, span=2, max_den=2) for _ in range(d)]
+                a, b = random_rational(rng), random_rational(rng)
+                if draw % 2 and a and b:
+                    extra = [a * x + b * y for x, y in zip(rows.row(0), rows.row(1))]
+                    offset = a * offsets[0] + b * offsets[1]
+                else:
+                    extra, offset = [random_rational(rng) for _ in range(d)], random_rational(rng, span=2, max_den=2)
+                if not any(extra):
+                    continue
+                rows = RationalMatrix(list(rows) + [extra], cols=d)
+                arr = normalize(ArrangementSpec(rows, mults + [rng.randint(1, 3)], offsets=offsets + [offset]))
+                closures.clear()
+                report = rlct_affine(arr)
+                solved = {id(loc.result): loc.result for loc in report.localizations}.values()
+                assert len(closures) == sum(rank(r.arrangement.normals) < r.arrangement.n for r in solved)
+                for result in solved:
+                    if rank(result.arrangement.normals) < result.arrangement.n:
+                        dependent += 1
+                        continue
+                    # The count above shows no closure ran for it; reading an
+                    # earlier result's lattice in `check` runs one.
+                    closures.clear()
+                    self.check(result, closures)
+                    independent += 1
+                assert all(verify_report(arr, report).values())
+        assert independent >= 30 and dependent >= 5, (independent, dependent)
 
 
 class TestLatticeOnRead:
