@@ -18,6 +18,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -27,7 +28,7 @@ from .errors import (
     InvalidHyperplaneError,
     InvalidMultiplicityError,
 )
-from .ratlinalg import RationalLike, RationalMatrix, as_rational, format_rational
+from .ratlinalg import RationalLike, RationalMatrix, as_rational, format_rational, integer_rank, primitive_int_row
 
 # A variable name: the parser's NAME token, so every name can be read back.
 IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -100,6 +101,10 @@ class NormalizedArrangement:
 
     Rows are sorted lexicographically by (normal, offset) and every normal
     has first nonzero entry 1, so equal arrangements are equal values.
+    `primitive_normals` and `normal_rank` are the integer view that the
+    closure and the normal-crossing test read, built on first read and
+    kept; a centered sub-arrangement gets both from its parent and the
+    closure (`threshold._centered`).
     """
 
     normals: RationalMatrix
@@ -115,6 +120,16 @@ class NormalizedArrangement:
     @property
     def dim(self) -> int:
         return self.normals.cols
+
+    @cached_property
+    def primitive_normals(self) -> tuple[tuple[int, ...], ...]:
+        """Each normal as its primitive integer row with positive lead."""
+        return tuple(primitive_int_row(row) for row in self.normals)
+
+    @cached_property
+    def normal_rank(self) -> int:
+        """The rank of the normals."""
+        return integer_rank(self.primitive_normals)
 
     @property
     def is_central(self) -> bool:

@@ -17,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
+from typing import Sequence
 
 from .arrangement import NormalizedArrangement
 from .errors import CentralityError, EmptyArrangementError
-from .ratlinalg import eliminate, integer_rank, primitive_int_row
+from .ratlinalg import eliminate, integer_rank
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,7 @@ def _canonical_rows(chain: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...]
     return tuple(sorted(rows, reverse=True))
 
 
-def _closure(rows: list[tuple[int, ...]], d: int) -> list[tuple[tuple[tuple[int, ...], ...], int, bool]]:
+def _closure(rows: Sequence[tuple[int, ...]], d: int) -> list[tuple[tuple[tuple[int, ...], ...], int, bool]]:
     """Every flat spanned by `rows`, as (residue chain, member bitmask, maximal).
 
     Rows are primitive integer vectors with d columns (normals) or d + 1
@@ -221,9 +222,8 @@ def build_lattice(arr: NormalizedArrangement) -> IntersectionLattice:
         raise CentralityError("the intersection lattice is defined for central arrangements; localize first")
     if arr.n == 0:
         raise EmptyArrangementError("arrangement has no hyperplanes")
-    normals = [primitive_int_row(row) for row in arr.normals]
     mult = arr.multiplicities
-    triples = tuple((chain, mask, _weight(mask, mult)) for chain, mask, _ in _closure(normals, arr.dim))
+    triples = tuple((chain, mask, _weight(mask, mult)) for chain, mask, _ in _closure(arr.primitive_normals, arr.dim))
     return IntersectionLattice(triples=triples)
 
 

@@ -78,6 +78,15 @@ class RationalMatrix:
         object.__setattr__(self, "cols", cols)
 
     @classmethod
+    def of_checked_rows(cls, entries: tuple[tuple[Fraction, ...], ...], cols: int) -> "RationalMatrix":
+        """A matrix of rows read off other matrices: tuples of `Fraction`,
+        each `cols` wide, kept as they are, with no entry coerced again."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "entries", entries)
+        object.__setattr__(matrix, "cols", cols)
+        return matrix
+
+    @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
         one, zero = Fraction(1), Fraction(0)
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)])

@@ -19,6 +19,12 @@ multiplicity and m is the number of hyperplanes with s = s* (Watanabe
 so is a coordinate arrangement. `rlct_central` then builds the minimizers
 straight from the tied normals, with canonical rows and the sort key that
 the closure path uses, so its output is byte for byte the closure's.
+Such a pair and its flats depend only on the tied set: s* and the
+positions and primitive normals of the hyperplanes with s = s*. Many
+points of an affine arrangement share one, so `rlct_affine` builds each
+once per call. Independence is read off the integer view that every
+arrangement keeps (`primitive_normals`, `normal_rank`), and a local
+arrangement takes that view from its parent and from the closure.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from functools import cached_property, total_ordering
 from .arrangement import NormalizedArrangement, normalize_box
 from .errors import CentralityError, EmptyArrangementError, InvalidMultiplicityError, RlctError
 from .lattice import Flat, IntersectionLattice, _canonical_rows, _closure, _lattice_order, _order, build_lattice
-from .ratlinalg import RationalMatrix, eliminate, format_rational, integer_rank, meets_box, primitive_int_row
+from .ratlinalg import RationalMatrix, eliminate, format_rational, meets_box, primitive_int_row
 
 
 @total_ordering
@@ -97,12 +103,12 @@ class RlctResult:
 def rlct_central(arr: NormalizedArrangement) -> RlctResult:
     """Threshold and multiplicity of a central arrangement, exactly.
 
-    When the normals are linearly independent (n <= d and their integer
-    rank is n), the arrangement is normal crossing: every subset S of the
-    hyperplanes is a flat of codim |S| and weight the sum of its s_j, so
-    the threshold is 1/s* with s* the largest multiplicity, and the
-    minimizers are the nonempty subsets of the hyperplanes with s = s*
-    (`_normal_crossing_minimizers`), built with no closure. Otherwise the
+    When the normals are linearly independent (n <= d and
+    `arr.normal_rank` is n), the arrangement is normal crossing: every
+    subset S of the hyperplanes is a flat of codim |S| and weight the sum
+    of its s_j, so the threshold is 1/s* with s* the largest multiplicity,
+    and the minimizers are the nonempty subsets of the hyperplanes with
+    s = s* (`_normal_crossing_minimizers`), built with no closure. Otherwise the
     threshold is the least codim/weight over the closure's integer triples,
     compared as c·w' < c'·w, and only the minimizers get canonical rows.
     Either way the minimizers are sorted by the key that orders any set of
@@ -124,14 +130,15 @@ def rlct_central(arr: NormalizedArrangement) -> RlctResult:
             if len(residues) * weight < codim * w:
                 codim, weight = len(residues), w
         minimizers = _lattice_order(t for t in triples if len(t[0]) * weight == codim * t[2])
+    return RlctResult(*_solved(minimizers), arr)
 
+
+def _solved(minimizers: list[Flat]) -> tuple[RlctPair, tuple[Flat, ...], tuple[Flat, ...]]:
+    """The pair, witness chain and minimizer flats that the minimizers, in
+    lattice order, give: `RlctResult`'s fields but the arrangement."""
     multiplicity, chain = _longest_chain(minimizers)
-    return RlctResult(
-        pair=RlctPair(threshold=Fraction(minimizers[0].codim, minimizers[0].weight), multiplicity=multiplicity),
-        witness_chain=tuple(chain),
-        minimizer_flats=tuple(minimizers),
-        arrangement=arr,
-    )
+    pair = RlctPair(threshold=Fraction(minimizers[0].codim, minimizers[0].weight), multiplicity=multiplicity)
+    return pair, tuple(chain), tuple(minimizers)
 
 
 def _normal_crossing_minimizers(arr: NormalizedArrangement) -> list[Flat] | None:
@@ -151,11 +158,9 @@ def _normal_crossing_minimizers(arr: NormalizedArrangement) -> list[Flat] | None
     canonical rows, the same that `_canonical_rows` gives the closure's
     chain. One more `eliminate` step gives the child the later residues.
     """
-    if not 0 < arr.n <= arr.dim:
+    if not 0 < arr.n <= arr.dim or arr.normal_rank < arr.n:
         return None
-    normals = [primitive_int_row(row) for row in arr.normals]
-    if integer_rank(normals) < arr.n:
-        return None
+    normals = arr.primitive_normals
     top = max(arr.multiplicities)
     flats = []
     # (canonical rows, mask, the residues of the tied normals still to add, with their bits)
@@ -286,6 +291,8 @@ def maximal_central_localizations(
     Points whose hyperplanes have the same normals and multiplicities, in
     order, share one sub-arrangement object. The key is made from small
     integer ids of the normals, so no `Fraction` row is hashed per point.
+    Each sub-arrangement gets its integer view from `arr`'s and its rank
+    from the length of the maximal flat's chain (`_centered`).
     """
     n, d = arr.n, arr.dim
     if n == 0:
@@ -307,7 +314,7 @@ def maximal_central_localizations(
         key = tuple((normal_ids[j], arr.multiplicities[j]) for j in members)
         sub = subs.get(key)
         if sub is None:
-            sub = subs[key] = _centered(arr, members)
+            sub = subs[key] = _centered(arr, members, len(chain))
         out.append((tuple(point), sub))
     return out
 
@@ -317,14 +324,21 @@ def _augmented(arr: NormalizedArrangement) -> list[tuple[int, ...]]:
     return [primitive_int_row(tuple(arr.normals.row(j)) + (arr.offsets[j],)) for j in range(arr.n)]
 
 
-def _centered(arr: NormalizedArrangement, members) -> NormalizedArrangement:
-    """The hyperplanes `members` of `arr`, moved to pass through the origin."""
-    return NormalizedArrangement(
-        normals=RationalMatrix([arr.normals.row(j) for j in members], cols=arr.dim),
+def _centered(arr: NormalizedArrangement, members, rank: int) -> NormalizedArrangement:
+    """The hyperplanes `members` of `arr`, moved to pass through the origin,
+    with their integer view filled in. `rank` is the length of the chain of
+    the closure's flat of the members' rows (a | b); rows with a common
+    point have the rank of their normals. The normals are the parent's row
+    tuples and the primitive rows the parent's, so nothing is rebuilt."""
+    normals, primitive = arr.normals.entries, arr.primitive_normals
+    sub = NormalizedArrangement(
+        normals=RationalMatrix.of_checked_rows(tuple(normals[j] for j in members), arr.dim),
         offsets=(Fraction(0),) * len(members),
         multiplicities=tuple(arr.multiplicities[j] for j in members),
         variables=arr.variables,
     )
+    vars(sub).update(primitive_normals=tuple(primitive[j] for j in members), normal_rank=rank)  # the cached properties
+    return sub
 
 
 def box_pair(arr: NormalizedArrangement, bounds) -> RlctPair:
@@ -348,15 +362,16 @@ def box_pair(arr: NormalizedArrangement, bounds) -> RlctPair:
     """
     bounds = normalize_box(bounds, arr.dim)
     rows = _augmented(arr)
-    taken = [(1 << arr.n) - 1] if meets_box(rows, bounds) else []
+    taken = [((1 << arr.n) - 1, arr.normal_rank)] if meets_box(rows, bounds) else []  # (mask, rank)
     if not taken:
         flats = sorted(((mask, chain) for chain, mask, _ in _closure(rows, arr.dim)), key=lambda f: -f[0].bit_count())
         for mask, chain in flats:
-            if all(mask & m != mask for m in taken) and meets_box(chain, bounds):
-                taken.append(mask)
+            if all(mask & m != mask for m, _ in taken) and meets_box(chain, bounds):
+                taken.append((mask, len(chain)))
     if not taken:
         raise RlctError("no hyperplane meets the box, so the polynomial has no zero there")
-    return min(rlct_central(_centered(arr, [j for j in range(arr.n) if m >> j & 1])).pair for m in taken)
+    subs = (_centered(arr, [j for j in range(arr.n) if m >> j & 1], rank) for m, rank in taken)
+    return min(rlct_central(sub).pair for sub in subs)
 
 
 def rlct_affine(arr: NormalizedArrangement) -> LocalizationReport:
@@ -366,14 +381,31 @@ def rlct_affine(arr: NormalizedArrangement) -> LocalizationReport:
     report then agrees with `rlct_central` exactly. Each distinct local
     arrangement is solved once (`maximal_central_localizations` shares its
     object), and its localizations share the `RlctResult`, which holds that
-    object and no lattice.
+    object and no lattice. A local arrangement with dependent normals goes
+    to `rlct_central`. One with independent normals is normal crossing: its
+    pair, minimizers and witness chain are `rlct_central`'s, and they are
+    fixed by the tied set (s*, and the local positions and primitive normals
+    of the hyperplanes with s = s*), which sets each minimizer's rows, mask
+    and weight. So they are built once per tied set, in a memo that lives
+    for this call only, and each result still keeps its own arrangement.
     """
     results: dict[int, RlctResult] = {}  # by sub-arrangement object
+    crossings: dict[tuple, tuple[RlctPair, tuple[Flat, ...], tuple[Flat, ...]]] = {}  # by tied set
     localizations = []
     for point, sub in maximal_central_localizations(arr):
         result = results.get(id(sub))
         if result is None:
-            result = results[id(sub)] = rlct_central(sub)
+            if sub.normal_rank < sub.n:
+                result = rlct_central(sub)
+            else:
+                top = max(sub.multiplicities)
+                normals = sub.primitive_normals
+                tied = (top, *((j, normals[j]) for j, s in enumerate(sub.multiplicities) if s == top))
+                solved = crossings.get(tied)
+                if solved is None:
+                    solved = crossings[tied] = _solved(_normal_crossing_minimizers(sub))
+                result = RlctResult(*solved, sub)
+            results[id(sub)] = result
         localizations.append(Localization(point=point, result=result))
     # The first most singular pair; RlctPair orders by pair_less.
     best = min(range(len(localizations)), key=lambda i: localizations[i].pair)

@@ -370,6 +370,117 @@ class TestNormalCrossing:
         assert independent >= 30 and dependent >= 5, (independent, dependent)
 
 
+def _tied_affine_draw(rng, kind):
+    """An affine arrangement with rational offsets and multiplicities 1-3,
+    in coordinates hidden by a random T in GL(d, Q) every other draw.
+    "grid": each unit normal through k parallel hyperplanes, and a slanted
+    one through a point of the grid, so that many points share a tied set
+    and a few have dependent normals. "generic": d + 3 hyperplanes with
+    small entries, some of them parallel. "through": d + 1 such hyperplanes
+    through one point."""
+    d = rng.randint(2, 3)
+    if kind == "grid":
+        k = rng.randint(2, 3)
+        rows = [[int(c == axis) for c in range(d)] for axis in range(d) for _ in range(k)]
+        offsets = [random_rational(rng, span=2, max_den=2) for _ in rows]
+        slant = [rng.choice((1, 2)) for _ in range(d)]
+        # Through the point where the first hyperplanes of the axes meet.
+        rows.append(slant)
+        offsets.append(sum(a * offsets[axis * k] for axis, a in enumerate(slant)))
+    else:
+        rows = []
+        while len(rows) < (d + 3 if kind == "generic" else d + 1):
+            row = [F(rng.randint(-2, 2)) for _ in range(d)]
+            if any(row):
+                rows.append(row)
+        if kind == "generic":
+            offsets = [random_rational(rng, span=2, max_den=2) for _ in rows]
+        else:
+            point = [random_rational(rng, span=2, max_den=2) for _ in range(d)]
+            offsets = [-sum(a * x for a, x in zip(row, point)) for row in rows]
+    normals = RationalMatrix(rows, cols=d)
+    if rng.random() < 0.5:
+        normals = normals @ random_invertible(rng, d)
+    return normalize(ArrangementSpec(normals, [rng.randint(1, 3) for _ in rows], offsets=offsets))
+
+
+class TestTiedSets:
+    """`rlct_affine` solves its normal-crossing localizations once per tied
+    set (the largest multiplicity, and the local positions and primitive
+    normals of the hyperplanes that have it), from a memo that dies with the
+    call; localizations with dependent normals still call `rlct_central`."""
+
+    def test_memo_gives_the_fresh_report(self):
+        rng = random.Random(311)
+        shared = ties = dependent = verified = 0
+        for draw in range(40):
+            arr = _tied_affine_draw(rng, ("grid", "generic")[draw % 2])
+            report = rlct_affine(arr)
+            fresh = [threshold.Localization(point, rlct_central(sub)) for point, sub in maximal_central_localizations(arr)]
+            best = min(range(len(fresh)), key=lambda i: fresh[i].pair)
+            assert report.to_json_dict() == threshold.LocalizationReport(tuple(fresh), best).to_json_dict()
+            results = {id(loc.result): loc.result for loc in report.localizations}.values()
+            crossing = [r for r in results if rank(r.arrangement.normals) == r.arrangement.n]
+            shared += len(crossing) - len({id(r.minimizer_flats) for r in crossing})
+            ties += sum(r.pair.multiplicity > 1 for r in crossing)
+            dependent += len(results) - len(crossing)
+            if all(len(loc.result.minimizer_flats) <= MAX_BRUTEFORCE_CHAIN_FLATS for loc in report.localizations):
+                assert all(verify_report(arr, report).values())
+                verified += 1
+            # A second call builds its own flats: the memo is not process-wide.
+            again = rlct_affine(arr)
+            assert again.to_json_dict() == report.to_json_dict()
+            flats = {id(f) for r in results for f in r.minimizer_flats + r.witness_chain}
+            assert not flats & {id(f) for loc in again.localizations for f in loc.result.minimizer_flats}
+        # `shared` counts distinct local arrangements that took another's
+        # pair and flats; `ties` the normal-crossing ones with m > 1.
+        assert shared >= 60 and ties >= 80 and dependent >= 15 and verified >= 35, (shared, ties, dependent, verified)
+
+
+class TestIntegerView:
+    """An arrangement's primitive normals and their rank, built once: a
+    centered sub-arrangement gets them from its parent's rows and from the
+    closure's chain length, never by recomputing."""
+
+    def test_centered_view_is_the_recomputed_one(self, monkeypatch):
+        subs = []
+        central = threshold.rlct_central
+        monkeypatch.setattr(threshold, "rlct_central", lambda sub: subs.append(sub) or central(sub))
+        rng = random.Random(312)
+        whole = walked = 0
+        for draw in range(60):
+            arr = _tied_affine_draw(rng, ("grid", "generic", "through")[draw % 3])
+            subs.clear()
+            boxes = []
+            for _ in range(3):
+                lows = [F(rng.randint(-3, 2), rng.randint(1, 2)) for _ in range(arr.dim)]
+                boxes.append([(lo, lo + F(rng.randint(1, 4), rng.randint(1, 2))) for lo in lows])
+            if draw % 3 == 2:
+                # A box around the common point: the flat of all hyperplanes, with no closure.
+                ((point, _),) = maximal_central_localizations(arr)
+                boxes.append([(x - F(rng.randint(1, 3), 4), x + F(rng.randint(1, 3), 4)) for x in point])
+            for bounds in boxes:
+                try:
+                    box_pair(arr, bounds)
+                except RlctError:
+                    pass
+            whole += sum(sub.n == arr.n for sub in subs)
+            walked += sum(sub.n < arr.n for sub in subs)
+            for sub in subs + [sub for _, sub in maximal_central_localizations(arr)]:
+                view = vars(sub)  # filled in by `_centered`, not computed on read
+                assert view["primitive_normals"] == tuple(primitive_int_row(row) for row in sub.normals)
+                assert view["normal_rank"] == rank(sub.normals)
+        assert whole >= 5 and walked >= 30, (whole, walked)
+
+    def test_read_view_of_a_normalized_arrangement(self):
+        rng = random.Random(313)
+        for _ in range(40):
+            arr = random_central_arrangement(rng, max_n=7, max_d=4, max_den=3)
+            assert "normal_rank" not in vars(arr)
+            assert arr.primitive_normals == tuple(primitive_int_row(row) for row in arr.normals)
+            assert arr.normal_rank == rank(arr.normals)
+
+
 class TestLatticeOnRead:
     """A result keeps the arrangement it solved, not its lattice: `lattice`
     is built on first read, and a localization is its point and its result."""
@@ -588,7 +699,9 @@ class TestAffine:
         # A 3-D grid and a slanted plane: 36 points, but 9 distinct local
         # arrangements. The plane x = 1 and the slanted one are double, so the
         # same normals with other multiplicities are another local arrangement
-        # (5 distinct normal sets).
+        # (5 distinct normal sets). Only the 2 with dependent normals (the
+        # slanted plane through a point of the grid) go to `rlct_central`;
+        # the normal-crossing ones are solved once per tied set, with no call.
         k = 3
         rows = [[1, 0, 0]] * k + [[0, 1, 0]] * k + [[0, 0, 1]] * k + [[1, 1, 1]]
         offsets = [-i for _ in range(3) for i in range(k)] + [-(2 * k - 2)]
@@ -601,12 +714,15 @@ class TestAffine:
         best = min(range(len(fresh)), key=lambda i: fresh[i].pair)
         expected = threshold.LocalizationReport(tuple(fresh), best).to_json_dict()
         distinct = {(loc.arrangement.normals, loc.arrangement.multiplicities) for loc in fresh}
+        dependent = {(normals, mults) for normals, mults in distinct if rank(normals) < normals.rows}
 
         calls = []
         central = threshold.rlct_central
         monkeypatch.setattr(threshold, "rlct_central", lambda sub: calls.append(sub) or central(sub))
         report = rlct_affine(arr)
-        assert len(calls) == len(distinct) < len(report.localizations)
+        assert len(calls) == len(dependent) == 2
+        assert {(sub.normals, sub.multiplicities) for sub in calls} == dependent
+        assert len(distinct) == 9 < len(report.localizations)
         assert report.to_json_dict() == expected
 
 
