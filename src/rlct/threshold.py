@@ -12,17 +12,9 @@ The pair of a closed box is the minimum of the local pairs over the
 inclusion-maximal flats that meet it (`box_pair`).
 
 When the normals are linearly independent the arrangement is normal
-crossing, and no lattice is needed: every subset of the hyperplanes is a
-flat of codim |S|, so the threshold is 1/s* with s* the largest
-multiplicity and m is the number of hyperplanes with s = s* (Watanabe
-2009). Most localizations of an affine arrangement are of this kind, and
-so is a coordinate arrangement. `rlct_central` then builds the minimizers
-straight from the tied normals, with canonical rows and the sort key that
-the closure path uses, so its output is byte for byte the closure's.
-Such a pair and its flats depend only on the tied set: s* and the
-positions and primitive normals of the hyperplanes with s = s*. Many
-points of an affine arrangement share one, so `rlct_affine` builds each
-once per call. Independence is read off the integer view that every
+crossing, and no lattice is needed (`_normal_crossing`). Most localizations
+of an affine arrangement are of this kind, and so is a coordinate
+arrangement. Independence is read off the integer view that every
 arrangement keeps (`primitive_normals`, `normal_rank`), and a local
 arrangement takes that view from its parent and from the closure.
 """
@@ -103,33 +95,30 @@ class RlctResult:
 def rlct_central(arr: NormalizedArrangement) -> RlctResult:
     """Threshold and multiplicity of a central arrangement, exactly.
 
-    When the normals are linearly independent (n <= d and
-    `arr.normal_rank` is n), the arrangement is normal crossing: every
-    subset S of the hyperplanes is a flat of codim |S| and weight the sum
-    of its s_j, so the threshold is 1/s* with s* the largest multiplicity,
-    and the minimizers are the nonempty subsets of the hyperplanes with
-    s = s* (`_normal_crossing_minimizers`), built with no closure. Otherwise the
-    threshold is the least codim/weight over the closure's integer triples,
-    compared as c·w' < c'·w, and only the minimizers get canonical rows.
-    Either way the minimizers are sorted by the key that orders any set of
-    flats exactly (`lattice._order`), and the rows are the unique canonical
-    rows of each flat's normal space, so both paths give the same flats in
-    the same order. The result keeps `arr`, not the triples, and its
-    `lattice` is built again only when read. The multiplicity is the number
-    of join-irreducibles of the minimizers' member sets (see
-    `_longest_chain`); the witness chain is picked in a fixed order derived
-    from the lattice order, so it is reproducible.
+    When the normals are linearly independent (`arr.normal_rank` is n),
+    the arrangement is normal crossing and `_normal_crossing` solves it
+    with no closure. Otherwise the threshold is the least codim/weight over
+    the closure's integer triples, compared as c·w' < c'·w, and only the
+    minimizers get canonical rows. Either way the minimizers are sorted by
+    the key that orders any set of flats exactly (`lattice._order`), and the
+    rows are the unique canonical rows of each flat's normal space, so both
+    paths give the same flats in the same order. The result keeps `arr`,
+    not the triples, and its `lattice` is built again only when read. The
+    multiplicity is the number of join-irreducibles of the minimizers'
+    member sets (see `_longest_chain`); the witness chain is picked in a
+    fixed order derived from the lattice order, so it is reproducible.
     """
     if not arr.is_central:
         raise CentralityError("rlct_central needs a central arrangement; use rlct_affine")
-    minimizers = _normal_crossing_minimizers(arr)
-    if minimizers is None:
-        triples = build_lattice(arr).triples
-        codim, weight = 1, 0  # 1/0 is above every ratio
-        for residues, _, w in triples:
-            if len(residues) * weight < codim * w:
-                codim, weight = len(residues), w
-        minimizers = _lattice_order(t for t in triples if len(t[0]) * weight == codim * t[2])
+    # n <= d first: more rows than d cannot be independent, and need no rank.
+    if 0 < arr.n <= arr.dim and arr.normal_rank == arr.n:
+        return RlctResult(*_normal_crossing(arr, {}), arr)
+    triples = build_lattice(arr).triples
+    codim, weight = 1, 0  # 1/0 is above every ratio
+    for residues, _, w in triples:
+        if len(residues) * weight < codim * w:
+            codim, weight = len(residues), w
+    minimizers = _lattice_order(t for t in triples if len(t[0]) * weight == codim * t[2])
     return RlctResult(*_solved(minimizers), arr)
 
 
@@ -141,14 +130,24 @@ def _solved(minimizers: list[Flat]) -> tuple[RlctPair, tuple[Flat, ...], tuple[F
     return pair, tuple(chain), tuple(minimizers)
 
 
-def _normal_crossing_minimizers(arr: NormalizedArrangement) -> list[Flat] | None:
-    """The minimizer flats, in lattice order, of a central arrangement whose
-    normals are linearly independent; None when they are not.
+def _normal_crossing(
+    arr: NormalizedArrangement, solved: dict
+) -> tuple[RlctPair, tuple[Flat, ...], tuple[Flat, ...]]:
+    """`_solved` of a central arrangement whose normals are linearly
+    independent, taken from `solved` or built and stored there.
 
-    The minimizers are the nonempty subsets S of T, the hyperplanes with the
-    largest multiplicity s*, each of weight |S|·s*: a subset's ratio
-    |S| / sum(s_j) is at least 1/s*, with equality iff every s_j = s*. A
-    depth-first walk over T adds one normal at a time to its parent's
+    Such an arrangement is normal crossing (Watanabe 2009): every subset S
+    of the hyperplanes is a flat of codim |S| and weight the sum of its s_j.
+    A subset's ratio |S| / sum(s_j) is at least 1/s*, with s* the largest
+    multiplicity, and equality holds iff every s_j = s*. So the threshold is
+    1/s*, the minimizers are the nonempty subsets of T, the hyperplanes with
+    s = s*, each of weight |S|·s*, and m is |T|. These are fixed by the tied
+    set: s*, and the position and primitive normal of each member of T, which
+    set every minimizer's rows, mask and weight. That is the key in
+    `solved`, so many points of an affine arrangement share one answer; the
+    caller owns `solved` and it dies with the call.
+
+    A depth-first walk over T adds one normal at a time to its parent's
     canonical rows (Gauss–Jordan insertion). As in `_closure`, a node
     carries the residues of the normals it may still add, modulo its span:
     primitive, positive lead, zero on every pivot. A child takes one residue,
@@ -157,14 +156,16 @@ def _normal_crossing_minimizers(arr: NormalizedArrangement) -> list[Flat] | None
     is zero, so it keeps its positive pivot. The rows are then the span's
     canonical rows, the same that `_canonical_rows` gives the closure's
     chain. One more `eliminate` step gives the child the later residues.
+    Sorted by `_order`, the flats are byte for byte the closure path's.
     """
-    if not 0 < arr.n <= arr.dim or arr.normal_rank < arr.n:
-        return None
-    normals = arr.primitive_normals
     top = max(arr.multiplicities)
+    normals = arr.primitive_normals
+    tied = (top, *((j, normals[j]) for j, s in enumerate(arr.multiplicities) if s == top))
+    if tied in solved:
+        return solved[tied]
     flats = []
     # (canonical rows, mask, the residues of the tied normals still to add, with their bits)
-    stack = [((), 0, {normals[j]: 1 << j for j, s in enumerate(arr.multiplicities) if s == top})]
+    stack = [((), 0, {row: 1 << j for j, row in tied[1:]})]
     while stack:
         rows, mask, outside = stack.pop()
         later = list(outside.items())
@@ -173,7 +174,8 @@ def _normal_crossing_minimizers(arr: NormalizedArrangement) -> list[Flat] | None
             flats.append(Flat(child_rows, mask | bit, (mask | bit).bit_count() * top))
             if k + 1 < len(later):
                 stack.append((child_rows, mask | bit, eliminate(dict(later[k + 1 :]), residue)))
-    return _order(flats)
+    solved[tied] = _solved(_order(flats))
+    return solved[tied]
 
 
 def _longest_chain(flats: list[Flat]) -> tuple[int, list[Flat]]:
@@ -381,30 +383,19 @@ def rlct_affine(arr: NormalizedArrangement) -> LocalizationReport:
     report then agrees with `rlct_central` exactly. Each distinct local
     arrangement is solved once (`maximal_central_localizations` shares its
     object), and its localizations share the `RlctResult`, which holds that
-    object and no lattice. A local arrangement with dependent normals goes
-    to `rlct_central`. One with independent normals is normal crossing: its
-    pair, minimizers and witness chain are `rlct_central`'s, and they are
-    fixed by the tied set (s*, and the local positions and primitive normals
-    of the hyperplanes with s = s*), which sets each minimizer's rows, mask
-    and weight. So they are built once per tied set, in a memo that lives
-    for this call only, and each result still keeps its own arrangement.
+    object and no lattice. A local arrangement with independent normals is
+    solved by `_normal_crossing`, once per tied set in a memo that lives for
+    this call only, and each result still keeps its own arrangement. One
+    with dependent normals goes to `rlct_central`.
     """
     results: dict[int, RlctResult] = {}  # by sub-arrangement object
-    crossings: dict[tuple, tuple[RlctPair, tuple[Flat, ...], tuple[Flat, ...]]] = {}  # by tied set
+    crossings: dict = {}  # by tied set (see `_normal_crossing`)
     localizations = []
     for point, sub in maximal_central_localizations(arr):
         result = results.get(id(sub))
         if result is None:
-            if sub.normal_rank < sub.n:
-                result = rlct_central(sub)
-            else:
-                top = max(sub.multiplicities)
-                normals = sub.primitive_normals
-                tied = (top, *((j, normals[j]) for j, s in enumerate(sub.multiplicities) if s == top))
-                solved = crossings.get(tied)
-                if solved is None:
-                    solved = crossings[tied] = _solved(_normal_crossing_minimizers(sub))
-                result = RlctResult(*solved, sub)
+            independent = sub.normal_rank == sub.n
+            result = RlctResult(*_normal_crossing(sub, crossings), sub) if independent else rlct_central(sub)
             results[id(sub)] = result
         localizations.append(Localization(point=point, result=result))
     # The first most singular pair; RlctPair orders by pair_less.

@@ -27,7 +27,7 @@ from rlct import (
     rlct_central,
     rlct_line_arrangement_2d,
 )
-from rlct import lattice, threshold
+from rlct import arrangement, lattice, threshold
 from rlct.oracle import (
     MAX_BRUTEFORCE_CHAIN_FLATS,
     MAX_BRUTEFORCE_HYPERPLANES,
@@ -121,6 +121,15 @@ class TestCentral:
     def test_affine_rejected(self):
         with pytest.raises(CentralityError):
             rlct_central(arr_of("x*(x-1)"))
+
+    def test_no_hyperplanes_is_an_error(self):
+        # Built by hand, past `normalize`: no rows, so no normal-crossing
+        # shortcut either, whose s* would be the max of no multiplicities.
+        arr = NormalizedArrangement(normals=RationalMatrix((), cols=2), offsets=(), multiplicities=())
+        assert arr.is_central and arr.normal_rank == arr.n == 0
+        for solve in (rlct_central, rlct_affine, lambda arr: box_pair(arr, [(-1, 1), (-1, 1)])):
+            with pytest.raises(EmptyArrangementError):
+                solve(arr)
 
     def test_deterministic_witness(self):
         a = rlct_central(arr_of("x*y^2*z^2*(x+y+z)"))
@@ -436,6 +445,29 @@ class TestTiedSets:
         # pair and flats; `ties` the normal-crossing ones with m > 1.
         assert shared >= 60 and ties >= 80 and dependent >= 15 and verified >= 35, (shared, ties, dependent, verified)
 
+    def test_no_memo_outlives_a_call(self, monkeypatch):
+        # Normal crossing with a tie (two cubes): `rlct_central` and the
+        # no-closure path of `box_pair` solve it with no closure. Each call
+        # builds its own flats, so no memo is process-wide.
+        arr = arr_of("vars x, y, z; (x + 2*y - z)^3*(3*x - y)^3*(y + 5*z)")
+        assert arr.normal_rank == arr.n == 3
+        solved = []
+        central = threshold.rlct_central
+        monkeypatch.setattr(threshold, "rlct_central", lambda sub: solved.append(central(sub)) or solved[-1])
+        results = [central(arr), central(arr)]
+        for _ in range(2):
+            assert box_pair(arr, [(-1, 1)] * 3) == pair(F(1, 3), 2)
+        results += solved
+        assert len(results) == 4 and all(r.to_json_dict() == results[0].to_json_dict() for r in results)
+        assert len(results[0].minimizer_flats) == 3
+        flats = [{id(f) for f in r.minimizer_flats + r.witness_chain} for r in results]
+        for a, b in itertools.combinations(flats, 2):
+            assert not a & b
+
+
+def _must_not_run(*args):
+    raise AssertionError("the integer view was recomputed")
+
 
 class TestIntegerView:
     """An arrangement's primitive normals and their rank, built once: a
@@ -470,6 +502,11 @@ class TestIntegerView:
                 view = vars(sub)  # filled in by `_centered`, not computed on read
                 assert view["primitive_normals"] == tuple(primitive_int_row(row) for row in sub.normals)
                 assert view["normal_rank"] == rank(sub.normals)
+                with monkeypatch.context() as patched:  # the properties read what `_centered` stored
+                    patched.setattr(arrangement, "primitive_int_row", _must_not_run)
+                    patched.setattr(arrangement, "integer_rank", _must_not_run)
+                    assert sub.primitive_normals is view["primitive_normals"]
+                    assert sub.normal_rank == view["normal_rank"]
         assert whole >= 5 and walked >= 30, (whole, walked)
 
     def test_read_view_of_a_normalized_arrangement(self):
