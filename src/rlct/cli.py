@@ -11,10 +11,12 @@ Subcommands:
 `verify_central`, everything else `rlct_affine` and `verify_report`.
 Every report prints through `emit`, the one switch on --format, and the
 argparse parser is built once per process, at import. JSON reports print
-the bytes of `json.dumps(doc, indent=2, default=Flat.to_json_dict)`, but
-through C-level joins (`_indented_json`): an `indent` makes `json.dumps`
-skip its C encoder. A report's document holds its `Flat`s, which print
-from their integer rows, one text per distinct row per report.
+the bytes of `json.dumps(doc, indent=2, default=lambda x: x.to_json_dict())`,
+but through C-level joins (`_indented_json`): an `indent` makes
+`json.dumps` skip its C encoder. A report's document holds its `Flat`s and
+`Localization`s. Flats print from their integer rows, one text per distinct
+row per report, and the localizations that share a result share one text
+of its body.
 `rlct.volume`, and numpy with it, loads on the first `volume-fit`, through
 the module `__getattr__`; `compute`, `localize` and `parse` never load it.
 
@@ -50,7 +52,7 @@ from .lattice import Flat
 from .oracle import verify_central, verify_report
 from .parser import parse_factored_product
 from .ratlinalg import as_rational, format_rational
-from .threshold import box_pair, rlct_affine, rlct_central
+from .threshold import Localization, box_pair, localization_body, rlct_affine, rlct_central
 
 if TYPE_CHECKING:
     from .volume import check_fit_epsilons, epsilon_grid, estimate_volume, fit_asymptotics, synthetic_samples
@@ -155,8 +157,8 @@ _SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__}
 
 
 def _indented_json(obj, pad: str = "\n") -> str:
-    """Exactly `json.dumps(obj, indent=2, default=Flat.to_json_dict)`, with
-    every container one `str.join`.
+    """Exactly `json.dumps(obj, indent=2, default=lambda x: x.to_json_dict())`,
+    with every container one `str.join`.
 
     `pad` is the newline and indent of `obj`'s own line. A list whose items
     are all of exact type str or all of exact type int is joined straight
@@ -167,11 +169,26 @@ def _indented_json(obj, pad: str = "\n") -> str:
     A `Flat` prints from its integer data, rows, mask and weight, in the
     layout of `Flat.to_json_dict` (it has at least one row and one member).
     Each distinct row's text at one indent is built once per call, from the
-    `lattice._rref_strings` bound when the call starts, so a report's witness
-    chain and the localizations that share a result reuse it.
+    `lattice._rref_strings` bound when the call starts.
+
+    A `Localization` prints as its point, then the text of its result's
+    body (`threshold.localization_body`), built once per distinct result per
+    call. A body keeps the result's tuples of `Flat`s, and each hyperplane's
+    normal strings are one tuple per row object for the call. The text of a
+    tuple at one indent is built once per call, keyed by its id, so a flat
+    tuple that many results share, and a hyperplane that many points lie
+    on, is printed once. An id is safe as a key because every tuple printed
+    is held by `obj` or by this call until it returns.
     """
     rref_strings = lattice._rref_strings
     row_texts: dict[str, dict[tuple[int, ...], str]] = {}  # by indent, then row; lives for this call
+    shared: dict[tuple[str, int], str] = {}  # tuples' and results' texts, by indent and id
+    strings: dict[int, tuple[str, ...]] = {}  # each hyperplane's normal strings, by row id
+
+    def normal(row) -> tuple[str, ...]:
+        if id(row) not in strings:
+            strings[id(row)] = tuple(map(format_rational, row))
+        return strings[id(row)]
 
     def flat_text(flat: Flat, pad: str) -> str:
         inner = pad + "  "
@@ -192,32 +209,55 @@ def _indented_json(obj, pad: str = "\n") -> str:
             f'{inner}"members": [{row_pad}{("," + row_pad).join(members)}{inner}]{pad}}}'
         )
 
+    def localization_text(loc: Localization, pad: str) -> str:
+        inner = pad + "  "
+        key = (pad, id(loc.result))
+        if key not in shared:
+            shared[key] = items_text(localization_body(loc.result, None, normal), inner)
+        point = text([format_rational(x) for x in loc.point], inner)
+        return "{" + inner + '"point": ' + point + "," + inner + shared[key] + pad + "}"
+
+    def items_text(obj: dict, inner: str) -> str:
+        return ("," + inner).join(f"{encode_basestring_ascii(k)}: {text(v, inner)}" for k, v in obj.items())
+
     def text(obj, pad: str) -> str:
         if not isinstance(obj, (dict, list, tuple)):
             if type(obj) is Flat:
                 return flat_text(obj, pad)
+            if type(obj) is Localization:
+                return localization_text(obj, pad)
             return _SCALAR_TEXT.get(type(obj), json.dumps)(obj)
         if not obj:
             return "{}" if isinstance(obj, dict) else "[]"
         inner = pad + "  "
         if isinstance(obj, dict):
-            items = (f"{encode_basestring_ascii(k)}: {text(v, inner)}" for k, v in obj.items())
-            return "{" + inner + ("," + inner).join(items) + pad + "}"
+            return "{" + inner + items_text(obj, inner) + pad + "}"
+        key = (pad, id(obj)) if type(obj) is tuple else None
+        if key in shared:
+            return shared[key]
         kinds = set(map(type, obj))
         scalar = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
         items = map(scalar, obj) if scalar else (text(x, inner) for x in obj)
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
+        out = "[" + inner + ("," + inner).join(items) + pad + "]"
+        if key:
+            shared[key] = out
+        return out
 
-    return text(obj, pad)
+    out = text(obj, pad)
+    # `text` refers to itself, so these closures form a cycle: free the texts now.
+    row_texts.clear()
+    shared.clear()
+    return out
 
 
 def emit(fmt: str, doc: dict, **lines: list[str]) -> None:
     """Print `doc` as indented JSON, or the `csv` or `human` lines, as --format asks.
 
-    The JSON is the bytes of `json.dumps(doc, indent=2,
-    default=Flat.to_json_dict)`, built by `_indented_json` from C-level
-    joins instead of the pure-Python encoder; a report's flats print from
-    their integer rows, one text per distinct row.
+    The JSON is the bytes of `json.dumps(doc, indent=2, default=lambda x:
+    x.to_json_dict())`, built by `_indented_json` from C-level joins instead
+    of the pure-Python encoder; a report's flats print from their integer
+    rows, one text per distinct row, and its localizations one body text per
+    distinct result.
     """
     print(_indented_json(doc) if fmt == "json" else "\n".join(lines[fmt]))
 
@@ -229,9 +269,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     arr = load_arrangement(args)
     if args.command == "compute" and arr.is_central:
         result, verify = rlct_central(arr), verify_central
+        body = result.to_json_dict(flat=lambda flat: flat)
     else:
         result, verify = rlct_affine(arr), verify_report
-    doc = {"input": arrangement_to_json_dict(arr), **result.to_json_dict(flat=lambda flat: flat)}
+        body = result.to_json_dict(flat=lambda flat: flat, localization=lambda loc: loc)
+    doc = {"input": arrangement_to_json_dict(arr), **body}
     if args.verify:
         doc["verify"] = verify(arr, result)
     human = [
@@ -239,10 +281,13 @@ def cmd_report(args: argparse.Namespace) -> int:
         f" ({'central' if arr.is_central else 'affine'})",
         f"lambda = {doc['lambda']}",
         f"m = {doc['m']}",
-    ] + [
-        f"  at ({', '.join(loc['point'])}): lambda = {loc['lambda']}, m = {loc['m']}"
-        for loc in doc.get("localizations", ())
     ]
+    if args.format == "human":  # built only when printed: each line formats its point again
+        human += [
+            f"  at ({', '.join(map(format_rational, loc.point))}): lambda = {format_rational(loc.pair.threshold)},"
+            f" m = {loc.pair.multiplicity}"
+            for loc in doc.get("localizations", ())
+        ]
     emit(args.format, doc, csv=["lambda,m", f"{doc['lambda']},{doc['m']}"], human=human)
     if args.verify and not all(doc["verify"].values()):
         print("verification mismatch between production and oracle paths", file=sys.stderr)

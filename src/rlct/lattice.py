@@ -7,7 +7,9 @@ outside row at a time, so the cost scales with the lattice size, not with
 localizations in `threshold.py` (rows: (a | b)), and flags maximal flats.
 It works on integer rows and member bitmasks. A flat carries its residue
 chain; only the flats that are read get `_canonical_rows`, from which come
-the lattice order, `Flat.rows`, witness points and the "p/q" strings.
+the lattice order, `Flat.rows` and the "p/q" strings. A maximal flat's
+witness point comes from its chain by back-substitution (`_chain_point`),
+with no canonical rows.
 `_order` sorts any list of `Flat`s, so `threshold` orders the flats it
 builds without a closure (independent normals) by the same key.
 """
@@ -15,8 +17,10 @@ builds without a closure (independent normals) by the same key.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import mul
 from typing import Sequence
 
 from .arrangement import NormalizedArrangement
@@ -142,6 +146,30 @@ def _canonical_rows(chain: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...]
             if rows[i][pc]:
                 (rows[i],) = eliminate({rows[i]: 0}, residue)
     return tuple(sorted(rows, reverse=True))
+
+
+def _chain_point(chain: tuple[tuple[int, ...], ...], d: int) -> tuple[Fraction, ...]:
+    """The point of a consistent chain of rows (a | b) whose free coordinates
+    (the columns that lead no row) are zero.
+
+    That point depends only on the span and the pivot columns, and the chain
+    has the pivots of its canonical rows, so it is the point that
+    `_canonical_rows` gives. Row j leads at c_j and is zero at every earlier
+    lead, so in reverse chain order each row has one unknown left, its lead:
+    x[c_j] = -(b_j + sum of a_j[c]·x[c] over the later leads) / a_j[c_j]. The
+    coordinates are integers over one common denominator, which each step
+    multiplies by the lead, and each becomes one `Fraction` at the end.
+    """
+    nums, den = [0] * d, 1
+    for residue in reversed(chain):
+        lead = residue.index(next(filter(None, residue)))  # never d: the rows are consistent
+        total = residue[d] * den + sum(map(mul, residue, nums))  # nums[lead] is still 0
+        p = residue[lead]
+        if p != 1:
+            nums = [x * p for x in nums]
+            den *= p
+        nums[lead] = -total
+    return tuple(map(Fraction, nums)) if den == 1 else tuple([Fraction(x, den) for x in nums])
 
 
 def _closure(rows: Sequence[tuple[int, ...]], d: int) -> list[tuple[tuple[tuple[int, ...], ...], int, bool]]:

@@ -27,7 +27,7 @@ from functools import cached_property, total_ordering
 
 from .arrangement import NormalizedArrangement, normalize_box
 from .errors import CentralityError, EmptyArrangementError, InvalidMultiplicityError, RlctError
-from .lattice import Flat, IntersectionLattice, _canonical_rows, _closure, _lattice_order, _order, build_lattice
+from .lattice import Flat, IntersectionLattice, _chain_point, _closure, _lattice_order, _order, build_lattice
 from .ratlinalg import RationalMatrix, eliminate, format_rational, meets_box, primitive_int_row
 
 
@@ -83,12 +83,17 @@ class RlctResult:
 
     def to_json_dict(self, *, flat=Flat.to_json_dict) -> dict:
         """The pair and its flats, by default as plain JSON. `flat` is how each
-        flat enters the document; the CLI keeps the `Flat`s and prints them."""
+        flat enters the document; the CLI keeps the `Flat`s and prints them.
+        `flat=None` keeps the result's own tuples, so that the CLI's printer
+        can tell the tuples that results share."""
+        minimizers, chain = self.minimizer_flats, self.witness_chain
+        if flat is not None:
+            minimizers, chain = list(map(flat, minimizers)), list(map(flat, chain))
         return {
             "lambda": format_rational(self.pair.threshold),
             "m": self.pair.multiplicity,
-            "minimizer_flats": list(map(flat, self.minimizer_flats)),
-            "witness_chain": list(map(flat, self.witness_chain)),
+            "minimizer_flats": minimizers,
+            "witness_chain": chain,
         }
 
 
@@ -231,6 +236,11 @@ def rlct_line_arrangement_2d(multiplicities) -> RlctPair:
     return RlctPair(threshold=threshold, multiplicity=2 if rest == top else 1)
 
 
+def _normal_strings(row) -> list[str]:
+    """A normal row's entries as "p/q" strings."""
+    return [format_rational(x) for x in row]
+
+
 @dataclass(frozen=True)
 class Localization:
     """A maximal central sub-arrangement: the hyperplanes through one point,
@@ -249,12 +259,20 @@ class Localization:
     def pair(self) -> RlctPair:
         return self.result.pair
 
-    def to_json_dict(self, *, flat=Flat.to_json_dict) -> dict:
-        doc = {"point": [format_rational(x) for x in self.point]}
-        doc.update(self.result.to_json_dict(flat=flat))
-        doc["normals"] = self.arrangement.normals.to_string_lists()
-        doc["multiplicities"] = list(self.arrangement.multiplicities)
-        return doc
+    def to_json_dict(self, *, flat=Flat.to_json_dict, normal=_normal_strings) -> dict:
+        return {"point": [format_rational(x) for x in self.point], **localization_body(self.result, flat, normal)}
+
+
+def localization_body(result: RlctResult, flat, normal) -> dict:
+    """The keys of a localization's JSON after "point": its result's pair and
+    flats (`flat` as in `RlctResult.to_json_dict`), then its local
+    arrangement's normals, each row (a tuple of `Fraction`s) entered as
+    `normal` maps it, and multiplicities. Localizations that share a result
+    share this body, so the CLI prints it once per result."""
+    doc = result.to_json_dict(flat=flat)
+    doc["normals"] = list(map(normal, result.arrangement.normals.entries))
+    doc["multiplicities"] = list(result.arrangement.multiplicities)
+    return doc
 
 
 @dataclass(frozen=True)
@@ -272,9 +290,27 @@ class LocalizationReport:
     def global_pair(self) -> RlctPair:
         return self.global_result.pair
 
-    def to_json_dict(self, *, flat=Flat.to_json_dict) -> dict:
+    def to_json_dict(self, *, flat=Flat.to_json_dict, localization=None) -> dict:
+        """The global pair and flats, each localization and the global point.
+        `flat` is as in `RlctResult.to_json_dict`. `localization` is how each
+        localization enters the document; the CLI keeps the `Localization`s
+        and prints them. By default it is `Localization.to_json_dict`, and
+        each hyperplane's normal strings are formatted once per call, keyed
+        by its row object, which the local arrangements share with the input
+        and this report holds. Each localization still gets fresh lists."""
         doc = self.global_result.to_json_dict(flat=flat)
-        doc["localizations"] = [loc.to_json_dict(flat=flat) for loc in self.localizations]
+        if localization is None:
+            strings: dict[int, list[str]] = {}
+
+            def normal(row) -> list[str]:
+                if id(row) not in strings:
+                    strings[id(row)] = _normal_strings(row)
+                return strings[id(row)].copy()
+
+            def localization(loc):
+                return loc.to_json_dict(flat=flat, normal=normal)
+
+        doc["localizations"] = list(map(localization, self.localizations))
         doc["global_point"] = [format_rational(x) for x in self.localizations[self.global_index].point]
         return doc
 
@@ -288,8 +324,9 @@ def maximal_central_localizations(
     The lattice's closure engine runs on the augmented rows (a | b): it
     drops extensions that pivot in the offset column (no common point) and
     flags a flat maximal when no outside hyperplane extends it consistently.
-    Only a maximal flat's chain is reduced to canonical rows, which give its
-    witness point: the particular solution with free variables at zero.
+    A maximal flat's witness point, the solution with free variables at
+    zero, is read off its chain by back-substitution (`_chain_point`), so no
+    chain is reduced to canonical rows here.
     Points whose hyperplanes have the same normals and multiplicities, in
     order, share one sub-arrangement object. The key is made from small
     integer ids of the normals, so no `Fraction` row is hashed per point.
@@ -309,15 +346,11 @@ def maximal_central_localizations(
     subs: dict[tuple[tuple[int, int], ...], NormalizedArrangement] = {}
     out = []
     for members, chain in found:
-        point = [Fraction(0)] * d
-        for row in _canonical_rows(chain):
-            pc = next(c for c, x in enumerate(row) if x)  # never pc == d: the rows are consistent
-            point[pc] = Fraction(-row[d], row[pc])
         key = tuple((normal_ids[j], arr.multiplicities[j]) for j in members)
         sub = subs.get(key)
         if sub is None:
             sub = subs[key] = _centered(arr, members, len(chain))
-        out.append((tuple(point), sub))
+        out.append((_chain_point(chain, d), sub))
     return out
 
 

@@ -18,16 +18,20 @@ import rlct.lattice
 import rlct.threshold
 from rlct import (
     ArrangementSpec,
-    Flat,
+    RationalMatrix,
+    arrangement_from_json,
+    arrangement_to_json_dict,
     build_lattice,
     default_epsilon_grid,
     estimate_volume,
     normalize,
     parse_factored_product,
+    rank,
+    rlct_affine,
 )
 from rlct.cli import main
 
-from conftest import random_central_arrangement, unreduced_rref_strings
+from conftest import random_central_arrangement, random_invertible, random_rational, unreduced_rref_strings
 from test_golden_cli import CASES, PARALLEL_DOUBLE_PLANES
 
 
@@ -511,6 +515,52 @@ _TREES = st.recursive(
 )
 
 
+def _to_json_dict(obj):
+    """The stdlib encoder's `default` for a CLI report document, which holds
+    `Flat`s and `Localization`s."""
+    return obj.to_json_dict()
+
+
+def _shared_report_draw(rng, kind):
+    """An affine arrangement whose localizations share results and tied
+    sets: d = 2 or 3 base normals, each through two to four offsets, and one
+    or two slanted hyperplanes through grid points, with multiplicities 1-3.
+    "grid": unit normals. "hidden": unit normals times a random T in
+    GL(d, Q) with fractional entries. "digits": integer normals with 4-digit
+    entries and multiples of 5 (which `unreduced_rref_strings` prints
+    unreduced), so flats have 4-digit pivots."""
+    d = rng.randint(2, 3)
+    if kind == "grid":
+        base = [[int(c == axis) for c in range(d)] for axis in range(d)]
+    elif kind == "hidden":
+        t = RationalMatrix([[random_rational(rng, span=3, max_den=4) for _ in range(d)] for _ in range(d)], cols=d)
+        while rank(t) < d:
+            t = random_invertible(rng, d)
+        base = [list(row) for row in RationalMatrix([[int(c == a) for c in range(d)] for a in range(d)], cols=d) @ t]
+    else:
+        pivots = [rng.choice((rng.randint(1000, 9999), 5 * rng.randint(200, 1999))) for _ in range(d)]
+        base = [[p if c == axis else rng.choice((-10, -5, 5, rng.randint(-9, 9))) for c in range(d)] for axis, p in enumerate(pivots)]
+    rows, offsets = [], []
+    for row in base:
+        for _ in range(rng.randint(2, 4)):
+            rows.append(row)
+            offsets.append(random_rational(rng, span=9, max_den=2))
+    for _ in range(rng.randint(1, 2)):
+        # Through the point where a random member of each family meets.
+        picks = [rng.randrange(len(rows)) for _ in range(2)]
+        slant = [rows[picks[0]][c] + rows[picks[1]][c] * rng.choice((1, 2, -1)) for c in range(d)]
+        if not any(slant):
+            continue
+        point = [random_rational(rng) for _ in range(d)]
+        rows.append(slant)
+        offsets.append(-sum(a * x for a, x in zip(slant, point)))
+    return {
+        "normals": [[str(x) for x in row] for row in rows],
+        "offsets": [str(b) for b in offsets],
+        "multiplicities": [rng.randint(1, 3) for _ in rows],
+    }
+
+
 class TestIndentedJson:
     @settings(max_examples=400)
     @given(_TREES)
@@ -536,7 +586,7 @@ class TestIndentedJson:
         capsys.readouterr()
         assert len(docs) == len(CASES) + 2
         for doc in docs:
-            assert rlct.cli._indented_json(doc) == json.dumps(doc, indent=2, default=Flat.to_json_dict)
+            assert rlct.cli._indented_json(doc) == json.dumps(doc, indent=2, default=_to_json_dict)
 
     def test_a_flat_prints_as_its_json_dict(self):
         # The printer's own path for a `Flat` and the generic path for its
@@ -572,4 +622,44 @@ class TestIndentedJson:
             assert main([command, "--poly", poly]) == 0
             out = capsys.readouterr().out
             assert out != unpatched
-            assert out == json.dumps(docs[-1], indent=2, default=Flat.to_json_dict) + "\n"
+            assert out == json.dumps(docs[-1], indent=2, default=_to_json_dict) + "\n"
+
+    def test_affine_reports_equal_the_library_documents(self, capsys, monkeypatch, tmp_path):
+        # The CLI prints a report's localizations from the objects, with one
+        # body text per distinct result, one text per shared flat tuple and
+        # one per hyperplane row. Its JSON must be the library's plain
+        # document through the stdlib, also under a patched row formatter,
+        # and its human lines must be those of the plain document.
+        rng = random.Random(333)
+        path = tmp_path / "arr.json"
+        kinds = ("grid", "hidden", "digits")
+        localizations = results = tied = changed = 0
+        for draw in range(30):
+            path.write_text(json.dumps(_shared_report_draw(rng, kinds[draw % 3])))
+            arr = normalize(arrangement_from_json(path.read_text()))
+            report = rlct_affine(arr)
+            localizations += len(report.localizations)
+            solved = {id(loc.result): loc.result for loc in report.localizations}.values()
+            results += len(solved)
+            tied += len({id(result.minimizer_flats) for result in solved})
+            doc = {"input": arrangement_to_json_dict(arr), **report.to_json_dict()}
+            assert main(["localize", "--input", str(path)]) == 0
+            out = capsys.readouterr().out
+            assert out == json.dumps(doc, indent=2) + "\n"
+            human = [
+                f"arrangement: {arr.n} hyperplanes in dimension {arr.dim} (affine)",
+                f"lambda = {doc['lambda']}",
+                f"m = {doc['m']}",
+            ] + [f"  at ({', '.join(loc['point'])}): lambda = {loc['lambda']}, m = {loc['m']}" for loc in doc["localizations"]]
+            assert main(["localize", "--input", str(path), "--format", "human"]) == 0
+            assert capsys.readouterr().out == "\n".join(human) + "\n"
+            with monkeypatch.context() as patch:
+                patch.setattr(rlct.lattice, "_rref_strings", unreduced_rref_strings(rlct.lattice._rref_strings))
+                doc = {"input": arrangement_to_json_dict(arr), **report.to_json_dict()}
+                assert main(["localize", "--input", str(path)]) == 0
+                patched = capsys.readouterr().out
+                assert patched == json.dumps(doc, indent=2) + "\n"
+                changed += patched != out
+        # Points share results, and results share their flat tuples.
+        assert localizations >= results + 300 and results >= tied + 150, (localizations, results, tied)
+        assert changed >= 5, changed

@@ -243,9 +243,10 @@ class TestMinimizersFromTriples:
 
     def test_only_the_flats_read_are_reduced(self, monkeypatch):
         # The closure carries residue chains; canonical rows are formed for
-        # the minimizers, the maximal localizations and, on its first read,
-        # every flat of `lattice.flats`, one reduction per flat. Independent
-        # normals build their minimizers' rows with no closure and reduce no
+        # the minimizers and, on its first read, every flat of
+        # `lattice.flats`, one reduction per flat. Independent normals build
+        # their minimizers' rows with no closure, and the maximal
+        # localizations read their points off the chains: neither reduces a
         # chain.
         calls = []
         reduce = lattice._canonical_rows
@@ -255,7 +256,7 @@ class TestMinimizersFromTriples:
             return reduce(chain)
 
         monkeypatch.setattr(lattice, "_canonical_rows", counted)
-        monkeypatch.setattr(threshold, "_canonical_rows", counted)
+        monkeypatch.setattr(threshold, "_canonical_rows", counted, raising=False)
         rng = random.Random(86)
         skipped = 0
         kinds = {True: 0, False: 0}
@@ -272,7 +273,7 @@ class TestMinimizersFromTriples:
             offsets = [rng.randint(-2, 2) for _ in range(arr.n)]
             affine = normalize(ArrangementSpec(arr.normals, arr.multiplicities, offsets=offsets))
             calls.clear()
-            assert len(maximal_central_localizations(affine)) == len(calls)
+            assert maximal_central_localizations(affine) and calls == []
         assert skipped >= 100
         assert min(kinds.values()) >= 5, kinds
 
@@ -690,6 +691,78 @@ class TestLocalization:
             assert produced == localizations_bruteforce(arr)
 
 
+def _canonical_point(chain, d):
+    """A maximal flat's point as it was read before `lattice._chain_point`:
+    the canonical rows with the free coordinates at zero."""
+    point = [F(0)] * d
+    for row in lattice._canonical_rows(chain):
+        pc = next(c for c, x in enumerate(row) if x)
+        point[pc] = F(-row[d], row[pc])
+    return tuple(point)
+
+
+def _witness_draw(rng, kind):
+    """An affine arrangement for the witness-point corpus, in coordinates
+    hidden by a random T in GL(d, Q) every other draw. "rational": up to six
+    hyperplanes with rational entries and offsets. "parallel": a few normals,
+    each through two or three rational offsets. "lines": at most d - 1
+    normals in d = 3 or 4, so that every localization is a flat of positive
+    dimension. The other kinds are `_tied_affine_draw`'s."""
+    if kind in ("grid", "generic", "through"):
+        return _tied_affine_draw(rng, kind)
+    d = rng.randint(1, 4) if kind == "rational" else rng.randint(3, 4)
+    size = rng.randint(1, {"rational": 6, "parallel": 3, "lines": d - 1}[kind])
+    base = []
+    while len(base) < size:
+        row = [random_rational(rng, span=3, max_den=3) for _ in range(d)]
+        if any(row):
+            base.append(row)
+    if kind == "lines":
+        while rank(RationalMatrix(base, cols=d)) < len(base):
+            base[-1] = [random_rational(rng, span=3, max_den=3) for _ in range(d)]
+    copies = 1 if kind == "rational" else rng.randint(1, 3)
+    rows = [row for row in base for _ in range(copies)]
+    offsets = [random_rational(rng, span=3, max_den=4) for _ in rows]
+    normals = RationalMatrix(rows, cols=d)
+    if rng.random() < 0.5:
+        normals = normals @ random_invertible(rng, d)
+    return normalize(ArrangementSpec(normals, [rng.randint(1, 3) for _ in rows], offsets=offsets))
+
+
+class TestWitnessPoints:
+    """`maximal_central_localizations` reads each point off the closure's
+    chain by back-substitution (`lattice._chain_point`), with no canonical
+    rows."""
+
+    def test_points_from_the_chain(self):
+        rng = random.Random(331)
+        kinds = ("rational", "parallel", "lines", "grid", "generic", "through")
+        count = lines = fractional = 0
+        for draw in range(600):
+            arr = _witness_draw(rng, kinds[draw % len(kinds)])
+            d = arr.dim
+            chains = sorted(
+                (tuple(j for j in range(arr.n) if mask >> j & 1), chain)
+                for chain, mask, maximal in lattice._closure(threshold._augmented(arr), d)
+                if maximal
+            )
+            locs = maximal_central_localizations(arr)
+            assert [point for point, _ in locs] == [_canonical_point(chain, d) for _, chain in chains]
+            for (point, sub), (members, chain) in zip(locs, chains):
+                assert lattice._chain_point(chain, d) == point
+                assert all(type(x) is F for x in point)
+                # On every member hyperplane and on no other, in exact arithmetic.
+                through = tuple(
+                    j for j in range(arr.n) if sum(a * x for a, x in zip(arr.normals.row(j), point)) + arr.offsets[j] == 0
+                )
+                assert through == members
+                assert sub.normals.entries == tuple(arr.normals.entries[j] for j in members)
+                count += 1
+                lines += sub.normal_rank < d
+                fractional += any(x.denominator > 1 for x in point)
+        assert count >= 4000 and lines >= 600 and fractional >= 3000, (count, lines, fractional)
+
+
 class TestAffine:
     def test_central_matches_central_route(self):
         for text in ["x*y", "x*y^2*z^2*(x+y+z)", "x^2*y^3"]:
@@ -761,6 +834,35 @@ class TestAffine:
         assert {(sub.normals, sub.multiplicities) for sub in calls} == dependent
         assert len(distinct) == 9 < len(report.localizations)
         assert report.to_json_dict() == expected
+
+
+class TestReportJson:
+    def test_each_hyperplane_is_formatted_once(self, monkeypatch):
+        # `LocalizationReport.to_json_dict` formats a hyperplane's normal
+        # strings once per call, however many points it passes through, and
+        # still gives every localization lists of its own.
+        calls = []
+        strings = threshold._normal_strings
+        monkeypatch.setattr(threshold, "_normal_strings", lambda row: calls.append(row) or strings(row))
+        rng = random.Random(332)
+        printed = formatted = 0
+        for draw in range(30):
+            arr = _tied_affine_draw(rng, ("grid", "generic")[draw % 2])
+            report = rlct_affine(arr)
+            calls.clear()
+            doc = report.to_json_dict()
+            rows = [row for loc in report.localizations for row in loc.arrangement.normals.entries]
+            assert len(calls) == len({id(row) for row in rows}) <= arr.n
+            printed, formatted = printed + len(rows), formatted + len(calls)
+            assert doc["localizations"] == [loc.to_json_dict() for loc in report.localizations]
+            lists = [row for loc in doc["localizations"] for row in loc["normals"]]
+            assert len({id(row) for row in lists}) == len(lists) == len(rows)
+            # An edit to one localization's document shows in no other.
+            lists[0][0] = "edited"
+            assert [loc["normals"] for loc in doc["localizations"][1:]] == [
+                loc.to_json_dict()["normals"] for loc in report.localizations[1:]
+            ]
+        assert printed >= 5 * formatted, (printed, formatted)
 
 
 class TestBoxPair:
