@@ -174,11 +174,12 @@ def _indented_json(obj, pad: str = "\n") -> str:
     A `Localization` prints as its point, then the text of its result's
     body (`threshold.localization_body`), built once per distinct result per
     call. A body keeps the result's tuples of `Flat`s, and each hyperplane's
-    normal strings are one tuple per row object for the call. The text of a
-    tuple at one indent is built once per call, keyed by its id, so a flat
-    tuple that many results share, and a hyperplane that many points lie
-    on, is printed once. An id is safe as a key because every tuple printed
-    is held by `obj` or by this call until it returns.
+    normal strings are one tuple per row object for the call. Inside a body,
+    the text of a tuple at one indent is built once per call, keyed by its
+    id, so a flat tuple that many results share, and a hyperplane that many
+    points lie on, is printed once. An id is safe as a key because every
+    such tuple is held by `obj` or by this call until it returns. Tuples
+    outside a body, such as a central result's flats, keep no text.
     """
     rref_strings = lattice._rref_strings
     row_texts: dict[str, dict[tuple[int, ...], str]] = {}  # by indent, then row; lives for this call
@@ -213,14 +214,15 @@ def _indented_json(obj, pad: str = "\n") -> str:
         inner = pad + "  "
         key = (pad, id(loc.result))
         if key not in shared:
-            shared[key] = items_text(localization_body(loc.result, None, normal), inner)
+            shared[key] = items_text(localization_body(loc.result, None, normal), inner, keep=True)
         point = text([format_rational(x) for x in loc.point], inner)
         return "{" + inner + '"point": ' + point + "," + inner + shared[key] + pad + "}"
 
-    def items_text(obj: dict, inner: str) -> str:
-        return ("," + inner).join(f"{encode_basestring_ascii(k)}: {text(v, inner)}" for k, v in obj.items())
+    def items_text(obj: dict, inner: str, keep: bool) -> str:
+        return ("," + inner).join(f"{encode_basestring_ascii(k)}: {text(v, inner, keep)}" for k, v in obj.items())
 
-    def text(obj, pad: str) -> str:
+    def text(obj, pad: str, keep: bool = False) -> str:
+        """`keep`: `obj` is inside a localization body, so a tuple's text is kept."""
         if not isinstance(obj, (dict, list, tuple)):
             if type(obj) is Flat:
                 return flat_text(obj, pad)
@@ -231,13 +233,13 @@ def _indented_json(obj, pad: str = "\n") -> str:
             return "{}" if isinstance(obj, dict) else "[]"
         inner = pad + "  "
         if isinstance(obj, dict):
-            return "{" + inner + items_text(obj, inner) + pad + "}"
-        key = (pad, id(obj)) if type(obj) is tuple else None
+            return "{" + inner + items_text(obj, inner, keep) + pad + "}"
+        key = (pad, id(obj)) if keep and type(obj) is tuple else None
         if key in shared:
             return shared[key]
         kinds = set(map(type, obj))
         scalar = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
-        items = map(scalar, obj) if scalar else (text(x, inner) for x in obj)
+        items = map(scalar, obj) if scalar else (text(x, inner, keep) for x in obj)
         out = "[" + inner + ("," + inner).join(items) + pad + "]"
         if key:
             shared[key] = out
@@ -269,11 +271,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     arr = load_arrangement(args)
     if args.command == "compute" and arr.is_central:
         result, verify = rlct_central(arr), verify_central
-        body = result.to_json_dict(flat=lambda flat: flat)
     else:
         result, verify = rlct_affine(arr), verify_report
-        body = result.to_json_dict(flat=lambda flat: flat, localization=lambda loc: loc)
-    doc = {"input": arrangement_to_json_dict(arr), **body}
+    doc = {"input": arrangement_to_json_dict(arr), **result.to_json_dict(flat=None)}
     if args.verify:
         doc["verify"] = verify(arr, result)
     human = [

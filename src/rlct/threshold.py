@@ -83,9 +83,8 @@ class RlctResult:
 
     def to_json_dict(self, *, flat=Flat.to_json_dict) -> dict:
         """The pair and its flats, by default as plain JSON. `flat` is how each
-        flat enters the document; the CLI keeps the `Flat`s and prints them.
-        `flat=None` keeps the result's own tuples, so that the CLI's printer
-        can tell the tuples that results share."""
+        flat enters the document. `flat=None` keeps the objects, the result's
+        own tuples of `Flat`s, for the CLI's printer."""
         minimizers, chain = self.minimizer_flats, self.witness_chain
         if flat is not None:
             minimizers, chain = list(map(flat, minimizers)), list(map(flat, chain))
@@ -259,8 +258,9 @@ class Localization:
     def pair(self) -> RlctPair:
         return self.result.pair
 
-    def to_json_dict(self, *, flat=Flat.to_json_dict, normal=_normal_strings) -> dict:
-        return {"point": [format_rational(x) for x in self.point], **localization_body(self.result, flat, normal)}
+    def to_json_dict(self, *, flat=Flat.to_json_dict) -> dict:
+        point = [format_rational(x) for x in self.point]
+        return {"point": point, **localization_body(self.result, flat, _normal_strings)}
 
 
 def localization_body(result: RlctResult, flat, normal) -> dict:
@@ -290,27 +290,16 @@ class LocalizationReport:
     def global_pair(self) -> RlctPair:
         return self.global_result.pair
 
-    def to_json_dict(self, *, flat=Flat.to_json_dict, localization=None) -> dict:
+    def to_json_dict(self, *, flat=Flat.to_json_dict) -> dict:
         """The global pair and flats, each localization and the global point.
-        `flat` is as in `RlctResult.to_json_dict`. `localization` is how each
-        localization enters the document; the CLI keeps the `Localization`s
-        and prints them. By default it is `Localization.to_json_dict`, and
-        each hyperplane's normal strings are formatted once per call, keyed
-        by its row object, which the local arrangements share with the input
-        and this report holds. Each localization still gets fresh lists."""
+        `flat` is as in `RlctResult.to_json_dict`: `flat=None` keeps the
+        objects, the global result's tuples and the `Localization`s, for the
+        CLI's printer."""
         doc = self.global_result.to_json_dict(flat=flat)
-        if localization is None:
-            strings: dict[int, list[str]] = {}
-
-            def normal(row) -> list[str]:
-                if id(row) not in strings:
-                    strings[id(row)] = _normal_strings(row)
-                return strings[id(row)].copy()
-
-            def localization(loc):
-                return loc.to_json_dict(flat=flat, normal=normal)
-
-        doc["localizations"] = list(map(localization, self.localizations))
+        if flat is None:
+            doc["localizations"] = list(self.localizations)
+        else:
+            doc["localizations"] = [loc.to_json_dict(flat=flat) for loc in self.localizations]
         doc["global_point"] = [format_rational(x) for x in self.localizations[self.global_index].point]
         return doc
 

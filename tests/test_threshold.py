@@ -256,7 +256,6 @@ class TestMinimizersFromTriples:
             return reduce(chain)
 
         monkeypatch.setattr(lattice, "_canonical_rows", counted)
-        monkeypatch.setattr(threshold, "_canonical_rows", counted, raising=False)
         rng = random.Random(86)
         skipped = 0
         kinds = {True: 0, False: 0}
@@ -834,35 +833,6 @@ class TestAffine:
         assert {(sub.normals, sub.multiplicities) for sub in calls} == dependent
         assert len(distinct) == 9 < len(report.localizations)
         assert report.to_json_dict() == expected
-
-
-class TestReportJson:
-    def test_each_hyperplane_is_formatted_once(self, monkeypatch):
-        # `LocalizationReport.to_json_dict` formats a hyperplane's normal
-        # strings once per call, however many points it passes through, and
-        # still gives every localization lists of its own.
-        calls = []
-        strings = threshold._normal_strings
-        monkeypatch.setattr(threshold, "_normal_strings", lambda row: calls.append(row) or strings(row))
-        rng = random.Random(332)
-        printed = formatted = 0
-        for draw in range(30):
-            arr = _tied_affine_draw(rng, ("grid", "generic")[draw % 2])
-            report = rlct_affine(arr)
-            calls.clear()
-            doc = report.to_json_dict()
-            rows = [row for loc in report.localizations for row in loc.arrangement.normals.entries]
-            assert len(calls) == len({id(row) for row in rows}) <= arr.n
-            printed, formatted = printed + len(rows), formatted + len(calls)
-            assert doc["localizations"] == [loc.to_json_dict() for loc in report.localizations]
-            lists = [row for loc in doc["localizations"] for row in loc["normals"]]
-            assert len({id(row) for row in lists}) == len(lists) == len(rows)
-            # An edit to one localization's document shows in no other.
-            lists[0][0] = "edited"
-            assert [loc["normals"] for loc in doc["localizations"][1:]] == [
-                loc.to_json_dict()["normals"] for loc in report.localizations[1:]
-            ]
-        assert printed >= 5 * formatted, (printed, formatted)
 
 
 class TestBoxPair:
