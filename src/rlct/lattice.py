@@ -5,7 +5,10 @@ space itself is excluded). `_closure` extends each frontier flat by one
 outside row at a time, so the cost scales with the lattice size, not with
 2^n. It serves both the central lattice (rows: the normals) and the affine
 localizations in `threshold.py` (rows: (a | b)), and flags maximal flats.
-It works on integer rows and member bitmasks. A flat carries its residue
+It works on integer rows and member bitmasks. A flat computes the residues
+of its outside rows only if it can build a new flat: not when every child
+is already built, and at codim rank - 1 only as the first flat of the
+level, since that level has one answer. A flat carries its residue
 chain; only the flats that are read get `_canonical_rows`, from which come
 the lattice order, `Flat.rows` and the "p/q" strings. A maximal flat's
 witness point comes from its chain by back-substitution (`_chain_point`),
@@ -177,17 +180,20 @@ def _closure(rows: Sequence[tuple[int, ...]], d: int) -> list[tuple[tuple[tuple[
 
     Rows are primitive integer vectors with d columns (normals) or d + 1
     (rows (a | b), offset last). Closure by rank level from the ambient
-    space ((), 0, rows grouped by value): a frontier item is (chain, mask,
-    groups), `chain` the residues that joined the span, in order, and
-    `groups` each primitive residue of the outside rows modulo the span,
-    with the bitmask of the rows that have it. Two rows give the same child
-    iff their residues are equal, so a group is exactly the child's new
-    members. Only a child with a new mask is built, by one `eliminate` call
-    on the groups, so every flat is built once. On rows (a | b), a residue
-    that is zero on the normal columns has no common point and is skipped;
-    a flat is maximal iff every residue is of that kind, i.e. iff its member
-    set is inclusion-maximal. Normals alone never give such a residue, so
-    the test runs only on rows with an offset.
+    space, whose groups are the rows grouped by value. A flat's groups are
+    each primitive residue of the outside rows modulo its span, with the
+    bitmask of the rows that have it. Two rows give the same child iff their
+    residues are equal, so a group is exactly the child's new members, and
+    only a child with a new mask is built, so every flat is built once. A
+    frontier item is (chain, mask, the parent's groups): `chain` holds the
+    residues that joined the span, in order, the last one the residue the
+    item joined by, and its own groups are one `eliminate` call on the
+    parent's, made when the item is expanded and only if it can build a new
+    flat (rules (a) and (b) below). On rows (a | b), a residue that is zero
+    on the normal columns has no common point and is skipped; a flat is
+    maximal iff every residue is of that kind, i.e. iff its member set is
+    inclusion-maximal. Normals alone never give such a residue, so the test
+    runs only on rows with an offset.
 
     One elimination step per group gives the child's residues, the same as
     reducing under the child's echelon: let S be a span with RREF pivot
@@ -201,38 +207,57 @@ def _closure(rows: Sequence[tuple[int, ...]], d: int) -> list[tuple[tuple[tuple[
     all the next level needs: each residue is primitive, leads positive and
     is zero at every earlier residue's lead (see `_canonical_rows`).
 
-    Let r be the rank of `rows`. For a flat of codim r - 1 with pivots P,
-    the vectors of the row space that vanish on P form one line, so every
-    outside row has the same residue: such a child gets one group, one
-    other residue eliminated once, with the mask of all outside rows. On
-    normals that group is the top flat; on rows (a | b) it leads either at
-    the offset (the flat is maximal, as at the points of a generic affine
-    draw) or at a normal column (every hyperplane meets at one point).
+    (a) Every child is already built. Let F be a flat and j an outside row,
+    with g the rows equal to row j. F's child through j has the rows in the
+    span of F and j as members. If the mask F | g is in `seen`, it is a flat
+    and so holds exactly the rows in its span, which is the span of F and j:
+    the child is F | g, already built. When that holds for every outside
+    group, F builds nothing and needs no residues. Each of its children has
+    a common point, so F is maximal iff it has no outside row, i.e. iff its
+    mask is `full`.
+
+    (b) The codim r - 1 level shares one answer, r the rank of `rows`. The
+    row space V has dim r, and a flat F at codim r - 1 has r - 1 pivots P,
+    all on normal columns since F's rows have a common point. The vectors of
+    V that vanish on P form one line, so every outside row of F has the
+    same residue, the primitive vector with positive lead on that line. If
+    the rows have no common point, V holds the offset axis, which vanishes
+    on every such P: the line is the offset axis for every F, and every flat
+    of the level is maximal. Otherwise the line never is, and F's one child
+    holds every row: the flat of all rows, for every F. So the first flat of
+    the level computes its residues, and every other takes its flag.
     """
     start: dict[tuple[int, ...], int] = {}
     for j, row in enumerate(rows):
         start[row] = start.get(row, 0) | 1 << j
     top, full = integer_rank(start), (1 << len(rows)) - 1
     offset = bool(rows) and len(rows[0]) > d  # normals alone never lead at an offset
+    atoms = tuple(start.values())
     seen = {0}
-    frontier = [((), 0, start)]
+    frontier = [((), 0, start)]  # the ambient space holds its own groups
     flats = []
+    shared = None  # the maximal flag of the codim r - 1 level, rule (b)
     while frontier:
         next_frontier = []
-        for chain, mask, groups in frontier:
-            maximal = True
-            for residue, group in groups.items():
-                if offset and not any(residue[:d]):
-                    # Offset-column lead: the rows have no common point.
-                    continue
-                maximal = False
-                child = mask | group
-                if child not in seen:
-                    seen.add(child)
-                    outside = groups
-                    if len(chain) + 2 == top:  # codim r - 1: one residue left
-                        outside = {next(other for other in groups if other != residue): full & ~child}
-                    next_frontier.append((chain + (residue,), child, eliminate(outside, residue)))
+        for chain, mask, parent in frontier:
+            if shared is not None and len(chain) + 1 == top:  # rule (b)
+                maximal = shared
+            elif all(mask | atom in seen for atom in atoms if not mask & atom):  # rule (a)
+                maximal = mask == full
+            else:
+                groups = eliminate(parent, chain[-1]) if chain else parent
+                maximal = True
+                for residue, group in groups.items():
+                    if offset and not any(residue[:d]):
+                        # Offset-column lead: the rows have no common point.
+                        continue
+                    maximal = False
+                    child = mask | group
+                    if child not in seen:
+                        seen.add(child)
+                        next_frontier.append((chain + (residue,), child, groups))
+                if len(chain) + 1 == top:
+                    shared = maximal
             if mask:  # the ambient space (mask 0) is not a flat
                 flats.append((chain, mask, maximal))
         frontier = next_frontier

@@ -408,18 +408,23 @@ def rlct_affine(arr: NormalizedArrangement) -> LocalizationReport:
     object and no lattice. A local arrangement with independent normals is
     solved by `_normal_crossing`, once per tied set in a memo that lives for
     this call only, and each result still keeps its own arrangement. One
-    with dependent normals goes to `rlct_central`.
+    with dependent normals goes to `rlct_central`. The global localization
+    is the first appearance of the first most singular result, so
+    `pair_less` runs once per distinct result, not once per point.
     """
-    results: dict[int, RlctResult] = {}  # by sub-arrangement object
+    results: dict[int, tuple[RlctResult, int]] = {}  # by sub-arrangement object: result, first index
     crossings: dict = {}  # by tied set (see `_normal_crossing`)
     localizations = []
     for point, sub in maximal_central_localizations(arr):
-        result = results.get(id(sub))
-        if result is None:
+        found = results.get(id(sub))
+        if found is None:
             independent = sub.normal_rank == sub.n
             result = RlctResult(*_normal_crossing(sub, crossings), sub) if independent else rlct_central(sub)
-            results[id(sub)] = result
-        localizations.append(Localization(point=point, result=result))
-    # The first most singular pair; RlctPair orders by pair_less.
-    best = min(range(len(localizations)), key=lambda i: localizations[i].pair)
-    return LocalizationReport(localizations=tuple(localizations), global_index=best)
+            found = results[id(sub)] = (result, len(localizations))
+        localizations.append(Localization(point=point, result=found[0]))
+    firsts = iter(results.values())  # in order of first appearance
+    best, best_index = next(firsts)
+    for result, index in firsts:
+        if pair_less(result.pair, best.pair):
+            best, best_index = result, index
+    return LocalizationReport(localizations=tuple(localizations), global_index=best_index)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from rlct import (
     ArrangementSpec,
     CentralityError,
+    NormalizedArrangement,
     RationalMatrix,
     build_lattice,
     localizations_bruteforce,
@@ -27,7 +28,7 @@ from rlct.oracle import row_in_row_space
 from rlct.ratlinalg import eliminate, primitive_int_row
 from rlct.threshold import maximal_central_localizations
 
-from conftest import random_central_arrangement, random_invertible
+from conftest import random_central_arrangement, random_invertible, random_rational
 
 F = Fraction
 
@@ -271,6 +272,41 @@ def _engine_corpus():
     return corpus
 
 
+def _builders(flats):
+    """The flats whose chain is a proper prefix of another flat's chain: the
+    flats that built a new flat."""
+    parents = {chain[:-1] for chain, _, _ in flats}
+    return [chain for chain, _, _ in flats if chain in parents]
+
+
+def _rule_draws():
+    """Seeded (kind, arrangement) pairs with 7-10 hyperplanes in 3-5
+    variables: generic and rank-deficient central draws, parallel classes
+    with offsets, translated central draws, and generic affine draws, which
+    have no common point."""
+    rng = random.Random(341)
+    kinds = ("generic", "rank-deficient", "parallel", "translated", "no-point")
+    for t in range(10):
+        kind = kinds[t % len(kinds)]
+        d, n = rng.randint(3, 5), rng.randint(7, 10)
+        if kind == "rank-deficient":
+            base = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(rng.randint(2, d - 1))]
+            rows = [[sum(rng.randint(-2, 2) * b[c] for b in base) for c in range(d)] for _ in range(n)]
+        elif kind == "parallel":
+            base = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(rng.randint(d - 1, d + 1))]
+            rows = [[rng.choice([1, -1, 2]) * x for x in rng.choice(base)] for _ in range(n)]
+        else:
+            rows = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(n)]
+        rows = [row for row in rows if any(row)]
+        offsets = None
+        if kind == "translated":
+            point = [random_rational(rng) for _ in range(d)]
+            offsets = [-sum(a * x for a, x in zip(row, point)) for row in rows]
+        elif kind in ("parallel", "no-point"):
+            offsets = [rng.randint(-3, 3) for _ in rows]
+        yield kind, normalize(ArrangementSpec(rows, [rng.randint(1, 3) for _ in rows], offsets=offsets))
+
+
 def _raw_step(row, pivot_row, pc):
     """p·row − c·pivot_row as written, p and c the entries at column pc."""
     p, c = pivot_row[pc], row[pc]
@@ -393,11 +429,16 @@ class TestClosureEngine:
         assert low_rank_seen
 
     def test_each_flat_is_built_once(self, monkeypatch):
+        # A flat's residues are one `eliminate` call on its parent's groups
+        # and the residue it joined by, made only when the flat can build a
+        # new one. No flat makes that call twice, every flat that builds a new
+        # flat (a proper prefix of another flat's chain) makes it, and on a
+        # generic draw no other flat does.
         calls = []
         step = lattice.eliminate
 
         def counted(groups, residue):
-            calls.append(residue)
+            calls.append((tuple(groups.items()), residue))
             return step(groups, residue)
 
         monkeypatch.setattr(lattice, "eliminate", counted)
@@ -411,15 +452,30 @@ class TestClosureEngine:
             for rows in row_sets:
                 calls.clear()
                 flats = _closure(rows, arr.dim)
-                assert len(calls) == len(flats)
+                assert len(set(calls)) == len(calls) <= len(flats)
+                assert len(calls) >= len(_builders(flats))
         assert len(flats) == 876
+        # A generic draw: every subset of at most d - 1 normals is a flat, and
+        # so is the origin. 385 flats of codim 1-4 build another, and one flat
+        # of codim 5 builds the origin.
+        rng = random.Random(7)
+        rows = [primitive_int_row([rng.randint(-99, 99) for _ in range(6)]) for _ in range(11)]
+        calls.clear()
+        flats = _closure(rows, 6)
+        assert len(flats) == sum(comb(11, c) for c in range(1, 6)) + 1 == 1024
+        assert len(calls) == len(set(calls)) == len(_builders(flats)) == 386
 
-    def test_codim_r_minus_1_children_take_one_residue(self):
-        # A child of codim r - 1 (r the rank of the rows) gets one residue
-        # group holding every outside row. A translated central arrangement
-        # reaches the top flat through it, and so does a rank-deficient
-        # affine one; generic affine draws with n > d + 1 end there at an
-        # offset lead, as maximal flats.
+    def test_codim_r_minus_1_level_shares_one_flag(self, monkeypatch):
+        # Rule (b): every flat of codim r - 1 (r the rank of the rows) has one
+        # residue, the same line for all. A translated central arrangement
+        # and a rank-deficient affine one reach the flat of all rows through
+        # it, so no flat of the level is maximal; generic affine draws with
+        # n > d + 1 end there at an offset lead, and every flat of the level
+        # is. Only the level's first flat computes its residues, so on a
+        # generic draw the calls are the flats that build a new flat, and one.
+        calls = []
+        step = lattice.eliminate
+        monkeypatch.setattr(lattice, "eliminate", lambda groups, residue: calls.append(1) or step(groups, residue))
         rng = random.Random(44)
         texts = ("(x-1)*(y-2)*(x+y-3)", "vars x, y, z; (x-1)*(y-1)*(x+y-2)*(x-y)")
         single = [normalize(parse_factored_product(text)) for text in texts]
@@ -437,6 +493,7 @@ class TestClosureEngine:
             rows = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(rng.randint(d + 2, d + 4))]
             offsets = [rng.randint(-9, 9) for _ in rows]
             generic.append(normalize(ArrangementSpec(rows, [1] * len(rows), offsets=offsets)))
+        generic_seen = 0
         for arr in single + generic:
             produced = sorted(
                 tuple(j for j, (a, b) in enumerate(zip(arr.normals, arr.offsets))
@@ -447,7 +504,58 @@ class TestClosureEngine:
             if arr in single:
                 assert produced == [tuple(range(arr.n))]
             augmented = [primitive_int_row(a + (b,)) for a, b in zip(arr.normals, arr.offsets)]
-            self._check_maximal_flags(_closure(augmented, arr.dim))
+            calls.clear()
+            flats = _closure(augmented, arr.dim)
+            self._check_maximal_flags(flats)
+            top = rank(RationalMatrix(augmented))
+            no_point = rank(arr.normals) < top
+            if top > 1:  # at rank 1 the level is the ambient space alone
+                assert {flag for chain, _, flag in flats if len(chain) == top - 1} == {no_point}
+            assert no_point == (arr not in single)
+            if no_point and len(flats) == sum(comb(arr.n, c) for c in range(1, arr.dim + 1)):
+                assert len(calls) == len(_builders(flats)) + 1
+                generic_seen += 1
+        assert generic_seen >= 6, generic_seen
+
+    def test_rules_match_the_bruteforce_oracle(self, monkeypatch):
+        # 7-10 hyperplanes in 3-5 variables, where flats are skipped by rule
+        # (a) (every child already built) and by rule (b) (the codim r - 1
+        # level shares its first flat's flag). On central and translated
+        # central draws, the closure of the normals and that of the rows
+        # (a | b), with the offset column dropped, give the all-subsets
+        # lattice's masks and canonical rows. Every draw's maximal masks are
+        # the all-subsets localizations; a central draw has one, all rows.
+        from rlct import lattice_bruteforce
+
+        calls = []
+        step = lattice.eliminate
+        monkeypatch.setattr(lattice, "eliminate", lambda groups, residue: calls.append(1) or step(groups, residue))
+        skipped = {}
+        for kind, arr in _rule_draws():
+            n, d = arr.n, arr.dim
+            augmented = [primitive_int_row(a + (b,)) for a, b in zip(arr.normals, arr.offsets)]
+            row_sets = [augmented, list(arr.primitive_normals)] if arr.is_central else [augmented]
+            reference = None
+            if kind not in ("parallel", "no-point"):
+                centered = NormalizedArrangement(arr.normals, (F(0),) * n, arr.multiplicities)
+                reference = {f.mask: tuple(map(primitive_int_row, f.rows)) for f in lattice_bruteforce(centered).flats}
+            closures = []
+            for rows in row_sets:
+                calls.clear()
+                flats = _closure(rows, d)
+                closures.append(flats)
+                top = rank(RationalMatrix(rows))
+                rule_b = max(sum(len(chain) == top - 1 for chain, _, _ in flats) - 1, 0)
+                rule_a = len(flats) - len(calls) - rule_b
+                assert rule_a >= 0
+                tally = skipped.setdefault(kind, [0, 0])
+                tally[0] += rule_a
+                tally[1] += rule_b
+                if reference is not None:
+                    assert {mask: tuple(primitive_int_row(r[:d]) for r in _canonical_rows(chain)) for chain, mask, _ in flats} == reference
+            maximal = sorted(tuple(j for j in range(n) if mask >> j & 1) for _, mask, flag in closures[0] if flag)
+            assert maximal == ([tuple(range(n))] if arr.is_central else localizations_bruteforce(arr))
+        assert len(skipped) == 5 and all(a >= 10 and b >= 50 for a, b in skipped.values()), skipped
 
     @staticmethod
     def _draw_rows(data):

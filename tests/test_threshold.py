@@ -835,6 +835,25 @@ class TestAffine:
         assert report.to_json_dict() == expected
 
 
+    def test_global_index_is_the_first_most_singular_localization(self):
+        # `rlct_affine` compares each distinct result once, in order of first
+        # appearance; the global index must still be the first localization
+        # whose pair no other localization's pair is below. The draws tie
+        # the least pair across distinct results, often away from index 0.
+        rng = random.Random(347)
+        tied = later = 0
+        for draw in range(60):
+            arr = _tied_affine_draw(rng, ("grid", "generic", "through")[draw % 3])
+            report = rlct_affine(arr)
+            pairs = [loc.pair for loc in report.localizations]
+            first = next(i for i, p in enumerate(pairs) if not any(pair_less(q, p) for q in pairs))
+            assert report.global_index == first
+            least = {id(loc.result) for loc in report.localizations if loc.pair == pairs[first]}
+            tied += len(least) > 1
+            later += len(least) > 1 and first > 0
+        assert tied >= 20 and later >= 10, (tied, later)
+
+
 class TestBoxPair:
     """The pair of a closed box: the most singular local pair on it (`box_pair`)."""
 
