@@ -13,10 +13,11 @@ Every report prints through `emit`, the one switch on --format, and the
 argparse parser is built once per process, at import. JSON reports print
 the bytes of `json.dumps(doc, indent=2, default=lambda x: x.to_json_dict())`,
 but through C-level joins (`_indented_json`): an `indent` makes
-`json.dumps` skip its C encoder. A report's document holds its `Flat`s and
-`Localization`s. Flats print from their integer rows, one text per distinct
-row per report, and the localizations that share a result share one text
-of its body.
+`json.dumps` skip its C encoder. A report's document holds its `Flat`s,
+`Localization`s and hyperplane rows, and a `Fraction` prints as its "p/q"
+string. Flats print from their integer rows, one text per distinct row per
+report, every tuple once per indent, and the localizations that share a
+result share one text of its body.
 `rlct.volume`, and numpy with it, loads on the first `volume-fit`, through
 the module `__getattr__`; `compute`, `localize` and `parse` never load it.
 
@@ -34,6 +35,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -152,19 +154,21 @@ def parse_box(spec: str | None, dim: int):
     return intervals
 
 
-# The C-level text of the two scalar types that fill a report's lists.
-_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__}
+# The text of the scalar types that fill a report's lists; a `Fraction` is its "p/q" string.
+_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__, Fraction: lambda x: f'"{format_rational(x)}"'}
 
 
 def _indented_json(obj, pad: str = "\n") -> str:
     """Exactly `json.dumps(obj, indent=2, default=lambda x: x.to_json_dict())`,
-    with every container one `str.join`.
+    with every container one `str.join`, and a `Fraction` as its "p/q" string.
 
     `pad` is the newline and indent of `obj`'s own line. A list whose items
-    are all of exact type str or all of exact type int is joined straight
-    from `_SCALAR_TEXT`; any other scalar (float, bool, None, subclasses)
-    takes `json.dumps(x)`, the C encoder, which prints it as the indented
-    encoder does. Dict keys must be `str`, as they are in every report.
+    are all of exact type str, int or `Fraction` is joined straight from
+    `_SCALAR_TEXT`; any other scalar (float, bool, None, subclasses) takes
+    `json.dumps(x)`, the C encoder, which prints it as the indented encoder
+    does. Dict keys must be `str`, as they are in every report. A dict is one
+    join over its braces, keys, separators and values' texts, so no value's
+    text is copied but into its parent's.
 
     A `Flat` prints from its integer data, rows, mask and weight, in the
     layout of `Flat.to_json_dict` (it has at least one row and one member).
@@ -173,23 +177,15 @@ def _indented_json(obj, pad: str = "\n") -> str:
 
     A `Localization` prints as its point, then the text of its result's
     body (`threshold.localization_body`), built once per distinct result per
-    call. A body keeps the result's tuples of `Flat`s, and each hyperplane's
-    normal strings are one tuple per row object for the call. Inside a body,
-    the text of a tuple at one indent is built once per call, keyed by its
-    id, so a flat tuple that many results share, and a hyperplane that many
-    points lie on, is printed once. An id is safe as a key because every
-    such tuple is held by `obj` or by this call until it returns. Tuples
-    outside a body, such as a central result's flats, keep no text.
+    call: the result's tuples of `Flat`s, and its arrangement's rows, tuples
+    of `Fraction`s that the arrangements of many points share. The text of
+    every tuple at one indent is built once per call, keyed by its id, so a
+    shared flat tuple or hyperplane prints once. An id is safe as a key
+    because every tuple is held by `obj` until the call returns.
     """
     rref_strings = lattice._rref_strings
     row_texts: dict[str, dict[tuple[int, ...], str]] = {}  # by indent, then row; lives for this call
     shared: dict[tuple[str, int], str] = {}  # tuples' and results' texts, by indent and id
-    strings: dict[int, tuple[str, ...]] = {}  # each hyperplane's normal strings, by row id
-
-    def normal(row) -> tuple[str, ...]:
-        if id(row) not in strings:
-            strings[id(row)] = tuple(map(format_rational, row))
-        return strings[id(row)]
 
     def flat_text(flat: Flat, pad: str) -> str:
         inner = pad + "  "
@@ -214,15 +210,18 @@ def _indented_json(obj, pad: str = "\n") -> str:
         inner = pad + "  "
         key = (pad, id(loc.result))
         if key not in shared:
-            shared[key] = items_text(localization_body(loc.result, None, normal), inner, keep=True)
+            shared[key] = "".join(item_parts(localization_body(loc.result, None), inner))
         point = text([format_rational(x) for x in loc.point], inner)
-        return "{" + inner + '"point": ' + point + "," + inner + shared[key] + pad + "}"
+        return "".join(("{", inner, '"point": ', point, shared[key], pad, "}"))
 
-    def items_text(obj: dict, inner: str, keep: bool) -> str:
-        return ("," + inner).join(f"{encode_basestring_ascii(k)}: {text(v, inner, keep)}" for k, v in obj.items())
+    def item_parts(obj: dict, inner: str) -> list[str]:
+        """Each item of `obj` as its separator "," and `inner`, key, ": " and value text."""
+        sep, parts = "," + inner, []
+        for key, value in obj.items():
+            parts += (sep, encode_basestring_ascii(key), ": ", text(value, inner))
+        return parts
 
-    def text(obj, pad: str, keep: bool = False) -> str:
-        """`keep`: `obj` is inside a localization body, so a tuple's text is kept."""
+    def text(obj, pad: str) -> str:
         if not isinstance(obj, (dict, list, tuple)):
             if type(obj) is Flat:
                 return flat_text(obj, pad)
@@ -233,13 +232,16 @@ def _indented_json(obj, pad: str = "\n") -> str:
             return "{}" if isinstance(obj, dict) else "[]"
         inner = pad + "  "
         if isinstance(obj, dict):
-            return "{" + inner + items_text(obj, inner, keep) + pad + "}"
-        key = (pad, id(obj)) if keep and type(obj) is tuple else None
+            parts = item_parts(obj, inner)
+            parts[0] = "{" + inner
+            parts += (pad, "}")
+            return "".join(parts)
+        key = (pad, id(obj)) if type(obj) is tuple else None
         if key in shared:
             return shared[key]
         kinds = set(map(type, obj))
         scalar = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
-        items = map(scalar, obj) if scalar else (text(x, inner, keep) for x in obj)
+        items = map(scalar, obj) if scalar else (text(x, inner) for x in obj)
         out = "[" + inner + ("," + inner).join(items) + pad + "]"
         if key:
             shared[key] = out
@@ -256,10 +258,11 @@ def emit(fmt: str, doc: dict, **lines: list[str]) -> None:
     """Print `doc` as indented JSON, or the `csv` or `human` lines, as --format asks.
 
     The JSON is the bytes of `json.dumps(doc, indent=2, default=lambda x:
-    x.to_json_dict())`, built by `_indented_json` from C-level joins instead
-    of the pure-Python encoder; a report's flats print from their integer
-    rows, one text per distinct row, and its localizations one body text per
-    distinct result.
+    x.to_json_dict())`, with a `Fraction` as its "p/q" string, built by
+    `_indented_json` from C-level joins instead of the pure-Python encoder;
+    a report's flats print from their integer rows, one text per distinct
+    row, every tuple once per indent, and its localizations one body text
+    per distinct result.
     """
     print(_indented_json(doc) if fmt == "json" else "\n".join(lines[fmt]))
 

@@ -244,10 +244,12 @@ def verify_central(arr: NormalizedArrangement, result) -> dict:
 
 
 def verify_report(arr: NormalizedArrangement, report) -> dict:
-    """Check `report = rlct_affine(arr)`: `verify_central` at every
-    localization, and the hyperplanes through the reported points are
-    exactly the oracle's maximal localizations."""
-    checks = [verify_central(loc.arrangement, loc.result) for loc in report.localizations]
+    """Check `report = rlct_affine(arr)`: `verify_central` on each distinct
+    local result, once however many localizations share it, and the
+    hyperplanes through the reported points are exactly the oracle's
+    maximal localizations."""
+    results = {id(loc.result): loc.result for loc in report.localizations}.values()
+    checks = [verify_central(result.arrangement, result) for result in results]
     found = sorted(
         tuple(j for j, (normal, offset) in enumerate(zip(arr.normals, arr.offsets))
               if sum(a * x for a, x in zip(normal, loc.point)) + offset == 0)

@@ -235,11 +235,6 @@ def rlct_line_arrangement_2d(multiplicities) -> RlctPair:
     return RlctPair(threshold=threshold, multiplicity=2 if rest == top else 1)
 
 
-def _normal_strings(row) -> list[str]:
-    """A normal row's entries as "p/q" strings."""
-    return [format_rational(x) for x in row]
-
-
 @dataclass(frozen=True)
 class Localization:
     """A maximal central sub-arrangement: the hyperplanes through one point,
@@ -260,17 +255,21 @@ class Localization:
 
     def to_json_dict(self, *, flat=Flat.to_json_dict) -> dict:
         point = [format_rational(x) for x in self.point]
-        return {"point": point, **localization_body(self.result, flat, _normal_strings)}
+        return {"point": point, **localization_body(self.result, flat)}
 
 
-def localization_body(result: RlctResult, flat, normal) -> dict:
+def localization_body(result: RlctResult, flat) -> dict:
     """The keys of a localization's JSON after "point": its result's pair and
     flats (`flat` as in `RlctResult.to_json_dict`), then its local
-    arrangement's normals, each row (a tuple of `Fraction`s) entered as
-    `normal` maps it, and multiplicities. Localizations that share a result
-    share this body, so the CLI prints it once per result."""
+    arrangement's normals and multiplicities. Each normal is a list of "p/q"
+    strings, or with `flat=None` the arrangement's own row, a tuple of
+    `Fraction`s that the CLI's printer writes as those strings. Localizations
+    that share a result share this body, so the CLI prints it once per
+    result, and the rows are the parent arrangement's, shared by every point
+    on a hyperplane."""
     doc = result.to_json_dict(flat=flat)
-    doc["normals"] = list(map(normal, result.arrangement.normals.entries))
+    rows = result.arrangement.normals.entries
+    doc["normals"] = list(rows) if flat is None else [list(map(format_rational, row)) for row in rows]
     doc["multiplicities"] = list(result.arrangement.multiplicities)
     return doc
 
@@ -422,9 +421,6 @@ def rlct_affine(arr: NormalizedArrangement) -> LocalizationReport:
             result = RlctResult(*_normal_crossing(sub, crossings), sub) if independent else rlct_central(sub)
             found = results[id(sub)] = (result, len(localizations))
         localizations.append(Localization(point=point, result=found[0]))
-    firsts = iter(results.values())  # in order of first appearance
-    best, best_index = next(firsts)
-    for result, index in firsts:
-        if pair_less(result.pair, best.pair):
-            best, best_index = result, index
+    # `min` keeps the first least result, and `results` is in order of first appearance.
+    _, best_index = min(results.values(), key=lambda found: found[0].pair)
     return LocalizationReport(localizations=tuple(localizations), global_index=best_index)

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from rlct import (
     parse_factored_product,
     rank,
     rlct_affine,
+    rlct_central,
 )
 from rlct.cli import main
 
@@ -500,13 +502,15 @@ class TestMain:
 # JSON trees as reports hold them, plus the leaves they never hold: keys and
 # strings with quotes, backslashes, control and non-ASCII characters; floats
 # with NaN, the infinities and -0.0; numpy floats; bools; tuples; empty
-# containers; lists of one exact scalar type (the printer's fast path).
+# containers; lists of one exact scalar type (the printer's fast path);
+# `Fraction`s, which the printer writes as their "p/q" strings.
 _TRICKY = st.sampled_from(['"', "\\", "\x00", "\n\t", "\x7f", "é", "λ", "\u2028", "\U0001f600", ""])
 _TEXT = st.text(max_size=8) | _TRICKY
 _FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324])
 _LEAVES = (
-    _TEXT | st.integers() | st.booleans() | st.none() | _FLOATS | _FLOATS.map(np.float64)
+    _TEXT | st.integers() | st.booleans() | st.none() | _FLOATS | _FLOATS.map(np.float64) | st.fractions()
     | st.lists(_TEXT, max_size=4) | st.lists(st.integers(), max_size=4) | st.lists(st.booleans(), max_size=3)
+    | st.lists(st.fractions(), max_size=4)
 )
 _TREES = st.recursive(
     _LEAVES,
@@ -565,7 +569,27 @@ class TestIndentedJson:
     @settings(max_examples=400)
     @given(_TREES)
     def test_equals_stdlib_indent_2(self, tree):
-        assert rlct.cli._indented_json(tree) == json.dumps(tree, indent=2)
+        assert rlct.cli._indented_json(tree) == json.dumps(tree, indent=2, default=str)
+
+    def test_a_value_is_copied_once(self):
+        # A dict joins its values' texts with no copy of its own, and every
+        # tuple keeps its text: printing a central report with 1,023
+        # minimizer flats must peak below 2.5 times the output's length
+        # (it reads 2.03, and 3.00 when an item is first copied into "key: value").
+        arr = normalize(parse_factored_product("*".join(f"x{i}" for i in range(1, 11))))
+        doc = {"input": arrangement_to_json_dict(arr), **rlct_central(arr).to_json_dict(flat=None)}
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = rlct.cli._indented_json(doc)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert out == json.dumps(doc, indent=2, default=_to_json_dict)
+        assert peak < 2.5 * len(out), (peak, len(out))
 
     def test_equals_stdlib_on_the_golden_reports(self, capsys, monkeypatch, tmp_path):
         docs = []

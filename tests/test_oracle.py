@@ -4,6 +4,7 @@ import ast
 import inspect
 import pathlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -20,7 +21,8 @@ from rlct import (
     rlct_affine,
     rlct_central,
 )
-from rlct.oracle import verify_report
+from rlct.oracle import verify_central, verify_report
+from rlct.threshold import Localization, RlctPair
 
 from conftest import random_central_arrangement, unreduced_rref_strings
 
@@ -171,3 +173,37 @@ class TestVerify:
         assert verify_report(arr, report) == {
             "lattice_match": True, "chain_match": True, "localization_match": True
         }
+
+    def test_each_distinct_result_is_checked_once(self, monkeypatch):
+        # Localizations that share a result share one check: one brute-force
+        # lattice per distinct result, and the verdicts of a check per point.
+        # The last result is then given a wrong multiplicity, at every point
+        # that shares it, and its chain check must still fail the report.
+        grid = "vars x, y; " + "*".join(f"(x-{i})*(y-{i})" for i in range(5)) + "*(x-y)"
+        cases = [("vars x, y, z; x*(x-1)*y*(y-1)*z*(z-1)*(x+y+z-1)", 11, 5), (grid, 25, 2),
+                 ("vars x, y; x*(x-1)*y*(y-1)*(x-y)", 4, 2)]
+        calls = []
+        bruteforce = rlct.oracle.lattice_bruteforce
+
+        def counting(arr):
+            calls.append(arr)
+            return bruteforce(arr)
+
+        for poly, points, distinct in cases:
+            arr = normalize(parse_factored_product(poly))
+            report = rlct_affine(arr)
+            last = report.localizations[-1].result
+            wrong = replace(last, pair=RlctPair(last.pair.threshold, last.pair.multiplicity + 1))
+            broken = replace(report, localizations=tuple(
+                Localization(loc.point, wrong) if loc.result is last else loc for loc in report.localizations))
+            for checked, chain_match in ((report, True), (broken, False)):
+                reference = [verify_central(loc.arrangement, loc.result) for loc in checked.localizations]
+                calls.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(rlct.oracle, "lattice_bruteforce", counting)
+                    verdict = verify_report(arr, checked)
+                assert (len(checked.localizations), len(calls)) == (points, distinct)
+                assert verdict == {"lattice_match": all(c["lattice_match"] for c in reference),
+                                   "chain_match": all(c["chain_match"] for c in reference),
+                                   "localization_match": True}
+                assert verdict["chain_match"] is chain_match
