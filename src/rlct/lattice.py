@@ -8,11 +8,12 @@ localizations in `threshold.py` (rows: (a | b)), and flags maximal flats.
 It works on integer rows and member bitmasks. A flat computes the residues
 of its outside rows only if it can build a new flat: not when every child
 is already built, and at codim rank - 1 only as the first flat of the
-level, since that level has one answer. A flat carries its residue
-chain; only the flats that are read get `_canonical_rows`, from which come
-the lattice order, `Flat.rows` and the "p/q" strings. A maximal flat's
-witness point comes from its chain by back-substitution (`_chain_point`),
-with no canonical rows.
+level, since that level has one answer. A flat carries its residue chain;
+only the flats that are read get `_canonical_rows`, from which come the
+lattice order, `Flat.rows` and the "p/q" strings. `_insert` is the one
+step that adds a residue to canonical rows, here and in `threshold`'s
+normal-crossing walk. A maximal flat's witness point comes from its chain
+by back-substitution (`_chain_point`), with no canonical rows.
 `_order` sorts any list of `Flat`s, so `threshold` orders the flats it
 builds without a closure (independent normals) by the same key.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import gcd
 from operator import mul
 from typing import Sequence
@@ -129,26 +130,28 @@ def _order(flats: list[Flat]) -> list[Flat]:
     return sorted(flats, key=lambda flat: (flat.codim, tuple(map(row_keys.__getitem__, flat.rows))))
 
 
-def _canonical_rows(chain: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """A residue chain's span as canonical rows: primitive, positive pivots,
+def _insert(rows: tuple[tuple[int, ...], ...], residue: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The canonical rows of span(rows) + residue: primitive, positive pivots,
     pivot order, each row zero on the other pivots.
 
-    r_j, the j-th chain row, leads at c_j and is zero at every earlier
-    lead. For j in order, every earlier row not zero at c_j takes one step
-    p·row − row[c_j]·r_j, p = r_j[c_j] > 0, made primitive. As r_j is zero
-    at c_1 … c_{j-1}, row i keeps its zeros there and its positive lead c_i
-    (if c_j < c_i the row is zero at c_j, else r_j is zero up to c_j), so it
-    ends as the span's one primitive vector that leads positive at c_i and
-    is zero on the other pivots: the canonical row. Descending tuple order
-    is pivot order.
+    `rows` are canonical and `residue` is primitive, leads positive at a
+    column c and is zero on every pivot of `rows`, so c is a new pivot. A
+    row not zero at c leads before c (a row leading after c is zero up to its
+    lead), where the residue is zero, so its step p·row − row[c]·residue,
+    p = residue[c] > 0, made primitive, keeps its positive lead and its zeros
+    on the old pivots and is zero at c; a row zero at c is kept. Each row is
+    then the span's one primitive vector that leads positive at its pivot
+    and is zero on the other pivots: the canonical row. Descending tuple
+    order is pivot order.
     """
-    rows = list(chain)
-    for j, residue in enumerate(chain):
-        pc = residue.index(next(filter(None, residue)))
-        for i in range(j):
-            if rows[i][pc]:
-                (rows[i],) = eliminate({rows[i]: 0}, residue)
-    return tuple(sorted(rows, reverse=True))
+    return tuple(sorted([residue, *eliminate(dict.fromkeys(rows, 0), residue)], reverse=True))
+
+
+def _canonical_rows(chain: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """A residue chain's span as canonical rows. Each chain row is zero at
+    every earlier row's lead, which is a pivot of the rows before it, so
+    `_insert` adds the rows in chain order."""
+    return reduce(_insert, chain, ())
 
 
 def _chain_point(chain: tuple[tuple[int, ...], ...], d: int) -> tuple[Fraction, ...]:

@@ -230,24 +230,36 @@ def _strictly_inside(low: RationalMatrix, high: RationalMatrix) -> bool:
 
 def verify_central(arr: NormalizedArrangement, result) -> dict:
     """Check `result = rlct_central(arr)` against the oracles: its lattice
-    prints exactly as the all-subsets one, and its witness chain is m
-    minimizers, each strictly inside the next, m the exhaustive chain length."""
-    reference = [f.to_json_dict() for f in lattice_bruteforce(arr).flats]
+    prints exactly as the all-subsets one, its threshold is the least
+    codim/s over the oracle's flats and its minimizers print as the oracle's
+    flats at that ratio, in the oracle's order (all under "lattice_match");
+    and its witness chain is m minimizers, each strictly inside the next, m
+    the exhaustive chain length ("chain_match")."""
+    flats = lattice_bruteforce(arr).flats
+    least = min(Fraction(f.codim, f.weight) for f in flats)
+    reference = [f.to_json_dict() for f in flats]
+    minimizers = [doc for f, doc in zip(flats, reference) if Fraction(f.codim, f.weight) == least]
     chain = [RationalMatrix(flat.rows) for flat in result.witness_chain]
     chain_match = (
         longest_chain_bruteforce(result.minimizer_flats) == result.pair.multiplicity == len(chain)
         and all(flat in result.minimizer_flats for flat in result.witness_chain)
         and all(_strictly_inside(low, high) for low, high in zip(chain, chain[1:]))
     )
-    return {"lattice_match": [f.to_json_dict() for f in result.lattice.flats] == reference,
-            "chain_match": chain_match}
+    lattice_match = (
+        [f.to_json_dict() for f in result.lattice.flats] == reference
+        and result.pair.threshold == least
+        and [f.to_json_dict() for f in result.minimizer_flats] == minimizers
+    )
+    return {"lattice_match": lattice_match, "chain_match": chain_match}
 
 
 def verify_report(arr: NormalizedArrangement, report) -> dict:
     """Check `report = rlct_affine(arr)`: `verify_central` on each distinct
-    local result, once however many localizations share it, and the
-    hyperplanes through the reported points are exactly the oracle's
-    maximal localizations."""
+    local result, once however many localizations share it; the hyperplanes
+    through the reported points are exactly the oracle's maximal
+    localizations, and the global localization is the first one with the
+    least local pair, smaller threshold first, then larger multiplicity
+    (both under "localization_match")."""
     results = {id(loc.result): loc.result for loc in report.localizations}.values()
     checks = [verify_central(result.arrangement, result) for result in results]
     found = sorted(
@@ -255,5 +267,7 @@ def verify_report(arr: NormalizedArrangement, report) -> dict:
               if sum(a * x for a, x in zip(normal, loc.point)) + offset == 0)
         for loc in report.localizations
     )
+    pairs = [(loc.pair.threshold, -loc.pair.multiplicity) for loc in report.localizations]
     return {**{key: all(c[key] for c in checks) for key in ("lattice_match", "chain_match")},
-            "localization_match": found == localizations_bruteforce(arr)}
+            "localization_match": found == localizations_bruteforce(arr)
+            and report.global_index == pairs.index(min(pairs))}

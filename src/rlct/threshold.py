@@ -3,13 +3,12 @@
 For a central arrangement the pair is read off the intersection lattice:
 the threshold is the minimum of codim(W)/weight(W) over all flats W, and
 the multiplicity is the length of the longest strictly nested chain of
-flats achieving that minimum. The minimizers' member sets are closed under
-union and intersection, so that length is the number of join-irreducibles
-of the lattice they form. Affine arrangements reduce to finitely many
-central ones, one per maximal set of hyperplanes with a common point, and
-the global pair is the minimum of the local pairs in the singularity order.
-The pair of a closed box is the minimum of the local pairs over the
-inclusion-maximal flats that meet it (`box_pair`).
+flats achieving that minimum, the number of join-irreducibles of the
+minimizers' member sets (`_longest_chain`). Affine arrangements reduce to
+finitely many central ones, one per maximal set of hyperplanes with a
+common point, and the global pair is the minimum of the local pairs in
+the singularity order. The pair of a closed box is the minimum of the
+local pairs over the inclusion-maximal flats that meet it (`box_pair`).
 
 When the normals are linearly independent the arrangement is normal
 crossing, and no lattice is needed (`_normal_crossing`). Most localizations
@@ -27,7 +26,7 @@ from functools import cached_property, total_ordering
 
 from .arrangement import NormalizedArrangement, normalize_box
 from .errors import CentralityError, EmptyArrangementError, InvalidMultiplicityError, RlctError
-from .lattice import Flat, IntersectionLattice, _chain_point, _closure, _lattice_order, _order, build_lattice
+from .lattice import Flat, IntersectionLattice, _chain_point, _closure, _insert, _lattice_order, _order, build_lattice
 from .ratlinalg import RationalMatrix, eliminate, format_rational, meets_box, primitive_int_row
 
 
@@ -152,15 +151,11 @@ def _normal_crossing(
     caller owns `solved` and it dies with the call.
 
     A depth-first walk over T adds one normal at a time to its parent's
-    canonical rows (Gauss–Jordan insertion). As in `_closure`, a node
-    carries the residues of the normals it may still add, modulo its span:
-    primitive, positive lead, zero on every pivot. A child takes one residue,
-    with its lead c a new pivot, and each parent row not zero at c takes one
-    step at c. Such a row leads before c (c is no pivot), where the residue
-    is zero, so it keeps its positive pivot. The rows are then the span's
-    canonical rows, the same that `_canonical_rows` gives the closure's
-    chain. One more `eliminate` step gives the child the later residues.
-    Sorted by `_order`, the flats are byte for byte the closure path's.
+    canonical rows by `_insert`. As in `_closure`, a node carries the
+    residues of the normals it may still add, modulo its span, which is what
+    `_insert` takes; one more `eliminate` step gives the child the later
+    residues. The rows are the span's canonical rows, so, sorted by
+    `_order`, the flats are byte for byte the closure path's.
     """
     top = max(arr.multiplicities)
     normals = arr.primitive_normals
@@ -174,7 +169,7 @@ def _normal_crossing(
         rows, mask, outside = stack.pop()
         later = list(outside.items())
         for k, (residue, bit) in enumerate(later):
-            child_rows = tuple(sorted([residue, *eliminate(dict.fromkeys(rows, 0), residue)], reverse=True))
+            child_rows = _insert(rows, residue)
             flats.append(Flat(child_rows, mask | bit, (mask | bit).bit_count() * top))
             if k + 1 < len(later):
                 stack.append((child_rows, mask | bit, eliminate(dict(later[k + 1 :]), residue)))
@@ -191,26 +186,27 @@ def _longest_chain(flats: list[Flat]) -> tuple[int, list[Flat]]:
     maximal chains all have length m, the number of join-irreducibles. These
     are the J_e, the meet of the masks containing hyperplane e. Every other
     mask containing e strictly contains J_e and so has larger codim; hence,
-    by increasing codim, a mask is a J_e iff it has a member that no earlier
-    mask has. A mask's rank in the lattice is the number of J_e inside it.
+    by increasing codim, a mask is a J_e iff it has a member e that no
+    earlier mask has, and then it is J_e. `reps` holds one such e per J_e,
+    the lowest. A mask contains J_e iff it contains e, so its rank in the
+    lattice, the number of J_e inside it, is the number of `reps` in it.
     The chain ends at the first flat of rank 1 in the processing order
     (decreasing codim, stable on the lattice order `flats` must be in), and
     each earlier link is the first flat whose mask strictly contains the last
     one's, with rank one higher. Returns (m, chain smallest-flat-first).
     """
     order = sorted(flats, key=lambda flat: -flat.codim)
-    irreducibles, seen = [], 0
+    reps = seen = 0
     for flat in reversed(order):
-        if flat.mask & ~seen:
-            irreducibles.append(flat.mask)
+        new = flat.mask & ~seen
+        reps |= new & -new
         seen |= flat.mask
-    rank = {flat.mask: sum(j & flat.mask == j for j in irreducibles) for flat in flats}
     chain = []
-    while len(chain) < len(irreducibles):
+    for rank in range(1, reps.bit_count() + 1):
         below = chain[-1].mask if chain else 0
-        chain.append(next(f for f in order if rank[f.mask] == len(chain) + 1 and f.mask & below == below))
+        chain.append(next(f for f in order if (f.mask & reps).bit_count() == rank and f.mask & below == below))
     chain.reverse()
-    return len(irreducibles), chain
+    return len(chain), chain
 
 
 def rlct_line_arrangement_2d(multiplicities) -> RlctPair:

@@ -2,12 +2,15 @@
 
 import ast
 import inspect
+import json
 import pathlib
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
+import rlct.cli
 import rlct.lattice
 import rlct.oracle
 from rlct import (
@@ -207,3 +210,65 @@ class TestVerify:
                                    "chain_match": all(c["chain_match"] for c in reference),
                                    "localization_match": True}
                 assert verdict["chain_match"] is chain_match
+
+
+def _only_the_first_member(result):
+    """`result` claiming pair (1, 1), with the flat of hyperplane 0 alone as
+    its one minimizer and its witness chain."""
+    flat = next(f for f in result.minimizer_flats if f.mask == 1)
+    return replace(result, pair=RlctPair(Fraction(1), 1), minimizer_flats=(flat,), witness_chain=(flat,))
+
+
+def _one_minimizer_dropped(result):
+    """`result` without its first minimizer off the witness chain."""
+    dropped = next(f for f in result.minimizer_flats if f not in result.witness_chain)
+    return replace(result, minimizer_flats=tuple(f for f in result.minimizer_flats if f is not dropped))
+
+
+def _first_localization(tamper):
+    """A report whose first localization holds `tamper` of its result."""
+
+    def tampered(report):
+        first, *rest = report.localizations
+        return replace(report, localizations=(Localization(first.point, tamper(first.result)), *rest))
+
+    return tampered
+
+
+class TestSelfConsistentWrongAnswers:
+    """Answers that are wrong but agree with themselves: each chain is a
+    chain of its own minimizers as long as its own m, so only the comparison
+    with the oracle's threshold, minimizers and first least local pair can
+    catch them. The true pairs are (1, 2) for x*y, (1/2, 1) for x^2*y and
+    (1, 2) at both points of x*(x-1)*y, where the global localization is the
+    first."""
+
+    CASES = {
+        "xy_as_1_1_on_x": (
+            "compute", "x*y", _only_the_first_member, {"lattice_match": False, "chain_match": True}),
+        "x2y_as_1_1": (
+            "compute", "x^2*y", lambda result: replace(result, pair=RlctPair(Fraction(1), 1)),
+            {"lattice_match": False, "chain_match": True}),
+        "xyz_without_a_minimizer": (
+            "compute", "x*y*z", _one_minimizer_dropped, {"lattice_match": False, "chain_match": True}),
+        "report_with_1_1_at_its_first_point": (
+            "localize", "vars x, y; x*(x-1)*y", _first_localization(_only_the_first_member),
+            {"lattice_match": False, "chain_match": True, "localization_match": False}),
+        "report_at_a_later_point_of_the_same_pair": (
+            "localize", "vars x, y; x*(x-1)*y", lambda report: replace(report, global_index=1),
+            {"lattice_match": True, "chain_match": True, "localization_match": False}),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_fails_verify(self, case, capsys, monkeypatch):
+        command, poly, tamper, verdict = self.CASES[case]
+        arr = normalize(parse_factored_product(poly))
+        solve, check = (rlct_central, verify_central) if command == "compute" else (rlct_affine, verify_report)
+        answer = solve(arr)
+        assert all(check(arr, answer).values())
+        assert check(arr, tamper(answer)) == verdict
+        monkeypatch.setattr(rlct.cli, solve.__name__, lambda arr: tamper(solve(arr)))
+        code = rlct.cli.main([command, "--poly", poly, "--verify"])
+        out, err = capsys.readouterr()
+        assert (code, json.loads(out)["verify"]) == (1, verdict)
+        assert "verification mismatch" in err

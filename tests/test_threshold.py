@@ -16,6 +16,7 @@ from rlct import (
     NormalizedArrangement,
     RlctError,
     RlctPair,
+    SizeLimitError,
     build_lattice,
     localizations_bruteforce,
     longest_chain_bruteforce,
@@ -220,6 +221,71 @@ class TestJoinIrreducibles:
             for low, high in zip(chain, chain[1:]):
                 assert strictly_inside(low, high)
         assert checked >= 100
+
+
+def _longest_mask_chain(masks):
+    """Length of the longest strictly nested chain of `masks`, by a DP over
+    the distinct masks sorted by member count: a strict subset has fewer
+    members, so it comes first."""
+    masks = sorted(set(masks), key=int.bit_count)
+    longest = []
+    for i, mask in enumerate(masks):
+        longest.append(1 + max((longest[j] for j in range(i) if masks[j] | mask == mask), default=0))
+    return max(longest, default=0)
+
+
+def _hidden_direct_sum(rng, blocks):
+    """The blocks, each (rows, multiplicities), in disjoint variables, taken
+    to new coordinates by a random T in GL(d, Q)."""
+    d = sum(len(rows[0]) for rows, _ in blocks)
+    rows, mults, start = [], [], 0
+    for block, block_mults in blocks:
+        width = len(block[0])
+        rows += [[0] * start + list(row) + [0] * (d - start - width) for row in block]
+        mults += list(block_mults)
+        start += width
+    return normalize(ArrangementSpec(RationalMatrix(rows, cols=d) @ random_invertible(rng, d), mults))
+
+
+class TestChainPastTheOracleCap:
+    """m and the witness chain against a longest-chain DP over the minimizer
+    masks, which needs no geometry and no cap: the oracle's chain search
+    refuses more than 50 flats."""
+
+    def test_multiplicity_is_the_longest_mask_chain(self):
+        rng = random.Random(361)
+        tied = [random_central_arrangement(rng, max_n=8, max_d=4, max_mult=1, span=1) for _ in range(30)]
+        sums = []
+        for _ in range(30):
+            blocks = [random_central_arrangement(rng, max_n=5, max_d=3, max_mult=3) for _ in range(rng.randint(2, 3))]
+            sums.append(_hidden_direct_sum(rng, [(list(b.normals), b.multiplicities) for b in blocks]))
+        # Six tied coordinates with six generic planes in three more
+        # variables: lambda 1/2 on both blocks, m = 6 + 1, 127 minimizers.
+        planes = [[1, 2, 3], [2, -1, 5], [3, 4, -1], [1, -3, 2], [5, 1, 4], [4, -5, -3]]
+        coordinates = [[int(i == j) for j in range(6)] for i in range(6)]
+        sums.append(_hidden_direct_sum(rng, [(coordinates, [2] * 6), (planes, [1] * 6)]))
+        # A pencil whose top weight equals the rest (m = 2) with the six
+        # coordinates doubled (m = 6): 3 * 64 - 1 = 191 minimizers, m = 8.
+        sums.append(_hidden_direct_sum(rng, [([[1, 0], [0, 1], [1, 1]], [1, 1, 2]), (coordinates, [2] * 6)]))
+        ties = large = 0
+        for arr in tied + sums:
+            result = rlct_central(arr)
+            masks = [flat.mask for flat in result.minimizer_flats]
+            length = _longest_mask_chain(masks)
+            assert result.pair.multiplicity == len(result.witness_chain) == length
+            chain = [flat.mask for flat in result.witness_chain]
+            assert all(mask in masks for mask in chain)
+            # Smallest flat first: each mask strictly holds the next.
+            assert all(big | small == big != small for big, small in zip(chain, chain[1:]))
+            ties += len(masks) > 1
+            if len(masks) > MAX_BRUTEFORCE_CHAIN_FLATS:
+                large += 1
+                with pytest.raises(SizeLimitError):
+                    longest_chain_bruteforce(result.minimizer_flats)
+        for arr, m, count in ((sums[-2], 7, 127), (sums[-1], 8, 191)):
+            result = rlct_central(arr)
+            assert (result.pair, len(result.minimizer_flats)) == (pair(F(1, 2), m), count)
+        assert ties >= 15 and large == 2, (ties, large)
 
 
 class TestMinimizersFromTriples:
