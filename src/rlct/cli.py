@@ -304,7 +304,11 @@ def cmd_volume_fit(args: argparse.Namespace) -> int:
     The grid, the fit's rules on it (0 < eps < 1, three distinct values)
     and the box are checked before the exact pair is solved and before any
     draw, so a bad --eps-* or --box fails without running the closure. The
-    sweep draws once, at max(grid), and counts each point with `.at`."""
+    sweep draws once, at max(grid), and counts each point with `.at`.
+    `exact` uses each point's full-neighbourhood pair, so where a flat only
+    touches the box the printed λ is too small: `--poly "vars x, y;
+    (x+y-2)" --selftest` prints lambda = 1, while the sampled slopes read
+    2 (see `box_pair`)."""
     __getattr__("estimate_volume")  # the volume names are module globals from here on
     arr = load_arrangement(args)
     grid = epsilon_grid(args.eps_min, args.eps_max, args.eps_points)

@@ -4,18 +4,19 @@ A flat is a nonempty intersection of some of the hyperplanes (the ambient
 space itself is excluded). `_closure` extends each frontier flat by one
 outside row at a time, so the cost scales with the lattice size, not with
 2^n. It serves both the central lattice (rows: the normals) and the affine
-localizations in `threshold.py` (rows: (a | b)), and flags maximal flats.
-It works on integer rows and member bitmasks. A flat computes the residues
-of its outside rows only if it can build a new flat: not when every child
-is already built, and at codim rank - 1 only as the first flat of the
-level, since that level has one answer. A flat carries its residue chain;
-only the flats that are read get `_canonical_rows`, from which come the
-lattice order, `Flat.rows` and the "p/q" strings. `_insert` is the one
-step that adds a residue to canonical rows, here and in `threshold`'s
-normal-crossing walk. A maximal flat's witness point comes from its chain
-by back-substitution (`_chain_point`), with no canonical rows.
-`_order` sorts any list of `Flat`s, so `threshold` orders the flats it
-builds without a closure (independent normals) by the same key.
+localizations in `threshold.py` (rows: (a | b)), and returns each flat as
+its residue chain and member bitmask, so a flat's codim is its chain's
+length. It works on integer rows and member bitmasks. A flat computes the
+residues of its outside rows only if it can build a new flat: not when
+every child is already built, and at codim rank - 1 only as the first
+flat of the level, since that level has one answer. Only the flats that
+are read get `_canonical_rows`, from which come the lattice order,
+`Flat.rows` and the "p/q" strings. `_insert` is the one step that adds a
+residue to canonical rows, here and in `threshold`'s normal-crossing
+walk. A localization's witness point comes from its flat's chain by
+back-substitution (`_chain_point`), with no canonical rows. `_order`
+sorts any list of `Flat`s, so `threshold` orders the flats it builds
+without a closure (independent normals) by the same key.
 """
 
 from __future__ import annotations
@@ -178,8 +179,8 @@ def _chain_point(chain: tuple[tuple[int, ...], ...], d: int) -> tuple[Fraction, 
     return tuple(map(Fraction, nums)) if den == 1 else tuple([Fraction(x, den) for x in nums])
 
 
-def _closure(rows: Sequence[tuple[int, ...]], d: int) -> list[tuple[tuple[tuple[int, ...], ...], int, bool]]:
-    """Every flat spanned by `rows`, as (residue chain, member bitmask, maximal).
+def _closure(rows: Sequence[tuple[int, ...]], d: int) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
+    """Every flat spanned by `rows`, as (residue chain, member bitmask).
 
     Rows are primitive integer vectors with d columns (normals) or d + 1
     (rows (a | b), offset last). Closure by rank level from the ambient
@@ -193,10 +194,10 @@ def _closure(rows: Sequence[tuple[int, ...]], d: int) -> list[tuple[tuple[tuple[
     item joined by, and its own groups are one `eliminate` call on the
     parent's, made when the item is expanded and only if it can build a new
     flat (rules (a) and (b) below). On rows (a | b), a residue that is zero
-    on the normal columns has no common point and is skipped; a flat is
-    maximal iff every residue is of that kind, i.e. iff its member set is
-    inclusion-maximal. Normals alone never give such a residue, so the test
-    runs only on rows with an offset.
+    on the normal columns has no common point and is skipped. Normals alone
+    never give such a residue, so the test runs only on rows with an offset.
+    Every flat returned has a common point, so its codim is the rank of its
+    members' normals.
 
     One elimination step per group gives the child's residues, the same as
     reducing under the child's echelon: let S be a span with RREF pivot
@@ -215,9 +216,7 @@ def _closure(rows: Sequence[tuple[int, ...]], d: int) -> list[tuple[tuple[tuple[
     span of F and j as members. If the mask F | g is in `seen`, it is a flat
     and so holds exactly the rows in its span, which is the span of F and j:
     the child is F | g, already built. When that holds for every outside
-    group, F builds nothing and needs no residues. Each of its children has
-    a common point, so F is maximal iff it has no outside row, i.e. iff its
-    mask is `full`.
+    group, F builds nothing and needs no residues.
 
     (b) The codim r - 1 level shares one answer, r the rank of `rows`. The
     row space V has dim r, and a flat F at codim r - 1 has r - 1 pivots P,
@@ -225,44 +224,41 @@ def _closure(rows: Sequence[tuple[int, ...]], d: int) -> list[tuple[tuple[tuple[
     V that vanish on P form one line, so every outside row of F has the
     same residue, the primitive vector with positive lead on that line. If
     the rows have no common point, V holds the offset axis, which vanishes
-    on every such P: the line is the offset axis for every F, and every flat
-    of the level is maximal. Otherwise the line never is, and F's one child
-    holds every row: the flat of all rows, for every F. So the first flat of
-    the level computes its residues, and every other takes its flag.
+    on every such P: the line is the offset axis for every F, and no flat of
+    the level builds a child. Otherwise the line never is, and F's one child
+    holds every row: the flat of all rows, for every F. So once one flat of
+    the level has computed its residues, no other flat of it builds a new
+    flat.
     """
     start: dict[tuple[int, ...], int] = {}
     for j, row in enumerate(rows):
         start[row] = start.get(row, 0) | 1 << j
-    top, full = integer_rank(start), (1 << len(rows)) - 1
+    top = integer_rank(start)
     offset = bool(rows) and len(rows[0]) > d  # normals alone never lead at an offset
     atoms = tuple(start.values())
     seen = {0}
     frontier = [((), 0, start)]  # the ambient space holds its own groups
     flats = []
-    shared = None  # the maximal flag of the codim r - 1 level, rule (b)
+    shared = False  # a flat of the codim top - 1 level has computed its residues, rule (b)
     while frontier:
         next_frontier = []
         for chain, mask, parent in frontier:
-            if shared is not None and len(chain) + 1 == top:  # rule (b)
-                maximal = shared
-            elif all(mask | atom in seen for atom in atoms if not mask & atom):  # rule (a)
-                maximal = mask == full
-            else:
-                groups = eliminate(parent, chain[-1]) if chain else parent
-                maximal = True
-                for residue, group in groups.items():
-                    if offset and not any(residue[:d]):
-                        # Offset-column lead: the rows have no common point.
-                        continue
-                    maximal = False
-                    child = mask | group
-                    if child not in seen:
-                        seen.add(child)
-                        next_frontier.append((chain + (residue,), child, groups))
-                if len(chain) + 1 == top:
-                    shared = maximal
             if mask:  # the ambient space (mask 0) is not a flat
-                flats.append((chain, mask, maximal))
+                flats.append((chain, mask))
+            if shared and len(chain) + 1 == top:  # rule (b)
+                continue
+            if all(mask | atom in seen for atom in atoms if not mask & atom):  # rule (a)
+                continue
+            groups = eliminate(parent, chain[-1]) if chain else parent
+            for residue, group in groups.items():
+                if offset and not any(residue[:d]):
+                    # Offset-column lead: the rows have no common point.
+                    continue
+                child = mask | group
+                if child not in seen:
+                    seen.add(child)
+                    next_frontier.append((chain + (residue,), child, groups))
+            shared = shared or len(chain) + 1 == top
         frontier = next_frontier
     return flats
 
@@ -279,7 +275,7 @@ def build_lattice(arr: NormalizedArrangement) -> IntersectionLattice:
     if arr.n == 0:
         raise EmptyArrangementError("arrangement has no hyperplanes")
     mult = arr.multiplicities
-    triples = tuple((chain, mask, _weight(mask, mult)) for chain, mask, _ in _closure(arr.primitive_normals, arr.dim))
+    triples = tuple((chain, mask, _weight(mask, mult)) for chain, mask in _closure(arr.primitive_normals, arr.dim))
     return IntersectionLattice(triples=triples)
 
 

@@ -223,6 +223,23 @@ def longest_chain_bruteforce(flats) -> int:
     return max(extend(i) for i in range(len(flats)))
 
 
+def _longest_mask_chain(masks) -> int:
+    """Length of the longest strictly nested chain of member masks, by a DP
+    over the masks sorted by member count: a strict subset has fewer
+    members, so it comes earlier. O(M^2) integer steps for M masks.
+
+    On the flats of one lattice this is the longest chain of flats: a flat
+    is the intersection of its members, so flats nest strictly iff their
+    masks do, the other way round.
+    """
+    masks = sorted(masks, key=int.bit_count)
+    longest: list[int] = []
+    for mask in masks:
+        below = [k for low, k in zip(masks, longest) if low & mask == low != mask]
+        longest.append(1 + max(below, default=0))
+    return max(longest, default=0)
+
+
 def _strictly_inside(low: RationalMatrix, high: RationalMatrix) -> bool:
     """The flat with normal space `low` lies strictly inside the one with `high`."""
     return subspace_leq(low, high) and not subspace_leq(high, low)
@@ -233,22 +250,23 @@ def verify_central(arr: NormalizedArrangement, result) -> dict:
     prints exactly as the all-subsets one, its threshold is the least
     codim/s over the oracle's flats and its minimizers print as the oracle's
     flats at that ratio, in the oracle's order (all under "lattice_match");
-    and its witness chain is m minimizers, each strictly inside the next, m
-    the exhaustive chain length ("chain_match")."""
+    and its witness chain is m minimizers, each strictly inside the next,
+    with m the longest chain of the oracle's minimizers, from their masks
+    (`_longest_mask_chain`, under "chain_match")."""
     flats = lattice_bruteforce(arr).flats
     least = min(Fraction(f.codim, f.weight) for f in flats)
     reference = [f.to_json_dict() for f in flats]
-    minimizers = [doc for f, doc in zip(flats, reference) if Fraction(f.codim, f.weight) == least]
+    minimizers = [(f.mask, doc) for f, doc in zip(flats, reference) if Fraction(f.codim, f.weight) == least]
     chain = [RationalMatrix(flat.rows) for flat in result.witness_chain]
     chain_match = (
-        longest_chain_bruteforce(result.minimizer_flats) == result.pair.multiplicity == len(chain)
+        _longest_mask_chain(mask for mask, _ in minimizers) == result.pair.multiplicity == len(chain)
         and all(flat in result.minimizer_flats for flat in result.witness_chain)
         and all(_strictly_inside(low, high) for low, high in zip(chain, chain[1:]))
     )
     lattice_match = (
         [f.to_json_dict() for f in result.lattice.flats] == reference
         and result.pair.threshold == least
-        and [f.to_json_dict() for f in result.minimizer_flats] == minimizers
+        and [f.to_json_dict() for f in result.minimizer_flats] == [doc for _, doc in minimizers]
     )
     return {"lattice_match": lattice_match, "chain_match": chain_match}
 

@@ -306,11 +306,17 @@ def maximal_central_localizations(
     centered sub-arrangements they define.
 
     The lattice's closure engine runs on the augmented rows (a | b): it
-    drops extensions that pivot in the offset column (no common point) and
-    flags a flat maximal when no outside hyperplane extends it consistently.
-    A maximal flat's witness point, the solution with free variables at
-    zero, is read off its chain by back-substitution (`_chain_point`), so no
-    chain is reduced to canonical rows here.
+    drops extensions that pivot in the offset column (no common point), so
+    each flat it returns has a common point. Such a flat F is
+    inclusion-maximal iff its codim is r, the rank of all the normals
+    (`arr.normal_rank`). If codim F = r, a hyperplane H outside F has its
+    normal in F's normal span, so on F its linear part is a combination of
+    the members' and takes one value; H does not contain F, so it misses F.
+    If codim F < r, some hyperplane has its normal outside F's normal span,
+    and it meets F in a smaller flat. A maximal flat's witness point, the
+    solution with free variables at zero, is read off its chain by
+    back-substitution (`_chain_point`), so no chain is reduced to canonical
+    rows here.
     Points whose hyperplanes have the same normals and multiplicities, in
     order, share one sub-arrangement object. The key is made from small
     integer ids of the normals, so no `Fraction` row is hashed per point.
@@ -322,8 +328,8 @@ def maximal_central_localizations(
         raise EmptyArrangementError("arrangement has no hyperplanes")
     found = sorted(
         (tuple(j for j in range(n) if mask >> j & 1), chain)
-        for chain, mask, maximal in _closure(_augmented(arr), d)
-        if maximal
+        for chain, mask in _closure(_augmented(arr), d)
+        if len(chain) == arr.normal_rank
     )
     ids: dict[tuple[Fraction, ...], int] = {}
     normal_ids = [ids.setdefault(row, len(ids)) for row in arr.normals]
@@ -378,12 +384,19 @@ def box_pair(arr: NormalizedArrangement, bounds) -> RlctPair:
     `normalize_box` first: one (lo, hi) pair of rationals per coordinate,
     lo < hi, or DimensionError or DegenerateBoxError. A box that no
     hyperplane meets is an error.
+
+    Each point gets the pair of its full neighbourhood, so on a box that a
+    flat only touches the pair is known to be wrong: the box cuts off part
+    of every neighbourhood of a boundary point, and there the true λ is
+    larger than the one returned. On [-1, 1]^2 the line x + y = 2 touches
+    only the corner (1, 1): this gives (1, 1), while the sampled volume
+    falls as ε^2.
     """
     bounds = normalize_box(bounds, arr.dim)
     rows = _augmented(arr)
     taken = [((1 << arr.n) - 1, arr.normal_rank)] if meets_box(rows, bounds) else []  # (mask, rank)
     if not taken:
-        flats = sorted(((mask, chain) for chain, mask, _ in _closure(rows, arr.dim)), key=lambda f: -f[0].bit_count())
+        flats = sorted(((mask, chain) for chain, mask in _closure(rows, arr.dim)), key=lambda f: -f[0].bit_count())
         for mask, chain in flats:
             if all(mask & m != mask for m, _ in taken) and meets_box(chain, bounds):
                 taken.append((mask, len(chain)))

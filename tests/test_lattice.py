@@ -275,8 +275,8 @@ def _engine_corpus():
 def _builders(flats):
     """The flats whose chain is a proper prefix of another flat's chain: the
     flats that built a new flat."""
-    parents = {chain[:-1] for chain, _, _ in flats}
-    return [chain for chain, _, _ in flats if chain in parents]
+    parents = {chain[:-1] for chain, _ in flats}
+    return [chain for chain, _ in flats if chain in parents]
 
 
 def _rule_draws():
@@ -395,23 +395,37 @@ class TestClosureEngine:
     """The shared closure: the central rows are the normals, the affine rows (a | b)."""
 
     @staticmethod
-    def _check_maximal_flags(flats):
-        masks = [mask for _, mask, _ in flats]
+    def _maximal_at_codim_r(flats, rows, d):
+        """The masks of the flats at codim r, r the rank of the rows' normal
+        parts, after checking that a flat has codim r iff its mask is
+        inclusion-maximal among the closure's."""
+        r = rank(RationalMatrix([row[:d] for row in rows]))
+        masks = [mask for _, mask in flats]
         assert len(set(masks)) == len(masks)
-        for _, mask, maximal in flats:
+        for chain, mask in flats:
             strictly_inside = any(other != mask and other & mask == mask for other in masks)
-            assert maximal == (not strictly_inside)
+            assert (len(chain) == r) == (not strictly_inside)
+        return [mask for chain, mask in flats if len(chain) == r]
 
-    def test_maximal_flag_is_inclusion_maximality(self):
+    @staticmethod
+    def _as_member_sets(masks, n):
+        return sorted(tuple(j for j in range(n) if mask >> j & 1) for mask in masks)
+
+    def test_codim_r_is_inclusion_maximality(self):
+        # A flat with a common point is inclusion-maximal iff its codim is the
+        # rank of all the normals, and those flats are the all-subsets
+        # localizations: one, all rows, on central input.
         for arr in _engine_corpus():
             augmented = [
                 primitive_int_row(tuple(arr.normals.row(j)) + (arr.offsets[j],))
                 for j in range(arr.n)
             ]
-            self._check_maximal_flags(_closure(augmented, arr.dim))
+            row_sets = [augmented]
             if arr.is_central:
-                normals = [primitive_int_row(arr.normals.row(j)) for j in range(arr.n)]
-                self._check_maximal_flags(_closure(normals, arr.dim))
+                row_sets.append([primitive_int_row(arr.normals.row(j)) for j in range(arr.n)])
+            for rows in row_sets:
+                maximal = self._maximal_at_codim_r(_closure(rows, arr.dim), rows, arr.dim)
+                assert self._as_member_sets(maximal, arr.n) == localizations_bruteforce(arr)
 
     def test_central_input_has_one_maximal_flat_at_top_rank(self):
         low_rank_seen = False
@@ -421,10 +435,11 @@ class TestClosureEngine:
             top = rank(arr.normals)
             low_rank_seen |= top < arr.dim
             rows = [primitive_int_row(arr.normals.row(j)) for j in range(arr.n)]
-            maximal = [(flat_rows, mask) for flat_rows, mask, flag in _closure(rows, arr.dim) if flag]
+            flats = _closure(rows, arr.dim)
+            maximal = self._maximal_at_codim_r(flats, rows, arr.dim)
             assert len(maximal) == 1
-            flat_rows, mask = maximal[0]
-            assert len(flat_rows) == top
+            ((chain, mask),) = [(chain, mask) for chain, mask in flats if mask in maximal]
+            assert len(chain) == top
             assert mask == (1 << arr.n) - 1
         assert low_rank_seen
 
@@ -465,7 +480,7 @@ class TestClosureEngine:
         assert len(flats) == sum(comb(11, c) for c in range(1, 6)) + 1 == 1024
         assert len(calls) == len(set(calls)) == len(_builders(flats)) == 386
 
-    def test_codim_r_minus_1_level_shares_one_flag(self, monkeypatch):
+    def test_codim_r_minus_1_level_shares_one_answer(self, monkeypatch):
         # Rule (b): every flat of codim r - 1 (r the rank of the rows) has one
         # residue, the same line for all. A translated central arrangement
         # and a rank-deficient affine one reach the flat of all rows through
@@ -506,11 +521,12 @@ class TestClosureEngine:
             augmented = [primitive_int_row(a + (b,)) for a, b in zip(arr.normals, arr.offsets)]
             calls.clear()
             flats = _closure(augmented, arr.dim)
-            self._check_maximal_flags(flats)
+            maximal = self._maximal_at_codim_r(flats, augmented, arr.dim)
+            assert self._as_member_sets(maximal, arr.n) == produced
             top = rank(RationalMatrix(augmented))
             no_point = rank(arr.normals) < top
             if top > 1:  # at rank 1 the level is the ambient space alone
-                assert {flag for chain, _, flag in flats if len(chain) == top - 1} == {no_point}
+                assert {mask in maximal for chain, mask in flats if len(chain) == top - 1} == {no_point}
             assert no_point == (arr not in single)
             if no_point and len(flats) == sum(comb(arr.n, c) for c in range(1, arr.dim + 1)):
                 assert len(calls) == len(_builders(flats)) + 1
@@ -520,11 +536,12 @@ class TestClosureEngine:
     def test_rules_match_the_bruteforce_oracle(self, monkeypatch):
         # 7-10 hyperplanes in 3-5 variables, where flats are skipped by rule
         # (a) (every child already built) and by rule (b) (the codim r - 1
-        # level shares its first flat's flag). On central and translated
+        # level shares its first flat's answer). On central and translated
         # central draws, the closure of the normals and that of the rows
         # (a | b), with the offset column dropped, give the all-subsets
-        # lattice's masks and canonical rows. Every draw's maximal masks are
-        # the all-subsets localizations; a central draw has one, all rows.
+        # lattice's masks and canonical rows. Every draw's inclusion-maximal
+        # masks are its codim-r masks, r the rank of the normals, and the
+        # all-subsets localizations; a central draw has one, all rows.
         from rlct import lattice_bruteforce
 
         calls = []
@@ -545,15 +562,15 @@ class TestClosureEngine:
                 flats = _closure(rows, d)
                 closures.append(flats)
                 top = rank(RationalMatrix(rows))
-                rule_b = max(sum(len(chain) == top - 1 for chain, _, _ in flats) - 1, 0)
+                rule_b = max(sum(len(chain) == top - 1 for chain, _ in flats) - 1, 0)
                 rule_a = len(flats) - len(calls) - rule_b
                 assert rule_a >= 0
                 tally = skipped.setdefault(kind, [0, 0])
                 tally[0] += rule_a
                 tally[1] += rule_b
                 if reference is not None:
-                    assert {mask: tuple(primitive_int_row(r[:d]) for r in _canonical_rows(chain)) for chain, mask, _ in flats} == reference
-            maximal = sorted(tuple(j for j in range(n) if mask >> j & 1) for _, mask, flag in closures[0] if flag)
+                    assert {mask: tuple(primitive_int_row(r[:d]) for r in _canonical_rows(chain)) for chain, mask in flats} == reference
+            maximal = self._as_member_sets(self._maximal_at_codim_r(closures[0], augmented, d), n)
             assert maximal == ([tuple(range(n))] if arr.is_central else localizations_bruteforce(arr))
         assert len(skipped) == 5 and all(a >= 10 and b >= 50 for a, b in skipped.values()), skipped
 
@@ -581,8 +598,8 @@ class TestClosureEngine:
             if rank(RationalMatrix([row[:d] for row in members])) == canon.rows:
                 spans[sum(1 << j for j, row in enumerate(rows) if row_in_row_space(row, canon))] = canon
         flats = _closure(rows, d)
-        assert sorted(mask for _, mask, _ in flats) == sorted(spans)
-        for chain, mask, _ in flats:
+        assert sorted(mask for _, mask in flats) == sorted(spans)
+        for chain, mask in flats:
             assert _canonical_rows(chain) == tuple(primitive_int_row(r) for r in spans[mask])
 
     @settings(max_examples=80, deadline=None)
@@ -592,7 +609,7 @@ class TestClosureEngine:
         # and is zero at every earlier row's lead. Canonical rows are a chain
         # that the reducer leaves unchanged.
         rows, d = self._draw_rows(data)
-        for chain, mask, _ in _closure(rows, d):
+        for chain, mask in _closure(rows, d):
             members = RationalMatrix([row for j, row in enumerate(rows) if mask >> j & 1])
             assert len(chain) == rank(members)
             leads = []

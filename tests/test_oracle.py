@@ -24,10 +24,11 @@ from rlct import (
     rlct_affine,
     rlct_central,
 )
-from rlct.oracle import verify_central, verify_report
+from rlct.oracle import MAX_BRUTEFORCE_CHAIN_FLATS, verify_central, verify_report
+from rlct.ratlinalg import RationalMatrix
 from rlct.threshold import Localization, RlctPair
 
-from conftest import random_central_arrangement, unreduced_rref_strings
+from conftest import random_central_arrangement, random_invertible, unreduced_rref_strings
 
 
 def flats_key(lattice):
@@ -238,14 +239,15 @@ def _first_localization(tamper):
 class TestSelfConsistentWrongAnswers:
     """Answers that are wrong but agree with themselves: each chain is a
     chain of its own minimizers as long as its own m, so only the comparison
-    with the oracle's threshold, minimizers and first least local pair can
+    with the oracle's threshold, minimizers, m and first least local pair can
     catch them. The true pairs are (1, 2) for x*y, (1/2, 1) for x^2*y and
     (1, 2) at both points of x*(x-1)*y, where the global localization is the
-    first."""
+    first. A claimed m of 1 where the oracle's minimizers nest two deep also
+    fails "chain_match", which takes m from the oracle's minimizer masks."""
 
     CASES = {
         "xy_as_1_1_on_x": (
-            "compute", "x*y", _only_the_first_member, {"lattice_match": False, "chain_match": True}),
+            "compute", "x*y", _only_the_first_member, {"lattice_match": False, "chain_match": False}),
         "x2y_as_1_1": (
             "compute", "x^2*y", lambda result: replace(result, pair=RlctPair(Fraction(1), 1)),
             {"lattice_match": False, "chain_match": True}),
@@ -253,7 +255,7 @@ class TestSelfConsistentWrongAnswers:
             "compute", "x*y*z", _one_minimizer_dropped, {"lattice_match": False, "chain_match": True}),
         "report_with_1_1_at_its_first_point": (
             "localize", "vars x, y; x*(x-1)*y", _first_localization(_only_the_first_member),
-            {"lattice_match": False, "chain_match": True, "localization_match": False}),
+            {"lattice_match": False, "chain_match": False, "localization_match": False}),
         "report_at_a_later_point_of_the_same_pair": (
             "localize", "vars x, y; x*(x-1)*y", lambda report: replace(report, global_index=1),
             {"lattice_match": True, "chain_match": True, "localization_match": False}),
@@ -271,4 +273,62 @@ class TestSelfConsistentWrongAnswers:
         code = rlct.cli.main([command, "--poly", poly, "--verify"])
         out, err = capsys.readouterr()
         assert (code, json.loads(out)["verify"]) == (1, verdict)
+        assert "verification mismatch" in err
+
+
+class TestChainPastTheChainCap:
+    """"chain_match" takes m from the oracle's own minimizer masks by a DP, so
+    it checks m on inputs with more minimizers than the exhaustive
+    `longest_chain_bruteforce` takes."""
+
+    POLY = "x1*x2*x3*x4*x5*x6"
+
+    def test_mask_dp_equals_the_exhaustive_search(self):
+        # Generic draws, and tied coordinate planes (m > 1) in coordinates
+        # hidden by a random T in GL(d, Q), some with one more plane.
+        rng = random.Random(371)
+        checked = 0
+        for draw in range(60):
+            if draw % 2:
+                arr = random_central_arrangement(rng, max_n=7, max_d=4)
+            else:
+                d = rng.randint(2, 5)
+                rows = [[int(c == i) for c in range(d)] for i in range(d)]
+                rows += [[rng.randint(-3, 3) for _ in range(d)] for _ in range(rng.randint(0, 1))]
+                normals = RationalMatrix([row for row in rows if any(row)], cols=d) @ random_invertible(rng, d)
+                arr = normalize(ArrangementSpec(normals, [rng.choice([1, 2, 2]) for _ in range(normals.rows)]))
+            flats = lattice_bruteforce(arr).flats
+            least = min(Fraction(f.codim, f.weight) for f in flats)
+            minimizers = [f for f in flats if Fraction(f.codim, f.weight) == least]
+            if len(minimizers) <= MAX_BRUTEFORCE_CHAIN_FLATS:
+                chain = rlct.oracle._longest_mask_chain(f.mask for f in minimizers)
+                assert chain == longest_chain_bruteforce(minimizers) == rlct_central(arr).pair.multiplicity
+                checked += chain > 1
+        assert checked >= 10, checked
+
+    def test_six_coordinates_verify(self, capsys):
+        # 63 minimizers: the all-subsets lattice is cheap, the exhaustive chain search refuses.
+        arr = normalize(parse_factored_product(self.POLY))
+        result = rlct_central(arr)
+        assert len(result.minimizer_flats) == 63 > MAX_BRUTEFORCE_CHAIN_FLATS
+        with pytest.raises(SizeLimitError):
+            longest_chain_bruteforce(result.minimizer_flats)
+        assert verify_central(arr, result) == {"lattice_match": True, "chain_match": True}
+        code = rlct.cli.main(["compute", "--poly", self.POLY, "--verify", "--format", "csv"])
+        assert (code, capsys.readouterr().out) == (0, "lambda,m\n1,6\n")
+
+    def test_a_lowered_multiplicity_fails(self, capsys, monkeypatch):
+        # m lowered to 5 with the witness chain cut to its first 5 links: still
+        # a strictly nested chain of minimizers as long as its own m.
+        def lowered(result):
+            return replace(result, pair=RlctPair(result.pair.threshold, 5), witness_chain=result.witness_chain[:5])
+
+        arr = normalize(parse_factored_product(self.POLY))
+        verdict = {"lattice_match": True, "chain_match": False}
+        assert verify_central(arr, lowered(rlct_central(arr))) == verdict
+        monkeypatch.setattr(rlct.cli, "rlct_central", lambda arr: lowered(rlct_central(arr)))
+        code = rlct.cli.main(["compute", "--poly", self.POLY, "--verify"])
+        out, err = capsys.readouterr()
+        assert (code, json.loads(out)["verify"]) == (1, verdict)
+        assert json.loads(out)["m"] == 5
         assert "verification mismatch" in err

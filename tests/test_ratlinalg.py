@@ -258,13 +258,16 @@ class TestClosureRows:
     @settings(max_examples=80, deadline=None)
     @given(matrices(min_rows=1))
     def test_matches_row_space_canonical(self, m):
-        flats = _closure([primitive_int_row(r) for r in m if any(r)], m.cols)
+        rows = [primitive_int_row(r) for r in m if any(r)]
+        flats = _closure(rows, m.cols)
         canon = tuple(primitive_int_row(r) for r in row_space_canonical(m))
         if not canon:
             assert flats == []
             return
-        maximal = [_canonical_rows(chain) for chain, _, flag in flats if flag]
-        assert maximal == [canon]
+        # Codim rank(m) iff inclusion-maximal: the one flat of all rows.
+        maximal = [(chain, mask) for chain, mask in flats if len(chain) == rank(m)]
+        assert [mask for _, mask in maximal] == [(1 << len(rows)) - 1]
+        assert [_canonical_rows(chain) for chain, _ in maximal] == [canon]
         assert tuple(next(c for c, x in enumerate(r) if x) for r in canon) == rref(m)[2]
 
     @settings(max_examples=60, deadline=None)

@@ -806,11 +806,17 @@ class TestWitnessPoints:
         for draw in range(600):
             arr = _witness_draw(rng, kinds[draw % len(kinds)])
             d = arr.dim
+            flats = lattice._closure(threshold._augmented(arr), d)
+            # A flat is inclusion-maximal iff its codim is the rank of the normals.
+            r = rank(arr.normals)
+            masks = [mask for _, mask in flats]
+            for chain, mask in flats:
+                assert (len(chain) == r) == (not any(other != mask and other & mask == mask for other in masks))
             chains = sorted(
-                (tuple(j for j in range(arr.n) if mask >> j & 1), chain)
-                for chain, mask, maximal in lattice._closure(threshold._augmented(arr), d)
-                if maximal
+                (tuple(j for j in range(arr.n) if mask >> j & 1), chain) for chain, mask in flats if len(chain) == r
             )
+            if arr.n <= 6:  # the all-subsets oracle on 526 of the 600 draws
+                assert [members for members, _ in chains] == localizations_bruteforce(arr)
             locs = maximal_central_localizations(arr)
             assert [point for point, _ in locs] == [_canonical_point(chain, d) for _, chain in chains]
             for (point, sub), (members, chain) in zip(locs, chains):
@@ -1064,6 +1070,48 @@ class TestInvariances:
             )
             several += len(before.localizations) > 1
         assert several >= 30
+
+    def test_translation(self):
+        # Moving every hyperplane by t sends a.x + b = 0 to a.x + (b - a.t) = 0.
+        # The localizations keep their number and order, their results, their
+        # local arrangements and the global index. With normals of rank d each
+        # point moves by exactly t; otherwise the new point is the new flat's
+        # point with free coordinates zero, which lies on exactly the
+        # hyperplanes through the old point plus t.
+        def through(arr, point):
+            return [j for j in range(arr.n) if sum(a * x for a, x in zip(arr.normals.row(j), point)) + arr.offsets[j] == 0]
+
+        rng = random.Random(22)
+        moved_by_t = on_a_line = several = 0
+        for _ in range(250):
+            d, n = rng.randint(1, 4), rng.randint(1, 8)
+            rows = []
+            while len(rows) < n:
+                row = [F(rng.randint(-2, 2)) for _ in range(d)]
+                if any(row):
+                    rows.append(row)
+            offsets = [random_rational(rng, span=2, max_den=2) for _ in rows]
+            arr = normalize(ArrangementSpec(rows, [rng.randint(1, 3) for _ in rows], offsets=offsets))
+            t = [random_rational(rng) for _ in range(d)]
+            offsets = [b - sum(a * x for a, x in zip(arr.normals.row(j), t)) for j, b in enumerate(arr.offsets)]
+            moved = normalize(ArrangementSpec(arr.normals, arr.multiplicities, offsets=offsets))
+            assert (moved.normals, moved.multiplicities) == (arr.normals, arr.multiplicities)
+            before, after = rlct_affine(arr), rlct_affine(moved)
+            assert len(after.localizations) == len(before.localizations)
+            assert after.global_index == before.global_index
+            full_rank = rank(arr.normals) == d
+            for old, new in zip(before.localizations, after.localizations):
+                assert new.result.to_json_dict() == old.result.to_json_dict()
+                assert new.arrangement == old.arrangement
+                shifted = tuple(x + s for x, s in zip(old.point, t))
+                if full_rank:
+                    assert new.point == shifted
+                else:
+                    assert through(moved, new.point) == through(moved, shifted) == through(arr, old.point)
+            moved_by_t += full_rank
+            on_a_line += not full_rank
+            several += len(before.localizations) > 1
+        assert moved_by_t >= 100 and on_a_line >= 50 and several >= 100, (moved_by_t, on_a_line, several)
 
     def test_multiplicity_scaling(self):
         rng = random.Random(75)
