@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import rlct.cli
 import rlct.lattice
+import rlct.oracle
 import rlct.threshold
 from rlct import (
     ArrangementSpec,
@@ -226,6 +228,20 @@ class TestLocalize:
         assert len(result["localizations"]) == 1
         assert result["verify"] == {"lattice_match": True, "chain_match": True, "localization_match": False}
         assert "verification mismatch" in err
+
+    def test_verify_localization_cap_is_user_error(self, capsys, monkeypatch):
+        # 17 points on the line: past the localization oracle's 16, refused
+        # before any local result is checked.
+        def unreachable(*args):
+            raise AssertionError("checked a local result before the localization cap")
+
+        monkeypatch.setattr(rlct.oracle, "verify_central", unreachable)
+        poly = "x*" + "*".join(f"(x-{k})" for k in range(1, 17))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "localize", "--poly", poly, "--verify")
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (2, "")
+        assert "capped" in err
 
     def test_negative_seed_is_user_error(self, capsys):
         code, _, err = run_cli(

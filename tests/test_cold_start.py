@@ -54,7 +54,9 @@ def main_in_fresh_python(*argv: str) -> tuple[int, bool]:
 
 class TestReportsWithoutNumpy:
     @pytest.mark.parametrize("poly", [CENTRAL, AFFINE], ids=["central", "affine"])
-    @pytest.mark.parametrize("command", ["compute", "compute --verify", "localize", "localize --verify", "parse"])
+    @pytest.mark.parametrize(
+        "command", ["compute", "compute --format csv", "compute --verify", "localize", "localize --verify", "parse"]
+    )
     def test_report_commands_never_load_numpy(self, command, poly):
         assert main_in_fresh_python(*command.split(), "--poly", poly) == (0, False)
 
