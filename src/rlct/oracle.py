@@ -7,6 +7,7 @@ products against kernel basis vectors. It is all Fraction arithmetic,
 flats print themselves, and nothing is shared with the integer closure
 of production, which is the point: `verify_central` and `verify_report`
 (behind the CLI `--verify` flag) and the test suite compare the two.
+Longest chains, geometric or of member masks, are one DP (`_longest_chain`).
 
 The module owns its Fraction linear algebra (`rref`, `rank`,
 `row_space_canonical`, `kernel_basis`, `row_in_row_space`,
@@ -195,52 +196,35 @@ def localizations_bruteforce(arr: NormalizedArrangement) -> list[tuple[int, ...]
 
 
 def longest_chain_bruteforce(flats) -> int:
-    """Length of the longest strictly nested chain, by exhaustive extension.
-
-    Containment is tested geometrically on the rational span of each flat's
-    rows (`_strictly_inside`), not through member sets, so this really is an
-    independent route. Production `Flat`s and `ReferenceFlat`s both work.
-    """
+    """Length of the longest strictly nested chain of flats, by `_longest_chain`
+    on their rational row spans, largest codim first: a flat strictly inside
+    another has the larger codim. Containment is tested geometrically
+    (`_strictly_inside`), not through member sets, so this really is an
+    independent route. Production `Flat`s and `ReferenceFlat`s both work."""
     flats = list(flats)
     if len(flats) > MAX_BRUTEFORCE_CHAIN_FLATS:
         raise SizeLimitError(
             f"brute-force chain search is capped at {MAX_BRUTEFORCE_CHAIN_FLATS} flats, got {len(flats)}"
         )
-    if not flats:
-        return 0
-    spaces = [RationalMatrix(flat.rows) for flat in flats]
-    strictly_above: list[list[int]] = []
-    for i, low in enumerate(spaces):
-        above = []
-        for j, high in enumerate(spaces):
-            if i != j and _strictly_inside(low, high):
-                above.append(j)
-        strictly_above.append(above)
-
-    memo: dict[int, int] = {}
-
-    def extend(i: int) -> int:
-        if i not in memo:
-            memo[i] = 1 + max((extend(j) for j in strictly_above[i]), default=0)
-        return memo[i]
-
-    return max(extend(i) for i in range(len(flats)))
+    spaces = [RationalMatrix(flat.rows) for flat in sorted(flats, key=lambda flat: -len(flat.rows))]
+    return _longest_chain(spaces, _strictly_inside)
 
 
 def _longest_mask_chain(masks) -> int:
-    """Length of the longest strictly nested chain of member masks, by a DP
-    over the masks sorted by member count: a strict subset has fewer
-    members, so it comes earlier. O(M^2) integer steps for M masks.
+    """Length of the longest strictly nested chain of member masks, by
+    `_longest_chain` on the masks by member count: a strict subset has fewer.
+    On one lattice's flats this is their longest chain: a flat is the
+    intersection of its members, so flats nest strictly iff their masks do, reversed."""
+    return _longest_chain(sorted(masks, key=int.bit_count), lambda low, high: low & high == low != high)
 
-    On the flats of one lattice this is the longest chain of flats: a flat
-    is the intersection of its members, so flats nest strictly iff their
-    masks do, the other way round.
-    """
-    masks = sorted(masks, key=int.bit_count)
+
+def _longest_chain(items: list, below) -> int:
+    """Length of the longest chain of `items` under the strict order `below`,
+    by a DP over the items in their given order, which lists everything
+    below an item before it. O(M^2) tests for M items."""
     longest: list[int] = []
-    for mask in masks:
-        below = [k for low, k in zip(masks, longest) if low & mask == low != mask]
-        longest.append(1 + max(below, default=0))
+    for item in items:
+        longest.append(1 + max((k for low, k in zip(items, longest) if below(low, item)), default=0))
     return max(longest, default=0)
 
 

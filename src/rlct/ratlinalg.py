@@ -5,8 +5,10 @@ or printed ever rounds; arrangements hold their normals in it, and
 `as_rational` and `format_rational` read and print single values.
 
 The lattice closure works on primitive integer rows instead, and
-`eliminate` is the package's one elimination step: the closure runs it once
-per flat, and `lattice._canonical_rows` and `integer_rank` run it too. The
+`eliminate` is the package's one elimination step. The closure runs it once
+per flat that can build a new flat (rules (a) and (b) of `lattice._closure`
+skip the others); `lattice._insert`, which `_canonical_rows` folds over a
+chain, `threshold._normal_crossing` and `integer_rank` run it too. The
 rows the closure carries for a flat are the rational RREF with each row
 rescaled to a primitive integer vector, so two flats are equal if and
 only if their rows are. `meets_box` decides on such rows whether a flat

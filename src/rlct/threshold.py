@@ -318,10 +318,11 @@ def maximal_central_localizations(
     back-substitution (`_chain_point`), so no chain is reduced to canonical
     rows here.
     Points whose hyperplanes have the same normals and multiplicities, in
-    order, share one sub-arrangement object. The key is made from small
-    integer ids of the normals, so no `Fraction` row is hashed per point.
-    Each sub-arrangement gets its integer view from `arr`'s and its rank
-    from the length of the maximal flat's chain (`_centered`).
+    order, share one sub-arrangement object. The key holds the normals'
+    primitive integer rows, which `normal_rank` has built: lead-1 normals
+    are equal iff their primitive rows are. Each sub-arrangement gets its
+    integer view from `arr`'s and its rank from the length of the maximal
+    flat's chain (`_centered`).
     """
     n, d = arr.n, arr.dim
     if n == 0:
@@ -331,12 +332,10 @@ def maximal_central_localizations(
         for chain, mask in _closure(_augmented(arr), d)
         if len(chain) == arr.normal_rank
     )
-    ids: dict[tuple[Fraction, ...], int] = {}
-    normal_ids = [ids.setdefault(row, len(ids)) for row in arr.normals]
-    subs: dict[tuple[tuple[int, int], ...], NormalizedArrangement] = {}
+    subs: dict[tuple[tuple[tuple[int, ...], int], ...], NormalizedArrangement] = {}
     out = []
     for members, chain in found:
-        key = tuple((normal_ids[j], arr.multiplicities[j]) for j in members)
+        key = tuple((arr.primitive_normals[j], arr.multiplicities[j]) for j in members)
         sub = subs.get(key)
         if sub is None:
             sub = subs[key] = _centered(arr, members, len(chain))

@@ -231,8 +231,8 @@ class TestBuildLattice:
             build_lattice(arr)
 
 
-class TestInclusionDag:
-    def test_matches_pairwise_subspace_oracle(self):
+class TestMemberMasks:
+    def test_masks_nest_iff_flats_nest(self):
         rng = random.Random(35)
         for _ in range(12):
             arr = random_central_arrangement(rng, max_n=6, max_d=4)

@@ -167,6 +167,28 @@ class TestLongestChainBruteforce:
             if len(result.minimizer_flats) <= 50:
                 assert longest_chain_bruteforce(result.minimizer_flats) == result.pair.multiplicity
 
+    def test_any_order_and_duplicates(self):
+        # Both routines sort before their DP, so reversed, shuffled and
+        # doubled lists of reference and production flats give the same
+        # length: the rank of the normals for a whole lattice, m for the
+        # minimizers.
+        rng = random.Random(391)
+        nested = 0
+        for _ in range(20):
+            arr = random_central_arrangement(rng, max_n=6, max_d=3, max_mult=2)
+            result = rlct_central(arr)
+            cases = [(lattice_bruteforce(arr).flats, arr.normal_rank), (build_lattice(arr).flats, arr.normal_rank),
+                     (result.minimizer_flats, result.pair.multiplicity)]
+            for flats, length in cases:
+                if len(flats) > MAX_BRUTEFORCE_CHAIN_FLATS // 2:
+                    continue
+                flats = list(flats)
+                for variant in (flats, flats[::-1], rng.sample(flats, len(flats)), flats + rng.sample(flats, len(flats))):
+                    assert longest_chain_bruteforce(variant) == length
+                    assert rlct.oracle._longest_mask_chain(flat.mask for flat in variant) == length
+                nested += length > 1
+        assert nested >= 20, nested
+
 
 class TestVerify:
     def test_report_with_line_localizations(self):
@@ -278,12 +300,12 @@ class TestSelfConsistentWrongAnswers:
 
 class TestChainPastTheChainCap:
     """"chain_match" takes m from the oracle's own minimizer masks by a DP, so
-    it checks m on inputs with more minimizers than the exhaustive
+    it checks m on inputs with more minimizers than the geometric
     `longest_chain_bruteforce` takes."""
 
     POLY = "x1*x2*x3*x4*x5*x6"
 
-    def test_mask_dp_equals_the_exhaustive_search(self):
+    def test_mask_chain_equals_the_geometric_chain(self):
         # Generic draws, and tied coordinate planes (m > 1) in coordinates
         # hidden by a random T in GL(d, Q), some with one more plane.
         rng = random.Random(371)
@@ -307,7 +329,7 @@ class TestChainPastTheChainCap:
         assert checked >= 10, checked
 
     def test_six_coordinates_verify(self, capsys):
-        # 63 minimizers: the all-subsets lattice is cheap, the exhaustive chain search refuses.
+        # 63 minimizers: the all-subsets lattice is cheap, the geometric chain search refuses.
         arr = normalize(parse_factored_product(self.POLY))
         result = rlct_central(arr)
         assert len(result.minimizer_flats) == 63 > MAX_BRUTEFORCE_CHAIN_FLATS

@@ -32,6 +32,7 @@ from rlct import arrangement, lattice, threshold
 from rlct.oracle import (
     MAX_BRUTEFORCE_CHAIN_FLATS,
     MAX_BRUTEFORCE_HYPERPLANES,
+    _longest_mask_chain,
     subspace_leq,
     verify_central,
     verify_report,
@@ -221,17 +222,6 @@ class TestJoinIrreducibles:
             for low, high in zip(chain, chain[1:]):
                 assert strictly_inside(low, high)
         assert checked >= 100
-
-
-def _longest_mask_chain(masks):
-    """Length of the longest strictly nested chain of `masks`, by a DP over
-    the distinct masks sorted by member count: a strict subset has fewer
-    members, so it comes first."""
-    masks = sorted(set(masks), key=int.bit_count)
-    longest = []
-    for i, mask in enumerate(masks):
-        longest.append(1 + max((longest[j] for j in range(i) if masks[j] | mask == mask), default=0))
-    return max(longest, default=0)
 
 
 def _hidden_direct_sum(rng, blocks):
