@@ -1,13 +1,13 @@
 """Naive reference implementations, and the `--verify` checks built on them.
 
-These deliberately mirror the textbook all-subsets construction: every
-nonempty subset of hyperplanes contributes the kernel of its stacked
-normals, kernels are deduplicated, and membership is re-derived by dot
-products against kernel basis vectors. It is all Fraction arithmetic,
-flats print themselves, and nothing is shared with the integer closure
-of production, which is the point: `verify_central` and `verify_report`
-(behind the CLI `--verify` flag) and the test suite compare the two.
-Longest chains, geometric or of member masks, are one DP (`_longest_chain`).
+These deliberately mirror the textbook all-subsets construction: one scan
+(`_closed_sets`) takes the rational RREF of every nonempty subset of rows,
+and each distinct RREF is a flat whose members are the rows of the subsets
+that share it. It is all Fraction arithmetic, flats print themselves, and
+nothing is shared with the integer closure of production, which is the
+point: `verify_central` and `verify_report` (behind the CLI `--verify`
+flag) and the test suite compare the two. Longest chains, geometric or of
+member masks, are one DP (`_longest_chain`).
 
 The module owns its Fraction linear algebra (`rref`, `rank`,
 `row_space_canonical`, `kernel_basis`, `row_in_row_space`,
@@ -26,6 +26,8 @@ from .arrangement import NormalizedArrangement
 from .errors import CentralityError, DimensionError, SizeLimitError
 from .ratlinalg import RationalLike, RationalMatrix, as_rational
 
+# 2^n subsets at 0.4-0.9 ms each (generic draws, n = 14-17 in 4-6
+# variables): 2 minutes at 17 hyperplanes, and 7-16 minutes for 2^20 subsets.
 MAX_BRUTEFORCE_HYPERPLANES = 20
 # 2^16 subsets at 0.5-0.7 ms each (generic draws in 4 variables): an affine
 # --verify of under a minute, where 20 hyperplanes would take about 10 minutes.
@@ -142,57 +144,47 @@ ReferenceLattice = namedtuple("ReferenceLattice", "flats")
 
 
 def lattice_bruteforce(arr: NormalizedArrangement) -> ReferenceLattice:
-    """All-subsets intersection lattice; cost grows as 2^n.
-
-    Flats are kernels of stacked normal subsets; the normal space of a flat
-    is recovered as the kernel of its kernel basis, in rational RREF. Flats
-    are sorted by the rational RREF itself, not the production key.
-    """
+    """All-subsets intersection lattice, by `_closed_sets` on the normals;
+    cost grows as 2^n. Flats are sorted by their rational RREF, not the
+    production key, which is checked against this order."""
     if not arr.is_central:
         raise CentralityError("the brute-force lattice needs a central arrangement")
-    n, d = arr.n, arr.dim
+    n = arr.n
     if n > MAX_BRUTEFORCE_HYPERPLANES:
         raise SizeLimitError(f"brute force is capped at {MAX_BRUTEFORCE_HYPERPLANES} hyperplanes, got {n}")
-    kernels: dict[RationalMatrix, None] = {}
-    for r in range(1, n + 1):
-        for comb in combinations(range(n), r):
-            stacked = RationalMatrix([arr.normals.row(j) for j in comb], cols=d)
-            kernels.setdefault(kernel_basis(stacked))
-    keyed = []
-    for kernel in kernels:
-        mask = 0
-        for j in range(n):
-            if all(sum(a * v for a, v in zip(arr.normals.row(j), vec)) == 0 for vec in kernel):
-                mask |= 1 << j
-        space = kernel_basis(kernel)
-        weight = sum(arr.multiplicities[j] for j in range(n) if mask >> j & 1)
-        flat = ReferenceFlat(space.entries, mask, weight)
-        # The rational reference order, against which the production path's
-        # integer sort key is checked.
-        keyed.append(((space.rows, space.entries), flat))
-    keyed.sort(key=lambda item: item[0])
-    return ReferenceLattice(flats=tuple(flat for _, flat in keyed))
+    flats = [ReferenceFlat(span, mask, sum(s for j, s in enumerate(arr.multiplicities) if mask >> j & 1))
+             for span, mask in _closed_sets(arr.normals.entries, arr.dim).items()]
+    return ReferenceLattice(flats=tuple(sorted(flats, key=lambda flat: (flat.codim, flat.rows))))
 
 
 def localizations_bruteforce(arr: NormalizedArrangement) -> list[tuple[int, ...]]:
-    """Sorted member sets of the maximal localizations: every subset whose
-    rows (a | b) have a common point, that is whose RREF has no pivot in the
-    offset column (Rouché–Capelli), closes to all rows in the span of that
-    RREF, and the inclusion-maximal closed sets are the localizations."""
-    n, d = arr.n, arr.dim
+    """Sorted member sets of the maximal localizations: the inclusion-maximal
+    masks of `_closed_sets` on the rows (a | b)."""
+    n = arr.n
     if n > MAX_BRUTEFORCE_LOCALIZATION_HYPERPLANES:
         raise SizeLimitError(
             f"brute-force localizations are capped at {MAX_BRUTEFORCE_LOCALIZATION_HYPERPLANES} hyperplanes, got {n}"
         )
-    aug_rows = [tuple(arr.normals.row(j)) + (arr.offsets[j],) for j in range(n)]
-    closed = set()
-    for r in range(1, n + 1):
-        for comb in combinations(range(n), r):
-            reduced, _, pivots = rref(RationalMatrix([aug_rows[j] for j in comb], cols=d + 1))
-            if d in pivots:
-                continue
-            closed.add(frozenset(k for k in range(n) if row_in_row_space(aug_rows[k], reduced)))
-    return sorted(tuple(sorted(m)) for m in closed if not any(m < other for other in closed))
+    masks = _closed_sets([a + (b,) for a, b in zip(arr.normals, arr.offsets)], arr.dim).values()
+    return sorted(tuple(j for j in range(n) if mask >> j & 1)
+                  for mask in masks if not any(mask & other == mask != other for other in masks))
+
+
+def _closed_sets(rows: Sequence[tuple[Fraction, ...]], d: int) -> dict[tuple, int]:
+    """Each distinct RREF (zero rows dropped) of a nonempty subset of `rows`
+    with no pivot in column d, mapped to the mask of the rows in its span.
+    Rows are normals a, d wide, which never pivot there, or rows (a | b),
+    which pivot there iff they have no common point (Rouché–Capelli). A row
+    lies in the span of a subset iff adding it keeps the RREF, so the mask is
+    the union of the subsets with that RREF: the hyperplanes through its flat."""
+    spans: dict[tuple, int] = {}
+    for r in range(1, len(rows) + 1):
+        for comb in combinations(range(len(rows)), r):
+            reduced, rk, pivots = rref(RationalMatrix([rows[j] for j in comb]))
+            if d not in pivots:
+                span = reduced.entries[:rk]
+                spans[span] = spans.get(span, 0) | sum(1 << j for j in comb)
+    return spans
 
 
 def longest_chain_bruteforce(flats) -> int:

@@ -1,6 +1,7 @@
 """Brute-force reference paths and their agreement with production."""
 
 import ast
+import hashlib
 import inspect
 import json
 import pathlib
@@ -15,9 +16,11 @@ import rlct.lattice
 import rlct.oracle
 from rlct import (
     ArrangementSpec,
+    NormalizedArrangement,
     SizeLimitError,
     build_lattice,
     lattice_bruteforce,
+    localizations_bruteforce,
     longest_chain_bruteforce,
     normalize,
     parse_factored_product,
@@ -28,7 +31,7 @@ from rlct.oracle import MAX_BRUTEFORCE_CHAIN_FLATS, verify_central, verify_repor
 from rlct.ratlinalg import RationalMatrix
 from rlct.threshold import Localization, RlctPair
 
-from conftest import random_central_arrangement, random_invertible, unreduced_rref_strings
+from conftest import random_central_arrangement, random_invertible, random_rational, unreduced_rref_strings
 
 
 def flats_key(lattice):
@@ -126,6 +129,57 @@ class TestLatticeBruteforce:
             defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
             owned = (defined | {name for _, name in imports[stem]}) & moved
             assert owned == (moved if stem == "oracle" else set()) or stem == "__init__", stem
+
+
+def _nonzero_row(rng, d):
+    while True:
+        row = [rng.randint(-2, 2) for _ in range(d)]
+        if any(row):
+            return row
+
+
+def _reference_corpus():
+    """Seeded arrangements whose oracle outputs are pinned: central draws
+    with fractional entries, rank-deficient normals (every row a combination
+    of two rows in 4-space), coordinate planes for k = 1..8, and affine draws
+    on at most three normal directions, so that parallel hyperplanes make
+    inconsistent subsets. Returns (central, affine)."""
+    rng = random.Random(4001)
+    central = [random_central_arrangement(rng, max_n=7, max_d=4, max_den=3) for _ in range(30)]
+    for _ in range(8):
+        a, b = ([random_rational(rng) for _ in range(4)] for _ in range(2))
+        weights = [_nonzero_row(rng, 2) for _ in range(rng.randint(2, 7))]
+        rows = [row for row in ([p * x + q * y for x, y in zip(a, b)] for p, q in weights) if any(row)]
+        if rows:
+            central.append(normalize(ArrangementSpec(rows, [rng.randint(1, 3) for _ in rows])))
+    central += [normalize(ArrangementSpec(RationalMatrix.identity(k), [1] * k)) for k in range(1, 9)]
+    affine = []
+    for _ in range(30):
+        d = rng.randint(1, 3)
+        directions = [_nonzero_row(rng, d) for _ in range(rng.randint(1, 3))]
+        rows = [rng.choice(directions) for _ in range(rng.randint(1, 8))]
+        offsets = [random_rational(rng, span=2, max_den=2) for _ in rows]
+        affine.append(normalize(ArrangementSpec(rows, [rng.randint(1, 3) for _ in rows], offsets=offsets)))
+    return central, affine
+
+
+class TestPinnedReferences:
+    """The references' own outputs, pinned by a SHA-256: every other oracle
+    test compares an oracle with production, which a change that moved both
+    the same way would pass."""
+
+    DIGEST = "dd3343f51f63f463ce48ff1dcb5d7a0d96714b56917e5eb1a6d2fc6d11f6ebd4"
+
+    def test_outputs_are_pinned(self):
+        central, affine = _reference_corpus()
+        outputs = [[([[str(x) for x in row] for row in flat.rows], flat.mask, flat.weight)
+                    for flat in lattice_bruteforce(arr).flats] for arr in central]
+        outputs += [localizations_bruteforce(arr) for arr in central + affine]
+        assert hashlib.sha256(repr(outputs).encode()).hexdigest() == self.DIGEST
+
+    def test_no_rows(self):
+        arr = NormalizedArrangement(RationalMatrix([], cols=2), (), ())
+        assert (lattice_bruteforce(arr).flats, localizations_bruteforce(arr)) == ((), [])
 
 
 class TestLongestChainBruteforce:
