@@ -39,11 +39,9 @@ from .errors import (
 )
 from .lattice import Flat, IntersectionLattice, build_lattice
 from .oracle import (
-    kernel_basis,
     lattice_bruteforce,
     localizations_bruteforce,
     longest_chain_bruteforce,
-    rank,
     row_space_canonical,
     rref,
     subspace_leq,
@@ -115,7 +113,6 @@ __all__ = [
     "fit_asymptotics",
     "format_factored_product",
     "format_rational",
-    "kernel_basis",
     "lattice_bruteforce",
     "localizations_bruteforce",
     "longest_chain_bruteforce",
@@ -123,7 +120,6 @@ __all__ = [
     "normalize",
     "pair_less",
     "parse_factored_product",
-    "rank",
     "rlct_affine",
     "rlct_central",
     "rlct_line_arrangement_2d",

@@ -9,10 +9,9 @@ point: `verify_central` and `verify_report` (behind the CLI `--verify`
 flag) and the test suite compare the two. Longest chains, geometric or of
 member masks, are one DP (`_longest_chain`).
 
-The module owns its Fraction linear algebra (`rref`, `rank`,
-`row_space_canonical`, `kernel_basis`, `row_in_row_space`,
-`subspace_leq`); no production module calls it, and it imports nothing
-from `lattice` or `threshold`.
+The module owns its Fraction linear algebra (`rref`, `row_space_canonical`
+and `subspace_leq`, a rank comparison); no production module calls it, and
+it imports nothing from `lattice` or `threshold`.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from typing import Sequence
 
 from .arrangement import NormalizedArrangement
 from .errors import CentralityError, DimensionError, SizeLimitError
-from .ratlinalg import RationalLike, RationalMatrix, as_rational
+from .ratlinalg import RationalMatrix
 
 # 2^n subsets at 0.4-0.9 ms each (generic draws, n = 14-17 in 4-6
 # variables): 2 minutes at 17 hyperplanes, and 7-16 minutes for 2^20 subsets.
@@ -64,10 +63,6 @@ def rref(matrix: RationalMatrix) -> tuple[RationalMatrix, int, tuple[int, ...]]:
     return RationalMatrix(work, cols=width), r, tuple(pivots)
 
 
-def rank(matrix: RationalMatrix) -> int:
-    return rref(matrix)[1]
-
-
 def row_space_canonical(matrix: RationalMatrix) -> RationalMatrix:
     """RREF with zero rows removed: the canonical representative of a row space.
 
@@ -78,51 +73,17 @@ def row_space_canonical(matrix: RationalMatrix) -> RationalMatrix:
     return RationalMatrix(reduced.entries[:rk], cols=matrix.cols)
 
 
-def kernel_basis(matrix: RationalMatrix) -> RationalMatrix:
-    """Canonical basis of the right kernel {x : Mx = 0}, one vector per row.
-
-    The result has cols(M) - rank(M) rows and is itself in canonical
-    (RREF, no zero rows) form.
-    """
-    reduced, rk, pivots = rref(matrix)
-    width = matrix.cols
-    pivot_set = set(pivots)
-    free = [c for c in range(width) if c not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * width
-        vec[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            vec[p] = -reduced[i, f]
-        basis.append(vec)
-    return row_space_canonical(RationalMatrix(basis, cols=width))
-
-
-def row_in_row_space(row: Sequence[RationalLike], canonical: RationalMatrix) -> bool:
-    """Membership test against a matrix already in RREF; zero rows are skipped."""
-    residue = [as_rational(x) for x in row]
-    if len(residue) != canonical.cols:
-        raise DimensionError("row length does not match matrix width")
-    for basis_row in canonical:
-        lead = next((c for c, x in enumerate(basis_row) if x != 0), None)
-        if lead is None:
-            continue
-        factor = residue[lead]
-        if factor != 0:
-            residue = [a - factor * b for a, b in zip(residue, basis_row)]
-    return all(x == 0 for x in residue)
-
-
 def subspace_leq(w1_normals: RationalMatrix, w2_normals: RationalMatrix) -> bool:
     """True iff the flat with normal space w1 lies inside the flat with normal space w2.
 
     Containment of flats reverses containment of their normal spaces, so this
-    checks row_space(w2) <= row_space(w1). Inputs need not be canonical.
+    checks row_space(w2) <= row_space(w1): w2's rows add nothing to the rank
+    of w1's. Inputs need not be canonical.
     """
     if w1_normals.cols != w2_normals.cols:
         raise DimensionError("normal spaces live in different ambient dimensions")
-    canon1 = row_space_canonical(w1_normals)
-    return all(row_in_row_space(row, canon1) for row in w2_normals)
+    both = RationalMatrix(w1_normals.entries + w2_normals.entries, cols=w1_normals.cols)
+    return rref(both)[1] == rref(w1_normals)[1]
 
 
 class ReferenceFlat(namedtuple("ReferenceFlat", "rows mask weight")):
@@ -221,8 +182,9 @@ def _longest_chain(items: list, below) -> int:
 
 
 def _strictly_inside(low: RationalMatrix, high: RationalMatrix) -> bool:
-    """The flat with normal space `low` lies strictly inside the one with `high`."""
-    return subspace_leq(low, high) and not subspace_leq(high, low)
+    """The flat with normal space `low` lies strictly inside the one with
+    `high`: inside it, and of a larger codim."""
+    return subspace_leq(low, high) and rref(high)[1] < rref(low)[1]
 
 
 def verify_central(arr: NormalizedArrangement, result) -> dict:

@@ -55,9 +55,8 @@ def format_rational(value: Fraction) -> str:
 class RationalMatrix:
     """Immutable dense matrix of Fractions, row-major.
 
-    A matrix may have zero rows (e.g. the kernel basis of an injective map),
-    so the column count is tracked explicitly. Instances are hashable and
-    compare by shape and entries.
+    A matrix may have zero rows, so the column count is tracked explicitly.
+    Instances are hashable and compare by shape and entries.
     """
 
     entries: tuple[tuple[Fraction, ...], ...]
@@ -99,10 +98,6 @@ class RationalMatrix:
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i]
-
-    def __getitem__(self, index: tuple[int, int]) -> Fraction:
-        i, j = index
-        return self.entries[i][j]
 
     def __iter__(self) -> Iterator[tuple[Fraction, ...]]:
         return iter(self.entries)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from hypothesis import settings
 
-from rlct import ArrangementSpec, NormalizedArrangement, RationalMatrix, normalize, rank
+from rlct import ArrangementSpec, NormalizedArrangement, RationalMatrix, normalize
 from rlct.oracle import rref
 
 # Hypothesis draws the same examples on every run and every Python; each
@@ -47,7 +47,7 @@ def random_invertible(rng: random.Random, d: int, span: int = 3) -> RationalMatr
         candidate = RationalMatrix(
             [[Fraction(rng.randint(-span, span)) for _ in range(d)] for _ in range(d)]
         )
-        if rank(candidate) == d:
+        if rref(candidate)[1] == d:
             return candidate
 
 
@@ -80,7 +80,7 @@ def meets_box_bruteforce(rows, bounds) -> bool:
             continue
         reduced, r, pivots = rref(RationalMatrix(system, cols=d + 1))
         if r == d and pivots == tuple(range(d)):
-            point = [-reduced[i, d] for i in range(d)]
+            point = [-reduced.entries[i][d] for i in range(d)]
             if all(lo <= x <= hi for x, (lo, hi) in zip(point, bounds)):
                 return True
     return False

@@ -29,9 +29,9 @@ from rlct import (
     estimate_volume,
     normalize,
     parse_factored_product,
-    rank,
     rlct_affine,
     rlct_central,
+    rref,
 )
 from rlct.cli import main
 
@@ -554,7 +554,7 @@ def _shared_report_draw(rng, kind):
         base = [[int(c == axis) for c in range(d)] for axis in range(d)]
     elif kind == "hidden":
         t = RationalMatrix([[random_rational(rng, span=3, max_den=4) for _ in range(d)] for _ in range(d)], cols=d)
-        while rank(t) < d:
+        while rref(t)[1] < d:
             t = random_invertible(rng, d)
         base = [list(row) for row in RationalMatrix([[int(c == a) for c in range(d)] for a in range(d)], cols=d) @ t]
     else:

@@ -17,14 +17,14 @@ from rlct import (
     localizations_bruteforce,
     normalize,
     parse_factored_product,
-    rank,
     rlct_central,
     row_space_canonical,
+    rref,
     subspace_leq,
 )
 from rlct import lattice
 from rlct.lattice import _canonical_rows, _closure
-from rlct.oracle import row_in_row_space
+from rlct.oracle import _closed_sets
 from rlct.ratlinalg import eliminate, primitive_int_row
 from rlct.threshold import maximal_central_localizations
 
@@ -399,7 +399,7 @@ class TestClosureEngine:
         """The masks of the flats at codim r, r the rank of the rows' normal
         parts, after checking that a flat has codim r iff its mask is
         inclusion-maximal among the closure's."""
-        r = rank(RationalMatrix([row[:d] for row in rows]))
+        r = rref(RationalMatrix([row[:d] for row in rows]))[1]
         masks = [mask for _, mask in flats]
         assert len(set(masks)) == len(masks)
         for chain, mask in flats:
@@ -432,7 +432,7 @@ class TestClosureEngine:
         for arr in _engine_corpus():
             if not arr.is_central:
                 continue
-            top = rank(arr.normals)
+            top = rref(arr.normals)[1]
             low_rank_seen |= top < arr.dim
             rows = [primitive_int_row(arr.normals.row(j)) for j in range(arr.n)]
             flats = _closure(rows, arr.dim)
@@ -523,8 +523,8 @@ class TestClosureEngine:
             flats = _closure(augmented, arr.dim)
             maximal = self._maximal_at_codim_r(flats, augmented, arr.dim)
             assert self._as_member_sets(maximal, arr.n) == produced
-            top = rank(RationalMatrix(augmented))
-            no_point = rank(arr.normals) < top
+            top = rref(RationalMatrix(augmented))[1]
+            no_point = rref(arr.normals)[1] < top
             if top > 1:  # at rank 1 the level is the ambient space alone
                 assert {mask in maximal for chain, mask in flats if len(chain) == top - 1} == {no_point}
             assert no_point == (arr not in single)
@@ -561,7 +561,7 @@ class TestClosureEngine:
                 calls.clear()
                 flats = _closure(rows, d)
                 closures.append(flats)
-                top = rank(RationalMatrix(rows))
+                top = rref(RationalMatrix(rows))[1]
                 rule_b = max(sum(len(chain) == top - 1 for chain, _ in flats) - 1, 0)
                 rule_a = len(flats) - len(calls) - rule_b
                 assert rule_a >= 0
@@ -588,15 +588,11 @@ class TestClosureEngine:
     @given(st.data())
     def test_masks_and_rows_match_the_rational_span(self, data):
         # Every subset of rows with a common point closes to the rows in its
-        # rational span; those closed sets are exactly the returned masks, and
-        # each flat's reduced chain is its span's RREF as primitive integer rows.
+        # rational span (the oracle's `_closed_sets`); those closed sets are
+        # exactly the returned masks, and each flat's reduced chain is its
+        # span's RREF as primitive integer rows.
         rows, d = self._draw_rows(data)
-        spans = {}
-        for subset in range(1, 1 << len(rows)):
-            members = [row for j, row in enumerate(rows) if subset >> j & 1]
-            canon = row_space_canonical(RationalMatrix(members))
-            if rank(RationalMatrix([row[:d] for row in members])) == canon.rows:
-                spans[sum(1 << j for j, row in enumerate(rows) if row_in_row_space(row, canon))] = canon
+        spans = {mask: span for span, mask in _closed_sets(rows, d).items()}
         flats = _closure(rows, d)
         assert sorted(mask for _, mask in flats) == sorted(spans)
         for chain, mask in flats:
@@ -611,7 +607,7 @@ class TestClosureEngine:
         rows, d = self._draw_rows(data)
         for chain, mask in _closure(rows, d):
             members = RationalMatrix([row for j, row in enumerate(rows) if mask >> j & 1])
-            assert len(chain) == rank(members)
+            assert len(chain) == rref(members)[1]
             leads = []
             for row in chain:
                 lead = next(c for c, x in enumerate(row) if x)

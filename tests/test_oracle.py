@@ -124,7 +124,7 @@ class TestLatticeBruteforce:
                     reached.add(module)
                     todo.append(module)
         assert "arrangement" in reached and not reached & {"lattice", "threshold"}
-        moved = {"rref", "rank", "row_space_canonical", "kernel_basis", "row_in_row_space", "subspace_leq"}
+        moved = {"rref", "row_space_canonical", "subspace_leq"}
         for stem, tree in trees.items():
             defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
             owned = (defined | {name for _, name in imports[stem]}) & moved

@@ -14,14 +14,11 @@ import rlct.ratlinalg
 from rlct import (
     DimensionError,
     RationalMatrix,
-    kernel_basis,
-    rank,
     row_space_canonical,
     rref,
     subspace_leq,
 )
 from rlct.lattice import _canonical_rows, _closure
-from rlct.oracle import row_in_row_space
 from rlct.ratlinalg import integer_rank, meets_box, primitive_int_row
 
 from conftest import meets_box_bruteforce, random_invertible
@@ -77,39 +74,6 @@ class TestRref:
         again, rk2, pivots2 = rref(reduced)
         assert again == reduced
         assert (rk2, pivots2) == (rk, pivots)
-
-
-class TestKernel:
-    def test_single_normal(self):
-        basis = kernel_basis(RationalMatrix([[1, 0, 0]]))
-        assert basis.rows == 2
-        assert basis == RationalMatrix([[0, 1, 0], [0, 0, 1]])
-
-    def test_trivial_kernel(self):
-        basis = kernel_basis(RationalMatrix.identity(3))
-        assert basis.rows == 0
-        assert basis.cols == 3
-
-    def test_multiply_back_to_zero(self):
-        m = RationalMatrix([[1, 1, 1], [1, -1, 0]])
-        basis = kernel_basis(m)
-        assert basis.rows == 1
-        for vec in basis:
-            for row in m:
-                assert sum(a * v for a, v in zip(row, vec)) == 0
-
-    @settings(max_examples=60, deadline=None)
-    @given(matrices())
-    def test_rank_nullity(self, m):
-        assert rank(m) + kernel_basis(m).rows == m.cols
-
-    @settings(max_examples=60, deadline=None)
-    @given(matrices(min_rows=1))
-    def test_kernel_vectors_annihilate(self, m):
-        basis = kernel_basis(m)
-        for vec in basis:
-            for row in m:
-                assert sum(a * v for a, v in zip(row, vec)) == 0
 
 
 class TestRowSpaceCanonical:
@@ -265,7 +229,7 @@ class TestClosureRows:
             assert flats == []
             return
         # Codim rank(m) iff inclusion-maximal: the one flat of all rows.
-        maximal = [(chain, mask) for chain, mask in flats if len(chain) == rank(m)]
+        maximal = [(chain, mask) for chain, mask in flats if len(chain) == rref(m)[1]]
         assert [mask for _, mask in maximal] == [(1 << len(rows)) - 1]
         assert [_canonical_rows(chain) for chain, _ in maximal] == [canon]
         assert tuple(next(c for c, x in enumerate(r) if x) for r in canon) == rref(m)[2]
@@ -277,15 +241,15 @@ class TestClosureRows:
         rows = [primitive_int_row(r) for r in canon]
         for row in m:
             assert not any(self._residue(row, rows))
-            assert row_in_row_space(row, canon)
+            assert subspace_leq(canon, RationalMatrix([row]))
         for unit in RationalMatrix.identity(m.cols):
-            assert any(self._residue(unit, rows)) != row_in_row_space(unit, canon)
+            assert any(self._residue(unit, rows)) != subspace_leq(canon, RationalMatrix([unit]))
 
     @settings(max_examples=80, deadline=None)
     @given(matrices())
     def test_integer_rank_matches_rank(self, m):
         rows = [primitive_int_row(r) for r in m]
-        assert integer_rank(rows) == rank(m)
+        assert integer_rank(rows) == rref(m)[1]
         assert integer_rank(rows + rows[::-1]) == integer_rank(rows)
 
 

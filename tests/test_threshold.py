@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -23,10 +24,10 @@ from rlct import (
     normalize,
     pair_less,
     parse_factored_product,
-    rank,
     rlct_affine,
     rlct_central,
     rlct_line_arrangement_2d,
+    rref,
 )
 from rlct import arrangement, lattice, threshold
 from rlct.oracle import (
@@ -186,7 +187,7 @@ def _multiplicity_corpus():
             if any(row):
                 rows.append(row)
         arr = normalize(ArrangementSpec(rows, [rng.randint(1, 4) for _ in rows]))
-        assert rank(arr.normals) < arr.dim
+        assert rref(arr.normals)[1] < arr.dim
         corpus.append(arr)
     for k in range(1, 7):
         corpus.append(normalize(ArrangementSpec([[int(i == j) for j in range(k)] for i in range(k)], [1] * k)))
@@ -278,6 +279,44 @@ class TestChainPastTheOracleCap:
         assert ties >= 15 and large == 2, (ties, large)
 
 
+class TestDirectSumIdentity:
+    """A central arrangement in disjoint variables is a direct sum of its
+    blocks: a flat of the sum is a flat (or the whole space) of each block,
+    at least one a flat, with codims and weights adding. So lambda is the
+    least block lambda, m is the sum of the m of the blocks that attain it,
+    and the minimizers are the nonempty products of a minimizer or the whole
+    space from each attaining block: prod(k_i + 1) - 1 of them, k_i a
+    block's minimizer count. The sums are hidden by a change of coordinates,
+    and each block is solved on its own."""
+
+    def test_pair_and_minimizer_count_from_the_blocks(self):
+        rng = random.Random(2202)
+        sums = []
+        for _ in range(30):
+            blocks = [random_central_arrangement(rng, max_n=5, max_d=3, max_mult=3) for _ in range(rng.randint(2, 3))]
+            sums.append([(list(b.normals), b.multiplicities) for b in blocks])
+        # Three pencils at lambda 1/5 (m 1, 1 and 2; 1, 1 and 2 minimizers),
+        # 21 hyperplanes: lambda 1/5, m = 4, 2 * 2 * 3 - 1 = 11 minimizers.
+        pencil = lambda k: [[1, i] for i in range(k - 1)] + [[0, 1]]  # noqa: E731
+        sums.append([(pencil(10), [1] * 10), (pencil(5), [2] * 5), (pencil(6), [5, 1, 1, 1, 1, 1])])
+        # Five doubled coordinates (1/2, 5) and a pencil (1/2, 2) attain 1/2,
+        # four generic planes (3/4, 1) do not: m = 7, 32 * 3 - 1 = 95 minimizers.
+        coordinates = [[int(i == j) for j in range(5)] for i in range(5)]
+        planes = [[1, 2, 3], [2, -1, 5], [3, 4, -1], [1, -3, 2]]
+        sums.append([(coordinates, [2] * 5), ([[1, 0], [0, 1], [1, 1]], [1, 1, 2]), (planes, [1] * 4)])
+        split = 0
+        for blocks in sums:
+            results = [rlct_central(normalize(ArrangementSpec(rows, mults))) for rows, mults in blocks]
+            least = min(r.pair.threshold for r in results)
+            attaining = [r for r in results if r.pair.threshold == least]
+            result = rlct_central(_hidden_direct_sum(rng, blocks))
+            assert result.pair == pair(least, sum(r.pair.multiplicity for r in attaining))
+            assert len(result.minimizer_flats) == math.prod(len(r.minimizer_flats) + 1 for r in attaining) - 1
+            split += len(attaining) < len(results)
+        assert (sum(len(rows) for rows, _ in sums[-2]), len(result.minimizer_flats)) == (21, 95)
+        assert split >= 5, split
+
+
 class TestMinimizersFromTriples:
     """`rlct_central` picks the minimizers on the closure's integer triples
     and orders only them; they must be the lattice's flats at lambda, in
@@ -319,7 +358,7 @@ class TestMinimizersFromTriples:
             arr = random_central_arrangement(rng, max_n=7, max_d=4)
             calls.clear()
             result = rlct_central(arr)
-            independent = rank(arr.normals) == arr.n
+            independent = rref(arr.normals)[1] == arr.n
             kinds[independent] += 1
             assert len(calls) == (0 if independent else len(result.minimizer_flats))
             skipped += len(result.lattice.triples) - len(calls)
@@ -339,7 +378,7 @@ def _independent_draw(rng, d, n):
     multiplicity."""
     while True:
         rows = RationalMatrix([[random_rational(rng, max_den=3) for _ in range(d)] for _ in range(n)], cols=d)
-        if rank(rows) == n:
+        if rref(rows)[1] == n:
             break
     top = rng.randint(1, 3)
     mults = [rng.choice((top, top, rng.randint(1, top))) for _ in range(n)]
@@ -358,7 +397,7 @@ class TestNormalCrossing:
         number of minimizers."""
         arr = result.arrangement
         top = max(arr.multiplicities)
-        assert rank(arr.normals) == arr.n
+        assert rref(arr.normals)[1] == arr.n
         assert closures == []  # solved with no closure; reading `lattice` runs one
         assert result.pair == pair(F(1, top), arr.multiplicities.count(top))
         flats = result.lattice.flats
@@ -421,9 +460,9 @@ class TestNormalCrossing:
                 closures.clear()
                 report = rlct_affine(arr)
                 solved = {id(loc.result): loc.result for loc in report.localizations}.values()
-                assert len(closures) == sum(rank(r.arrangement.normals) < r.arrangement.n for r in solved)
+                assert len(closures) == sum(rref(r.arrangement.normals)[1] < r.arrangement.n for r in solved)
                 for result in solved:
-                    if rank(result.arrangement.normals) < result.arrangement.n:
+                    if rref(result.arrangement.normals)[1] < result.arrangement.n:
                         dependent += 1
                         continue
                     # The count above shows no closure ran for it; reading an
@@ -485,7 +524,7 @@ class TestTiedSets:
             best = min(range(len(fresh)), key=lambda i: fresh[i].pair)
             assert report.to_json_dict() == threshold.LocalizationReport(tuple(fresh), best).to_json_dict()
             results = {id(loc.result): loc.result for loc in report.localizations}.values()
-            crossing = [r for r in results if rank(r.arrangement.normals) == r.arrangement.n]
+            crossing = [r for r in results if rref(r.arrangement.normals)[1] == r.arrangement.n]
             shared += len(crossing) - len({id(r.minimizer_flats) for r in crossing})
             ties += sum(r.pair.multiplicity > 1 for r in crossing)
             dependent += len(results) - len(crossing)
@@ -557,7 +596,7 @@ class TestIntegerView:
             for sub in subs + [sub for _, sub in maximal_central_localizations(arr)]:
                 view = vars(sub)  # filled in by `_centered`, not computed on read
                 assert view["primitive_normals"] == tuple(primitive_int_row(row) for row in sub.normals)
-                assert view["normal_rank"] == rank(sub.normals)
+                assert view["normal_rank"] == rref(sub.normals)[1]
                 with monkeypatch.context() as patched:  # the properties read what `_centered` stored
                     patched.setattr(arrangement, "primitive_int_row", _must_not_run)
                     patched.setattr(arrangement, "integer_rank", _must_not_run)
@@ -571,7 +610,7 @@ class TestIntegerView:
             arr = random_central_arrangement(rng, max_n=7, max_d=4, max_den=3)
             assert "normal_rank" not in vars(arr)
             assert arr.primitive_normals == tuple(primitive_int_row(row) for row in arr.normals)
-            assert arr.normal_rank == rank(arr.normals)
+            assert arr.normal_rank == rref(arr.normals)[1]
 
 
 class TestLatticeOnRead:
@@ -773,7 +812,7 @@ def _witness_draw(rng, kind):
         if any(row):
             base.append(row)
     if kind == "lines":
-        while rank(RationalMatrix(base, cols=d)) < len(base):
+        while rref(RationalMatrix(base, cols=d))[1] < len(base):
             base[-1] = [random_rational(rng, span=3, max_den=3) for _ in range(d)]
     copies = 1 if kind == "rational" else rng.randint(1, 3)
     rows = [row for row in base for _ in range(copies)]
@@ -798,7 +837,7 @@ class TestWitnessPoints:
             d = arr.dim
             flats = lattice._closure(threshold._augmented(arr), d)
             # A flat is inclusion-maximal iff its codim is the rank of the normals.
-            r = rank(arr.normals)
+            r = rref(arr.normals)[1]
             masks = [mask for _, mask in flats]
             for chain, mask in flats:
                 assert (len(chain) == r) == (not any(other != mask and other & mask == mask for other in masks))
@@ -885,7 +924,7 @@ class TestAffine:
         best = min(range(len(fresh)), key=lambda i: fresh[i].pair)
         expected = threshold.LocalizationReport(tuple(fresh), best).to_json_dict()
         distinct = {(loc.arrangement.normals, loc.arrangement.multiplicities) for loc in fresh}
-        dependent = {(normals, mults) for normals, mults in distinct if rank(normals) < normals.rows}
+        dependent = {(normals, mults) for normals, mults in distinct if rref(normals)[1] < normals.rows}
 
         calls = []
         central = threshold.rlct_central
@@ -1089,7 +1128,7 @@ class TestInvariances:
             before, after = rlct_affine(arr), rlct_affine(moved)
             assert len(after.localizations) == len(before.localizations)
             assert after.global_index == before.global_index
-            full_rank = rank(arr.normals) == d
+            full_rank = rref(arr.normals)[1] == d
             for old, new in zip(before.localizations, after.localizations):
                 assert new.result.to_json_dict() == old.result.to_json_dict()
                 assert new.arrangement == old.arrangement
