@@ -19,6 +19,7 @@ import json
 import pathlib
 import random
 from fractions import Fraction
+from functools import partial
 
 from rlct import (
     ArrangementSpec,
@@ -47,7 +48,7 @@ POLYS = [
 # Every --format of each command. volume-fit's JSON is left out: it prints
 # least-squares fits at full float precision, which depend on the BLAS.
 COMMANDS = [
-    *[["parse", "--poly", POLYS[-1]]],
+    ["parse", "--poly", POLYS[-1]],
     *[["compute", "--poly", poly] for poly in POLYS],
     *[["compute", "--poly", poly, "--verify"] for poly in POLYS[:3]],
     *[["localize", "--poly", poly] for poly in POLYS[:4]],
@@ -61,7 +62,7 @@ VOLUME_COMMANDS = [
 ]
 
 
-def _row(rng, d, entry):
+def _row(d, entry):
     while True:
         row = [entry() for _ in range(d)]
         if any(row):
@@ -71,23 +72,23 @@ def _row(rng, d, entry):
 def draw(rng):
     """(kind, arrangement): d 1-4, n 1-8 and multiplicities 1-3."""
     d, n, kind = rng.randint(1, 4), rng.randint(1, 8), rng.choice(KINDS)
-    small = lambda: rng.randint(-3, 3)  # noqa: E731
+    small = partial(rng.randint, -3, 3)
     offsets = None
     if kind == "rank-deficient":
         # Every row a combination of fewer than d rows.
-        base = [_row(rng, d, small) for _ in range(rng.randint(1, max(1, d - 1)))]
-        rows = [_row(rng, len(base), small) for _ in range(n)]
+        base = [_row(d, small) for _ in range(rng.randint(1, max(1, d - 1)))]
+        rows = [_row(len(base), small) for _ in range(n)]
         rows = [[sum(c * b[i] for c, b in zip(w, base)) for i in range(d)] for w in rows]
         rows = [row for row in rows if any(row)] or [base[0]]
     elif kind == "fractional":
-        rows = [_row(rng, d, lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3))) for _ in range(n)]
+        rows = [_row(d, lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3))) for _ in range(n)]
     elif kind == "parallel":
         # A few directions, each taken by several hyperplanes at small offsets.
-        directions = [_row(rng, d, small) for _ in range(rng.randint(1, 3))]
+        directions = [_row(d, small) for _ in range(rng.randint(1, 3))]
         rows = [[rng.choice((1, -1, 2)) * x for x in rng.choice(directions)] for _ in range(n)]
         offsets = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in rows]
     else:
-        rows = [_row(rng, d, small) for _ in range(n)]
+        rows = [_row(d, small) for _ in range(n)]
         if kind == "affine":
             offsets = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in rows]
     mults = [rng.randint(1, 3) for _ in rows]

@@ -295,9 +295,11 @@ class TestDirectSumIdentity:
         for _ in range(30):
             blocks = [random_central_arrangement(rng, max_n=5, max_d=3, max_mult=3) for _ in range(rng.randint(2, 3))]
             sums.append([(list(b.normals), b.multiplicities) for b in blocks])
+        def pencil(k):  # k lines through the origin of the plane
+            return [[1, i] for i in range(k - 1)] + [[0, 1]]
+
         # Three pencils at lambda 1/5 (m 1, 1 and 2; 1, 1 and 2 minimizers),
         # 21 hyperplanes: lambda 1/5, m = 4, 2 * 2 * 3 - 1 = 11 minimizers.
-        pencil = lambda k: [[1, i] for i in range(k - 1)] + [[0, 1]]  # noqa: E731
         sums.append([(pencil(10), [1] * 10), (pencil(5), [2] * 5), (pencil(6), [5, 1, 1, 1, 1, 1])])
         # Five doubled coordinates (1/2, 5) and a pencil (1/2, 2) attain 1/2,
         # four generic planes (3/4, 1) do not: m = 7, 32 * 3 - 1 = 95 minimizers.
