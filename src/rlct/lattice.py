@@ -8,15 +8,16 @@ localizations in `threshold.py` (rows: (a | b)), and returns each flat as
 its residue chain and member bitmask, so a flat's codim is its chain's
 length. It works on integer rows and member bitmasks. A flat computes the
 residues of its outside rows only if it can build a new flat: not when
-every child is already built, and at codim rank - 1 only as the first
-flat of the level, since that level has one answer. Only the flats that
-are read get `_canonical_rows`, from which come the lattice order,
-`Flat.rows` and the "p/q" strings. `_insert` is the one step that adds a
-residue to canonical rows, here and in `threshold`'s normal-crossing
-walk. A localization's witness point comes from its flat's chain by
-back-substitution (`_chain_point`), with no canonical rows. `_order`
-sorts any list of `Flat`s, so `threshold` orders the flats it builds
-without a closure (independent normals) by the same key.
+every child is already built, at codim rank - 1 only as the first flat of
+the level, since that level has one answer, and at codim rank - 2 only for
+the rows whose child is not built yet. Only the flats that are read get
+`_canonical_rows`, from which come the lattice order, `Flat.rows` and the
+"p/q" strings. `_insert` is the one step that adds a residue to canonical
+rows, here and in `threshold`'s normal-crossing walk. A localization's
+witness point comes from its flat's chain by back-substitution
+(`_chain_point`), with no canonical rows. `_order` sorts any list of
+`Flat`s, so `threshold` orders the flats it builds without a closure
+(independent normals) by the same key.
 """
 
 from __future__ import annotations
@@ -193,11 +194,12 @@ def _closure(rows: Sequence[tuple[int, ...]], d: int) -> list[tuple[tuple[tuple[
     residues that joined the span, in order, the last one the residue the
     item joined by, and its own groups are one `eliminate` call on the
     parent's, made when the item is expanded and only if it can build a new
-    flat (rules (a) and (b) below). On rows (a | b), a residue that is zero
-    on the normal columns has no common point and is skipped. Normals alone
-    never give such a residue, so the test runs only on rows with an offset.
-    Every flat returned has a common point, so its codim is the rank of its
-    members' normals.
+    flat (rules (a) and (b) below); at codim r - 2 the call gets only the
+    parent's groups whose child is not built yet (rule (c)). On rows
+    (a | b), a residue that is zero on the normal columns has no common
+    point and is skipped. Normals alone never give such a residue, so the
+    test runs only on rows with an offset. Every flat returned has a common
+    point, so its codim is the rank of its members' normals.
 
     One elimination step per group gives the child's residues, the same as
     reducing under the child's echelon: let S be a span with RREF pivot
@@ -211,12 +213,15 @@ def _closure(rows: Sequence[tuple[int, ...]], d: int) -> list[tuple[tuple[tuple[
     all the next level needs: each residue is primitive, leads positive and
     is zero at every earlier residue's lead (see `_canonical_rows`).
 
-    (a) Every child is already built. Let F be a flat and j an outside row,
-    with g the rows equal to row j. F's child through j has the rows in the
-    span of F and j as members. If the mask F | g is in `seen`, it is a flat
-    and so holds exactly the rows in its span, which is the span of F and j:
-    the child is F | g, already built. When that holds for every outside
-    group, F builds nothing and needs no residues.
+    (a) Every child is already built. Let F be a flat, g one of its parent's
+    groups outside F (the ambient space's groups are its own) and j a row of
+    g. The rows of g share one residue modulo the parent's span, so they lie
+    in the span of F and j, and F's child through j has the rows in that
+    span as members. If the mask F | g is in `seen`, it is a flat and so
+    holds exactly the rows in its span, which is the span of F and j: the
+    child is F | g, already built. The parent's groups outside F cover F's
+    outside rows, so when that holds for each of them, F builds nothing and
+    needs no residues. F's own group lies inside F, and F is in `seen`.
 
     (b) The codim r - 1 level shares one answer, r the rank of `rows`. The
     row space V has dim r, and a flat F at codim r - 1 has r - 1 pivots P,
@@ -229,13 +234,26 @@ def _closure(rows: Sequence[tuple[int, ...]], d: int) -> list[tuple[tuple[tuple[
     holds every row: the flat of all rows, for every F. So once one flat of
     the level has computed its residues, no other flat of it builds a new
     flat.
+
+    (c) At codim r - 2, a flat F passes `eliminate` only the parent's groups
+    g with F | g not in `seen`, and rule (a) tests those. A skipped group's
+    child F | g is already built, by (a). No kept group merges with it under
+    F: its rows would share the residue of g's rows, so they would lie in
+    the span of F and g, that is in the flat F | g, which holds no row of
+    another group. So each kept group gets the residue and mask that it gets
+    with every group passed, and only the skipped groups' residues are
+    missing. Only F's children, of codim r - 1, read F's groups, and by (b)
+    only the first flat of that level does. It is the first child of the
+    first flat of codim r - 2 that builds one, and when that flat is
+    expanded no F | g is in `seen`: it would be a flat of codim r - 1 or
+    more, and none is built yet. So that flat passes every group, and every
+    chain, mask and order is the same as with every group passed.
     """
     start: dict[tuple[int, ...], int] = {}
     for j, row in enumerate(rows):
         start[row] = start.get(row, 0) | 1 << j
     top = integer_rank(start)
     offset = bool(rows) and len(rows[0]) > d  # normals alone never lead at an offset
-    atoms = tuple(start.values())
     seen = {0}
     frontier = [((), 0, start)]  # the ambient space holds its own groups
     flats = []
@@ -247,7 +265,9 @@ def _closure(rows: Sequence[tuple[int, ...]], d: int) -> list[tuple[tuple[tuple[
                 flats.append((chain, mask))
             if shared and len(chain) + 1 == top:  # rule (b)
                 continue
-            if all(mask | atom in seen for atom in atoms if not mask & atom):  # rule (a)
+            if len(chain) + 2 == top:  # rule (c)
+                parent = {residue: group for residue, group in parent.items() if mask | group not in seen}
+            if all(mask | group in seen for group in parent.values()):  # rule (a)
                 continue
             groups = eliminate(parent, chain[-1]) if chain else parent
             for residue, group in groups.items():

@@ -7,13 +7,15 @@ or printed ever rounds; arrangements hold their normals in it, and
 The lattice closure works on primitive integer rows instead, and
 `eliminate` is the package's one elimination step. The closure runs it once
 per flat that can build a new flat (rules (a) and (b) of `lattice._closure`
-skip the others); `lattice._insert`, which `_canonical_rows` folds over a
-chain, `threshold._normal_crossing` and `integer_rank` run it too. The
-rows the closure carries for a flat are the rational RREF with each row
-rescaled to a primitive integer vector, so two flats are equal if and
-only if their rows are. `meets_box` decides on such rows whether a flat
-meets a closed box, on integers too: it reads each Fraction bound's
-numerator and denominator once, at entry, and builds no Fraction after.
+skip the others), and on a flat of codim rank - 2 only for the rows whose
+child is not built yet (rule (c)); `lattice._insert`, which
+`_canonical_rows` folds over a chain, `threshold._normal_crossing` and
+`integer_rank` run it too. The rows the closure carries for a flat are the
+rational RREF with each row rescaled to a primitive integer vector, so two
+flats are equal if and only if their rows are. `meets_box` decides on such
+rows whether a flat meets a closed box, on integers too: it reads each
+Fraction bound's numerator and denominator once, at entry, and builds no
+Fraction after.
 """
 
 from __future__ import annotations

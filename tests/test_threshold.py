@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rlct import (
     ArrangementSpec,
@@ -1071,6 +1073,42 @@ class TestInvariances:
             t = random_invertible(rng, arr.dim)
             image = normalize(ArrangementSpec(arr.normals @ t, arr.multiplicities))
             assert rlct_central(image).pair == rlct_central(arr).pair
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_integer_coordinate_change_keeps_the_masks_and_the_pair(self, data):
+        # Up to 8 normals in d <= 4 variables, each a combination of fewer base
+        # rows than d, so the normals are dependent, and T in GL(d, Z): signed
+        # permutation columns, then column steps T[:, j] += c T[:, i]. With
+        # x = T y, hyperplane j becomes (a_j T) . y = 0 and keeps its index,
+        # so the closure's member masks, lambda, m and the minimizer count
+        # are the same.
+        d = data.draw(st.integers(2, 4), label="d")
+        entries = st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any)
+        base = data.draw(st.lists(entries, min_size=1, max_size=d - 1), label="base")
+        coefs = st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base))
+        combos = data.draw(st.lists(coefs, min_size=1, max_size=8), label="coefficients")
+        normals = [[sum(c * b[k] for c, b in zip(cs, base)) for k in range(d)] for cs in combos]
+        normals = [row for row in normals if any(row)]
+        assume(normals)
+        mults = data.draw(st.lists(st.integers(1, 3), min_size=len(normals), max_size=len(normals)), label="mults")
+        perm = data.draw(st.permutations(range(d)), label="permutation")
+        signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=d, max_size=d), label="signs")
+        t = [[signs[j] * int(perm[j] == i) for j in range(d)] for i in range(d)]
+        step = st.tuples(st.integers(0, d - 1), st.integers(0, d - 1), st.integers(-2, 2)).filter(lambda s: s[0] != s[1])
+        for i, j, c in data.draw(st.lists(step, max_size=6), label="steps"):
+            for row in t:
+                row[j] += c * row[i]
+        image = [[sum(a[i] * t[i][k] for i in range(d)) for k in range(d)] for a in normals]
+
+        def masks(rows):
+            return sorted(mask for _, mask in lattice._closure([primitive_int_row(row) for row in rows], d))
+
+        assert masks(image) == masks(normals)
+        before = rlct_central(normalize(ArrangementSpec(normals, mults)))
+        after = rlct_central(normalize(ArrangementSpec(image, mults)))
+        assert after.pair == before.pair
+        assert len(after.minimizer_flats) == len(before.minimizer_flats)
 
     def test_affine_coordinate_change(self):
         # x = T y + c sends a.x + b = 0 to (a T).y + (a.c + b) = 0.
