@@ -139,9 +139,6 @@ class NormalizedArrangement:
     def hyperplane(self, j: int) -> tuple[tuple[Fraction, ...], Fraction, int]:
         return self.normals.row(j), self.offsets[j], self.multiplicities[j]
 
-    def total_multiplicity(self) -> int:
-        return sum(self.multiplicities)
-
     def var_names(self) -> tuple[str, ...]:
         if self.variables is not None:
             return self.variables
@@ -259,9 +256,10 @@ def arrangement_from_json(document: str | Mapping) -> ArrangementSpec:
         return parse_factored_product(data["polynomial"])
     if "normals" not in data:
         raise DimensionError('JSON input needs either "polynomial" or "normals"')
-    normals = RationalMatrix(
-        _json_rationals(row, "normals") for row in _json_list(data["normals"], "normals")
-    )
+    rows = _json_list(data["normals"], "normals")
+    if not rows:
+        raise EmptyArrangementError('JSON input has an empty "normals" list')
+    normals = RationalMatrix(_json_rationals(row, "normals") for row in rows)
     if "multiplicities" not in data:
         raise DimensionError('JSON input with "normals" needs "multiplicities"')
     mults = _json_list(data["multiplicities"], "multiplicities")

@@ -7,10 +7,8 @@ outside row at a time, so the cost scales with the lattice size, not with
 localizations in `threshold.py` (rows: (a | b)), and returns each flat as
 its residue chain and member bitmask, so a flat's codim is its chain's
 length. It works on integer rows and member bitmasks. A flat computes the
-residues of its outside rows only if it can build a new flat: not when
-every child is already built, at codim rank - 1 only as the first flat of
-the level, since that level has one answer, and at codim rank - 2 only for
-the rows whose child is not built yet. Only the flats that are read get
+residues of its outside rows only if it can build a new flat, as rules
+(a)-(c) of `_closure` say. Only the flats that are read get
 `_canonical_rows`, from which come the lattice order, `Flat.rows` and the
 "p/q" strings. `_insert` is the one step that adds a residue to canonical
 rows, here and in `threshold`'s normal-crossing walk. A localization's

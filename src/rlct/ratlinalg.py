@@ -5,17 +5,15 @@ or printed ever rounds; arrangements hold their normals in it, and
 `as_rational` and `format_rational` read and print single values.
 
 The lattice closure works on primitive integer rows instead, and
-`eliminate` is the package's one elimination step. The closure runs it once
-per flat that can build a new flat (rules (a) and (b) of `lattice._closure`
-skip the others), and on a flat of codim rank - 2 only for the rows whose
-child is not built yet (rule (c)); `lattice._insert`, which
-`_canonical_rows` folds over a chain, `threshold._normal_crossing` and
-`integer_rank` run it too. The rows the closure carries for a flat are the
-rational RREF with each row rescaled to a primitive integer vector, so two
-flats are equal if and only if their rows are. `meets_box` decides on such
-rows whether a flat meets a closed box, on integers too: it reads each
-Fraction bound's numerator and denominator once, at entry, and builds no
-Fraction after.
+`eliminate` is the package's one elimination step. The closure runs it
+once per flat that can build a new flat, on the groups that rules (a)-(c)
+of `lattice._closure` leave; `lattice._insert`, which `_canonical_rows`
+folds over a chain, `threshold._normal_crossing` and `integer_rank` run it
+too. The rows the closure carries for a flat are the rational RREF with
+each row rescaled to a primitive integer vector, so two flats are equal if
+and only if their rows are. `meets_box` decides on such rows whether a flat
+meets a closed box, on integers too: it reads each Fraction bound's
+numerator and denominator once, at entry, and builds no Fraction after.
 """
 
 from __future__ import annotations
@@ -89,11 +87,6 @@ class RationalMatrix:
         object.__setattr__(matrix, "cols", cols)
         return matrix
 
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -110,23 +103,6 @@ class RationalMatrix:
     def __repr__(self) -> str:
         body = ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.entries)
         return f"RationalMatrix([{body}], cols={self.cols})"
-
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise DimensionError("inner dimensions do not match")
-        cols = other.cols
-        out = []
-        for row in self.entries:
-            out.append(
-                [sum((row[k] * other.entries[k][j] for k in range(self.cols)), Fraction(0)) for j in range(cols)]
-            )
-        return RationalMatrix(out, cols=cols)
-
-    def scale_row(self, i: int, factor: RationalLike) -> "RationalMatrix":
-        c = as_rational(factor)
-        rows = list(self.entries)
-        rows[i] = tuple(c * x for x in rows[i])
-        return RationalMatrix(rows, cols=self.cols)
 
     def to_string_lists(self) -> list[list[str]]:
         return [[format_rational(x) for x in row] for row in self.entries]
@@ -154,13 +130,12 @@ def eliminate(groups: dict[tuple[int, ...], int], residue: tuple[int, ...]) -> d
     with the bitmasks of rows that become equal OR-ed, in insertion order.
 
     A row `other` with c = other[pc] nonzero at the lead pc becomes
-    p·other − c·residue, p = residue[pc], with p and c first divided by
-    gcd(p, c) (a positive factor, so the result is the same and the products
-    smaller), then divided by its own gcd and signed so that its lead is
-    positive. A row zero at pc passes through unchanged. The rows must be
-    primitive with positive leads and none a multiple of the residue but the
-    residue itself, so that no step ends at zero. This is the closure's hot
-    loop, so the step is written out here, with no call per row.
+    p·other − c·residue, p = residue[pc], divided by its own gcd and signed
+    so that its lead is positive. A row zero at pc passes through unchanged.
+    The rows must be primitive with positive leads and none a multiple of the
+    residue but the residue itself, so that no step ends at zero. This is
+    the closure's hot loop, so the step is written out here, with no call
+    per row.
     """
     pc = residue.index(next(filter(None, residue)))
     p = residue[pc]
@@ -170,9 +145,7 @@ def eliminate(groups: dict[tuple[int, ...], int], residue: tuple[int, ...]) -> d
         if c:
             if other == residue:
                 continue
-            g = gcd(p, c)
-            q, c = p // g, c // g
-            row = [q * a - c * b for a, b in zip(other, residue)]
+            row = [p * a - c * b for a, b in zip(other, residue)]
             g = gcd(*row)
             if next(filter(None, row)) < 0:
                 g = -g

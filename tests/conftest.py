@@ -51,6 +51,12 @@ def random_invertible(rng: random.Random, d: int, span: int = 3) -> RationalMatr
             return candidate
 
 
+def matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    """The exact product a·b."""
+    columns = list(zip(*b))
+    return RationalMatrix([[sum(x * y for x, y in zip(row, col)) for col in columns] for row in a], cols=b.cols)
+
+
 def unreduced_rref_strings(rref_strings):
     """A faulty `lattice._rref_strings` that leaves x/p unreduced whenever 5 divides x."""
 

@@ -118,6 +118,10 @@ class TestNormalize:
             ArrangementSpec([[1, 0], [0, 1]], [1])
         with pytest.raises(DimensionError):
             ArrangementSpec([[1, 0], [0, 1]], [1, 1], offsets=[0])
+        with pytest.raises(DimensionError, match="1 variable names for 2 columns"):
+            ArrangementSpec([[1, 0]], [1], variables=["x"])
+        with pytest.raises(DimensionError, match="3 variable names for 2 columns"):
+            ArrangementSpec([[1, 0]], [1], variables=["x", "y", "z"])
 
 
 class TestJsonIngestion:

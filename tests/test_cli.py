@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -305,6 +306,19 @@ class TestVolumeFit:
         assert abs(result["fit"]["lambda_hat"] - 0.5) < 1e-6
         assert abs(result["fit"]["m_hat"] - 3.0) < 1e-6
 
+    def test_selftest_exits_1_when_the_fit_misses(self, capsys, monkeypatch):
+        fit = rlct.cli.fit_asymptotics
+
+        def missed(*args, **kwargs):
+            result = fit(*args, **kwargs)
+            return replace(result, lambda_hat=result.lambda_hat + 0.01)
+
+        monkeypatch.setattr(rlct.cli, "fit_asymptotics", missed)
+        code, out, err = run_cli(capsys, "volume-fit", "--poly", "x*y", "--selftest")
+        assert code == 1
+        assert json.loads(out)["exact"] == {"lambda": "1", "m": 2}
+        assert err == "synthetic self-test failed to recover the exact pair\n"
+
     def test_box_flag(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -556,7 +570,7 @@ def _shared_report_draw(rng, kind):
         t = RationalMatrix([[random_rational(rng, span=3, max_den=4) for _ in range(d)] for _ in range(d)], cols=d)
         while rref(t)[1] < d:
             t = random_invertible(rng, d)
-        base = [list(row) for row in RationalMatrix([[int(c == a) for c in range(d)] for a in range(d)], cols=d) @ t]
+        base = [list(row) for row in t]
     else:
         pivots = [rng.choice((rng.randint(1000, 9999), 5 * rng.randint(200, 1999))) for _ in range(d)]
         base = [[p if c == axis else rng.choice((-10, -5, 5, rng.randint(-9, 9))) for c in range(d)] for axis, p in enumerate(pivots)]

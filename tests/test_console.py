@@ -24,6 +24,12 @@ FILES = {
     # "offset" for "offsets": a key outside the input forms.
     "offset.json": '{"normals": [[1], [1]], "multiplicities": [1, 1], "offset": [0, -1]}',
     "gap.csv": "1,,2\n",
+    "empty.json": '{"normals": [], "multiplicities": []}',
+    "list.json": "[[1, 0], [0, 1]]",
+    "ragged.json": '{"normals": [[1, 0], [1]], "multiplicities": [1, 1]}',
+    "one-field.csv": "1\n",
+    "zero-denominator.csv": "1/0,2,1\n",
+    "two-widths.csv": "1,0,1\n1,1\n",
 }
 
 
@@ -181,6 +187,18 @@ CASES = [
          code=2),
     case("syntax-error-position", ["parse", "--poly", "(x+y"], ("", 1, True), error("^error: .*position 4"), code=2),
     case("csv-gap", ["compute", "--input", "{gap.csv}"], "", code=2),
+    case("empty-json-normals", ["compute", "--input", "{empty.json}"], ("", 1, True),
+         error('^error: JSON input has an empty "normals" list$'), code=2),
+    case("json-list", ["compute", "--input", "{list.json}"], ("", 1, True), error("^error: .*must be an object"),
+         code=2),
+    case("ragged-json-normals", ["compute", "--input", "{ragged.json}"], ("", 1, True),
+         error("^error: .*inconsistent lengths"), code=2),
+    case("csv-too-few-fields", ["compute", "--input", "{one-field.csv}"], ("", 1, True),
+         error("^error: line 1: too few fields"), code=2),
+    case("csv-zero-denominator", ["compute", "--input", "{zero-denominator.csv}"], ("", 1, True),
+         error("^error: line 1: .*zero denominator"), code=2),
+    case("csv-two-widths", ["compute", "--input", "{two-widths.csv}"], ("", 1, True),
+         error(r"^error: inconsistent row widths in CSV input: \[1, 2\]"), code=2),
     # The report printer builds its JSON from joins; the bytes must be the
     # stdlib's, and the library's plain-JSON document through the stdlib:
     # 255 minimizer flats on the coordinate k=8 products, 33 localizations on

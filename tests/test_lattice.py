@@ -28,7 +28,7 @@ from rlct.oracle import _closed_sets
 from rlct.ratlinalg import eliminate, primitive_int_row
 from rlct.threshold import maximal_central_localizations
 
-from conftest import random_central_arrangement, random_invertible, random_rational
+from conftest import matmul, random_central_arrangement, random_invertible, random_rational
 
 F = Fraction
 
@@ -79,7 +79,7 @@ class TestBuildLattice:
         rng = random.Random(32)
         for _ in range(25):
             arr = random_central_arrangement(rng, max_n=7, max_d=4)
-            total = arr.total_multiplicity()
+            total = sum(arr.multiplicities)
             lat = build_lattice(arr)
             for flat in lat.flats:
                 low = max(arr.multiplicities[j] for j in flat.members)
@@ -106,7 +106,7 @@ class TestBuildLattice:
             arr = random_central_arrangement(rng, max_n=6, max_d=4)
             t = random_invertible(rng, arr.dim)
             image = normalize(
-                ArrangementSpec(arr.normals @ t, arr.multiplicities)
+                ArrangementSpec(matmul(arr.normals, t), arr.multiplicities)
             )
             lat, lat_image = build_lattice(arr), build_lattice(image)
             assert len(lat.flats) == len(lat_image.flats)

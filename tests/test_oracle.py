@@ -16,6 +16,7 @@ import rlct.lattice
 import rlct.oracle
 from rlct import (
     ArrangementSpec,
+    CentralityError,
     NormalizedArrangement,
     SizeLimitError,
     build_lattice,
@@ -31,7 +32,7 @@ from rlct.oracle import MAX_BRUTEFORCE_CHAIN_FLATS, verify_central, verify_repor
 from rlct.ratlinalg import RationalMatrix
 from rlct.threshold import Localization, RlctPair
 
-from conftest import random_central_arrangement, random_invertible, random_rational, unreduced_rref_strings
+from conftest import matmul, random_central_arrangement, random_invertible, random_rational, unreduced_rref_strings
 
 
 def flats_key(lattice):
@@ -49,6 +50,10 @@ class TestLatticeBruteforce:
         arr = normalize(ArrangementSpec([[3, 1]], [2]))
         lat = lattice_bruteforce(arr)
         assert len(lat.flats) == 1
+
+    def test_affine_input_is_refused(self):
+        with pytest.raises(CentralityError):
+            lattice_bruteforce(normalize(parse_factored_product("x*(x-1)")))
 
     def test_dependent_subsets_dedup(self):
         # Three concurrent lines: each pair spans the same plane of normals,
@@ -152,7 +157,9 @@ def _reference_corpus():
         rows = [row for row in ([p * x + q * y for x, y in zip(a, b)] for p, q in weights) if any(row)]
         if rows:
             central.append(normalize(ArrangementSpec(rows, [rng.randint(1, 3) for _ in rows])))
-    central += [normalize(ArrangementSpec(RationalMatrix.identity(k), [1] * k)) for k in range(1, 9)]
+    central += [
+        normalize(ArrangementSpec([[int(c == a) for c in range(k)] for a in range(k)], [1] * k)) for k in range(1, 9)
+    ]
     affine = []
     for _ in range(30):
         d = rng.randint(1, 3)
@@ -371,7 +378,7 @@ class TestChainPastTheChainCap:
                 d = rng.randint(2, 5)
                 rows = [[int(c == i) for c in range(d)] for i in range(d)]
                 rows += [[rng.randint(-3, 3) for _ in range(d)] for _ in range(rng.randint(0, 1))]
-                normals = RationalMatrix([row for row in rows if any(row)], cols=d) @ random_invertible(rng, d)
+                normals = matmul(RationalMatrix([row for row in rows if any(row)], cols=d), random_invertible(rng, d))
                 arr = normalize(ArrangementSpec(normals, [rng.choice([1, 2, 2]) for _ in range(normals.rows)]))
             flats = lattice_bruteforce(arr).flats
             least = min(Fraction(f.codim, f.weight) for f in flats)

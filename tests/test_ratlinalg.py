@@ -14,6 +14,7 @@ import rlct.ratlinalg
 from rlct import (
     DimensionError,
     RationalMatrix,
+    as_rational,
     row_space_canonical,
     rref,
     subspace_leq,
@@ -21,7 +22,7 @@ from rlct import (
 from rlct.lattice import _canonical_rows, _closure
 from rlct.ratlinalg import integer_rank, meets_box, primitive_int_row
 
-from conftest import meets_box_bruteforce, random_invertible
+from conftest import matmul, meets_box_bruteforce, random_invertible
 
 F = Fraction
 
@@ -39,7 +40,7 @@ def matrices(draw, min_rows=0, max_rows=4, max_cols=4):
 
 class TestRref:
     def test_identity(self):
-        m = RationalMatrix.identity(2)
+        m = RationalMatrix([[1, 0], [0, 1]])
         reduced, rk, pivots = rref(m)
         assert reduced == m
         assert rk == 2
@@ -78,7 +79,7 @@ class TestRref:
 
 class TestRowSpaceCanonical:
     def test_scaling_normalized_away(self):
-        assert row_space_canonical(RationalMatrix([[2, 0], [0, 3]])) == RationalMatrix.identity(2)
+        assert row_space_canonical(RationalMatrix([[2, 0], [0, 3]])) == RationalMatrix([[1, 0], [0, 1]])
 
     def test_dependent_row_dropped(self):
         assert row_space_canonical(RationalMatrix([[1, 1], [2, 2]])) == RationalMatrix([[1, 1]])
@@ -95,12 +96,12 @@ class TestRowSpaceCanonical:
             d = rng.randint(1, 4)
             m = RationalMatrix([[Fraction(rng.randint(-4, 4)) for _ in range(4)] for _ in range(d)])
             p = random_invertible(rng, d)
-            assert row_space_canonical(p @ m) == row_space_canonical(m)
+            assert row_space_canonical(matmul(p, m)) == row_space_canonical(m)
 
 
 class TestSubspaceLeq:
     def test_origin_inside_line(self):
-        origin_normals = RationalMatrix.identity(2)
+        origin_normals = RationalMatrix([[1, 0], [0, 1]])
         line_normals = RationalMatrix([[1, 0]])
         assert subspace_leq(origin_normals, line_normals)
         assert not subspace_leq(line_normals, origin_normals)
@@ -182,6 +183,25 @@ class TestRationalMatrixValue:
             m.cols = 3
         assert m.cols == 2
 
+    def test_floats_are_not_rationals(self):
+        # Exactness: a float never enters, even one that is a dyadic rational.
+        with pytest.raises(TypeError):
+            as_rational(1.5)
+        with pytest.raises(TypeError):
+            RationalMatrix([[1, 0.5]])
+
+    def test_shape_checks(self):
+        with pytest.raises(DimensionError, match="inconsistent lengths"):
+            RationalMatrix([[1, 2], [3]])
+        with pytest.raises(DimensionError, match="does not match"):
+            RationalMatrix([[1, 2]], cols=3)
+        with pytest.raises(DimensionError, match="at least one column"):
+            RationalMatrix([[]])
+        with pytest.raises(DimensionError, match="at least one column"):
+            RationalMatrix([], cols=0)
+        with pytest.raises(DimensionError, match="explicit column count"):
+            RationalMatrix([])
+
 
 class TestPrimitiveIntRow:
     def test_seeded_rows(self):
@@ -242,7 +262,7 @@ class TestClosureRows:
         for row in m:
             assert not any(self._residue(row, rows))
             assert subspace_leq(canon, RationalMatrix([row]))
-        for unit in RationalMatrix.identity(m.cols):
+        for unit in ([int(c == a) for c in range(m.cols)] for a in range(m.cols)):
             assert any(self._residue(unit, rows)) != subspace_leq(canon, RationalMatrix([unit]))
 
     @settings(max_examples=80, deadline=None)

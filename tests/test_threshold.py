@@ -16,6 +16,7 @@ from rlct import (
     DegenerateBoxError,
     DimensionError,
     EmptyArrangementError,
+    InvalidMultiplicityError,
     NormalizedArrangement,
     RlctError,
     RlctPair,
@@ -43,7 +44,7 @@ from rlct.oracle import (
 from rlct.ratlinalg import RationalMatrix, primitive_int_row
 from rlct.threshold import box_pair, maximal_central_localizations
 
-from conftest import meets_box_bruteforce, random_central_arrangement, random_invertible, random_rational
+from conftest import matmul, meets_box_bruteforce, random_central_arrangement, random_invertible, random_rational
 
 F = Fraction
 
@@ -146,7 +147,7 @@ class TestCentral:
         for _ in range(40):
             arr = random_central_arrangement(rng, max_n=7, max_d=4)
             result = rlct_central(arr)
-            total = arr.total_multiplicity()
+            total = sum(arr.multiplicities)
             biggest = max(arr.multiplicities)
             assert F(1, total) <= result.pair.threshold <= F(1, biggest)
             assert 1 <= result.pair.multiplicity <= arr.dim
@@ -237,7 +238,7 @@ def _hidden_direct_sum(rng, blocks):
         rows += [[0] * start + list(row) + [0] * (d - start - width) for row in block]
         mults += list(block_mults)
         start += width
-    return normalize(ArrangementSpec(RationalMatrix(rows, cols=d) @ random_invertible(rng, d), mults))
+    return normalize(ArrangementSpec(matmul(RationalMatrix(rows, cols=d), random_invertible(rng, d)), mults))
 
 
 class TestChainPastTheOracleCap:
@@ -387,7 +388,7 @@ def _independent_draw(rng, d, n):
     top = rng.randint(1, 3)
     mults = [rng.choice((top, top, rng.randint(1, top))) for _ in range(n)]
     mults[rng.randrange(n)] = top
-    return rows @ random_invertible(rng, d), mults
+    return matmul(rows, random_invertible(rng, d)), mults
 
 
 class TestNormalCrossing:
@@ -508,7 +509,7 @@ def _tied_affine_draw(rng, kind):
             offsets = [-sum(a * x for a, x in zip(row, point)) for row in rows]
     normals = RationalMatrix(rows, cols=d)
     if rng.random() < 0.5:
-        normals = normals @ random_invertible(rng, d)
+        normals = matmul(normals, random_invertible(rng, d))
     return normalize(ArrangementSpec(normals, [rng.randint(1, 3) for _ in rows], offsets=offsets))
 
 
@@ -693,6 +694,11 @@ class TestClosedForm2d:
         with pytest.raises(EmptyArrangementError):
             rlct_line_arrangement_2d([])
 
+    @pytest.mark.parametrize("bad", [0, True, 1.5])
+    def test_multiplicity_must_be_a_positive_int(self, bad):
+        with pytest.raises(InvalidMultiplicityError):
+            rlct_line_arrangement_2d([1, bad])
+
     def test_agreement_with_lattice_route(self):
         rng = random.Random(72)
         for _ in range(150):
@@ -823,7 +829,7 @@ def _witness_draw(rng, kind):
     offsets = [random_rational(rng, span=3, max_den=4) for _ in rows]
     normals = RationalMatrix(rows, cols=d)
     if rng.random() < 0.5:
-        normals = normals @ random_invertible(rng, d)
+        normals = matmul(normals, random_invertible(rng, d))
     return normalize(ArrangementSpec(normals, [rng.randint(1, 3) for _ in rows], offsets=offsets))
 
 
@@ -1071,7 +1077,7 @@ class TestInvariances:
         for _ in range(25):
             arr = random_central_arrangement(rng, max_n=6, max_d=4)
             t = random_invertible(rng, arr.dim)
-            image = normalize(ArrangementSpec(arr.normals @ t, arr.multiplicities))
+            image = normalize(ArrangementSpec(matmul(arr.normals, t), arr.multiplicities))
             assert rlct_central(image).pair == rlct_central(arr).pair
 
     @settings(max_examples=150, deadline=None)
@@ -1131,7 +1137,7 @@ class TestInvariances:
             shifted = [
                 b + sum(a * x for a, x in zip(arr.normals.row(j), c)) for j, b in enumerate(arr.offsets)
             ]
-            image = normalize(ArrangementSpec(arr.normals @ t, arr.multiplicities, offsets=shifted))
+            image = normalize(ArrangementSpec(matmul(arr.normals, t), arr.multiplicities, offsets=shifted))
             before, after = rlct_affine(arr), rlct_affine(image)
             assert after.global_pair == before.global_pair
             assert sorted(loc.pair for loc in after.localizations) == sorted(
