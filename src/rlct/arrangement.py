@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -28,7 +29,15 @@ from .errors import (
     InvalidHyperplaneError,
     InvalidMultiplicityError,
 )
-from .ratlinalg import RationalLike, RationalMatrix, as_rational, format_rational, integer_rank, primitive_int_row
+from .ratlinalg import (
+    RationalLike,
+    RationalMatrix,
+    as_rational,
+    format_rational,
+    integer_rank,
+    lead_keys,
+    primitive_int_row,
+)
 
 # A variable name: the parser's NAME token, so every name can be read back.
 IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -101,10 +110,11 @@ class NormalizedArrangement:
 
     Rows are sorted lexicographically by (normal, offset) and every normal
     has first nonzero entry 1, so equal arrangements are equal values.
-    `primitive_normals` and `normal_rank` are the integer view that the
-    closure and the normal-crossing test read, built on first read and
-    kept; a centered sub-arrangement gets both from its parent and the
-    closure (`threshold._centered`).
+    `primitive_rows`, `primitive_normals` and `normal_rank` are the integer
+    view that the closure, `box_pair` and the normal-crossing test read.
+    `normalize` fills in the rows; otherwise each is built on first read and
+    kept. A centered sub-arrangement gets its normals and rank from its
+    parent and the closure (`threshold._centered`).
     """
 
     normals: RationalMatrix
@@ -125,6 +135,11 @@ class NormalizedArrangement:
     def primitive_normals(self) -> tuple[tuple[int, ...], ...]:
         """Each normal as its primitive integer row with positive lead."""
         return tuple(primitive_int_row(row) for row in self.normals)
+
+    @cached_property
+    def primitive_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Each affine form (a | b) as its primitive integer row with positive lead."""
+        return tuple(primitive_int_row(normal + (offset,)) for normal, offset in zip(self.normals, self.offsets))
 
     @cached_property
     def normal_rank(self) -> int:
@@ -177,34 +192,41 @@ def normalize(spec: ArrangementSpec) -> NormalizedArrangement:
     Drops multiplicity-0 rows, rejects zero normals, merges rows whose
     affine forms (a_i, b_i) are proportional, rescales each survivor so the
     first nonzero normal entry is 1, and sorts rows lexicographically.
+    The work is on integers: two forms are proportional iff their primitive
+    integer rows (a | b) are equal, and `lead_keys` sorts those rows as
+    their lead-1 forms. Each stored entry is built once, as x/lead, and the
+    integer view (`primitive_rows`, `primitive_normals`) is filled in.
     """
     if spec.n == 0:
         raise EmptyArrangementError("arrangement has no hyperplanes")
-    merged: dict[tuple[tuple[Fraction, ...], Fraction], int] = {}
-    for i in range(spec.n):
-        s = spec.multiplicities[i]
+    merged: dict[tuple[int, ...], int] = {}
+    for i, (normal, offset, s) in enumerate(zip(spec.normals, spec.offsets, spec.multiplicities)):
         if s == 0:
             continue
-        normal = spec.normals.row(i)
-        lead = next((x for x in normal if x != 0), None)
-        if lead is None:
+        if not any(normal):
             raise InvalidHyperplaneError(f"row {i} has a zero normal vector with multiplicity {s}")
-        scaled = tuple(x / lead for x in normal)
-        offset = spec.offsets[i] / lead
-        key = (scaled, offset)
-        merged[key] = merged.get(key, 0) + s
+        row = primitive_int_row(normal + (offset,))
+        merged[row] = merged.get(row, 0) + s
     if not merged:
         raise EmptyArrangementError("all rows were dropped (every multiplicity is zero)")
-    ordered = sorted(merged.items())
-    normals = RationalMatrix([key[0] for key, _ in ordered], cols=spec.dim)
-    offsets = tuple(key[1] for key, _ in ordered)
-    multiplicities = tuple(s for _, s in ordered)
-    return NormalizedArrangement(
-        normals=normals,
-        offsets=offsets,
-        multiplicities=multiplicities,
+    keys = lead_keys(merged)
+    rows = sorted(merged, key=keys.__getitem__)
+    d = spec.dim
+    normals, offsets, primitive = [], [], []
+    for row in rows:
+        lead, normal = next(filter(None, row)), row[:d]
+        normals.append(tuple([Fraction(x, lead) for x in normal]))
+        offsets.append(Fraction(row[d], lead))
+        g = gcd(*normal)
+        primitive.append(normal if g == 1 else tuple([x // g for x in normal]))
+    arr = NormalizedArrangement(
+        normals=RationalMatrix.of_checked_rows(tuple(normals), d),
+        offsets=tuple(offsets),
+        multiplicities=tuple(merged[row] for row in rows),
         variables=spec.variables,
     )
+    vars(arr).update(primitive_rows=tuple(rows), primitive_normals=tuple(primitive))  # the cached properties
+    return arr
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .arrangement import NormalizedArrangement
 from .errors import CentralityError, EmptyArrangementError
-from .ratlinalg import eliminate, integer_rank
+from .ratlinalg import eliminate, integer_rank, lead_keys
 
 
 @dataclass(frozen=True)
@@ -109,24 +109,13 @@ def _lattice_order(triples) -> list[Flat]:
 
 
 def _order(flats: list[Flat]) -> list[Flat]:
-    """Flats in lattice order: (codim, rational RREF entries row-major). Every
-    RREF entry is x/p with p a pivot, 0 < p <= P, so two distinct entries
-    differ by at least 1/P^2. Scaled by 2^shift > P^2 they differ by more
-    than 1, so flooring keeps every strict inequality, and equal entries
-    floor equally: the integer key gives exactly the rational order on any
-    set of flats, with P the largest pivot among them. A common denominator
-    is no option, since the lcm of the pivots can run to thousands of digits.
-
-    Flats share most rows, so each distinct row's scaled entries are computed
-    once per call, and a flat's key is (codim, tuple of its row keys). Every
-    row has the same length, so that orders as the row-major entries do.
-    The row keys hold for this call's shift only, and die with the call.
+    """Flats in lattice order: (codim, rational RREF entries row-major). A
+    canonical row over its pivot is its RREF row, so `lead_keys` orders the
+    rows exactly. Flats share most rows, so each distinct row is keyed once
+    per call, and a flat's key is (codim, tuple of its row keys). Every row
+    has the same length, so that orders as the row-major entries do.
     """
-    row_keys = dict.fromkeys(row for flat in flats for row in flat.rows)
-    pivots = [next(filter(None, row)) for row in row_keys]
-    shift = 2 * max(pivots).bit_length()
-    for row, p in zip(row_keys, pivots):
-        row_keys[row] = tuple((x << shift) // p for x in row)
+    row_keys = lead_keys(row for flat in flats for row in flat.rows)
     return sorted(flats, key=lambda flat: (flat.codim, tuple(map(row_keys.__getitem__, flat.rows))))
 
 

@@ -24,20 +24,23 @@ from .arrangement import IDENTIFIER, ArrangementSpec, NormalizedArrangement
 from .errors import NonlinearFactorError, ParseError, UnknownVariableError
 from .ratlinalg import RationalMatrix, format_rational
 
-# Any other non-space character is a "bad" token, so the matches cover the text.
-_TOKEN = re.compile(rf"\s*(?:(?P<name>{IDENTIFIER})|(?P<int>\d+)|(?P<sym>[*^()+\-,;/])|(?P<bad>\S))")
+# Any other non-space character is a "bad" token, so the matches cover the
+# text but its whitespace, which the scan steps over.
+_TOKEN = re.compile(rf"(?P<name>{IDENTIFIER})|(?P<int>\d+)|(?P<sym>[*^()+\-,;/])|(?P<bad>\S)")
 
 Token = tuple[str, str, int]  # (kind, text, position)
+# A coefficient or constant while parsing: an int, or a Fraction once a
+# "p/q" coefficient enters. Their sums stay exact; `ArrangementSpec` makes
+# each entry a Fraction once, at the end.
+Rational = int | Fraction
 
 
 def _tokenize(text: str) -> list[Token]:
     """Tokens of `text`, then two end tokens, so one token of lookahead never runs off."""
-    tokens: list[Token] = []
-    for m in _TOKEN.finditer(text):
-        tok = (m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup))
-        if tok[0] == "bad":
-            raise ParseError(f"unexpected character {tok[1]!r}", tok[2])
-        tokens.append(tok)
+    tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN.finditer(text)]
+    bad = next((tok for tok in tokens if tok[0] == "bad"), None)
+    if bad is not None:
+        raise ParseError(f"unexpected character {bad[1]!r}", bad[2])
     end = ("end", "", len(text))
     return tokens + [end, end]
 
@@ -93,7 +96,7 @@ class _Parser:
             factors.append(self.factor())
         if not self.names:
             raise ParseError("no variables appear in the product", pos)
-        normals = [[coeffs.get(v, Fraction(0)) for v in self.names] for coeffs, _, _ in factors]
+        normals = [[coeffs.get(v, 0) for v in self.names] for coeffs, _, _ in factors]
         return ArrangementSpec(
             RationalMatrix(normals, cols=len(self.names)),
             [exponent for _, _, exponent in factors],
@@ -124,11 +127,11 @@ class _Parser:
         self.declared = True
         self.index = end + 1
 
-    def factor(self) -> tuple[dict[str, Fraction], Fraction, int]:
+    def factor(self) -> tuple[dict[str, Rational], Rational, int]:
         tok = self.advance()
         if tok[0] == "name":
-            coeffs = {self.variable(tok[1], tok[2]): Fraction(1)}
-            const = Fraction(0)
+            coeffs = {self.variable(tok[1], tok[2]): 1}
+            const = 0
         elif tok[1] == "(":
             coeffs, const = self.linexpr()
             if not self.at(")"):
@@ -145,9 +148,9 @@ class _Parser:
             exponent = int(tok[1])
         return coeffs, const, exponent
 
-    def linexpr(self) -> tuple[dict[str, Fraction], Fraction]:
-        coeffs: dict[str, Fraction] = {}
-        const = Fraction(0)
+    def linexpr(self) -> tuple[dict[str, Rational], Rational]:
+        coeffs: dict[str, Rational] = {}
+        const = 0
         sign = -1 if self.at("-") else 1
         if self.at("+", "-"):
             self.advance()
@@ -156,23 +159,24 @@ class _Parser:
             if name is None:
                 const += sign * coef
             else:
-                coeffs[name] = coeffs.get(name, Fraction(0)) + sign * coef
+                coeffs[name] = coeffs.get(name, 0) + sign * coef
             if not self.at("+", "-"):
                 return coeffs, const
             sign = 1 if self.advance()[1] == "+" else -1
 
-    def term(self) -> tuple[str | None, Fraction]:
+    def term(self) -> tuple[str | None, Rational]:
         kind, value, pos = self.advance()
         if kind == "int":
-            coef = Fraction(int(value))
+            coef = int(value)
             if self.at("/"):
                 self.advance()
                 kind, value, pos = self.advance()
                 if kind != "int":
                     raise ParseError("expected a denominator after '/'", pos)
-                if int(value) == 0:
+                den = int(value)
+                if den == 0:
                     raise ParseError("zero denominator", pos)
-                coef /= int(value)
+                coef = Fraction(coef, den)
             star = self.at("*")
             if star:
                 self.advance()
@@ -183,7 +187,7 @@ class _Parser:
                 return None, coef
             self.advance()
         elif kind == "name":
-            coef = Fraction(1)
+            coef = 1
         else:
             raise _expected("expected a coefficient or variable", (kind, value, pos))
         name = self.variable(value, pos)

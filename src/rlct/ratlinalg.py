@@ -11,9 +11,12 @@ of `lattice._closure` leave; `lattice._insert`, which `_canonical_rows`
 folds over a chain, `threshold._normal_crossing` and `integer_rank` run it
 too. The rows the closure carries for a flat are the rational RREF with
 each row rescaled to a primitive integer vector, so two flats are equal if
-and only if their rows are. `meets_box` decides on such rows whether a flat
-meets a closed box, on integers too: it reads each Fraction bound's
-numerator and denominator once, at entry, and builds no Fraction after.
+and only if their rows are. `normalize` merges hyperplanes on such rows
+too, and `lead_keys` is the one exact sort key of rows read over their
+leads, for `normalize` and the lattice order alike. `meets_box` decides on
+such rows whether a flat meets a closed box, on integers too: it reads each
+Fraction bound's numerator and denominator once, at entry, and builds no
+Fraction after.
 """
 
 from __future__ import annotations
@@ -123,6 +126,26 @@ def primitive_int_row(row: Sequence[RationalLike]) -> tuple[int, ...]:
     if next(filter(None, ints), 1) < 0:
         g = -g
     return tuple([x // g for x in ints])
+
+
+def lead_keys(rows: Iterable[tuple[int, ...]]) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Integer keys that order integer rows with positive leads exactly as
+    their rational values do, each row read as its entries over its lead p,
+    its first nonzero entry. With P the largest lead among the rows, two
+    distinct values x/p and y/q differ by at least 1/(pq) >= 1/P^2. Scaled
+    by 2^shift > P^2 they differ by more than 1, so flooring keeps every
+    strict inequality, and equal values floor equally: the key
+    (x << shift) // p gives exactly the rational order on these rows. A
+    common denominator is no option, since the lcm of the leads can run to
+    thousands of digits. Each distinct row is keyed once, and the keys hold
+    for this call's shift only.
+    """
+    keys = dict.fromkeys(rows)
+    leads = [next(filter(None, row)) for row in keys]
+    shift = 2 * max(leads).bit_length()
+    for row, p in zip(keys, leads):
+        keys[row] = tuple((x << shift) // p for x in row)
+    return keys
 
 
 def eliminate(groups: dict[tuple[int, ...], int], residue: tuple[int, ...]) -> dict[tuple[int, ...], int]:

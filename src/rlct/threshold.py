@@ -27,7 +27,7 @@ from functools import cached_property, total_ordering
 from .arrangement import NormalizedArrangement, normalize_box
 from .errors import CentralityError, EmptyArrangementError, InvalidMultiplicityError, RlctError
 from .lattice import Flat, IntersectionLattice, _chain_point, _closure, _insert, _lattice_order, _order, build_lattice
-from .ratlinalg import RationalMatrix, eliminate, format_rational, meets_box, primitive_int_row
+from .ratlinalg import RationalMatrix, eliminate, format_rational, meets_box
 
 
 @total_ordering
@@ -319,8 +319,9 @@ def maximal_central_localizations(
     rows here.
     Points whose hyperplanes have the same normals and multiplicities, in
     order, share one sub-arrangement object. The key holds the normals'
-    primitive integer rows, which `normal_rank` has built: lead-1 normals
-    are equal iff their primitive rows are. Each sub-arrangement gets its
+    primitive integer rows, from `arr`'s integer view: lead-1 normals are
+    equal iff their primitive rows are. The closure runs on the view's
+    augmented rows (`primitive_rows`). Each sub-arrangement gets its
     integer view from `arr`'s and its rank from the length of the maximal
     flat's chain (`_centered`).
     """
@@ -329,7 +330,7 @@ def maximal_central_localizations(
         raise EmptyArrangementError("arrangement has no hyperplanes")
     found = sorted(
         (tuple(j for j in range(n) if mask >> j & 1), chain)
-        for chain, mask in _closure(_augmented(arr), d)
+        for chain, mask in _closure(arr.primitive_rows, d)
         if len(chain) == arr.normal_rank
     )
     subs: dict[tuple[tuple[tuple[int, ...], int], ...], NormalizedArrangement] = {}
@@ -341,11 +342,6 @@ def maximal_central_localizations(
             sub = subs[key] = _centered(arr, members, len(chain))
         out.append((_chain_point(chain, d), sub))
     return out
-
-
-def _augmented(arr: NormalizedArrangement) -> list[tuple[int, ...]]:
-    """Each hyperplane's primitive integer row (a | b)."""
-    return [primitive_int_row(tuple(arr.normals.row(j)) + (arr.offsets[j],)) for j in range(arr.n)]
 
 
 def _centered(arr: NormalizedArrangement, members, rank: int) -> NormalizedArrangement:
@@ -392,7 +388,7 @@ def box_pair(arr: NormalizedArrangement, bounds) -> RlctPair:
     falls as ε^2.
     """
     bounds = normalize_box(bounds, arr.dim)
-    rows = _augmented(arr)
+    rows = arr.primitive_rows
     taken = [((1 << arr.n) - 1, arr.normal_rank)] if meets_box(rows, bounds) else []  # (mask, rank)
     if not taken:
         flats = sorted(((mask, chain) for chain, mask in _closure(rows, arr.dim)), key=lambda f: -f[0].bit_count())

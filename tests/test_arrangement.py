@@ -12,12 +12,14 @@ from rlct import (
     EmptyArrangementError,
     InvalidHyperplaneError,
     InvalidMultiplicityError,
+    NormalizedArrangement,
     RationalMatrix,
     arrangement_from_csv,
     arrangement_from_json,
     arrangement_to_json_dict,
     normalize,
 )
+from rlct.ratlinalg import primitive_int_row
 
 F = Fraction
 
@@ -122,6 +124,103 @@ class TestNormalize:
             ArrangementSpec([[1, 0]], [1], variables=["x"])
         with pytest.raises(DimensionError, match="3 variable names for 2 columns"):
             ArrangementSpec([[1, 0]], [1], variables=["x", "y", "z"])
+
+
+def reference_normalize(spec):
+    """The definition `normalize` computes, on Fractions: each kept row
+    scaled so its normal leads with 1, equal scaled rows merged, and the rows
+    sorted as tuples of Fractions. Returns normals, offsets, multiplicities."""
+    merged = {}
+    for normal, offset, s in zip(spec.normals, spec.offsets, spec.multiplicities):
+        if s == 0:
+            continue
+        lead = next(x for x in normal if x != 0)
+        key = (tuple(x / lead for x in normal), offset / lead)
+        merged[key] = merged.get(key, 0) + s
+    ordered = sorted(merged.items())
+    return (
+        tuple(normal for (normal, _), _ in ordered),
+        tuple(offset for (_, offset), _ in ordered),
+        tuple(s for _, s in ordered),
+    )
+
+
+# Large primes, so that two entries 1/p and 1/q can differ by about 1e-12
+# and a row's primitive lead is a product of primes.
+_PRIMES = (999983, 999979, 999961, 999959, 2147483647)
+
+
+def _normalize_draw(rng, kind):
+    """A raw spec: base rows of one kind of entry, proportional copies of
+    some of them at other scales and signs, zero multiplicities (on a zero
+    normal too), in shuffled order."""
+    d = rng.randint(1, 4)
+
+    def entry():
+        if kind == "integer":
+            return F(rng.randint(-5, 5))
+        if kind == "fraction":
+            return F(rng.randint(-5, 5), rng.randint(1, 6))
+        return F(rng.choice([-1, 0, 1, 1, 2]), rng.choice(_PRIMES))
+
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        normal = [entry() for _ in range(d)]
+        if kind == "prime" and rng.random() < 0.5:
+            normal[0] = F(1)  # leads tie, so the order rests on the near-equal entries after them
+        if any(normal):
+            rows.append((normal, entry() if rng.random() < 0.6 else F(0), rng.choice([0, 1, 1, 2, 3])))
+    for normal, offset, _ in list(rows):
+        if rng.random() < 0.5:
+            c = F(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 5))
+            rows.append(([c * x for x in normal], c * offset, rng.choice([0, 1, 2])))
+    if rng.random() < 0.2:
+        rows.append(([F(0)] * d, entry(), 0))
+    rng.shuffle(rows)
+    normals = RationalMatrix([r[0] for r in rows], cols=d) if rows else RationalMatrix([], cols=d)
+    return ArrangementSpec(normals, [r[2] for r in rows], offsets=[r[1] for r in rows])
+
+
+class TestNormalizeDifferential:
+    def test_matches_the_fraction_reference(self):
+        rng = random.Random(4401)
+        kinds = ("integer", "fraction", "prime")
+        merged = empty = wide = 0
+        for draw in range(600):
+            spec = _normalize_draw(rng, kinds[draw % 3])
+            if not any(spec.multiplicities):
+                with pytest.raises(EmptyArrangementError):
+                    normalize(spec)
+                empty += 1
+                continue
+            arr = normalize(spec)
+            normals, offsets, mults = reference_normalize(spec)
+            assert arr.normals.entries == normals
+            assert arr.offsets == offsets
+            assert arr.multiplicities == mults
+            assert all(type(x) is Fraction for row in arr.normals for x in row)
+            assert all(type(x) is Fraction for x in arr.offsets)
+            # The integer view `normalize` filled in is the one computed on first read.
+            assert arr.primitive_normals == tuple(primitive_int_row(row) for row in normals)
+            assert arr.primitive_rows == tuple(primitive_int_row(a + (b,)) for a, b in zip(normals, offsets))
+            built = NormalizedArrangement(RationalMatrix(normals), offsets, mults)
+            assert "primitive_rows" not in vars(built)
+            assert (built.primitive_rows, built.primitive_normals) == (arr.primitive_rows, arr.primitive_normals)
+            merged += sum(s > 0 for s in spec.multiplicities) > arr.n
+            # The sort key's shift is twice the largest lead's bit length.
+            wide += 2 * max(next(filter(None, row)) for row in arr.primitive_rows).bit_length() > 60
+        assert merged >= 300 and empty >= 20 and wide >= 100, (merged, empty, wide)
+
+    def test_near_equal_prime_entries_sort_exactly(self):
+        # 1/999983 < 1/999979, and the two differ by about 4e-12.
+        spec = ArrangementSpec(
+            [[1, F(1, 999979), F(1, 999961)], [1, F(1, 999983), F(1, 999959)], [2, F(2, 999983), F(1, 999961)]],
+            [1, 2, 3],
+        )
+        arr = normalize(spec)
+        assert arr.normals.entries == reference_normalize(spec)[0]
+        assert [row[1] for row in arr.normals] == [F(1, 999983), F(1, 999983), F(1, 999979)]
+        assert arr.multiplicities == (3, 2, 1)
 
 
 class TestJsonIngestion:

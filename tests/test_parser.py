@@ -7,6 +7,7 @@ import pytest
 
 from rlct import (
     ArrangementSpec,
+    InvalidHyperplaneError,
     NonlinearFactorError,
     ParseError,
     RationalMatrix,
@@ -16,6 +17,7 @@ from rlct import (
     normalize,
     parse_factored_product,
 )
+from rlct.ratlinalg import format_rational
 
 F = Fraction
 
@@ -80,6 +82,23 @@ class TestParse:
     def test_repeated_factor_multiplicities_merge(self):
         arr = normalize(parse_factored_product("x*x^2"))
         assert arr.multiplicities == (3,)
+
+    def test_integer_and_fraction_coefficients_mix_exactly(self):
+        assert parse_factored_product("(x + 1/2*x)").normals == RationalMatrix([[F(3, 2)]])
+        spec = parse_factored_product("(1/3 + 2/3 + x)")
+        assert spec.offsets == (F(1),) and format_rational(spec.offsets[0]) == "1"
+        assert parse_factored_product("(2/4*x + y)") == parse_factored_product("(1/2*x + y)")
+        assert parse_factored_product("(x - x + y)").normals == RationalMatrix([[0, 1]])
+        for text in ("x*(x + 1/2*x)*(1/3 + 2/3 + x)", "(2/4*x + y - 3)", "(x - x + y)", "(1/2*x - 1/2*x)"):
+            spec = parse_factored_product(text)
+            assert all(type(x) is Fraction for row in spec.normals for x in row)
+            assert all(type(x) is Fraction for x in spec.offsets)
+
+    def test_coefficients_that_cancel_leave_a_zero_normal(self):
+        spec = parse_factored_product("(1/2*x - 1/2*x)")
+        assert spec.normals == RationalMatrix([[0]])
+        with pytest.raises(InvalidHyperplaneError, match="^row 0 has a zero normal vector with multiplicity 1$"):
+            normalize(spec)
 
     def test_vars_is_a_variable_without_semicolon(self):
         spec = parse_factored_product("vars")

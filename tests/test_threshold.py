@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -845,7 +846,7 @@ class TestWitnessPoints:
         for draw in range(600):
             arr = _witness_draw(rng, kinds[draw % len(kinds)])
             d = arr.dim
-            flats = lattice._closure(threshold._augmented(arr), d)
+            flats = lattice._closure(arr.primitive_rows, d)
             # A flat is inclusion-maximal iff its codim is the rank of the normals.
             r = rref(arr.normals)[1]
             masks = [mask for _, mask in flats]
@@ -1187,6 +1188,42 @@ class TestInvariances:
             on_a_line += not full_rank
             several += len(before.localizations) > 1
         assert moved_by_t >= 100 and on_a_line >= 50 and several >= 100, (moved_by_t, on_a_line, several)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_translating_raw_input_moves_every_point_by_t(self, data):
+        # Item 22's translation identity on raw input, before `normalize`:
+        # each row (a | b) at its own rational scale, some rows repeated at
+        # another scale. With normals of rank d, moving every hyperplane by
+        # t (b' = b - a.t) moves each localization point by exactly t and
+        # keeps its local pair, and the global pair stays. The rows and so
+        # the localizations may come out in another order, so the
+        # (point - t, pair) are compared as multisets.
+        d = data.draw(st.integers(1, 3), label="d")
+        entries = st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any)
+        base = data.draw(st.lists(entries, min_size=d, max_size=6), label="normals")
+        assume(rref(RationalMatrix(base))[1] == d)
+        rational = st.fractions(-3, 3, max_denominator=3)
+        scale = rational.filter(bool)
+        offsets = data.draw(st.lists(rational, min_size=len(base), max_size=len(base)), label="offsets")
+        repeats = data.draw(st.lists(st.integers(0, len(base) - 1), max_size=3), label="repeats")
+        rows = [(a, b) for a, b in zip(base, offsets)] + [(base[j], offsets[j]) for j in repeats]
+        scales = data.draw(st.lists(scale, min_size=len(rows), max_size=len(rows)), label="scales")
+        rows = [([c * x for x in a], c * b) for (a, b), c in zip(rows, scales)]
+        mults = data.draw(st.lists(st.integers(1, 3), min_size=len(rows), max_size=len(rows)), label="mults")
+        t = data.draw(st.lists(st.fractions(-4, 4, max_denominator=4), min_size=d, max_size=d), label="t")
+        moved = [(a, b - sum(x * y for x, y in zip(a, t))) for a, b in rows]
+
+        def report(rows):
+            return rlct_affine(normalize(ArrangementSpec([a for a, _ in rows], mults, offsets=[b for _, b in rows])))
+
+        before, after = report(rows), report(moved)
+        assert after.global_pair == before.global_pair
+        expected = Counter((loc.point, loc.pair.astuple()) for loc in before.localizations)
+        back = Counter(
+            (tuple(x - y for x, y in zip(loc.point, t)), loc.pair.astuple()) for loc in after.localizations
+        )
+        assert back == expected
 
     def test_multiplicity_scaling(self):
         rng = random.Random(75)
