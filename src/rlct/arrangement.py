@@ -29,15 +29,7 @@ from .errors import (
     InvalidHyperplaneError,
     InvalidMultiplicityError,
 )
-from .ratlinalg import (
-    RationalLike,
-    RationalMatrix,
-    as_rational,
-    format_rational,
-    integer_rank,
-    lead_keys,
-    primitive_int_row,
-)
+from .ratlinalg import RationalLike, RationalMatrix, as_rational, format_rational, integer_rank, lead_keys, primitive_int_row
 
 # A variable name: the parser's NAME token, so every name can be read back.
 IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -113,8 +105,8 @@ class NormalizedArrangement:
     `primitive_rows`, `primitive_normals` and `normal_rank` are the integer
     view that the closure, `box_pair` and the normal-crossing test read.
     `normalize` fills in the rows; otherwise each is built on first read and
-    kept. A centered sub-arrangement gets its normals and rank from its
-    parent and the closure (`threshold._centered`).
+    kept. A centered sub-arrangement gets its primitive normals and their
+    rank from its parent and the closure (`threshold._centered`).
     """
 
     normals: RationalMatrix

@@ -30,8 +30,8 @@ _TOKEN = re.compile(rf"(?P<name>{IDENTIFIER})|(?P<int>\d+)|(?P<sym>[*^()+\-,;/])
 
 Token = tuple[str, str, int]  # (kind, text, position)
 # A coefficient or constant while parsing: an int, or a Fraction once a
-# "p/q" coefficient enters. Their sums stay exact; `ArrangementSpec` makes
-# each entry a Fraction once, at the end.
+# "p/q" coefficient enters. Their sums stay exact, and the spec's matrix and
+# offsets make each entry a Fraction once, at the end.
 Rational = int | Fraction
 
 
