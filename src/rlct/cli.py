@@ -18,8 +18,9 @@ but through C-level joins (`_indented_json`): an `indent` makes
 string. Flats print from their integer rows, one text per distinct row per
 report, every tuple once per indent, and the localizations that share a
 result share one text of its body.
-`rlct.volume`, and numpy with it, loads on the first `volume-fit`, through
-the module `__getattr__`; `compute`, `localize` and `parse` never load it.
+`rlct.volume`, and numpy with it, loads on the first `volume-fit`, inside
+`cmd_volume_fit` and the seams `estimate_volume` and `fit_asymptotics`;
+`compute`, `localize` and `parse` never load it.
 
 Exit codes: 0 on success, 1 when --verify (the checks of
 `rlct.oracle.verify_central` and `verify_report`) finds a mismatch
@@ -38,7 +39,6 @@ from dataclasses import asdict
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import lattice
 from .arrangement import (
@@ -56,32 +56,26 @@ from .parser import parse_factored_product
 from .ratlinalg import as_rational, format_rational
 from .threshold import Localization, box_pair, localization_body, rlct_affine, rlct_central
 
-if TYPE_CHECKING:
-    from .volume import check_fit_epsilons, epsilon_grid, estimate_volume, fit_asymptotics, synthetic_samples
-
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USER_ERROR = 2
 EXIT_BROKEN_PIPE = 141
 
-# Bound on first use by `__getattr__`, so only `volume-fit` loads numpy.
-_VOLUME_NAMES = ("check_fit_epsilons", "epsilon_grid", "estimate_volume", "fit_asymptotics", "synthetic_samples")
+
+def estimate_volume(*args, **kwargs):
+    """`rlct.volume.estimate_volume`, imported on the call, so that only
+    `volume-fit` loads numpy. A wrapper set on this attribute (a test's
+    monkeypatch, a benchmark tracer) is what `cmd_volume_fit` calls."""
+    from .volume import estimate_volume
+
+    return estimate_volume(*args, **kwargs)
 
 
-def __getattr__(name: str):
-    """Import `rlct.volume` and bind `_VOLUME_NAMES` as module globals.
+def fit_asymptotics(*args, **kwargs):
+    """`rlct.volume.fit_asymptotics`, imported on the call, a seam as `estimate_volume` is."""
+    from .volume import fit_asymptotics
 
-    `setdefault` keeps a global that is already set, so a wrapper put on
-    `rlct.cli.estimate_volume` (a test's monkeypatch, a benchmark tracer)
-    stays what `cmd_volume_fit` calls.
-    """
-    if name not in _VOLUME_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import volume
-
-    for each in _VOLUME_NAMES:
-        globals().setdefault(each, getattr(volume, each))
-    return globals()[name]
+    return fit_asymptotics(*args, **kwargs)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -309,7 +303,8 @@ def cmd_volume_fit(args: argparse.Namespace) -> int:
     touches the box the printed λ is too small: `--poly "vars x, y;
     (x+y-2)" --selftest` prints lambda = 1, while the sampled slopes read
     2 (see `box_pair`)."""
-    __getattr__("estimate_volume")  # the volume names are module globals from here on
+    from .volume import check_fit_epsilons, epsilon_grid, synthetic_samples
+
     arr = load_arrangement(args)
     grid = epsilon_grid(args.eps_min, args.eps_max, args.eps_points)
     check_fit_epsilons(grid)

@@ -81,6 +81,18 @@ class TestLazyNames:
         with pytest.raises(AttributeError, match="no_such_name"):
             module.no_such_name  # noqa: B018
 
+    def test_reading_the_cli_seams_loads_no_numpy(self):
+        # As a benchmark tracer reads them before it wraps them.
+        proc = fresh_python(
+            """
+import sys
+import rlct.cli
+rlct.cli.estimate_volume, rlct.cli.fit_asymptotics
+assert "numpy" not in sys.modules
+"""
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_patched_cli_names_are_what_volume_fit_calls(self):
         # Patched before any volume import, as a benchmark tracer patches them.
         proc = fresh_python(
@@ -103,7 +115,12 @@ with pytest.MonkeyPatch.context() as mp:
     grid = ["--eps-min", "0.01", "--eps-max", "0.1", "--eps-points", "3"]
     assert rlct.cli.main(["volume-fit", "--poly", "x*y", "--samples", "2000", *grid]) == 0
 assert calls == ["estimate_volume"] + ["fit_asymptotics"] * 2, calls
-assert rlct.cli.estimate_volume is sys.modules["rlct.volume"].estimate_volume
+# Unpatched, the seam gives what `rlct.volume.estimate_volume` gives.
+volume = sys.modules["rlct.volume"]
+arr = rlct.cli.normalize(rlct.cli.parse_factored_product("x*y"))
+sample = rlct.cli.estimate_volume(arr, None, 0.1, samples=2000, seed=3)
+assert type(sample) is volume.VolumeSample, sample
+assert sample == volume.estimate_volume(arr, None, 0.1, samples=2000, seed=3), sample
 """
         )
         assert proc.returncode == 0, proc.stderr

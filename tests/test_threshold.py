@@ -8,7 +8,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, settings, target
 from hypothesis import strategies as st
 
 from rlct import (
@@ -229,9 +229,9 @@ class TestJoinIrreducibles:
         assert checked >= 100
 
 
-def _hidden_direct_sum(rng, blocks):
-    """The blocks, each (rows, multiplicities), in disjoint variables, taken
-    to new coordinates by a random T in GL(d, Q)."""
+def _direct_sum(blocks):
+    """The blocks, each (rows, multiplicities), in disjoint variables: the
+    rows, the multiplicities and the dimension of their sum."""
     d = sum(len(rows[0]) for rows, _ in blocks)
     rows, mults, start = [], [], 0
     for block, block_mults in blocks:
@@ -239,6 +239,12 @@ def _hidden_direct_sum(rng, blocks):
         rows += [[0] * start + list(row) + [0] * (d - start - width) for row in block]
         mults += list(block_mults)
         start += width
+    return rows, mults, d
+
+
+def _hidden_direct_sum(rng, blocks):
+    """The direct sum of the blocks taken to new coordinates by a random T in GL(d, Q)."""
+    rows, mults, d = _direct_sum(blocks)
     return normalize(ArrangementSpec(matmul(RationalMatrix(rows, cols=d), random_invertible(rng, d)), mults))
 
 
@@ -1072,6 +1078,20 @@ class TestBoxPair:
         assert flat == 1, flat
 
 
+def _integer_coordinate_change(data, normals, d):
+    """The normals in new coordinates y, with x = T y for a drawn T in
+    GL(d, Z): signed permutation columns, then column steps T[:, j] += c T[:, i].
+    Hyperplane j becomes (a_j T) . y = 0."""
+    perm = data.draw(st.permutations(range(d)), label="permutation")
+    signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=d, max_size=d), label="signs")
+    t = [[signs[j] * int(perm[j] == i) for j in range(d)] for i in range(d)]
+    step = st.tuples(st.integers(0, d - 1), st.integers(0, d - 1), st.integers(-2, 2)).filter(lambda s: s[0] != s[1])
+    for i, j, c in data.draw(st.lists(step, max_size=6), label="steps"):
+        for row in t:
+            row[j] += c * row[i]
+    return [[sum(a[i] * t[i][k] for i in range(d)) for k in range(d)] for a in normals]
+
+
 class TestInvariances:
     def test_coordinate_change(self):
         rng = random.Random(74)
@@ -1085,11 +1105,9 @@ class TestInvariances:
     @given(st.data())
     def test_integer_coordinate_change_keeps_the_masks_and_the_pair(self, data):
         # Up to 8 normals in d <= 4 variables, each a combination of fewer base
-        # rows than d, so the normals are dependent, and T in GL(d, Z): signed
-        # permutation columns, then column steps T[:, j] += c T[:, i]. With
-        # x = T y, hyperplane j becomes (a_j T) . y = 0 and keeps its index,
-        # so the closure's member masks, lambda, m and the minimizer count
-        # are the same.
+        # rows than d, so the normals are dependent, taken to new coordinates
+        # by T in GL(d, Z). Hyperplane j keeps its index, so the closure's
+        # member masks, lambda, m and the minimizer count are the same.
         d = data.draw(st.integers(2, 4), label="d")
         entries = st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any)
         base = data.draw(st.lists(entries, min_size=1, max_size=d - 1), label="base")
@@ -1099,14 +1117,7 @@ class TestInvariances:
         normals = [row for row in normals if any(row)]
         assume(normals)
         mults = data.draw(st.lists(st.integers(1, 3), min_size=len(normals), max_size=len(normals)), label="mults")
-        perm = data.draw(st.permutations(range(d)), label="permutation")
-        signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=d, max_size=d), label="signs")
-        t = [[signs[j] * int(perm[j] == i) for j in range(d)] for i in range(d)]
-        step = st.tuples(st.integers(0, d - 1), st.integers(0, d - 1), st.integers(-2, 2)).filter(lambda s: s[0] != s[1])
-        for i, j, c in data.draw(st.lists(step, max_size=6), label="steps"):
-            for row in t:
-                row[j] += c * row[i]
-        image = [[sum(a[i] * t[i][k] for i in range(d)) for k in range(d)] for a in normals]
+        image = _integer_coordinate_change(data, normals, d)
 
         def masks(rows):
             return sorted(mask for _, mask in lattice._closure([primitive_int_row(row) for row in rows], d))
@@ -1116,6 +1127,33 @@ class TestInvariances:
         after = rlct_central(normalize(ArrangementSpec(image, mults)))
         assert after.pair == before.pair
         assert len(after.minimizer_flats) == len(before.minimizer_flats)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_direct_sum_hidden_by_an_integer_change_reads_its_blocks(self, data):
+        # `TestDirectSumIdentity`'s identity on drawn blocks: 2 or 3 central
+        # blocks of at most 5 normals in at most 3 variables each, put in
+        # disjoint variables and hidden by T in GL(d, Z). lambda is the least
+        # block lambda, m the sum of the m of the blocks that attain it, and
+        # the minimizer count prod(k_i + 1) - 1 over those blocks.
+        blocks = []
+        for index in range(data.draw(st.integers(2, 3), label="blocks")):
+            width = data.draw(st.integers(1, 3), label=f"d{index}")
+            entries = st.lists(st.integers(-3, 3), min_size=width, max_size=width).filter(any)
+            rows = data.draw(st.lists(entries, min_size=1, max_size=5), label=f"normals{index}")
+            mults = data.draw(st.lists(st.integers(1, 3), min_size=len(rows), max_size=len(rows)), label=f"mults{index}")
+            blocks.append((rows, mults))
+        normals, mults, d = _direct_sum(blocks)
+        image = _integer_coordinate_change(data, normals, d)
+        results = [rlct_central(normalize(ArrangementSpec(rows, block_mults))) for rows, block_mults in blocks]
+        least = min(r.pair.threshold for r in results)
+        attaining = [r for r in results if r.pair.threshold == least]
+        arr = normalize(ArrangementSpec(image, mults))
+        result = rlct_central(arr)
+        # Steer the draws toward sums with a long chain that the closure solves.
+        target(result.pair.multiplicity * (rref(arr.normals)[1] < arr.n))
+        assert result.pair == pair(least, sum(r.pair.multiplicity for r in attaining))
+        assert len(result.minimizer_flats) == math.prod(len(r.minimizer_flats) + 1 for r in attaining) - 1
 
     def test_affine_coordinate_change(self):
         # x = T y + c sends a.x + b = 0 to (a T).y + (a.c + b) = 0.
