@@ -19,7 +19,6 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -29,7 +28,7 @@ from .errors import (
     InvalidHyperplaneError,
     InvalidMultiplicityError,
 )
-from .ratlinalg import RationalLike, RationalMatrix, as_rational, format_rational, integer_rank, lead_keys, primitive_int_row
+from .ratlinalg import RationalLike, RationalMatrix, as_rational, integer_rank, integer_row, lead_keys, primitive_int_row, quotient_strings
 
 # A variable name: the parser's NAME token, so every name can be read back.
 IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -46,32 +45,38 @@ def _check_multiplicities(multiplicities: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _stored(cls, **fields):
+    """An instance of the frozen dataclass `cls` holding `fields` and any views as given, unchecked."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class ArrangementSpec:
-    """Raw, possibly redundant arrangement as supplied by the user."""
+    """Raw, possibly redundant arrangement as supplied by the user.
 
-    normals: RationalMatrix
-    offsets: tuple[Fraction, ...]
+    Hyperplane i is `integer_rows[i]`, the row (a | b) as integers over
+    the least denominator that makes it integer (`integer_row`), so equal
+    values are equal rows; the parser builds these (`_stored`). `normals` and
+    `offsets` are `Fraction` views, built on first read or kept from the
+    constructor.
+    """
+
+    integer_rows: tuple[tuple[tuple[int, ...], int], ...]
     multiplicities: tuple[int, ...]
+    dim: int
     # Names are presentation only; they do not enter equality or hashing.
     variables: tuple[str, ...] | None = field(default=None, compare=False)
 
-    def __init__(
-        self,
-        normals,
-        multiplicities: Sequence[int],
-        offsets: Sequence[RationalLike] | None = None,
-        variables: Sequence[str] | None = None,
-    ):
+    def __init__(self, normals, multiplicities: Sequence[int], offsets: Sequence[RationalLike] | None = None,
+                 variables: Sequence[str] | None = None):
         if not isinstance(normals, RationalMatrix):
             normals = RationalMatrix(normals)
         n = normals.rows
-        if offsets is None:
-            offs = (Fraction(0),) * n
-        else:
-            offs = tuple(as_rational(b) for b in offsets)
-            if len(offs) != n:
-                raise DimensionError(f"{len(offs)} offsets for {n} hyperplanes")
+        offs = tuple(as_rational(b) for b in (offsets if offsets is not None else [0] * n))
+        if len(offs) != n:
+            raise DimensionError(f"{len(offs)} offsets for {n} hyperplanes")
         mults = _check_multiplicities(multiplicities)
         if len(mults) != n:
             raise DimensionError(f"{len(mults)} multiplicities for {n} hyperplanes")
@@ -82,56 +87,68 @@ class ArrangementSpec:
             names_ok = all(isinstance(v, str) and re.fullmatch(IDENTIFIER, v) for v in variables)
             if not names_ok or len(set(variables)) < len(variables):
                 raise DimensionError(f"variable names {list(variables)} are not distinct identifiers")
-        object.__setattr__(self, "normals", normals)
-        object.__setattr__(self, "offsets", offs)
-        object.__setattr__(self, "multiplicities", mults)
-        object.__setattr__(self, "variables", variables)
+        rows = tuple(integer_row(normal + (offset,)) for normal, offset in zip(normals, offs))
+        vars(self).update(integer_rows=rows, multiplicities=mults, dim=normals.cols, variables=variables,
+                          normals=normals, offsets=offs)
+
+    @cached_property
+    def normals(self) -> RationalMatrix:
+        d = self.dim
+        return RationalMatrix([[Fraction(x, den) for x in row[:d]] for row, den in self.integer_rows], d)
+
+    @cached_property
+    def offsets(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(row[-1], den) for row, den in self.integer_rows)
 
     @property
     def n(self) -> int:
-        return self.normals.rows
-
-    @property
-    def dim(self) -> int:
-        return self.normals.cols
+        return len(self.integer_rows)
 
 
 @dataclass(frozen=True)
 class NormalizedArrangement:
     """Deduplicated arrangement: pairwise distinct affine hyperplanes, s_i >= 1.
 
-    Rows are sorted lexicographically by (normal, offset) and every normal
-    has first nonzero entry 1, so equal arrangements are equal values.
-    `primitive_rows`, `primitive_normals` and `normal_rank` are the integer
-    view that the closure, `box_pair` and the normal-crossing test read.
-    `normalize` fills in the rows; otherwise each is built on first read and
-    kept. A centered sub-arrangement gets its primitive normals and their
-    rank from its parent and the closure (`threshold._centered`).
+    Each affine form (a | b) is stored as its primitive integer row with
+    positive lead, sorted by its lead-1 form (normal, offset), so equal
+    arrangements are equal values. `normals` (the lead-1 normals, each entry
+    x/lead of its row) and `offsets` are `Fraction` views, and
+    `primitive_normals` and `normal_rank` the integer view that the closure,
+    `box_pair` and the normal-crossing test read. Each is built on first
+    read and kept, or kept from the constructor, which takes the `Fraction`
+    views. `normalize` and `threshold._centered` build from integers
+    (`_stored`), and `_centered` fills in the integer view.
     """
 
-    normals: RationalMatrix
-    offsets: tuple[Fraction, ...]
+    primitive_rows: tuple[tuple[int, ...], ...]
     multiplicities: tuple[int, ...]
+    dim: int
     # Names are presentation only; they do not enter equality or hashing.
     variables: tuple[str, ...] | None = field(default=None, compare=False)
 
-    @property
-    def n(self) -> int:
-        return self.normals.rows
+    def __init__(self, normals: RationalMatrix, offsets, multiplicities, variables=None):
+        offsets = tuple(offsets)
+        rows = tuple(primitive_int_row(normal + (offset,)) for normal, offset in zip(normals, offsets))
+        vars(self).update(primitive_rows=rows, multiplicities=tuple(multiplicities), dim=normals.cols,
+                          variables=variables, normals=normals, offsets=offsets)
 
     @property
-    def dim(self) -> int:
-        return self.normals.cols
+    def n(self) -> int:
+        return len(self.primitive_rows)
+
+    @cached_property
+    def normals(self) -> RationalMatrix:
+        d, rows = self.dim, self.primitive_rows
+        return RationalMatrix([[Fraction(x, lead) for x in row[:d]] for row in rows for lead in [next(filter(None, row))]], d)
+
+    @cached_property
+    def offsets(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(row[-1], next(filter(None, row))) for row in self.primitive_rows)
 
     @cached_property
     def primitive_normals(self) -> tuple[tuple[int, ...], ...]:
         """Each normal as its primitive integer row with positive lead."""
-        return tuple(primitive_int_row(row) for row in self.normals)
-
-    @cached_property
-    def primitive_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Each affine form (a | b) as its primitive integer row with positive lead."""
-        return tuple(primitive_int_row(normal + (offset,)) for normal, offset in zip(self.normals, self.offsets))
+        return tuple(primitive_int_row(row[: self.dim]) for row in self.primitive_rows)
 
     @cached_property
     def normal_rank(self) -> int:
@@ -141,7 +158,7 @@ class NormalizedArrangement:
     @property
     def is_central(self) -> bool:
         """Every hyperplane passes through the origin."""
-        return not any(self.offsets)
+        return not any(row[-1] for row in self.primitive_rows)
 
     def hyperplane(self, j: int) -> tuple[tuple[Fraction, ...], Fraction, int]:
         return self.normals.row(j), self.offsets[j], self.multiplicities[j]
@@ -184,41 +201,27 @@ def normalize(spec: ArrangementSpec) -> NormalizedArrangement:
     Drops multiplicity-0 rows, rejects zero normals, merges rows whose
     affine forms (a_i, b_i) are proportional, rescales each survivor so the
     first nonzero normal entry is 1, and sorts rows lexicographically.
-    The work is on integers: two forms are proportional iff their primitive
-    integer rows (a | b) are equal, and `lead_keys` sorts those rows as
-    their lead-1 forms. Each stored entry is built once, as x/lead, and the
-    integer view (`primitive_rows`, `primitive_normals`) is filled in.
+    The work is on the spec's integer rows: two forms are proportional iff
+    their primitive integer rows (a | b) are equal, and `lead_keys` sorts
+    those rows as their lead-1 forms. No `Fraction` is built.
     """
     if spec.n == 0:
         raise EmptyArrangementError("arrangement has no hyperplanes")
+    d = spec.dim
     merged: dict[tuple[int, ...], int] = {}
-    for i, (normal, offset, s) in enumerate(zip(spec.normals, spec.offsets, spec.multiplicities)):
+    for i, ((row, _), s) in enumerate(zip(spec.integer_rows, spec.multiplicities)):
         if s == 0:
             continue
-        if not any(normal):
+        if not any(row[:d]):
             raise InvalidHyperplaneError(f"row {i} has a zero normal vector with multiplicity {s}")
-        row = primitive_int_row(normal + (offset,))
+        row = primitive_int_row(row)
         merged[row] = merged.get(row, 0) + s
     if not merged:
         raise EmptyArrangementError("all rows were dropped (every multiplicity is zero)")
     keys = lead_keys(merged)
-    rows = sorted(merged, key=keys.__getitem__)
-    d = spec.dim
-    normals, offsets, primitive = [], [], []
-    for row in rows:
-        lead, normal = next(filter(None, row)), row[:d]
-        normals.append(tuple([Fraction(x, lead) for x in normal]))
-        offsets.append(Fraction(row[d], lead))
-        g = gcd(*normal)
-        primitive.append(normal if g == 1 else tuple([x // g for x in normal]))
-    arr = NormalizedArrangement(
-        normals=RationalMatrix.of_checked_rows(tuple(normals), d),
-        offsets=tuple(offsets),
-        multiplicities=tuple(merged[row] for row in rows),
-        variables=spec.variables,
-    )
-    vars(arr).update(primitive_rows=tuple(rows), primitive_normals=tuple(primitive))  # the cached properties
-    return arr
+    rows = tuple(sorted(merged, key=keys.__getitem__))
+    mults = tuple(merged[row] for row in rows)
+    return _stored(NormalizedArrangement, primitive_rows=rows, multiplicities=mults, dim=d, variables=spec.variables)
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +290,15 @@ def arrangement_from_json(document: str | Mapping) -> ArrangementSpec:
 
 
 def arrangement_to_json_dict(arr: NormalizedArrangement) -> dict:
-    """Serializable form of a normalized arrangement; rationals become strings."""
+    """Serializable form of a normalized arrangement; rationals become "p/q"
+    strings, printed from the integer rows: each entry over its row's lead,
+    which is in the normal, gives the lead-1 normal and offset."""
+    d = arr.dim
+    texts = [quotient_strings(row, next(filter(None, row))) for row in arr.primitive_rows]
     return {
         "variables": list(arr.var_names()),
-        "normals": arr.normals.to_string_lists(),
-        "offsets": [format_rational(b) for b in arr.offsets],
+        "normals": [text[:d] for text in texts],
+        "offsets": [text[d] for text in texts],
         "multiplicities": list(arr.multiplicities),
         "central": arr.is_central,
     }

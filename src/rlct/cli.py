@@ -13,11 +13,11 @@ Every report prints through `emit`, the one switch on --format, and the
 argparse parser is built once per process, at import. JSON reports print
 the bytes of `json.dumps(doc, indent=2, default=lambda x: x.to_json_dict())`,
 but through C-level joins (`_indented_json`): an `indent` makes
-`json.dumps` skip its C encoder. A report's document holds its `Flat`s,
-`Localization`s and hyperplane rows, and a `Fraction` prints as its "p/q"
-string. Flats print from their integer rows, one text per distinct row per
-report, every tuple once per indent, and the localizations that share a
-result share one text of its body.
+`json.dumps` skip its C encoder. A report's document holds its `Flat`s and
+`Localization`s. Flats and local normals print from their integer rows,
+one text per distinct row per report, every tuple once per indent, the
+localizations that share a result share one text of its body, and a point
+prints from its integers (nums, den), in JSON and `human` lines alike.
 `rlct.volume`, and numpy with it, loads on the first `volume-fit`, inside
 `cmd_volume_fit` and the seams `estimate_volume` and `fit_asymptotics`;
 `compute`, `localize` and `parse` never load it.
@@ -53,7 +53,7 @@ from .errors import RlctError, SizeLimitError
 from .lattice import Flat
 from .oracle import verify_central, verify_report
 from .parser import parse_factored_product
-from .ratlinalg import as_rational, format_rational
+from .ratlinalg import as_rational, format_rational, quotient_strings
 from .threshold import Localization, box_pair, localization_body, rlct_affine, rlct_central
 
 EXIT_OK = 0
@@ -169,50 +169,55 @@ def _indented_json(obj, pad: str = "\n") -> str:
     Each distinct row's text at one indent is built once per call, from the
     `lattice._rref_strings` bound when the call starts.
 
-    A `Localization` prints as its point, then the text of its result's
-    body (`threshold.localization_body`), built once per distinct result per
-    call: the result's tuples of `Flat`s, and its arrangement's rows, tuples
-    of `Fraction`s that the arrangements of many points share. The text of
+    A `Localization` prints as its point (`quotient_strings`), then the text
+    of its result's body (`threshold.localization_body`), built once per
+    distinct result per call: the result's tuples of `Flat`s, and its
+    primitive normals, which print through the flats' row texts. The text of
     every tuple at one indent is built once per call, keyed by its id, so a
-    shared flat tuple or hyperplane prints once. An id is safe as a key
-    because every tuple is held by `obj` until the call returns.
+    shared flat tuple prints once. An id is safe as a key because every
+    tuple is held by `obj` until the call returns.
     """
     rref_strings = lattice._rref_strings
     row_texts: dict[str, dict[tuple[int, ...], str]] = {}  # by indent, then row; lives for this call
     shared: dict[tuple[str, int], str] = {}  # tuples' and results' texts, by indent and id
 
-    def flat_text(flat: Flat, pad: str) -> str:
-        inner = pad + "  "
-        row_pad = inner + "  "
+    def rows_text(rows, pad: str) -> str:
+        """Integer rows as the list of their `rref_strings`, each distinct row's text built once per indent."""
+        row_pad = pad + "  "
         entry_pad = row_pad + "  "
         texts = row_texts.setdefault(row_pad, {})
-        rows = []
-        for row in flat.rows:
+        out = []
+        for row in rows:
             row_text = texts.get(row)
             if row_text is None:
                 entries = ("," + entry_pad).join(map(encode_basestring_ascii, rref_strings(row)))
                 row_text = texts[row] = "[" + entry_pad + entries + row_pad + "]"
-            rows.append(row_text)
+            out.append(row_text)
+        return "[" + row_pad + ("," + row_pad).join(out) + pad + "]"
+
+    def flat_text(flat: Flat, pad: str) -> str:
+        inner = pad + "  "
+        member_pad = inner + "  "
         members = [str(j) for j in range(flat.mask.bit_length()) if flat.mask >> j & 1]
         return (
-            f'{{{inner}"normal_space": [{row_pad}{("," + row_pad).join(rows)}{inner}],'
-            f'{inner}"codim": {len(rows)},{inner}"s": {flat.weight},'
-            f'{inner}"members": [{row_pad}{("," + row_pad).join(members)}{inner}]{pad}}}'
+            f'{{{inner}"normal_space": {rows_text(flat.rows, inner)},'
+            f'{inner}"codim": {len(flat.rows)},{inner}"s": {flat.weight},'
+            f'{inner}"members": [{member_pad}{("," + member_pad).join(members)}{inner}]{pad}}}'
         )
 
     def localization_text(loc: Localization, pad: str) -> str:
         inner = pad + "  "
         key = (pad, id(loc.result))
         if key not in shared:
-            shared[key] = "".join(item_parts(localization_body(loc.result, None), inner))
-        point = text([format_rational(x) for x in loc.point], inner)
+            shared[key] = "".join(item_parts(localization_body(loc.result, None), inner, rows="normals"))
+        point = text(quotient_strings(*loc.integer_point), inner)
         return "".join(("{", inner, '"point": ', point, shared[key], pad, "}"))
 
-    def item_parts(obj: dict, inner: str) -> list[str]:
-        """Each item of `obj` as its separator "," and `inner`, key, ": " and value text."""
+    def item_parts(obj: dict, inner: str, rows: str | None = None) -> list[str]:
+        """Each item of `obj` as its separator, key, ": " and value text; the value under `rows` is integer rows."""
         sep, parts = "," + inner, []
         for key, value in obj.items():
-            parts += (sep, encode_basestring_ascii(key), ": ", text(value, inner))
+            parts += (sep, encode_basestring_ascii(key), ": ", rows_text(value, inner) if key == rows else text(value, inner))
         return parts
 
     def text(obj, pad: str) -> str:
@@ -252,11 +257,7 @@ def emit(fmt: str, doc: dict, **lines: list[str]) -> None:
     """Print `doc` as indented JSON, or the `csv` or `human` lines, as --format asks.
 
     The JSON is the bytes of `json.dumps(doc, indent=2, default=lambda x:
-    x.to_json_dict())`, with a `Fraction` as its "p/q" string, built by
-    `_indented_json` from C-level joins instead of the pure-Python encoder;
-    a report's flats print from their integer rows, one text per distinct
-    row, every tuple once per indent, and its localizations one body text
-    per distinct result.
+    x.to_json_dict())`, built by `_indented_json` from C-level joins.
     """
     print(_indented_json(doc) if fmt == "json" else "\n".join(lines[fmt]))
 
@@ -281,7 +282,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     ]
     if args.format == "human":  # built only when printed: each line formats its point again
         human += [
-            f"  at ({', '.join(map(format_rational, loc.point))}): lambda = {format_rational(loc.pair.threshold)},"
+            f"  at ({', '.join(quotient_strings(*loc.integer_point))}): lambda = {format_rational(loc.pair.threshold)},"
             f" m = {loc.pair.multiplicity}"
             for loc in doc.get("localizations", ())
         ]

@@ -13,15 +13,14 @@ residues of its outside rows only if it can build a new flat, as rules
 "p/q" strings. `_insert` is the one step that adds a residue to canonical
 rows, here and in `threshold`'s normal-crossing walk. A localization's
 witness point comes from its flat's chain by back-substitution
-(`_chain_point`), with no canonical rows. `_order` sorts any list of
-`Flat`s, so `threshold` orders the flats it builds without a closure
-(independent normals) by the same key.
+(`_chain_point`), with no canonical rows, as integers over one
+denominator. `_order` sorts any list of `Flat`s, so `threshold` orders the
+flats it builds without a closure (independent normals) by the same key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd
 from operator import mul
@@ -29,7 +28,7 @@ from typing import Sequence
 
 from .arrangement import NormalizedArrangement
 from .errors import CentralityError, EmptyArrangementError
-from .ratlinalg import eliminate, integer_rank, lead_keys
+from .ratlinalg import eliminate, integer_rank, lead_keys, quotient_strings
 
 
 @dataclass(frozen=True)
@@ -60,30 +59,21 @@ class Flat:
 
     def to_json_dict(self) -> dict:
         return {
-            "normal_space": [list(_rref_strings(row)) for row in self.rows],
+            "normal_space": [_rref_strings(row) for row in self.rows],
             "codim": self.codim,
             "s": self.weight,
             "members": [j for j in range(self.mask.bit_length()) if self.mask >> j & 1],
         }
 
 
-def _rref_strings(row: tuple[int, ...]) -> tuple[str, ...]:
-    """Each entry x / pivot in lowest terms, as `format_rational` prints it.
-
-    The pivot p is the row's first nonzero entry, which is positive, so with
-    g = gcd(x, p) the reduced denominator p // g is positive too.
-
-    Flats of one report share most rows (a coordinate arrangement has k
-    distinct rows over 2^k - 1 flats), so the CLI's printer keeps each
-    distinct row's text for the report it prints (`cli._indented_json`)
-    and calls this once per distinct row.
+def _rref_strings(row: tuple[int, ...]) -> list[str]:
+    """Each entry x / pivot in lowest terms, as `format_rational` prints it;
+    the pivot is the row's first nonzero entry, which is positive. Flats and
+    local normals of one report share most rows (a coordinate arrangement
+    has k distinct rows over 2^k - 1 flats), so the CLI's printer calls this
+    once per distinct row (`cli._indented_json`).
     """
-    p = next(x for x in row if x)
-    out = []
-    for x in row:
-        g = gcd(x, p)
-        out.append(str(x // g) if g == p else f"{x // g}/{p // g}")
-    return tuple(out)
+    return quotient_strings(row, next(x for x in row if x))
 
 
 @dataclass(frozen=True)
@@ -143,9 +133,10 @@ def _canonical_rows(chain: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...]
     return reduce(_insert, chain, ())
 
 
-def _chain_point(chain: tuple[tuple[int, ...], ...], d: int) -> tuple[Fraction, ...]:
+def _chain_point(chain: tuple[tuple[int, ...], ...], d: int) -> tuple[tuple[int, ...], int]:
     """The point of a consistent chain of rows (a | b) whose free coordinates
-    (the columns that lead no row) are zero.
+    (the columns that lead no row) are zero, as (nums, den): coordinate i is
+    nums[i] / den, and den > 0.
 
     That point depends only on the span and the pivot columns, and the chain
     has the pivots of its canonical rows, so it is the point that
@@ -153,7 +144,7 @@ def _chain_point(chain: tuple[tuple[int, ...], ...], d: int) -> tuple[Fraction, 
     lead, so in reverse chain order each row has one unknown left, its lead:
     x[c_j] = -(b_j + sum of a_j[c]·x[c] over the later leads) / a_j[c_j]. The
     coordinates are integers over one common denominator, which each step
-    multiplies by the lead, and each becomes one `Fraction` at the end.
+    multiplies by the lead, a positive number; nothing is reduced here.
     """
     nums, den = [0] * d, 1
     for residue in reversed(chain):
@@ -164,7 +155,7 @@ def _chain_point(chain: tuple[tuple[int, ...], ...], d: int) -> tuple[Fraction, 
             nums = [x * p for x in nums]
             den *= p
         nums[lead] = -total
-    return tuple(map(Fraction, nums)) if den == 1 else tuple([Fraction(x, den) for x in nums])
+    return tuple(nums), den
 
 
 def _closure(rows: Sequence[tuple[int, ...]], d: int) -> list[tuple[tuple[tuple[int, ...], ...], int]]:

@@ -20,9 +20,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .arrangement import IDENTIFIER, ArrangementSpec, NormalizedArrangement
+from .arrangement import IDENTIFIER, ArrangementSpec, NormalizedArrangement, _stored
 from .errors import NonlinearFactorError, ParseError, UnknownVariableError
-from .ratlinalg import RationalMatrix, format_rational
+from .ratlinalg import format_rational, integer_row
 
 # Any other non-space character is a "bad" token, so the matches cover the
 # text but its whitespace, which the scan steps over.
@@ -30,8 +30,8 @@ _TOKEN = re.compile(rf"(?P<name>{IDENTIFIER})|(?P<int>\d+)|(?P<sym>[*^()+\-,;/])
 
 Token = tuple[str, str, int]  # (kind, text, position)
 # A coefficient or constant while parsing: an int, or a Fraction once a
-# "p/q" coefficient enters. Their sums stay exact, and the spec's matrix and
-# offsets make each entry a Fraction once, at the end.
+# "p/q" coefficient enters. Their sums stay exact, and each factor becomes
+# one integer row over its least denominator (`integer_row`) at the end.
 Rational = int | Fraction
 
 
@@ -96,13 +96,10 @@ class _Parser:
             factors.append(self.factor())
         if not self.names:
             raise ParseError("no variables appear in the product", pos)
-        normals = [[coeffs.get(v, 0) for v in self.names] for coeffs, _, _ in factors]
-        return ArrangementSpec(
-            RationalMatrix(normals, cols=len(self.names)),
-            [exponent for _, _, exponent in factors],
-            offsets=[const for _, const, _ in factors],
-            variables=tuple(self.names),
-        )
+        rows = [integer_row([coeffs.get(v, 0) for v in self.names] + [const]) for coeffs, const, _ in factors]
+        mults = tuple(exponent for _, _, exponent in factors)
+        return _stored(ArrangementSpec, integer_rows=tuple(rows), multiplicities=mults, dim=len(self.names),
+                       variables=tuple(self.names))
 
     def vardecl(self) -> None:
         """`vars a, b;` is a declaration only if its run of names and commas ends in ';'."""

@@ -1,7 +1,8 @@
 """Exact rationals at the edges, and the integer rows of the closure.
 
 `RationalMatrix` is a matrix of `fractions.Fraction`, so nothing read in
-or printed ever rounds; arrangements hold their normals in it, and
+or printed ever rounds. Arrangements store integer rows (`integer_row`,
+`primitive_int_row`) and build their `normals` in it only when read, and
 `as_rational` and `format_rational` read and print single values.
 
 The lattice closure works on primitive integer rows instead, and
@@ -54,6 +55,13 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
+def quotient_strings(nums: Sequence[int], den: int) -> list[str]:
+    """Each x / den in lowest terms, as `format_rational` prints
+    `Fraction(x, den)`, with no `Fraction`: den > 0, so with g = gcd(x, den)
+    the reduced denominator den // g is positive too."""
+    return [str(x // g) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}" for x in nums]
+
+
 @dataclass(frozen=True, slots=True)
 class RationalMatrix:
     """Immutable dense matrix of Fractions, row-major.
@@ -81,15 +89,6 @@ class RationalMatrix:
         object.__setattr__(self, "entries", data)
         object.__setattr__(self, "cols", cols)
 
-    @classmethod
-    def of_checked_rows(cls, entries: tuple[tuple[Fraction, ...], ...], cols: int) -> "RationalMatrix":
-        """A matrix of rows read off other matrices: tuples of `Fraction`,
-        each `cols` wide, kept as they are, with no entry coerced again."""
-        matrix = object.__new__(cls)
-        object.__setattr__(matrix, "entries", entries)
-        object.__setattr__(matrix, "cols", cols)
-        return matrix
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -116,12 +115,17 @@ class RationalMatrix:
 # ---------------------------------------------------------------------------
 
 
-def primitive_int_row(row: Sequence[RationalLike]) -> tuple[int, ...]:
-    """Rescale a rational row to the primitive integer vector with positive
-    lead; a zero row stays zero."""
-    fracs = [as_rational(x) for x in row]
-    scale = lcm(*(x.denominator for x in fracs))
-    ints = [x.numerator * (scale // x.denominator) for x in fracs]
+def integer_row(row: Sequence[int | Fraction]) -> tuple[tuple[int, ...], int]:
+    """A row of ints and Fractions as (integers, den), den the least positive
+    integer that makes den·row integer, so equal rows give equal pairs."""
+    den = lcm(*(x.denominator for x in row))
+    return tuple([x.numerator * (den // x.denominator) for x in row]), den
+
+
+def primitive_int_row(row: Sequence[int | Fraction]) -> tuple[int, ...]:
+    """Rescale a row of ints and Fractions to the primitive integer vector
+    with positive lead; a zero row stays zero."""
+    ints = integer_row(row)[0]
     g = gcd(*ints) or 1
     if next(filter(None, ints), 1) < 0:
         g = -g

@@ -14,8 +14,10 @@ When the normals are linearly independent the arrangement is normal
 crossing, and no lattice is needed (`_normal_crossing`). Most localizations
 of an affine arrangement are of this kind, and so is a coordinate
 arrangement. Independence is read off the integer view that every
-arrangement keeps (`primitive_normals`, `normal_rank`), and a local
-arrangement takes that view from its parent and from the closure.
+arrangement keeps (`primitive_normals`, `normal_rank`). The affine path is
+integer until printed: a local arrangement is built from its parent's
+integer rows, and a witness point is integers over one denominator, so a
+report builds no `Fraction` but its λ values.
 """
 
 from __future__ import annotations
@@ -24,10 +26,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, total_ordering
 
-from .arrangement import NormalizedArrangement, normalize_box
+from . import lattice
+from .arrangement import NormalizedArrangement, _stored, normalize_box
 from .errors import CentralityError, EmptyArrangementError, InvalidMultiplicityError, RlctError
 from .lattice import Flat, IntersectionLattice, _chain_point, _closure, _insert, _lattice_order, _order, build_lattice
-from .ratlinalg import RationalMatrix, eliminate, format_rational, meets_box
+from .ratlinalg import eliminate, format_rational, meets_box, quotient_strings
 
 
 @total_ordering
@@ -236,10 +239,16 @@ class Localization:
     """A maximal central sub-arrangement: the hyperplanes through one point,
     centered there, and its result. The sub-arrangement is stored once, as
     the result's `arrangement`, and localizations that share a result share
-    it too."""
+    it too. The point is kept as (nums, den) (`lattice._chain_point`), and
+    `point` is its `Fraction` view, built on first read."""
 
-    point: tuple[Fraction, ...]
+    integer_point: tuple[tuple[int, ...], int]
     result: RlctResult
+
+    @cached_property
+    def point(self) -> tuple[Fraction, ...]:
+        nums, den = self.integer_point
+        return tuple([Fraction(x, den) for x in nums])
 
     @property
     def arrangement(self) -> NormalizedArrangement:
@@ -250,22 +259,20 @@ class Localization:
         return self.result.pair
 
     def to_json_dict(self, *, flat=Flat.to_json_dict) -> dict:
-        point = [format_rational(x) for x in self.point]
-        return {"point": point, **localization_body(self.result, flat)}
+        return {"point": quotient_strings(*self.integer_point), **localization_body(self.result, flat)}
 
 
 def localization_body(result: RlctResult, flat) -> dict:
     """The keys of a localization's JSON after "point": its result's pair and
     flats (`flat` as in `RlctResult.to_json_dict`), then its local
     arrangement's normals and multiplicities. Each normal is a list of "p/q"
-    strings, or with `flat=None` the arrangement's own row, a tuple of
-    `Fraction`s that the CLI's printer writes as those strings. Localizations
-    that share a result share this body, so the CLI prints it once per
-    result, and the rows are the parent arrangement's, shared by every point
-    on a hyperplane."""
+    strings (`lattice._rref_strings` of its primitive row), or with
+    `flat=None` that row, which the CLI's printer prints through the same
+    strings. Localizations that share a result share this body, so the CLI
+    prints it once per result; the rows are the parent arrangement's."""
     doc = result.to_json_dict(flat=flat)
-    rows = result.arrangement.normals.entries
-    doc["normals"] = list(rows) if flat is None else [list(map(format_rational, row)) for row in rows]
+    rows = result.arrangement.primitive_normals
+    doc["normals"] = list(rows) if flat is None else [lattice._rref_strings(row) for row in rows]
     doc["multiplicities"] = list(result.arrangement.multiplicities)
     return doc
 
@@ -295,15 +302,16 @@ class LocalizationReport:
             doc["localizations"] = list(self.localizations)
         else:
             doc["localizations"] = [loc.to_json_dict(flat=flat) for loc in self.localizations]
-        doc["global_point"] = [format_rational(x) for x in self.localizations[self.global_index].point]
+        doc["global_point"] = quotient_strings(*self.localizations[self.global_index].integer_point)
         return doc
 
 
 def maximal_central_localizations(
     arr: NormalizedArrangement,
-) -> list[tuple[tuple[Fraction, ...], NormalizedArrangement]]:
-    """Points where maximal subsets of the hyperplanes meet, with the
-    centered sub-arrangements they define.
+) -> list[tuple[tuple[tuple[int, ...], int], NormalizedArrangement]]:
+    """Points where maximal subsets of the hyperplanes meet, each as integers
+    over one positive denominator (nums, den), with the centered
+    sub-arrangements they define.
 
     The lattice's closure engine runs on the augmented rows (a | b): it
     drops extensions that pivot in the offset column (no common point), so
@@ -316,14 +324,9 @@ def maximal_central_localizations(
     and it meets F in a smaller flat. A maximal flat's witness point, the
     solution with free variables at zero, is read off its chain by
     back-substitution (`_chain_point`), so no chain is reduced to canonical
-    rows here.
-    Points whose hyperplanes have the same normals and multiplicities, in
-    order, share one sub-arrangement object. The key holds the normals'
-    primitive integer rows, from `arr`'s integer view: lead-1 normals are
-    equal iff their primitive rows are. The closure runs on the view's
-    augmented rows (`primitive_rows`). Each sub-arrangement gets its
-    integer view from `arr`'s and its rank from the length of the maximal
-    flat's chain (`_centered`).
+    rows here. Points whose hyperplanes have the same primitive normals and
+    multiplicities, in order, share one sub-arrangement object, built from
+    `arr`'s integer rows (`_centered`). No `Fraction` is built.
     """
     n, d = arr.n, arr.dim
     if n == 0:
@@ -348,17 +351,13 @@ def _centered(arr: NormalizedArrangement, members, rank: int) -> NormalizedArran
     """The hyperplanes `members` of `arr`, moved to pass through the origin,
     with their integer view filled in. `rank` is the length of the chain of
     the closure's flat of the members' rows (a | b); rows with a common
-    point have the rank of their normals. The normals are the parent's row
-    tuples and the primitive rows the parent's, so nothing is rebuilt."""
-    normals, primitive = arr.normals.entries, arr.primitive_normals
-    sub = NormalizedArrangement(
-        normals=RationalMatrix.of_checked_rows(tuple(normals[j] for j in members), arr.dim),
-        offsets=(Fraction(0),) * len(members),
-        multiplicities=tuple(arr.multiplicities[j] for j in members),
-        variables=arr.variables,
-    )
-    vars(sub).update(primitive_normals=tuple(primitive[j] for j in members), normal_rank=rank)  # the cached properties
-    return sub
+    point have the rank of their normals. The rows are the parent's
+    primitive normals with a zero offset, and the primitive normals are the
+    parent's tuples, so no `Fraction` is built."""
+    normals, mults = tuple(arr.primitive_normals[j] for j in members), tuple(arr.multiplicities[j] for j in members)
+    rows = tuple(normal + (0,) for normal in normals)
+    return _stored(NormalizedArrangement, primitive_rows=rows, multiplicities=mults, dim=arr.dim, variables=arr.variables,
+                   primitive_normals=normals, normal_rank=rank)  # the last two are cached properties
 
 
 def box_pair(arr: NormalizedArrangement, bounds) -> RlctPair:
@@ -424,7 +423,7 @@ def rlct_affine(arr: NormalizedArrangement) -> LocalizationReport:
             independent = sub.normal_rank == sub.n
             result = RlctResult(*_normal_crossing(sub, crossings), sub) if independent else rlct_central(sub)
             found = results[id(sub)] = (result, len(localizations))
-        localizations.append(Localization(point=point, result=found[0]))
+        localizations.append(Localization(point, found[0]))
     # `min` keeps the first least result, and `results` is in order of first appearance.
     _, best_index = min(results.values(), key=lambda found: found[0].pair)
     return LocalizationReport(localizations=tuple(localizations), global_index=best_index)

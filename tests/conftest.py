@@ -20,6 +20,12 @@ def random_rational(rng: random.Random, span: int = 4, max_den: int = 3) -> Frac
     return Fraction(rng.randint(-span, span), rng.randint(1, max_den))
 
 
+def fraction_point(point) -> tuple[Fraction, ...]:
+    """A point (nums, den), as `maximal_central_localizations` gives it, as Fractions."""
+    nums, den = point
+    return tuple(Fraction(x, den) for x in nums)
+
+
 def random_central_arrangement(
     rng: random.Random,
     max_n: int = 10,

@@ -17,9 +17,12 @@ from rlct import (
     arrangement_from_csv,
     arrangement_from_json,
     arrangement_to_json_dict,
+    format_factored_product,
     normalize,
+    parse_factored_product,
 )
 from rlct.ratlinalg import primitive_int_row
+from rlct.threshold import maximal_central_localizations
 
 F = Fraction
 
@@ -204,16 +207,67 @@ class TestNormalizeDifferential:
             assert arr.multiplicities == mults
             assert all(type(x) is Fraction for row in arr.normals for x in row)
             assert all(type(x) is Fraction for x in arr.offsets)
-            # The integer view `normalize` filled in is the one computed on first read.
+            # `normalize` stores the integer rows; the public constructor
+            # builds them from the views, which it keeps.
             assert arr.primitive_normals == tuple(primitive_int_row(row) for row in normals)
             assert arr.primitive_rows == tuple(primitive_int_row(a + (b,)) for a, b in zip(normals, offsets))
             built = NormalizedArrangement(RationalMatrix(normals), offsets, mults)
-            assert "primitive_rows" not in vars(built)
+            assert vars(built)["offsets"] == offsets and (built, hash(built)) == (arr, hash(arr))
             assert (built.primitive_rows, built.primitive_normals) == (arr.primitive_rows, arr.primitive_normals)
             merged += sum(s > 0 for s in spec.multiplicities) > arr.n
             # The sort key's shift is twice the largest lead's bit length.
             wide += 2 * max(next(filter(None, row)) for row in arr.primitive_rows).bit_length() > 60
         assert merged >= 300 and empty >= 20 and wide >= 100, (merged, empty, wide)
+
+
+def _rebuilt_from_views(obj, build):
+    """`build` of `obj`'s `Fraction` views, which `obj` builds here on first
+    read, is equal to `obj` and hashes alike."""
+    assert "normals" not in vars(obj) and "offsets" not in vars(obj)
+    assert all(type(x) is F for row in obj.normals for x in row)
+    assert all(type(x) is F for x in obj.offsets)
+    built = build(obj)
+    assert (built, hash(built)) == (obj, hash(obj))
+    assert (built.n, built.dim) == (obj.n, obj.dim)
+    return built
+
+
+def _normalized_from_views(arr):
+    built = _rebuilt_from_views(arr, lambda a: NormalizedArrangement(a.normals, a.offsets, a.multiplicities, a.variables))
+    assert (built.primitive_rows, built.primitive_normals) == (arr.primitive_rows, arr.primitive_normals)
+    assert (built.normal_rank, built.is_central) == (arr.normal_rank, arr.is_central)
+    return built
+
+
+class TestIntegerRowsAndTheirViews:
+    """Arrangements store integer rows and build their `Fraction` views on
+    first read. One built from integers (by the parser, `normalize` or
+    `threshold._centered`) equals and hashes like one built through the
+    public constructor from its views."""
+
+    def test_built_from_integers_equals_built_from_views(self):
+        rng = random.Random(487)
+        kinds = ("integer", "fraction", "prime")
+        arrangements = subs = fractional = 0
+        for draw in range(300):
+            spec = _normalize_draw(rng, kinds[draw % 3])
+            if not any(spec.multiplicities):
+                continue
+            arr = normalize(spec)
+            _normalized_from_views(arr)
+            parsed = parse_factored_product(format_factored_product(arr))
+            _rebuilt_from_views(parsed, lambda s: ArrangementSpec(s.normals, s.multiplicities, s.offsets, s.variables))
+            assert normalize(parsed) == arr
+            fractional += any(den > 1 for _, den in parsed.integer_rows)
+            seen = set()
+            for _, sub in maximal_central_localizations(normalize(spec)):
+                if id(sub) not in seen:
+                    seen.add(id(sub))
+                    _normalized_from_views(sub)
+                    assert sub.is_central and sub.offsets == (0,) * sub.n
+            arrangements += 1
+            subs += len(seen)
+        assert arrangements >= 250 and subs >= 400 and fractional >= 100, (arrangements, subs, fractional)
 
 
 class TestJsonIngestion:

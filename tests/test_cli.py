@@ -9,6 +9,7 @@ import sys
 import time
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -527,6 +528,71 @@ class TestMain:
         proc.stdout.close()
         err = proc.stderr.read()
         assert (proc.wait(timeout=120), err) == (141, b"")
+
+
+def _linear_form(coefs, const, names):
+    """The text of sum(c * name) + const, in the parser's grammar."""
+    terms = [f"{c}*{name}" for c, name in zip(coefs, names) if c] + ([str(const)] if const else [])
+    return "(" + " + ".join(terms).replace("+ -", "- ") + ")"
+
+
+class TestIntegerToThePrintEdge:
+    """`rlct compute` keeps arrangements, local arrangements and witness
+    points as integers until it prints them: a report builds no
+    `RationalMatrix`, and no `Fraction` but the λ of each result it solves."""
+
+    def test_compute_builds_only_the_lambda_fractions(self, capsys, monkeypatch):
+        rng = random.Random(463)
+        names = ["x1", "x2", "x3", "x4"]
+
+        def draw(n, d, offsets):
+            forms = []
+            while len(forms) < n:
+                coefs = [rng.randint(-5, 5) for _ in range(d)]
+                if any(coefs):
+                    forms.append(_linear_form(coefs, rng.randint(-4, 4) if offsets else 0, names[:d]))
+            return "*".join(forms)
+
+        polys = {
+            "generic central": draw(8, 4, offsets=False),
+            "coordinate": "x1*x2*x3*x4*x5",
+            "grid with its diagonal": "x*(x-1)*(x-2)*y*(y-1)*(y-2)*(x-y)",
+            "generic affine": draw(7, 3, offsets=True),
+        }
+        built, matrices, lambdas = [], [], []
+        fraction_new, matrix_init, solved = Fraction.__new__, RationalMatrix.__init__, rlct.threshold._solved
+
+        def counting_new(cls, *args, **kwargs):
+            value = fraction_new(cls, *args, **kwargs)
+            built.append(value)
+            return value
+
+        def counting_solved(minimizers):
+            out = solved(minimizers)
+            lambdas.append(out[0].threshold)
+            return out
+
+        docs = {}
+        for kind, poly in polys.items():
+            with monkeypatch.context() as patch:
+                patch.setattr(Fraction, "__new__", counting_new)
+                patch.setattr(RationalMatrix, "__init__", lambda *a, **k: matrices.append(a) or matrix_init(*a, **k))
+                patch.setattr(rlct.threshold, "_solved", counting_solved)
+                code = main(["compute", "--poly", poly])
+            docs[kind] = json.loads(capsys.readouterr().out)
+            assert code == 0, kind
+            assert matrices == [], kind
+            assert built == lambdas and lambdas, (kind, built, lambdas)
+            printed = {docs[kind]["lambda"]} | {loc["lambda"] for loc in docs[kind].get("localizations", ())}
+            assert {str(x) for x in built} == printed, kind
+            built.clear()
+            lambdas.clear()
+        # The inputs reach every path: a closure, a normal-crossing shortcut,
+        # shared local results, and points with fractional coordinates.
+        assert "localizations" not in docs["generic central"] and "localizations" not in docs["coordinate"]
+        assert len(docs["grid with its diagonal"]["localizations"]) == 9
+        points = [x for loc in docs["generic affine"]["localizations"] for x in loc["point"]]
+        assert sum("/" in x for x in points) >= 10, points
 
 
 # JSON trees as reports hold them, plus the leaves they never hold: keys and

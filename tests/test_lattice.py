@@ -513,8 +513,8 @@ class TestClosureEngine:
         for arr in single + generic:
             produced = sorted(
                 tuple(j for j, (a, b) in enumerate(zip(arr.normals, arr.offsets))
-                      if sum(x * y for x, y in zip(a, point)) + b == 0)
-                for point, _ in maximal_central_localizations(arr)
+                      if sum(x * y for x, y in zip(a, nums)) + b * den == 0)
+                for (nums, den), _ in maximal_central_localizations(arr)
             )
             assert produced == localizations_bruteforce(arr)
             if arr in single:

@@ -30,7 +30,7 @@ from rlct import (
 )
 from rlct.oracle import MAX_BRUTEFORCE_CHAIN_FLATS, verify_central, verify_report
 from rlct.ratlinalg import RationalMatrix
-from rlct.threshold import Localization, RlctPair
+from rlct.threshold import RlctPair
 
 from conftest import matmul, random_central_arrangement, random_invertible, random_rational, unreduced_rref_strings
 
@@ -282,7 +282,7 @@ class TestVerify:
             last = report.localizations[-1].result
             wrong = replace(last, pair=RlctPair(last.pair.threshold, last.pair.multiplicity + 1))
             broken = replace(report, localizations=tuple(
-                Localization(loc.point, wrong) if loc.result is last else loc for loc in report.localizations))
+                replace(loc, result=wrong) if loc.result is last else loc for loc in report.localizations))
             for checked, chain_match in ((report, True), (broken, False)):
                 reference = [verify_central(loc.arrangement, loc.result) for loc in checked.localizations]
                 calls.clear()
@@ -314,7 +314,7 @@ def _first_localization(tamper):
 
     def tampered(report):
         first, *rest = report.localizations
-        return replace(report, localizations=(Localization(first.point, tamper(first.result)), *rest))
+        return replace(report, localizations=(replace(first, result=tamper(first.result)), *rest))
 
     return tampered
 

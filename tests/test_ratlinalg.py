@@ -20,7 +20,7 @@ from rlct import (
     subspace_leq,
 )
 from rlct.lattice import _canonical_rows, _closure
-from rlct.ratlinalg import integer_rank, meets_box, primitive_int_row
+from rlct.ratlinalg import format_rational, integer_rank, meets_box, primitive_int_row, quotient_strings
 
 from conftest import matmul, meets_box_bruteforce, random_invertible
 
@@ -201,6 +201,25 @@ class TestRationalMatrixValue:
             RationalMatrix([], cols=0)
         with pytest.raises(DimensionError, match="explicit column count"):
             RationalMatrix([])
+
+
+class TestQuotientStrings:
+    def test_prints_as_format_rational(self):
+        # The integer point text: each x / den in lowest terms, exactly as
+        # `format_rational(Fraction(x, den))`, with no `Fraction`.
+        rng = random.Random(491)
+        wide = zeros = whole = negative = 0
+        for _ in range(3000):
+            bits = rng.choice((3, 20, 70, 130))
+            den = rng.choice((1, rng.randint(1, 2**bits), rng.randint(1, 9)))
+            nums = [rng.choice((0, rng.randint(-(2**bits), 2**bits), den * rng.randint(-9, 9), rng.randint(-9, 9)))
+                    for _ in range(rng.randint(1, 5))]
+            assert quotient_strings(nums, den) == [format_rational(Fraction(x, den)) for x in nums]
+            wide += any(abs(x) >= 2**64 for x in nums) and den >= 2**64
+            zeros += 0 in nums
+            whole += den == 1
+            negative += any(x < 0 for x in nums)
+        assert min(wide, zeros, whole, negative) >= 300, (wide, zeros, whole, negative)
 
 
 class TestPrimitiveIntRow:

@@ -45,7 +45,14 @@ from rlct.oracle import (
 from rlct.ratlinalg import RationalMatrix, primitive_int_row
 from rlct.threshold import box_pair, maximal_central_localizations
 
-from conftest import matmul, meets_box_bruteforce, random_central_arrangement, random_invertible, random_rational
+from conftest import (
+    fraction_point,
+    matmul,
+    meets_box_bruteforce,
+    random_central_arrangement,
+    random_invertible,
+    random_rational,
+)
 
 F = Fraction
 
@@ -597,7 +604,7 @@ class TestIntegerView:
             if draw % 3 == 2:
                 # A box around the common point: the flat of all hyperplanes, with no closure.
                 ((point, _),) = maximal_central_localizations(arr)
-                boxes.append([(x - F(rng.randint(1, 3), 4), x + F(rng.randint(1, 3), 4)) for x in point])
+                boxes.append([(x - F(rng.randint(1, 3), 4), x + F(rng.randint(1, 3), 4)) for x in fraction_point(point)])
             for bounds in boxes:
                 try:
                     box_pair(arr, bounds)
@@ -632,7 +639,7 @@ class TestLatticeOnRead:
     def test_fields(self):
         fields = [f.name for f in dataclasses.fields(threshold.RlctResult)]
         assert fields == ["pair", "witness_chain", "minimizer_flats", "arrangement"]
-        assert [f.name for f in dataclasses.fields(threshold.Localization)] == ["point", "result"]
+        assert [f.name for f in dataclasses.fields(threshold.Localization)] == ["integer_point", "result"]
 
     def test_no_result_holds_a_lattice_until_read(self):
         arr = arr_of("x*y^2*z^2*(x+y+z)")
@@ -670,7 +677,7 @@ class TestLatticeOnRead:
             arr = normalize(ArrangementSpec(rows, [rng.randint(1, 2) for _ in range(n)], offsets=offsets))
             report = rlct_affine(arr)
             expected = maximal_central_localizations(arr)
-            assert [loc.point for loc in report.localizations] == [point for point, _ in expected]
+            assert [loc.point for loc in report.localizations] == [fraction_point(point) for point, _ in expected]
             for loc, (_, sub) in zip(report.localizations, expected):
                 assert loc.arrangement is loc.result.arrangement
                 assert loc.arrangement == sub
@@ -722,20 +729,20 @@ class TestLocalization:
         locs = maximal_central_localizations(arr_of("x*y"))
         assert len(locs) == 1
         point, sub = locs[0]
-        assert point == (F(0), F(0))
+        assert fraction_point(point) == (F(0), F(0))
         assert sub == arr_of("x*y")
 
     def test_parallel_lines(self):
         locs = maximal_central_localizations(arr_of("x*(x-1)"))
         assert len(locs) == 2
-        points = sorted(p for p, _ in locs)
+        points = sorted(fraction_point(p) for p, _ in locs)
         assert points == [(F(0),), (F(1),)]
         assert all(sub.n == 1 for _, sub in locs)
 
     def test_three_lines_generic_offsets(self):
         locs = maximal_central_localizations(arr_of("x*y*(x+y-1)"))
         assert len(locs) == 3
-        points = sorted(p for p, _ in locs)
+        points = sorted(fraction_point(p) for p, _ in locs)
         assert points == [(F(0), F(0)), (F(0), F(1)), (F(1), F(0))]
         assert all(sub.n == 2 for _, sub in locs)
 
@@ -756,6 +763,7 @@ class TestLocalization:
             locs = maximal_central_localizations(arr)
             member_sets = []
             for point, sub in locs:
+                point = fraction_point(point)
                 through = frozenset(
                     j
                     for j in range(arr.n)
@@ -795,7 +803,7 @@ class TestLocalization:
                 tuple(
                     j
                     for j in range(arr.n)
-                    if sum(a * x for a, x in zip(arr.normals.row(j), point)) + arr.offsets[j] == 0
+                    if sum(a * x for a, x in zip(arr.normals.row(j), fraction_point(point))) + arr.offsets[j] == 0
                 )
                 for point, sub in maximal_central_localizations(arr)
             )
@@ -864,10 +872,11 @@ class TestWitnessPoints:
             if arr.n <= 6:  # the all-subsets oracle on 526 of the 600 draws
                 assert [members for members, _ in chains] == localizations_bruteforce(arr)
             locs = maximal_central_localizations(arr)
-            assert [point for point, _ in locs] == [_canonical_point(chain, d) for _, chain in chains]
+            assert [fraction_point(point) for point, _ in locs] == [_canonical_point(chain, d) for _, chain in chains]
             for (point, sub), (members, chain) in zip(locs, chains):
                 assert lattice._chain_point(chain, d) == point
-                assert all(type(x) is F for x in point)
+                assert all(type(x) is int for x in point[0]) and type(point[1]) is int and point[1] > 0
+                point = fraction_point(point)
                 # On every member hyperplane and on no other, in exact arithmetic.
                 through = tuple(
                     j for j in range(arr.n) if sum(a * x for a, x in zip(arr.normals.row(j), point)) + arr.offsets[j] == 0
@@ -878,6 +887,41 @@ class TestWitnessPoints:
                 lines += sub.normal_rank < d
                 fractional += any(x.denominator > 1 for x in point)
         assert count >= 4000 and lines >= 600 and fractional >= 3000, (count, lines, fractional)
+
+
+class TestPointsAgainstTheOracle:
+    def test_point_is_read_off_the_oracle_rref(self):
+        # `Localization.point`, a view of the integers (nums, den), is entry
+        # for entry the point of the oracle's own Fraction `rref` of its
+        # members' rows (a | b), with the free coordinates at zero. The
+        # members are the hyperplanes through the point, and on up to eight
+        # hyperplanes they are the all-subsets oracle's localizations.
+        rng = random.Random(503)
+        kinds = ("rational", "parallel", "lines", "grid", "generic", "through")
+        count = checked = deficient = fractional = 0
+        for draw in range(200):
+            arr = _witness_draw(rng, kinds[draw % len(kinds)])
+            d = arr.dim
+            report = rlct_affine(arr)
+            members = [
+                tuple(j for j in range(arr.n) if sum(a * x for a, x in zip(arr.normals.row(j), loc.point)) + arr.offsets[j] == 0)
+                for loc in report.localizations
+            ]
+            if arr.n <= 8:
+                assert members == localizations_bruteforce(arr)
+                checked += 1
+            for loc, through in zip(report.localizations, members):
+                assert [arr.multiplicities[j] for j in through] == list(loc.arrangement.multiplicities)
+                reduced, rank, pivots = rref(RationalMatrix([arr.normals.row(j) + (arr.offsets[j],) for j in through]))
+                expected = [F(0)] * d
+                for row, c in zip(reduced, pivots):
+                    expected[c] = -row[d]
+                assert loc.point == tuple(expected) and all(type(x) is F for x in loc.point)
+                count += 1
+                fractional += any(x.denominator > 1 for x in loc.point)
+            deficient += arr.normal_rank < d
+        assert count >= 1200 and checked >= 150 and deficient >= 50 and fractional >= 800, (
+            count, checked, deficient, fractional)
 
 
 class TestAffine:
@@ -1064,7 +1108,7 @@ class TestBoxPair:
                     rows.append(row)
             offsets = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
             arr = normalize(ArrangementSpec(rows, [rng.randint(1, 3) for _ in range(n)], offsets=offsets))
-            points = [point for point, _ in maximal_central_localizations(arr)]
+            points = [fraction_point(point) for point, _ in maximal_central_localizations(arr)]
             bounds = [(min(xs) - F(rng.randint(0, 2), 3), max(xs) + F(rng.randint(0, 2), 3)) for xs in zip(*points)]
             if any(lo == hi for lo, hi in bounds):
                 # One witness point and a zero margin: an interval without interior.
