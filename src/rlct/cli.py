@@ -11,13 +11,12 @@ Subcommands:
 `verify_central`, everything else `rlct_affine` and `verify_report`.
 Every report prints through `emit`, the one switch on --format, and the
 argparse parser is built once per process, at import. JSON reports print
-the bytes of `json.dumps(doc, indent=2, default=lambda x: x.to_json_dict())`,
-but through C-level joins (`_indented_json`): an `indent` makes
-`json.dumps` skip its C encoder. A report's document holds its `Flat`s and
-`Localization`s. Flats and local normals print from their integer rows,
-one text per distinct row per report, every tuple once per indent, the
-localizations that share a result share one text of its body, and a point
-prints from its integers (nums, den), in JSON and `human` lines alike.
+the bytes of `json.dumps(doc, indent=2, default=lambda x: x.to_json_dict())`
+through C-level joins (`_indented_json`; an `indent` makes `json.dumps` skip
+its C encoder), from a document that holds its `Flat`s and `Localization`s.
+A flat prints from its integer data and its indent's constant pieces, with
+one text per distinct row, shared tuple and shared result body per report,
+and a point from its integers (nums, den), in JSON and `human` lines alike.
 `rlct.volume`, and numpy with it, loads on the first `volume-fit`, inside
 `cmd_volume_fit` and the seams `estimate_volume` and `fit_asymptotics`;
 `compute`, `localize` and `parse` never load it.
@@ -156,58 +155,64 @@ def _indented_json(obj, pad: str = "\n") -> str:
     """Exactly `json.dumps(obj, indent=2, default=lambda x: x.to_json_dict())`,
     with every container one `str.join`, and a `Fraction` as its "p/q" string.
 
-    `pad` is the newline and indent of `obj`'s own line. A list whose items
-    are all of exact type str, int or `Fraction` is joined straight from
-    `_SCALAR_TEXT`; any other scalar (float, bool, None, subclasses) takes
-    `json.dumps(x)`, the C encoder, which prints it as the indented encoder
-    does. Dict keys must be `str`, as they are in every report. A dict is one
-    join over its braces, keys, separators and values' texts, so no value's
-    text is copied but into its parent's.
-
-    A `Flat` prints from its integer data, rows, mask and weight, in the
-    layout of `Flat.to_json_dict` (it has at least one row and one member).
-    Each distinct row's text at one indent is built once per call, from the
-    `lattice._rref_strings` bound when the call starts.
-
-    A `Localization` prints as its point (`quotient_strings`), then the text
-    of its result's body (`threshold.localization_body`), built once per
-    distinct result per call: the result's tuples of `Flat`s, and its
-    primitive normals, which print through the flats' row texts. The text of
-    every tuple at one indent is built once per call, keyed by its id, so a
-    shared flat tuple prints once. An id is safe as a key because every
-    tuple is held by `obj` until the call returns.
+    `pad` is the newline and indent of `obj`'s own line. A list picks its
+    item writer once: `_SCALAR_TEXT` if every item is of exact type str, int
+    or `Fraction`, the flat writer if every item is a `Flat`, else `text`
+    (any other scalar takes `json.dumps(x)`). Dict keys are `str`; a dict is
+    one join over its braces, keys, separators and values' texts, so no text
+    is copied but into its parent's. A `Flat` prints in the layout of
+    `Flat.to_json_dict` through its indent's writer, built once per call with
+    the indent's pads, separators and key texts; so are the member index
+    texts and each distinct row's text (from the `lattice._rref_strings`
+    bound when the call starts), and no flat's text outlives its list's join.
+    A `Localization` prints as its point, then its result's body text
+    (`threshold.localization_body`); that text and each tuple's are built
+    once per indent per call, keyed by id, which is safe as `obj` holds them.
     """
     rref_strings = lattice._rref_strings
-    row_texts: dict[str, dict[tuple[int, ...], str]] = {}  # by indent, then row; lives for this call
+    names: list[str] = []  # member index texts, "0", "1", ...
+    writers: dict[tuple[object, str], object] = {}  # rows and flat writers, by builder and indent
     shared: dict[tuple[str, int], str] = {}  # tuples' and results' texts, by indent and id
 
-    def rows_text(rows, pad: str) -> str:
-        """Integer rows as the list of their `rref_strings`, each distinct row's text built once per indent."""
-        row_pad = pad + "  "
-        entry_pad = row_pad + "  "
-        texts = row_texts.setdefault(row_pad, {})
-        out = []
-        for row in rows:
-            row_text = texts.get(row)
-            if row_text is None:
-                entries = ("," + entry_pad).join(map(encode_basestring_ascii, rref_strings(row)))
-                row_text = texts[row] = "[" + entry_pad + entries + row_pad + "]"
-            out.append(row_text)
-        return "[" + row_pad + ("," + row_pad).join(out) + pad + "]"
+    def writer(build, pad: str):
+        """`build(pad)`, built once per call."""
+        return writers[build, pad] if (build, pad) in writers else writers.setdefault((build, pad), build(pad))
 
-    def flat_text(flat: Flat, pad: str) -> str:
+    def rows_writer(pad: str):
+        """Integer rows at `pad` as the list of their `rref_strings`, each distinct row's text built once."""
+        row_pad, texts = pad + "  ", {}
+        sep, entry_sep = "," + row_pad, "," + row_pad + "  "
+
+        def write(rows) -> str:
+            out = []
+            for row in rows:
+                row_text = texts.get(row)
+                if row_text is None:
+                    entries = entry_sep.join(map(encode_basestring_ascii, rref_strings(row)))
+                    row_text = texts[row] = f"[{entry_sep[1:]}{entries}{row_pad}]"
+                out.append(row_text)
+            return f"[{row_pad}{sep.join(out)}{pad}]"
+
+        return write
+
+    def flat_writer(pad: str):
+        """A `Flat` at `pad`, from the indent's constant pieces and the member index texts."""
         inner = pad + "  "
-        member_pad = inner + "  "
-        members = [str(j) for j in range(flat.mask.bit_length()) if flat.mask >> j & 1]
-        return (
-            f'{{{inner}"normal_space": {rows_text(flat.rows, inner)},'
-            f'{inner}"codim": {len(flat.rows)},{inner}"s": {flat.weight},'
-            f'{inner}"members": [{member_pad}{("," + member_pad).join(members)}{inner}]{pad}}}'
-        )
+        rows_text = writer(rows_writer, inner)
+        head, codim, weight = "{" + inner + '"normal_space": ', "," + inner + '"codim": ', "," + inner + '"s": '
+        members, sep, tail = "," + inner + '"members": [' + inner + "  ", "," + inner + "  ", inner + "]" + pad + "}"
+
+        def write(flat: Flat) -> str:
+            mask, n = flat.mask, flat.mask.bit_length()
+            if n > len(names):
+                names.extend(map(str, range(len(names), n)))
+            member_texts = sep.join([names[j] for j in range(n) if mask >> j & 1])
+            return f"{head}{rows_text(flat.rows)}{codim}{len(flat.rows)}{weight}{flat.weight}{members}{member_texts}{tail}"
+
+        return write
 
     def localization_text(loc: Localization, pad: str) -> str:
-        inner = pad + "  "
-        key = (pad, id(loc.result))
+        inner, key = pad + "  ", (pad, id(loc.result))
         if key not in shared:
             shared[key] = "".join(item_parts(localization_body(loc.result, None), inner, rows="normals"))
         point = text(quotient_strings(*loc.integer_point), inner)
@@ -217,13 +222,13 @@ def _indented_json(obj, pad: str = "\n") -> str:
         """Each item of `obj` as its separator, key, ": " and value text; the value under `rows` is integer rows."""
         sep, parts = "," + inner, []
         for key, value in obj.items():
-            parts += (sep, encode_basestring_ascii(key), ": ", rows_text(value, inner) if key == rows else text(value, inner))
+            parts += (sep, encode_basestring_ascii(key), ": ", writer(rows_writer, inner)(value) if key == rows else text(value, inner))
         return parts
 
     def text(obj, pad: str) -> str:
         if not isinstance(obj, (dict, list, tuple)):
             if type(obj) is Flat:
-                return flat_text(obj, pad)
+                return writer(flat_writer, pad)(obj)
             if type(obj) is Localization:
                 return localization_text(obj, pad)
             return _SCALAR_TEXT.get(type(obj), json.dumps)(obj)
@@ -239,16 +244,16 @@ def _indented_json(obj, pad: str = "\n") -> str:
         if key in shared:
             return shared[key]
         kinds = set(map(type, obj))
-        scalar = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
-        items = map(scalar, obj) if scalar else (text(x, inner) for x in obj)
-        out = "[" + inner + ("," + inner).join(items) + pad + "]"
+        kind = kinds.pop() if len(kinds) == 1 else None
+        write = writer(flat_writer, inner) if kind is Flat else _SCALAR_TEXT.get(kind, lambda x: text(x, inner))
+        out = "[" + inner + ("," + inner).join(map(write, obj)) + pad + "]"
         if key:
             shared[key] = out
         return out
 
     out = text(obj, pad)
     # `text` refers to itself, so these closures form a cycle: free the texts now.
-    row_texts.clear()
+    writers.clear()
     shared.clear()
     return out
 

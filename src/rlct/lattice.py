@@ -3,19 +3,16 @@
 A flat is a nonempty intersection of some of the hyperplanes (the ambient
 space itself is excluded). `_closure` extends each frontier flat by one
 outside row at a time, so the cost scales with the lattice size, not with
-2^n. It serves both the central lattice (rows: the normals) and the affine
-localizations in `threshold.py` (rows: (a | b)), and returns each flat as
-its residue chain and member bitmask, so a flat's codim is its chain's
-length. It works on integer rows and member bitmasks. A flat computes the
-residues of its outside rows only if it can build a new flat, as rules
-(a)-(c) of `_closure` say. Only the flats that are read get
-`_canonical_rows`, from which come the lattice order, `Flat.rows` and the
-"p/q" strings. `_insert` is the one step that adds a residue to canonical
-rows, here and in `threshold`'s normal-crossing walk. A localization's
-witness point comes from its flat's chain by back-substitution
-(`_chain_point`), with no canonical rows, as integers over one
-denominator. `_order` sorts any list of `Flat`s, so `threshold` orders the
-flats it builds without a closure (independent normals) by the same key.
+2^n. On integer rows, it serves the central lattice (rows: the normals) and
+the affine localizations in `threshold.py` (rows: (a | b)), and returns each
+flat as its residue chain, whose length is its codim, and member bitmask.
+Only the flats that are read get `_canonical_rows`, for the lattice order,
+`Flat.rows` and the "p/q" strings. `_insert` is the one step that adds a
+residue to canonical rows, here and in `threshold`'s normal-crossing walk.
+A witness point comes from its flat's chain by back-substitution
+(`_chain_point`), as integers over one denominator. `_order` sorts any list
+of `Flat`s by small integer ranks of their distinct rows, so `threshold`
+orders the flats it builds without a closure by the same key.
 """
 
 from __future__ import annotations
@@ -68,22 +65,16 @@ class Flat:
 
 def _rref_strings(row: tuple[int, ...]) -> list[str]:
     """Each entry x / pivot in lowest terms, as `format_rational` prints it;
-    the pivot is the row's first nonzero entry, which is positive. Flats and
-    local normals of one report share most rows (a coordinate arrangement
-    has k distinct rows over 2^k - 1 flats), so the CLI's printer calls this
-    once per distinct row (`cli._indented_json`).
-    """
+    the pivot is the row's first nonzero entry, which is positive. The CLI's
+    printer calls this once per distinct row of a report (`cli._indented_json`)."""
     return quotient_strings(row, next(x for x in row if x))
 
 
 @dataclass(frozen=True)
 class IntersectionLattice:
-    """All flats of a central arrangement, ordered on first read.
-
-    `triples` holds the closure's (residue chain, mask, weight) per flat.
-    `flats` reduces and sorts them by `_lattice_order` on first read, which
-    `rlct_central` never does: it reduces and orders only its minimizers.
-    """
+    """All flats of a central arrangement: `triples` holds the closure's
+    (residue chain, mask, weight) per flat, and `flats` reduces and sorts them
+    by `_lattice_order` on first read, which `rlct_central` never does."""
 
     triples: tuple[tuple[tuple[tuple[int, ...], ...], int, int], ...]
 
@@ -101,12 +92,14 @@ def _lattice_order(triples) -> list[Flat]:
 def _order(flats: list[Flat]) -> list[Flat]:
     """Flats in lattice order: (codim, rational RREF entries row-major). A
     canonical row over its pivot is its RREF row, so `lead_keys` orders the
-    rows exactly. Flats share most rows, so each distinct row is keyed once
-    per call, and a flat's key is (codim, tuple of its row keys). Every row
-    has the same length, so that orders as the row-major entries do.
+    rows exactly, and distinct rows get distinct keys. Flats share most rows,
+    so each distinct row is keyed once per call and ranked by its key, and a
+    flat's key is (codim, tuple of its rows' ranks). Every row has the same
+    length, so that orders as the row-major entries do.
     """
     row_keys = lead_keys(row for flat in flats for row in flat.rows)
-    return sorted(flats, key=lambda flat: (flat.codim, tuple(map(row_keys.__getitem__, flat.rows))))
+    rank = {row: i for i, row in enumerate(sorted(row_keys, key=row_keys.__getitem__))}
+    return sorted(flats, key=lambda flat: (len(flat.rows), tuple(map(rank.__getitem__, flat.rows))))
 
 
 def _insert(rows: tuple[tuple[int, ...], ...], residue: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -115,15 +108,18 @@ def _insert(rows: tuple[tuple[int, ...], ...], residue: tuple[int, ...]) -> tupl
 
     `rows` are canonical and `residue` is primitive, leads positive at a
     column c and is zero on every pivot of `rows`, so c is a new pivot. A
-    row not zero at c leads before c (a row leading after c is zero up to its
-    lead), where the residue is zero, so its step p·row − row[c]·residue,
-    p = residue[c] > 0, made primitive, keeps its positive lead and its zeros
-    on the old pivots and is zero at c; a row zero at c is kept. Each row is
-    then the span's one primitive vector that leads positive at its pivot
-    and is zero on the other pivots: the canonical row. Descending tuple
-    order is pivot order.
+    row zero at c is kept as it is. A row not zero at c leads before c,
+    where the residue is zero, so its `eliminate` step keeps its positive
+    lead and its zeros on the old pivots and is zero at c. Each row is then
+    the span's one primitive vector that leads positive at its pivot and is
+    zero on the other pivots: the canonical row. Descending tuple order is
+    pivot order.
     """
-    return tuple(sorted([residue, *eliminate(dict.fromkeys(rows, 0), residue)], reverse=True))
+    c = residue.index(next(filter(None, residue)))
+    kept = [row for row in rows if not row[c]]
+    if len(kept) < len(rows):
+        kept += eliminate(dict.fromkeys([row for row in rows if row[c]], 0), residue)
+    return tuple(sorted([*kept, residue], reverse=True))
 
 
 def _canonical_rows(chain: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:

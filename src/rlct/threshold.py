@@ -101,18 +101,16 @@ class RlctResult:
 def rlct_central(arr: NormalizedArrangement) -> RlctResult:
     """Threshold and multiplicity of a central arrangement, exactly.
 
-    When the normals are linearly independent (`arr.normal_rank` is n),
-    the arrangement is normal crossing and `_normal_crossing` solves it
-    with no closure. Otherwise the threshold is the least codim/weight over
-    the closure's integer triples, compared as c·w' < c'·w, and only the
-    minimizers get canonical rows. Either way the minimizers are sorted by
-    the key that orders any set of flats exactly (`lattice._order`), and the
-    rows are the unique canonical rows of each flat's normal space, so both
-    paths give the same flats in the same order. The result keeps `arr`,
-    not the triples, and its `lattice` is built again only when read. The
-    multiplicity is the number of join-irreducibles of the minimizers'
-    member sets (see `_longest_chain`); the witness chain is picked in a
-    fixed order derived from the lattice order, so it is reproducible.
+    Independent normals (`arr.normal_rank` is n) are normal crossing, solved
+    by `_normal_crossing` with no closure. Otherwise the threshold is the
+    least codim/weight over the closure's integer triples, compared as
+    c·w' < c'·w, and only the minimizers get canonical rows. Both paths sort
+    the minimizers' unique canonical rows by `lattice._order`, so they give
+    the same flats in the same order. The result keeps `arr`, not the
+    triples; its `lattice` is built again only when read. m is the number of
+    join-irreducibles of the minimizers' member sets, and the witness chain
+    is picked in a fixed order derived from the lattice order (see
+    `_longest_chain`), so it is reproducible.
     """
     if not arr.is_central:
         raise CentralityError("rlct_central needs a central arrangement; use rlct_affine")
@@ -143,22 +141,21 @@ def _normal_crossing(
     independent, taken from `solved` or built and stored there.
 
     Such an arrangement is normal crossing (Watanabe 2009): every subset S
-    of the hyperplanes is a flat of codim |S| and weight the sum of its s_j.
-    A subset's ratio |S| / sum(s_j) is at least 1/s*, with s* the largest
-    multiplicity, and equality holds iff every s_j = s*. So the threshold is
-    1/s*, the minimizers are the nonempty subsets of T, the hyperplanes with
-    s = s*, each of weight |S|·s*, and m is |T|. These are fixed by the tied
-    set: s*, and the position and primitive normal of each member of T, which
-    set every minimizer's rows, mask and weight. That is the key in
-    `solved`, so many points of an affine arrangement share one answer; the
-    caller owns `solved` and it dies with the call.
+    of the hyperplanes is a flat of codim |S| and weight the sum of its s_j,
+    and |S| / sum(s_j) >= 1/s*, s* the largest multiplicity, with equality
+    iff every s_j = s*. So the threshold is 1/s*, the minimizers are the
+    nonempty subsets of T, the hyperplanes with s = s*, of weight |S|·s*,
+    and m is |T|. The tied set (s*, and each member's position and
+    primitive normal) fixes all of that, so it is the key in `solved`, and
+    many points of an affine arrangement share one answer; the caller owns
+    `solved` and it dies with the call.
 
     A depth-first walk over T adds one normal at a time to its parent's
     canonical rows by `_insert`. As in `_closure`, a node carries the
-    residues of the normals it may still add, modulo its span, which is what
-    `_insert` takes; one more `eliminate` step gives the child the later
-    residues. The rows are the span's canonical rows, so, sorted by
-    `_order`, the flats are byte for byte the closure path's.
+    residues modulo its span of the normals it may still add; one
+    `eliminate` step gives a child the later residues, and it is skipped
+    when they are all zero at the added residue's lead. Sorted by `_order`,
+    the flats are byte for byte the closure path's.
     """
     top = max(arr.multiplicities)
     normals = arr.primitive_normals
@@ -167,15 +164,17 @@ def _normal_crossing(
         return solved[tied]
     flats = []
     # (canonical rows, mask, the residues of the tied normals still to add, with their bits)
-    stack = [((), 0, {row: 1 << j for j, row in tied[1:]})]
+    stack = [((), 0, [(row, 1 << j) for j, row in tied[1:]])]
     while stack:
-        rows, mask, outside = stack.pop()
-        later = list(outside.items())
-        for k, (residue, bit) in enumerate(later):
-            child_rows = _insert(rows, residue)
-            flats.append(Flat(child_rows, mask | bit, (mask | bit).bit_count() * top))
-            if k + 1 < len(later):
-                stack.append((child_rows, mask | bit, eliminate(dict(later[k + 1 :]), residue)))
+        rows, mask, later = stack.pop()
+        for k, (residue, bit) in enumerate(later, 1):
+            child_rows, child = _insert(rows, residue), mask | bit
+            flats.append(Flat(child_rows, child, child.bit_count() * top))
+            if k < len(later):
+                rest, c = later[k:], residue.index(next(filter(None, residue)))
+                if any(row[c] for row, _ in rest):  # else `eliminate` would pass them through unchanged
+                    rest = list(eliminate(dict(rest), residue).items())
+                stack.append((child_rows, child, rest))
     solved[tied] = _solved(_order(flats))
     return solved[tied]
 

@@ -5,6 +5,7 @@ the table."""
 
 import json
 import re
+from itertools import combinations
 
 import pytest
 
@@ -213,6 +214,14 @@ CASES = [
             ("grid-3d", "compute", GRID_3D),
             ("affine-cube", "localize", "vars x, y, z; x*(x-1)*y*(y-1)*z*(z-1)*(x+y+z-1)"),
             ("coordinates", "compute", "x1*x2*x3*x4*x5*x6*x7*x8"),
+            # Central reports with member indices of 10 and more: braid A5's one
+            # minimizer holds members 0-14, and k=11 has 2,047 minimizers.
+            ("braid-a5", "compute", "*".join(f"(x{i}-x{j})" for i, j in combinations(range(1, 7), 2))),
+            ("shuffled-coordinates-11", "compute",
+             "vars x9, x3, x11, x7, x1, x5, x10, x8, x2, x6, x4; x5*x10*x2*x8*x11*x1*x7*x3*x9*x6*x4"),
+            ("weighted-pencil-12", "compute",
+             "vars x, y; y^2*x*(x+y)^3*(x-2*y)*(3*x+y)^2*(x+5*y)*(2*x-7*y)^3*(4*x+3*y)*(x-9*y)^2*(5*x-y)"
+             "*(6*x+11*y)*(x+13*y)^2"),
         ]
     ],
 ]

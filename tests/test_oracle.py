@@ -28,7 +28,7 @@ from rlct import (
     rlct_affine,
     rlct_central,
 )
-from rlct.oracle import MAX_BRUTEFORCE_CHAIN_FLATS, verify_central, verify_report
+from rlct.oracle import MAX_BRUTEFORCE_CHAIN_FLATS, rref, verify_central, verify_report
 from rlct.ratlinalg import RationalMatrix
 from rlct.threshold import RlctPair
 
@@ -92,6 +92,26 @@ class TestLatticeBruteforce:
         for arr in (large, small, large, small):
             reference = flats_key(lattice_bruteforce(arr))
             assert flats_key(build_lattice(arr)) == reference
+            assert [f.to_json_dict() for f in rlct_central(arr).minimizer_flats] == reference
+        # 40 seeded normal-crossing draws: k independent sparse normals with
+        # entries up to +-1000 in k to k + 2 dimensions, their columns
+        # shuffled, all multiplicities tied in every other draw. The minimizers
+        # must be the oracle's flats at lambda, in the oracle's order.
+        rng = random.Random(4747)
+        for draw in range(40):
+            k = 2 + draw % 7
+            d = k + rng.randint(0, 2)
+            rows = []
+            while rref(RationalMatrix(rows or [[0] * d]))[1] < k:
+                rows = [[rng.choice((0, rng.randint(-1000, 1000))) for _ in range(d)] for _ in range(k)]
+            perm = rng.sample(range(d), d)
+            rows = [[row[c] for c in perm] for row in rows]
+            mults = [rng.randint(1, 3)] * k if draw % 2 else [rng.randint(1, 3) for _ in range(k)]
+            arr = normalize(ArrangementSpec(rows, mults))
+            assert arr.normal_rank == arr.n == k
+            flats = lattice_bruteforce(arr).flats
+            lam = min(Fraction(f.codim, f.weight) for f in flats)
+            reference = [f.to_json_dict() for f in flats if Fraction(f.codim, f.weight) == lam]
             assert [f.to_json_dict() for f in rlct_central(arr).minimizer_flats] == reference
 
     def test_sees_a_production_formatter_fault(self, monkeypatch):
