@@ -28,7 +28,7 @@ from .errors import (
     InvalidHyperplaneError,
     InvalidMultiplicityError,
 )
-from .ratlinalg import RationalLike, RationalMatrix, as_rational, integer_rank, integer_row, lead_keys, primitive_int_row, quotient_strings
+from .ratlinalg import RationalLike, RationalMatrix, as_rational, integer_rank, integer_row, lead_sorted, lead_strings, primitive_int_row
 
 # A variable name: the parser's NAME token, so every name can be read back.
 IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -202,7 +202,7 @@ def normalize(spec: ArrangementSpec) -> NormalizedArrangement:
     affine forms (a_i, b_i) are proportional, rescales each survivor so the
     first nonzero normal entry is 1, and sorts rows lexicographically.
     The work is on the spec's integer rows: two forms are proportional iff
-    their primitive integer rows (a | b) are equal, and `lead_keys` sorts
+    their primitive integer rows (a | b) are equal, and `lead_sorted` orders
     those rows as their lead-1 forms. No `Fraction` is built.
     """
     if spec.n == 0:
@@ -218,8 +218,7 @@ def normalize(spec: ArrangementSpec) -> NormalizedArrangement:
         merged[row] = merged.get(row, 0) + s
     if not merged:
         raise EmptyArrangementError("all rows were dropped (every multiplicity is zero)")
-    keys = lead_keys(merged)
-    rows = tuple(sorted(merged, key=keys.__getitem__))
+    rows = tuple(lead_sorted(merged))
     mults = tuple(merged[row] for row in rows)
     return _stored(NormalizedArrangement, primitive_rows=rows, multiplicities=mults, dim=d, variables=spec.variables)
 
@@ -291,10 +290,11 @@ def arrangement_from_json(document: str | Mapping) -> ArrangementSpec:
 
 def arrangement_to_json_dict(arr: NormalizedArrangement) -> dict:
     """Serializable form of a normalized arrangement; rationals become "p/q"
-    strings, printed from the integer rows: each entry over its row's lead,
-    which is in the normal, gives the lead-1 normal and offset."""
+    strings, each row's `lead_strings` (its lead is in the normal), which
+    give the lead-1 normal and offset. `rlct parse` prints its `csv` and
+    `human` lines from these texts too."""
     d = arr.dim
-    texts = [quotient_strings(row, next(filter(None, row))) for row in arr.primitive_rows]
+    texts = [lead_strings(row) for row in arr.primitive_rows]
     return {
         "variables": list(arr.var_names()),
         "normals": [text[:d] for text in texts],

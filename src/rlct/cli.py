@@ -17,6 +17,8 @@ its C encoder), from a document that holds its `Flat`s and `Localization`s.
 A flat prints from its integer data and its indent's constant pieces, with
 one text per distinct row, shared tuple and shared result body per report,
 and a point from its integers (nums, den), in JSON and `human` lines alike.
+`parse` prints every format from the texts of `arrangement_to_json_dict`,
+and no document printed here holds a `Fraction`.
 `rlct.volume`, and numpy with it, loads on the first `volume-fit`, inside
 `cmd_volume_fit` and the seams `estimate_volume` and `fit_asymptotics`;
 `compute`, `localize` and `parse` never load it.
@@ -35,7 +37,6 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -147,17 +148,17 @@ def parse_box(spec: str | None, dim: int):
     return intervals
 
 
-# The text of the scalar types that fill a report's lists; a `Fraction` is its "p/q" string.
-_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__, Fraction: lambda x: f'"{format_rational(x)}"'}
+# The text of the scalar types that fill a report's lists; every rational is a "p/q" string already.
+_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__}
 
 
 def _indented_json(obj, pad: str = "\n") -> str:
     """Exactly `json.dumps(obj, indent=2, default=lambda x: x.to_json_dict())`,
-    with every container one `str.join`, and a `Fraction` as its "p/q" string.
+    with every container one `str.join`.
 
     `pad` is the newline and indent of `obj`'s own line. A list picks its
-    item writer once: `_SCALAR_TEXT` if every item is of exact type str, int
-    or `Fraction`, the flat writer if every item is a `Flat`, else `text`
+    item writer once: `_SCALAR_TEXT` if every item is of exact type str or
+    int, the flat writer if every item is a `Flat`, else `text`
     (any other scalar takes `json.dumps(x)`). Dict keys are `str`; a dict is
     one join over its braces, keys, separators and values' texts, so no text
     is copied but into its parent's. A `Flat` prints in the layout of
@@ -358,20 +359,15 @@ def cmd_volume_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
-    arr = load_arrangement(args)
-    names = arr.var_names()
+    doc = arrangement_to_json_dict(load_arrangement(args))
     human, csv = [], []
-    for j in range(arr.n):
-        normal, offset, mult = arr.hyperplane(j)
-        terms = [f"{format_rational(c)}*{names[i]}" for i, c in enumerate(normal) if c != 0]
-        if offset != 0:
-            terms.append(format_rational(offset))
+    for normal, offset, mult in zip(doc["normals"], doc["offsets"], doc["multiplicities"]):
+        terms = [f"{c}*{name}" for c, name in zip(normal, doc["variables"]) if c != "0"]
+        if offset != "0":
+            terms.append(offset)
         human.append(f"[{mult}] {' + '.join(terms)} = 0")
-        fields = [format_rational(c) for c in normal] + [str(mult)]
-        if not arr.is_central:
-            fields.append(format_rational(offset))
-        csv.append(",".join(fields))
-    emit(args.format, arrangement_to_json_dict(arr), csv=csv, human=human)
+        csv.append(",".join(normal + [str(mult)] + ([] if doc["central"] else [offset])))
+    emit(args.format, doc, csv=csv, human=human)
     return EXIT_OK
 
 

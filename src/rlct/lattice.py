@@ -11,21 +11,22 @@ Only the flats that are read get `_canonical_rows`, for the lattice order,
 residue to canonical rows, here and in `threshold`'s normal-crossing walk.
 A witness point comes from its flat's chain by back-substitution
 (`_chain_point`), as integers over one denominator. `_order` sorts any list
-of `Flat`s by small integer ranks of their distinct rows, so `threshold`
-orders the flats it builds without a closure by the same key.
+of `Flat`s by the ranks of their rows in `ratlinalg.lead_sorted`'s order, so
+`threshold` orders the flats it builds without a closure by the same key. A
+flat prints its rows' `lead_strings`, bound as `_rref_strings` for the CLI.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from math import gcd
 from operator import mul
 from typing import Sequence
 
 from .arrangement import NormalizedArrangement
 from .errors import CentralityError, EmptyArrangementError
-from .ratlinalg import eliminate, integer_rank, lead_keys, quotient_strings
+from .ratlinalg import eliminate, integer_rank, lead_sorted
+from .ratlinalg import lead_strings as _rref_strings
 
 
 @dataclass(frozen=True)
@@ -63,13 +64,6 @@ class Flat:
         }
 
 
-def _rref_strings(row: tuple[int, ...]) -> list[str]:
-    """Each entry x / pivot in lowest terms, as `format_rational` prints it;
-    the pivot is the row's first nonzero entry, which is positive. The CLI's
-    printer calls this once per distinct row of a report (`cli._indented_json`)."""
-    return quotient_strings(row, next(x for x in row if x))
-
-
 @dataclass(frozen=True)
 class IntersectionLattice:
     """All flats of a central arrangement: `triples` holds the closure's
@@ -91,14 +85,13 @@ def _lattice_order(triples) -> list[Flat]:
 
 def _order(flats: list[Flat]) -> list[Flat]:
     """Flats in lattice order: (codim, rational RREF entries row-major). A
-    canonical row over its pivot is its RREF row, so `lead_keys` orders the
-    rows exactly, and distinct rows get distinct keys. Flats share most rows,
-    so each distinct row is keyed once per call and ranked by its key, and a
-    flat's key is (codim, tuple of its rows' ranks). Every row has the same
-    length, so that orders as the row-major entries do.
+    canonical row over its pivot is its RREF row, so `lead_sorted` orders
+    the rows exactly. Flats share most rows, so each distinct row is ranked
+    once per call by its place in that order, and a flat's key is (codim,
+    tuple of its rows' ranks). Every row has the same length, so that
+    orders as the row-major entries do.
     """
-    row_keys = lead_keys(row for flat in flats for row in flat.rows)
-    rank = {row: i for i, row in enumerate(sorted(row_keys, key=row_keys.__getitem__))}
+    rank = {row: i for i, row in enumerate(lead_sorted(row for flat in flats for row in flat.rows))}
     return sorted(flats, key=lambda flat: (len(flat.rows), tuple(map(rank.__getitem__, flat.rows))))
 
 

@@ -13,8 +13,9 @@ folds over a chain, `threshold._normal_crossing` and `integer_rank` run it
 too. The rows the closure carries for a flat are the rational RREF with
 each row rescaled to a primitive integer vector, so two flats are equal if
 and only if their rows are. `normalize` merges hyperplanes on such rows
-too, and `lead_keys` is the one exact sort key of rows read over their
-leads, for `normalize` and the lattice order alike. `meets_box` decides on
+too. A row read over its lead is ordered here (`lead_sorted`) and printed
+here (`lead_strings`), for `normalize`, the input echo, the lattice order
+and the flats' "normal_space" alike. `meets_box` decides on
 such rows whether a flat meets a closed box, on integers too: it reads each
 Fraction bound's numerator and denominator once, at entry, and builds no
 Fraction after.
@@ -132,24 +133,31 @@ def primitive_int_row(row: Sequence[int | Fraction]) -> tuple[int, ...]:
     return tuple([x // g for x in ints])
 
 
-def lead_keys(rows: Iterable[tuple[int, ...]]) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Integer keys that order integer rows with positive leads exactly as
-    their rational values do, each row read as its entries over its lead p,
+def lead_sorted(rows: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The distinct integer rows, primitive with positive leads, in the order
+    of their rational values, each row read as its entries over its lead p,
     its first nonzero entry. With P the largest lead among the rows, two
     distinct values x/p and y/q differ by at least 1/(pq) >= 1/P^2. Scaled
     by 2^shift > P^2 they differ by more than 1, so flooring keeps every
-    strict inequality, and equal values floor equally: the key
+    strict inequality, and equal values floor equally: the sort key
     (x << shift) // p gives exactly the rational order on these rows. A
     common denominator is no option, since the lcm of the leads can run to
-    thousands of digits. Each distinct row is keyed once, and the keys hold
-    for this call's shift only.
+    thousands of digits.
     """
-    keys = dict.fromkeys(rows)
-    leads = [next(filter(None, row)) for row in keys]
-    shift = 2 * max(leads).bit_length()
-    for row, p in zip(keys, leads):
-        keys[row] = tuple((x << shift) // p for x in row)
-    return keys
+    distinct = set(rows)
+    shift = 2 * max(next(filter(None, row)) for row in distinct).bit_length()
+
+    def key(row: tuple[int, ...]) -> tuple[int, ...]:
+        p = next(filter(None, row))
+        return tuple([(x << shift) // p for x in row])
+
+    return sorted(distinct, key=key)
+
+
+def lead_strings(row: Sequence[int]) -> list[str]:
+    """Each entry of an integer row over its lead, its first nonzero entry,
+    which is positive, in lowest terms, as `format_rational` prints it."""
+    return quotient_strings(row, next(filter(None, row)))
 
 
 def eliminate(groups: dict[tuple[int, ...], int], residue: tuple[int, ...]) -> dict[tuple[int, ...], int]:

@@ -36,6 +36,7 @@ from rlct import (
     rref,
 )
 from rlct.cli import main
+from rlct.ratlinalg import format_rational
 
 from conftest import random_central_arrangement, random_invertible, random_rational, unreduced_rref_strings
 from test_golden_cli import CASES, PARALLEL_DOUBLE_PLANES
@@ -503,6 +504,55 @@ class TestParseCommand:
         assert (code, err) == (0, "")
         assert out == "1,-2,2,6\n1,0,1,-1\n1,0,1,0\n1,1,1,0\n"
 
+    def test_lines_equal_the_fraction_views(self, capsys, tmp_path):
+        # `parse` prints its lines from its JSON document's texts; the
+        # reference builds them from `hyperplane()` and `format_rational`.
+        def reference(arr):
+            names, human, csv = arr.var_names(), [], []
+            for j in range(arr.n):
+                normal, offset, mult = arr.hyperplane(j)
+                terms = [f"{format_rational(c)}*{names[i]}" for i, c in enumerate(normal) if c != 0]
+                if offset != 0:
+                    terms.append(format_rational(offset))
+                human.append(f"[{mult}] {' + '.join(terms)} = 0")
+                fields = [format_rational(c) for c in normal] + [str(mult)]
+                if not arr.is_central:
+                    fields.append(format_rational(offset))
+                csv.append(",".join(fields))
+            return human, csv
+
+        def entry(big):
+            x = rng.choice((0, 0, rng.randint(-9, 9), rng.randint(-(10**12), 10**12) if big else 1))
+            return str(Fraction(x, rng.choice((1, 1, rng.randint(1, 12), rng.randint(1, 10**9) if big else 2))))
+
+        rng = random.Random(4821)
+        path = tmp_path / "arr.json"
+        fractional = negative = zero = large = 0
+        for draw in range(60):
+            d, n, central, big = rng.randint(1, 4), rng.randint(1, 6), draw % 2 == 0, draw % 3 == 0
+            normals = []
+            while len(normals) < n:
+                normal = [entry(big) for _ in range(d)]
+                if any(x != "0" for x in normal):
+                    normals.append(normal)
+            normals += rng.sample(normals, rng.randint(0, len(normals)))  # proportional rows merge
+            doc = {"normals": normals, "multiplicities": [rng.randint(1, 3) for _ in normals]}
+            if not central:
+                doc["offsets"] = [entry(big) for _ in normals]
+            if rng.random() < 0.5:
+                doc["variables"] = [f"v{i}" for i in range(d)]
+            path.write_text(json.dumps(doc))
+            human, csv = reference(normalize(arrangement_from_json(path.read_text())))
+            for fmt, lines in (("human", human), ("csv", csv)):
+                assert main(["parse", "--input", str(path), "--format", fmt]) == 0
+                assert capsys.readouterr().out == "\n".join(lines) + "\n", (doc, fmt)
+            fields = [x for line in csv for x in line.split(",")]
+            fractional += any("/" in x for x in fields)
+            negative += any(x.startswith("-") for x in fields)
+            zero += "0" in fields
+            large += any(len(x) > 12 for x in fields)
+        assert min(fractional, negative, zero, large) >= 10, (fractional, negative, zero, large)
+
 
 class TestMain:
     def test_parser_is_built_once(self, capsys, monkeypatch):
@@ -522,12 +572,12 @@ class TestMain:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         code = "import sys, rlct.cli; sys.exit(rlct.cli.main(sys.argv[1:]))"
         poly = "x1*x2*x3*x4*x5*x6*x7*x8*x9*x10"
-        proc = subprocess.Popen([sys.executable, "-c", code, "compute", "--poly", poly],
-                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        assert proc.stdout.read(10) == b'{\n  "input'
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert (proc.wait(timeout=120), err) == (141, b"")
+        with subprocess.Popen([sys.executable, "-c", code, "compute", "--poly", poly],
+                              env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.read(10) == b'{\n  "input'
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=120), err) == (141, b"")
 
 
 def _linear_form(coefs, const, names):
@@ -598,15 +648,14 @@ class TestIntegerToThePrintEdge:
 # JSON trees as reports hold them, plus the leaves they never hold: keys and
 # strings with quotes, backslashes, control and non-ASCII characters; floats
 # with NaN, the infinities and -0.0; numpy floats; bools; tuples; empty
-# containers; lists of one exact scalar type (the printer's fast path);
-# `Fraction`s, which the printer writes as their "p/q" strings.
+# containers; lists of one exact scalar type (the printer's fast path).
+# No `Fraction`: reports hold every rational as its "p/q" string.
 _TRICKY = st.sampled_from(['"', "\\", "\x00", "\n\t", "\x7f", "é", "λ", "\u2028", "\U0001f600", ""])
 _TEXT = st.text(max_size=8) | _TRICKY
 _FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324])
 _LEAVES = (
-    _TEXT | st.integers() | st.booleans() | st.none() | _FLOATS | _FLOATS.map(np.float64) | st.fractions()
+    _TEXT | st.integers() | st.booleans() | st.none() | _FLOATS | _FLOATS.map(np.float64)
     | st.lists(_TEXT, max_size=4) | st.lists(st.integers(), max_size=4) | st.lists(st.booleans(), max_size=3)
-    | st.lists(st.fractions(), max_size=4)
 )
 _TREES = st.recursive(
     _LEAVES,

@@ -20,7 +20,15 @@ from rlct import (
     subspace_leq,
 )
 from rlct.lattice import _canonical_rows, _closure
-from rlct.ratlinalg import format_rational, integer_rank, meets_box, primitive_int_row, quotient_strings
+from rlct.ratlinalg import (
+    format_rational,
+    integer_rank,
+    lead_sorted,
+    lead_strings,
+    meets_box,
+    primitive_int_row,
+    quotient_strings,
+)
 
 from conftest import matmul, meets_box_bruteforce, random_invertible
 
@@ -220,6 +228,61 @@ class TestQuotientStrings:
             whole += den == 1
             negative += any(x < 0 for x in nums)
         assert min(wide, zeros, whole, negative) >= 300, (wide, zeros, whole, negative)
+
+
+def _lead_rows(rng: random.Random, d: int, count: int) -> list[tuple[int, ...]]:
+    """Primitive integer rows of width d with positive leads from 1 to 10^6,
+    negative and zero entries, values over their leads that nearly tie, and
+    duplicates."""
+    rows = []
+    while len(rows) < count:
+        if rows and rng.random() < 0.2:
+            rows.append(rng.choice(rows))
+            continue
+        start = rng.randrange(d)
+        lead = rng.choice((1, rng.randint(1, 9), rng.randint(1, 10**3), rng.randint(1, 10**6), 10**6))
+        row = [0] * start + [lead]
+        for _ in range(d - start - 1):
+            row.append(rng.choice((0, rng.randint(-9, 9), rng.randint(-(10**7), 10**7))))
+        if rows and rng.random() < 0.3:
+            # Each entry over the lead within 1/lead of another row's.
+            other = rng.choice(rows)
+            p = next(filter(None, other))
+            if other.index(p) == start:
+                row[start + 1:] = [x * lead // p + rng.randint(-1, 1) for x in other[start + 1:]]
+        g = math.gcd(*row)
+        rows.append(tuple(x // g for x in row))
+    return rows
+
+
+class TestLeadRows:
+    """`lead_sorted` and `lead_strings` against `Fraction`s over each row's lead."""
+
+    def test_lead_sorted_is_the_rational_order(self):
+        rng = random.Random(4811)
+        duplicates = near = 0
+        for _ in range(400):
+            d = rng.randint(1, 6)
+            rows = _lead_rows(rng, d, rng.randint(1, 40))
+
+            def value(row):
+                p = next(filter(None, row))
+                return [Fraction(x, p) for x in row]
+
+            expected = sorted(set(rows), key=value)
+            assert lead_sorted(rows) == expected
+            assert lead_sorted(iter(rows)) == expected
+            duplicates += len(set(rows)) < len(rows)
+            values = sorted(map(value, set(rows)))
+            near += any(a[:-1] == b[:-1] and 0 < b[-1] - a[-1] < Fraction(1, 10**5) for a, b in zip(values, values[1:]))
+        assert duplicates >= 200 and near >= 20, (duplicates, near)
+
+    def test_lead_strings_prints_each_entry_over_the_lead(self):
+        rng = random.Random(4812)
+        for _ in range(2000):
+            for row in _lead_rows(rng, rng.randint(1, 6), 3):
+                p = next(filter(None, row))
+                assert lead_strings(row) == [format_rational(Fraction(x, p)) for x in row]
 
 
 class TestPrimitiveIntRow:
