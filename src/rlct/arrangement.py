@@ -3,9 +3,9 @@
 An arrangement is n affine hyperplanes a_i . x + b_i = 0 in d variables,
 each carrying an integer multiplicity s_i, together encoding the product
 of linear forms f = L_1^{s_1} ... L_n^{s_n}. Normalization merges rows
-that define the same affine hyperplane (summing multiplicities), drops
-rows with multiplicity zero, and rescales every normal so its first
-nonzero entry is 1, which makes row identity a plain equality test.
+that define the same affine hyperplane (summing multiplicities) and drops
+rows with multiplicity zero. Rows are stored and compared as primitive
+integer rows; their lead-1 entries are views, built on first read.
 A closed box, as the sampler and `threshold.box_pair` read it, is checked
 here too (`normalize_box`).
 """
@@ -58,9 +58,9 @@ class ArrangementSpec:
 
     Hyperplane i is `integer_rows[i]`, the row (a | b) as integers over
     the least denominator that makes it integer (`integer_row`), so equal
-    values are equal rows; the parser builds these (`_stored`). `normals` and
-    `offsets` are `Fraction` views, built on first read or kept from the
-    constructor.
+    values are equal rows. The constructor checks its input and stores only
+    these integer fields; the parser builds them unchecked (`_stored`).
+    `normals` and `offsets` are `Fraction` views, built on first read.
     """
 
     integer_rows: tuple[tuple[tuple[int, ...], int], ...]
@@ -88,8 +88,7 @@ class ArrangementSpec:
             if not names_ok or len(set(variables)) < len(variables):
                 raise DimensionError(f"variable names {list(variables)} are not distinct identifiers")
         rows = tuple(integer_row(normal + (offset,)) for normal, offset in zip(normals, offs))
-        vars(self).update(integer_rows=rows, multiplicities=mults, dim=normals.cols, variables=variables,
-                          normals=normals, offsets=offs)
+        vars(self).update(integer_rows=rows, multiplicities=mults, dim=normals.cols, variables=variables)
 
     @cached_property
     def normals(self) -> RationalMatrix:
@@ -105,19 +104,19 @@ class ArrangementSpec:
         return len(self.integer_rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NormalizedArrangement:
-    """Deduplicated arrangement: pairwise distinct affine hyperplanes, s_i >= 1.
+    """Deduplicated arrangement: n >= 1 pairwise distinct affine hyperplanes, s_i >= 1.
 
     Each affine form (a | b) is stored as its primitive integer row with
-    positive lead, sorted by its lead-1 form (normal, offset), so equal
-    arrangements are equal values. `normals` (the lead-1 normals, each entry
-    x/lead of its row) and `offsets` are `Fraction` views, and
-    `primitive_normals` and `normal_rank` the integer view that the closure,
-    `box_pair` and the normal-crossing test read. Each is built on first
-    read and kept, or kept from the constructor, which takes the `Fraction`
-    views. `normalize` and `threshold._centered` build from integers
-    (`_stored`), and `_centered` fills in the integer view.
+    positive lead, sorted by its lead-1 form (normal, offset), and compared
+    as such, so equal arrangements are equal values. `normals` (the lead-1
+    normals, each entry x/lead of its row) and `offsets` are `Fraction`
+    views, and `primitive_normals` and `normal_rank` the integer view that
+    the closure, `box_pair` and the normal-crossing test read, each built on
+    first read and kept. It has no public constructor: `normalize` builds
+    it, and `threshold._centered` a subset of one built, filling in the
+    integer view (both through `_stored`).
     """
 
     primitive_rows: tuple[tuple[int, ...], ...]
@@ -125,12 +124,6 @@ class NormalizedArrangement:
     dim: int
     # Names are presentation only; they do not enter equality or hashing.
     variables: tuple[str, ...] | None = field(default=None, compare=False)
-
-    def __init__(self, normals: RationalMatrix, offsets, multiplicities, variables=None):
-        offsets = tuple(offsets)
-        rows = tuple(primitive_int_row(normal + (offset,)) for normal, offset in zip(normals, offsets))
-        vars(self).update(primitive_rows=rows, multiplicities=tuple(multiplicities), dim=normals.cols,
-                          variables=variables, normals=normals, offsets=offsets)
 
     @property
     def n(self) -> int:
@@ -196,14 +189,14 @@ def normalize_box(box: Sequence[Sequence] | None, dim: int) -> Box:
 
 
 def normalize(spec: ArrangementSpec) -> NormalizedArrangement:
-    """Validate and canonicalize an arrangement.
+    """Validate and canonicalize: the one way to build a `NormalizedArrangement`.
 
-    Drops multiplicity-0 rows, rejects zero normals, merges rows whose
-    affine forms (a_i, b_i) are proportional, rescales each survivor so the
-    first nonzero normal entry is 1, and sorts rows lexicographically.
-    The work is on the spec's integer rows: two forms are proportional iff
-    their primitive integer rows (a | b) are equal, and `lead_sorted` orders
-    those rows as their lead-1 forms. No `Fraction` is built.
+    Drops multiplicity-0 rows, rejects zero normals and an input with no row
+    left, merges rows whose affine forms (a_i, b_i) are proportional, and
+    sorts the survivors, stored as primitive integer rows, by their lead-1
+    forms. The work is on the spec's integer rows: two forms are
+    proportional iff their primitive integer rows (a | b) are equal, and
+    `lead_sorted` orders those rows as their lead-1 forms. No `Fraction` is built.
     """
     if spec.n == 0:
         raise EmptyArrangementError("arrangement has no hyperplanes")

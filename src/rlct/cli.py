@@ -376,8 +376,13 @@ _PARSER = build_arg_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
+    # Exact numbers may outgrow CPython's cap on int <-> str conversion (4,300
+    # digits from 3.10.7, none before): lift it for this command only.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except BrokenPipeError:
         # The reader closed stdout (`rlct ... | head`): exit quietly, as a
@@ -393,6 +398,9 @@ def main(argv: list[str] | None = None) -> int:
         # (bad seeds, malformed numbers) are user errors at this boundary too.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

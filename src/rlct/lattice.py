@@ -24,7 +24,7 @@ from operator import mul
 from typing import Sequence
 
 from .arrangement import NormalizedArrangement
-from .errors import CentralityError, EmptyArrangementError
+from .errors import CentralityError
 from .ratlinalg import eliminate, integer_rank, lead_sorted
 from .ratlinalg import lead_strings as _rref_strings
 
@@ -150,10 +150,10 @@ def _chain_point(chain: tuple[tuple[int, ...], ...], d: int) -> tuple[tuple[int,
 def _closure(rows: Sequence[tuple[int, ...]], d: int) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
     """Every flat spanned by `rows`, as (residue chain, member bitmask).
 
-    Rows are primitive integer vectors with d columns (normals) or d + 1
-    (rows (a | b), offset last). Closure by rank level from the ambient
-    space, whose groups are the rows grouped by value. A flat's groups are
-    each primitive residue of the outside rows modulo its span, with the
+    Rows, at least one, are primitive integer vectors with d columns
+    (normals) or d + 1 (rows (a | b), offset last). Closure by rank level
+    from the ambient space, whose groups are the rows grouped by value. A
+    flat's groups are each primitive residue of the outside rows modulo its span, with the
     bitmask of the rows that have it. Two rows give the same child iff their
     residues are equal, so a group is exactly the child's new members, and
     only a child with a new mask is built, so every flat is built once. A
@@ -220,7 +220,7 @@ def _closure(rows: Sequence[tuple[int, ...]], d: int) -> list[tuple[tuple[tuple[
     for j, row in enumerate(rows):
         start[row] = start.get(row, 0) | 1 << j
     top = integer_rank(start)
-    offset = bool(rows) and len(rows[0]) > d  # normals alone never lead at an offset
+    offset = len(rows[0]) > d  # normals alone never lead at an offset
     seen = {0}
     frontier = [((), 0, start)]  # the ambient space holds its own groups
     flats = []
@@ -259,8 +259,6 @@ def build_lattice(arr: NormalizedArrangement) -> IntersectionLattice:
     """
     if not arr.is_central:
         raise CentralityError("the intersection lattice is defined for central arrangements; localize first")
-    if arr.n == 0:
-        raise EmptyArrangementError("arrangement has no hyperplanes")
     mult = arr.multiplicities
     triples = tuple((chain, mask, _weight(mask, mult)) for chain, mask in _closure(arr.primitive_normals, arr.dim))
     return IntersectionLattice(triples=triples)

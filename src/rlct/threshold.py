@@ -115,7 +115,7 @@ def rlct_central(arr: NormalizedArrangement) -> RlctResult:
     if not arr.is_central:
         raise CentralityError("rlct_central needs a central arrangement; use rlct_affine")
     # n <= d first: more rows than d cannot be independent, and need no rank.
-    if 0 < arr.n <= arr.dim and arr.normal_rank == arr.n:
+    if arr.n <= arr.dim and arr.normal_rank == arr.n:
         return RlctResult(*_normal_crossing(arr, {}), arr)
     triples = build_lattice(arr).triples
     codim, weight = 1, 0  # 1/0 is above every ratio
@@ -328,8 +328,6 @@ def maximal_central_localizations(
     `arr`'s integer rows (`_centered`). No `Fraction` is built.
     """
     n, d = arr.n, arr.dim
-    if n == 0:
-        raise EmptyArrangementError("arrangement has no hyperplanes")
     found = sorted(
         (tuple(j for j in range(n) if mask >> j & 1), chain)
         for chain, mask in _closure(arr.primitive_rows, d)

@@ -207,12 +207,11 @@ class TestNormalizeDifferential:
             assert arr.multiplicities == mults
             assert all(type(x) is Fraction for row in arr.normals for x in row)
             assert all(type(x) is Fraction for x in arr.offsets)
-            # `normalize` stores the integer rows; the public constructor
-            # builds them from the views, which it keeps.
+            # `normalize` stores the integer rows, and normalizes the reference's output to itself.
             assert arr.primitive_normals == tuple(primitive_int_row(row) for row in normals)
             assert arr.primitive_rows == tuple(primitive_int_row(a + (b,)) for a, b in zip(normals, offsets))
-            built = NormalizedArrangement(RationalMatrix(normals), offsets, mults)
-            assert vars(built)["offsets"] == offsets and (built, hash(built)) == (arr, hash(arr))
+            built = normalize(ArrangementSpec(RationalMatrix(normals), mults, offsets))
+            assert (built, hash(built)) == (arr, hash(arr))
             assert (built.primitive_rows, built.primitive_normals) == (arr.primitive_rows, arr.primitive_normals)
             merged += sum(s > 0 for s in spec.multiplicities) > arr.n
             # The sort key's shift is twice the largest lead's bit length.
@@ -222,18 +221,20 @@ class TestNormalizeDifferential:
 
 def _rebuilt_from_views(obj, build):
     """`build` of `obj`'s `Fraction` views, which `obj` builds here on first
-    read, is equal to `obj` and hashes alike."""
+    read, is equal to `obj` and hashes alike, and keeps no view."""
     assert "normals" not in vars(obj) and "offsets" not in vars(obj)
     assert all(type(x) is F for row in obj.normals for x in row)
     assert all(type(x) is F for x in obj.offsets)
     built = build(obj)
+    assert "normals" not in vars(built) and "offsets" not in vars(built)
     assert (built, hash(built)) == (obj, hash(obj))
     assert (built.n, built.dim) == (obj.n, obj.dim)
     return built
 
 
 def _normalized_from_views(arr):
-    built = _rebuilt_from_views(arr, lambda a: NormalizedArrangement(a.normals, a.offsets, a.multiplicities, a.variables))
+    built = _rebuilt_from_views(
+        arr, lambda a: normalize(ArrangementSpec(a.normals, a.multiplicities, a.offsets, a.variables)))
     assert (built.primitive_rows, built.primitive_normals) == (arr.primitive_rows, arr.primitive_normals)
     assert (built.normal_rank, built.is_central) == (arr.normal_rank, arr.is_central)
     return built
@@ -242,8 +243,16 @@ def _normalized_from_views(arr):
 class TestIntegerRowsAndTheirViews:
     """Arrangements store integer rows and build their `Fraction` views on
     first read. One built from integers (by the parser, `normalize` or
-    `threshold._centered`) equals and hashes like one built through the
-    public constructor from its views."""
+    `threshold._centered`) equals and hashes like one built again from its
+    views: a spec through its constructor, a normalized arrangement through
+    `normalize`, its only builder."""
+
+    def test_normalized_arrangement_has_no_public_constructor(self):
+        arr = normalize(ArrangementSpec([[1, 0], [0, 1]], [2, 1], offsets=[F(1, 2), 0]))
+        with pytest.raises(TypeError):
+            NormalizedArrangement(arr.normals, arr.offsets, arr.multiplicities)
+        with pytest.raises(TypeError):
+            NormalizedArrangement(primitive_rows=arr.primitive_rows, multiplicities=arr.multiplicities, dim=2)
 
     def test_built_from_integers_equals_built_from_views(self):
         rng = random.Random(487)

@@ -1,5 +1,6 @@
 """End-to-end exercise of the command-line surfaces."""
 
+import contextlib
 import json
 import math
 import os
@@ -578,6 +579,46 @@ class TestMain:
             proc.stdout.close()
             err = proc.stderr.read()
             assert (proc.wait(timeout=120), err) == (141, b"")
+
+    def test_numbers_past_the_int_str_digit_limit(self, capsys):
+        # CPython (3.10.7 on) refuses int <-> str conversions past 4,300 digits.
+        # 2,500-digit coefficients put the witness point at about 5,000 digits,
+        # and a 4,400-digit coefficient is past the cap in the parser. `main`
+        # lifts the cap for its command and puts it back on every exit path.
+        a, b = "7" * 2500, "3" * 2500
+        poly = f"vars x, y; ({a}*x + y - 1)*(x + {b}*y + 1)"
+        limit = _int_digit_limit()
+        code, out, _ = run_cli(capsys, "compute", "--poly", poly, "--format", "csv")
+        assert (code, out, _int_digit_limit()) == (0, "lambda,m\n1,2\n", limit)
+        code, out, _ = run_cli(capsys, "compute", "--poly", poly)
+        assert (code, _int_digit_limit()) == (0, limit)
+        det = int(a) * int(b) - 1
+        with _no_int_digit_limit():
+            point = [format_rational(Fraction(int(b) + 1, det)), format_rational(Fraction(-int(a) - 1, det))]
+        assert json.loads(out)["global_point"] == point
+        code, out, _ = run_cli(capsys, "compute", "--poly", f"vars x, y; ({'7' * 4400}*x + y - 1)*y", "--format", "csv")
+        assert (code, out, _int_digit_limit()) == (0, "lambda,m\n1,2\n", limit)
+        assert run_cli(capsys, "compute", "--poly", "(x+y")[0] == 2
+        with pytest.raises(SystemExit):
+            main(["no-such-command"])
+        assert _int_digit_limit() == limit
+
+
+def _int_digit_limit():
+    """CPython's cap on int <-> str conversion; 0, none, before 3.10.7."""
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+
+
+@contextlib.contextmanager
+def _no_int_digit_limit():
+    limit = _int_digit_limit()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _linear_form(coefs, const, names):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from rlct import (
     ArrangementSpec,
     CentralityError,
-    NormalizedArrangement,
     RationalMatrix,
     build_lattice,
     localizations_bruteforce,
@@ -586,7 +585,7 @@ class TestClosureEngine:
             row_sets = [augmented, list(arr.primitive_normals)] if arr.is_central else [augmented]
             reference = None
             if kind not in ("parallel", "no-point"):
-                centered = NormalizedArrangement(arr.normals, (F(0),) * n, arr.multiplicities)
+                centered = normalize(ArrangementSpec(arr.normals, arr.multiplicities))
                 reference = {f.mask: tuple(map(primitive_int_row, f.rows)) for f in lattice_bruteforce(centered).flats}
             closures = []
             for rows in row_sets:

@@ -17,7 +17,6 @@ import rlct.oracle
 from rlct import (
     ArrangementSpec,
     CentralityError,
-    NormalizedArrangement,
     SizeLimitError,
     build_lattice,
     lattice_bruteforce,
@@ -203,10 +202,6 @@ class TestPinnedReferences:
                     for flat in lattice_bruteforce(arr).flats] for arr in central]
         outputs += [localizations_bruteforce(arr) for arr in central + affine]
         assert hashlib.sha256(repr(outputs).encode()).hexdigest() == self.DIGEST
-
-    def test_no_rows(self):
-        arr = NormalizedArrangement(RationalMatrix([], cols=2), (), ())
-        assert (lattice_bruteforce(arr).flats, localizations_bruteforce(arr)) == ((), [])
 
 
 class TestLongestChainBruteforce:

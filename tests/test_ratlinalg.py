@@ -325,11 +325,11 @@ class TestClosureRows:
     @given(matrices(min_rows=1))
     def test_matches_row_space_canonical(self, m):
         rows = [primitive_int_row(r) for r in m if any(r)]
-        flats = _closure(rows, m.cols)
         canon = tuple(primitive_int_row(r) for r in row_space_canonical(m))
-        if not canon:
-            assert flats == []
+        if not rows:  # `_closure` takes at least one row, as every arrangement has one
+            assert canon == ()
             return
+        flats = _closure(rows, m.cols)
         # Codim rank(m) iff inclusion-maximal: the one flat of all rows.
         maximal = [(chain, mask) for chain, mask in flats if len(chain) == rref(m)[1]]
         assert [mask for _, mask in maximal] == [(1 << len(rows)) - 1]

@@ -18,7 +18,6 @@ from rlct import (
     DimensionError,
     EmptyArrangementError,
     InvalidMultiplicityError,
-    NormalizedArrangement,
     RlctError,
     RlctPair,
     SizeLimitError,
@@ -135,15 +134,6 @@ class TestCentral:
     def test_affine_rejected(self):
         with pytest.raises(CentralityError):
             rlct_central(arr_of("x*(x-1)"))
-
-    def test_no_hyperplanes_is_an_error(self):
-        # Built by hand, past `normalize`: no rows, so no normal-crossing
-        # shortcut either, whose s* would be the max of no multiplicities.
-        arr = NormalizedArrangement(normals=RationalMatrix((), cols=2), offsets=(), multiplicities=())
-        assert arr.is_central and arr.normal_rank == arr.n == 0
-        for solve in (rlct_central, rlct_affine, lambda arr: box_pair(arr, [(-1, 1), (-1, 1)])):
-            with pytest.raises(EmptyArrangementError):
-                solve(arr)
 
     def test_deterministic_witness(self):
         a = rlct_central(arr_of("x*y^2*z^2*(x+y+z)"))
@@ -632,6 +622,48 @@ class TestIntegerView:
             assert arr.normal_rank == rref(arr.normals)[1]
 
 
+class TestLocalArrangementsAreNormalized:
+    """`threshold._centered` builds a local arrangement from its parent's
+    rows, past `normalize`'s checks. Each one that the localizations and
+    `box_pair` solve is the arrangement `normalize` gives for its own rows:
+    at least one row, distinct, in order, with positive multiplicities."""
+
+    def test_each_local_arrangement_equals_its_normalized_rows(self, monkeypatch):
+        solved = []
+        central = threshold.rlct_central
+        monkeypatch.setattr(threshold, "rlct_central", lambda sub: solved.append(sub) or central(sub))
+        rng = random.Random(4902)
+        dropped = cut = local = 0
+        for _ in range(300):
+            d, n = rng.randint(1, 4), rng.randint(1, 7)
+            rows = []
+            while len(rows) < n:
+                row = [F(rng.randint(-2, 2)) for _ in range(d)]
+                if any(row):
+                    rows.append(row)
+            offsets = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+            mults = [rng.choice([0, 1, 1, 2, 3]) for _ in range(n)]
+            if not any(mults):
+                mults[0] = 1
+            arr = normalize(ArrangementSpec(rows, mults, offsets=offsets))
+            dropped += 0 in mults
+            solved.clear()
+            for _ in range(2):
+                lows = [F(rng.randint(-3, 2), rng.randint(1, 2)) for _ in range(d)]
+                try:
+                    box_pair(arr, [(lo, lo + F(rng.randint(1, 3), rng.randint(1, 2))) for lo in lows])
+                except RlctError:
+                    pass
+            maximal = [sub for _, sub in maximal_central_localizations(arr)]
+            cut += any(sub not in maximal for sub in solved)  # the box cut a maximal flat off
+            subs = solved + maximal
+            for sub in subs:
+                again = normalize(ArrangementSpec(sub.normals, sub.multiplicities, sub.offsets, sub.variables))
+                assert (sub, hash(sub)) == (again, hash(again))
+            local += len(subs)
+        assert dropped >= 120 and cut >= 120 and local >= 1800, (dropped, cut, local)
+
+
 class TestLatticeOnRead:
     """A result keeps the arrangement it solved, not its lattice: `lattice`
     is built on first read, and a localization is its point and its result."""
@@ -954,11 +986,9 @@ class TestAffine:
         assert report.global_pair == pair(F(1, 2), 1)
 
     def test_hand_built_arrangement_is_central_only_by_its_offsets(self):
-        # x*(x-1) built directly: centrality is read off the offsets, so a
-        # value cannot claim to be central while an offset is nonzero.
-        arr = NormalizedArrangement(
-            normals=RationalMatrix([[1], [1]]), offsets=(0, -1), multiplicities=(1, 1)
-        )
+        # x*(x-1) built from its rows: centrality is read off the offsets, so
+        # a value cannot claim to be central while an offset is nonzero.
+        arr = normalize(ArrangementSpec([[1], [1]], [1, 1], offsets=[0, -1]))
         assert not arr.is_central
         with pytest.raises(CentralityError):
             rlct_central(arr)
