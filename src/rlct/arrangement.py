@@ -125,6 +125,10 @@ class NormalizedArrangement:
     # Names are presentation only; they do not enter equality or hashing.
     variables: tuple[str, ...] | None = field(default=None, compare=False)
 
+    def __init__(self, *args, **kwargs):
+        # `_stored`, `pickle` and `copy` build instances without calling this.
+        raise TypeError("NormalizedArrangement has no public constructor; build one with rlct.normalize")
+
     @property
     def n(self) -> int:
         return len(self.primitive_rows)

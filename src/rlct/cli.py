@@ -15,8 +15,10 @@ the bytes of `json.dumps(doc, indent=2, default=lambda x: x.to_json_dict())`
 through C-level joins (`_indented_json`; an `indent` makes `json.dumps` skip
 its C encoder), from a document that holds its `Flat`s and `Localization`s.
 A flat prints from its integer data and its indent's constant pieces, with
-one text per distinct row, shared tuple and shared result body per report,
-and a point from its integers (nums, den), in JSON and `human` lines alike.
+one text per distinct row per report. A localization prints through its
+indent's writer: its point from its integers (nums, den), as `human` lines
+print it, then one body text per result, in which the minimizer flats and
+witness chain are written once per pair of tuples.
 `parse` prints every format from the texts of `arrangement_to_json_dict`,
 and no document printed here holds a `Fraction`.
 `rlct.volume`, and numpy with it, loads on the first `volume-fit`, inside
@@ -54,7 +56,7 @@ from .lattice import Flat
 from .oracle import verify_central, verify_report
 from .parser import parse_factored_product
 from .ratlinalg import as_rational, format_rational, quotient_strings
-from .threshold import Localization, box_pair, localization_body, rlct_affine, rlct_central
+from .threshold import Localization, box_pair, rlct_affine, rlct_central
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -156,24 +158,28 @@ def _indented_json(obj, pad: str = "\n") -> str:
     """Exactly `json.dumps(obj, indent=2, default=lambda x: x.to_json_dict())`,
     with every container one `str.join`.
 
-    `pad` is the newline and indent of `obj`'s own line. A list picks its
-    item writer once: `_SCALAR_TEXT` if every item is of exact type str or
-    int, the flat writer if every item is a `Flat`, else `text`
-    (any other scalar takes `json.dumps(x)`). Dict keys are `str`; a dict is
-    one join over its braces, keys, separators and values' texts, so no text
-    is copied but into its parent's. A `Flat` prints in the layout of
-    `Flat.to_json_dict` through its indent's writer, built once per call with
-    the indent's pads, separators and key texts; so are the member index
-    texts and each distinct row's text (from the `lattice._rref_strings`
-    bound when the call starts), and no flat's text outlives its list's join.
-    A `Localization` prints as its point, then its result's body text
-    (`threshold.localization_body`); that text and each tuple's are built
-    once per indent per call, keyed by id, which is safe as `obj` holds them.
+    `pad` is the newline and indent of `obj`'s own line. A `Flat` and a
+    `Localization` print through their indent's writer (`builders`), built
+    once per call from the indent's pads, separators and key texts. A list
+    picks its item writer once: that writer if every item is a `Flat` or
+    every item a `Localization`, `_SCALAR_TEXT` if every item is of exact
+    type str or int, else `text` (any other scalar takes `json.dumps(x)`).
+    Dict keys are `str`; a dict is one join over its braces, keys,
+    separators and values' texts, so no text is copied but into its
+    parent's. A flat prints in the layout of `Flat.to_json_dict` from its
+    integer data, the member index texts and each distinct row's text (from
+    the `lattice._rref_strings` bound when the call starts), and no flat's
+    text outlives its list's join. A localization prints in the layout of
+    `Localization.to_json_dict`: its point, then its result's body text,
+    built once per result. In the body, the minimizer flats and witness
+    chain are written once per pair of tuples (the results of one
+    normal-crossing memo entry share them), and a chain flat that is a
+    minimizer reuses its text. These texts are keyed by id, which is safe as
+    `obj` holds their objects to the end of the call.
     """
     rref_strings = lattice._rref_strings
     names: list[str] = []  # member index texts, "0", "1", ...
-    writers: dict[tuple[object, str], object] = {}  # rows and flat writers, by builder and indent
-    shared: dict[tuple[str, int], str] = {}  # tuples' and results' texts, by indent and id
+    writers: dict[tuple[object, str], object] = {}  # rows, flat and localization writers, by builder and indent
 
     def writer(build, pad: str):
         """`build(pad)`, built once per call."""
@@ -212,50 +218,70 @@ def _indented_json(obj, pad: str = "\n") -> str:
 
         return write
 
-    def localization_text(loc: Localization, pad: str) -> str:
-        inner, key = pad + "  ", (pad, id(loc.result))
-        if key not in shared:
-            shared[key] = "".join(item_parts(localization_body(loc.result, None), inner, rows="normals"))
-        point = text(quotient_strings(*loc.integer_point), inner)
-        return "".join(("{", inner, '"point": ', point, shared[key], pad, "}"))
+    def localization_writer(pad: str):
+        """A `Localization` at `pad`: its point, then its result's body text.
+        A body is built once per result, and its two flat lists once per pair of tuples."""
+        inner = pad + "  "
+        item, sep = inner + "  ", "," + inner + "  "
+        flat_text, rows_text = writer(flat_writer, item), writer(rows_writer, inner)
+        head, lam = "{" + inner + '"point": [' + item, inner + "]," + inner + '"lambda": '
+        m, minimizers_key, chain_key = "," + inner + '"m": ', "," + inner + '"minimizer_flats": ', "," + inner + '"witness_chain": '
+        normals, mults, tail = "," + inner + '"normals": ', "," + inner + '"multiplicities": [' + item, inner + "]" + pad + "}"
+        bodies: dict[int, str] = {}  # by result id
+        flat_lists: dict[tuple[int, int], str] = {}  # by the ids of (minimizer_flats, witness_chain)
 
-    def item_parts(obj: dict, inner: str, rows: str | None = None) -> list[str]:
-        """Each item of `obj` as its separator, key, ": " and value text; the value under `rows` is integer rows."""
-        sep, parts = "," + inner, []
-        for key, value in obj.items():
-            parts += (sep, encode_basestring_ascii(key), ": ", writer(rows_writer, inner)(value) if key == rows else text(value, inner))
-        return parts
+        def listed(texts: list[str]) -> str:
+            return f"[{item}{sep.join(texts)}{inner}]" if texts else "[]"
+
+        def flats_text(minimizers: tuple[Flat, ...], chain: tuple[Flat, ...]) -> str:
+            texts = list(map(flat_text, minimizers))
+            by_id = dict(zip(map(id, minimizers), texts))
+            chain_texts = [by_id.get(id(flat)) or flat_text(flat) for flat in chain]
+            return f"{minimizers_key}{listed(texts)}{chain_key}{listed(chain_texts)}"
+
+        def body(result) -> str:
+            key = id(result.minimizer_flats), id(result.witness_chain)
+            flats = flat_lists.get(key)
+            if flats is None:
+                flats = flat_lists[key] = flats_text(result.minimizer_flats, result.witness_chain)
+            pair, arr = result.pair, result.arrangement
+            multiplicities = sep.join(map(int.__repr__, arr.multiplicities))
+            return (f"{encode_basestring_ascii(format_rational(pair.threshold))}{m}{pair.multiplicity}{flats}"
+                    f"{normals}{rows_text(arr.primitive_normals)}{mults}{multiplicities}{tail}")
+
+        def write(loc: Localization) -> str:
+            text = bodies.get(id(loc.result))
+            if text is None:
+                text = bodies[id(loc.result)] = body(loc.result)
+            return f"{head}{sep.join(map(encode_basestring_ascii, quotient_strings(*loc.integer_point)))}{lam}{text}"
+
+        return write
+
+    builders = {Flat: flat_writer, Localization: localization_writer}
 
     def text(obj, pad: str) -> str:
         if not isinstance(obj, (dict, list, tuple)):
-            if type(obj) is Flat:
-                return writer(flat_writer, pad)(obj)
-            if type(obj) is Localization:
-                return localization_text(obj, pad)
-            return _SCALAR_TEXT.get(type(obj), json.dumps)(obj)
+            build = builders.get(type(obj))
+            return writer(build, pad)(obj) if build else _SCALAR_TEXT.get(type(obj), json.dumps)(obj)
         if not obj:
             return "{}" if isinstance(obj, dict) else "[]"
         inner = pad + "  "
         if isinstance(obj, dict):
-            parts = item_parts(obj, inner)
+            sep, parts = "," + inner, []
+            for key, value in obj.items():
+                parts += (sep, encode_basestring_ascii(key), ": ", text(value, inner))
             parts[0] = "{" + inner
             parts += (pad, "}")
             return "".join(parts)
-        key = (pad, id(obj)) if type(obj) is tuple else None
-        if key in shared:
-            return shared[key]
         kinds = set(map(type, obj))
         kind = kinds.pop() if len(kinds) == 1 else None
-        write = writer(flat_writer, inner) if kind is Flat else _SCALAR_TEXT.get(kind, lambda x: text(x, inner))
-        out = "[" + inner + ("," + inner).join(map(write, obj)) + pad + "]"
-        if key:
-            shared[key] = out
-        return out
+        build = builders.get(kind)
+        write = writer(build, inner) if build else _SCALAR_TEXT.get(kind, lambda x: text(x, inner))
+        return "[" + inner + ("," + inner).join(map(write, obj)) + pad + "]"
 
     out = text(obj, pad)
     # `text` refers to itself, so these closures form a cycle: free the texts now.
     writers.clear()
-    shared.clear()
     return out
 
 
@@ -302,9 +328,10 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_volume_fit(args: argparse.Namespace) -> int:
     """`exact` is the pair of the sampled box (the default box without
     --box): the most singular local pair on it, from one `box_pair` call.
-    The grid, the fit's rules on it (0 < eps < 1, three distinct values)
-    and the box are checked before the exact pair is solved and before any
-    draw, so a bad --eps-* or --box fails without running the closure. The
+    The grid, the fit's rules on it (0 < eps < 1, three distinct values),
+    the box and, when it samples, --seed (a Philox key, 0 <= seed < 2**128)
+    and --samples (at least 1) are checked before the exact pair is solved
+    and before any draw, so a bad flag fails without running the closure. The
     sweep draws once, at max(grid), and counts each point with `.at`.
     `exact` uses each point's full-neighbourhood pair, so where a flat only
     touches the box the printed λ is too small: `--poly "vars x, y;
@@ -316,6 +343,11 @@ def cmd_volume_fit(args: argparse.Namespace) -> int:
     grid = epsilon_grid(args.eps_min, args.eps_max, args.eps_points)
     check_fit_epsilons(grid)
     box = normalize_box(parse_box(args.box, arr.dim), arr.dim)
+    if not args.selftest:
+        if not 0 <= args.seed < 2**128:
+            raise RlctError(f"--seed {args.seed} is outside 0 <= seed < 2**128")
+        if args.samples < 1:
+            raise RlctError(f"--samples {args.samples} is below 1")
     lam, m = box_pair(arr, box).astuple()
 
     if args.selftest:

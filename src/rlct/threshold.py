@@ -258,22 +258,18 @@ class Localization:
         return self.result.pair
 
     def to_json_dict(self, *, flat=Flat.to_json_dict) -> dict:
-        return {"point": quotient_strings(*self.integer_point), **localization_body(self.result, flat)}
-
-
-def localization_body(result: RlctResult, flat) -> dict:
-    """The keys of a localization's JSON after "point": its result's pair and
-    flats (`flat` as in `RlctResult.to_json_dict`), then its local
-    arrangement's normals and multiplicities. Each normal is a list of "p/q"
-    strings (`lattice._rref_strings` of its primitive row), or with
-    `flat=None` that row, which the CLI's printer prints through the same
-    strings. Localizations that share a result share this body, so the CLI
-    prints it once per result; the rows are the parent arrangement's."""
-    doc = result.to_json_dict(flat=flat)
-    rows = result.arrangement.primitive_normals
-    doc["normals"] = list(rows) if flat is None else [lattice._rref_strings(row) for row in rows]
-    doc["multiplicities"] = list(result.arrangement.multiplicities)
-    return doc
+        """The point, its result's pair and flats (`flat` as in
+        `RlctResult.to_json_dict`), then its local arrangement's normals and
+        multiplicities. Each normal is a list of "p/q" strings,
+        `lattice._rref_strings` of its primitive row, which is the parent
+        arrangement's."""
+        arr = self.result.arrangement
+        return {
+            "point": quotient_strings(*self.integer_point),
+            **self.result.to_json_dict(flat=flat),
+            "normals": [lattice._rref_strings(row) for row in arr.primitive_normals],
+            "multiplicities": list(arr.multiplicities),
+        }
 
 
 @dataclass(frozen=True)

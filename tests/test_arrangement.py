@@ -1,6 +1,8 @@
 """Normalization and ingestion of arrangements."""
 
+import copy
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -253,6 +255,20 @@ class TestIntegerRowsAndTheirViews:
             NormalizedArrangement(arr.normals, arr.offsets, arr.multiplicities)
         with pytest.raises(TypeError):
             NormalizedArrangement(primitive_rows=arr.primitive_rows, multiplicities=arr.multiplicities, dim=2)
+        with pytest.raises(TypeError, match="normalize"):
+            NormalizedArrangement()
+
+    def test_normalized_arrangement_round_trips_without_its_constructor(self):
+        # With the views read and unread: `pickle` and `copy` build the
+        # instance from its fields, not through `__init__`.
+        for read in (False, True):
+            arr = normalize(ArrangementSpec([[1, 0], [0, 1], [1, 1]], [2, 1, 1], offsets=[F(1, 2), 0, 3], variables=["u", "v"]))
+            if read:
+                assert arr.normal_rank == 2
+            for copied in (pickle.loads(pickle.dumps(arr)), copy.copy(arr), copy.deepcopy(arr)):
+                assert type(copied) is NormalizedArrangement
+                assert copied == arr and hash(copied) == hash(arr)
+                assert (copied.variables, copied.normal_rank, copied.offsets) == (("u", "v"), 2, arr.offsets)
 
     def test_built_from_integers_equals_built_from_views(self):
         rng = random.Random(487)

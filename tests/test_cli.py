@@ -406,6 +406,23 @@ class TestVolumeFit:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize(
+        "bad", [("--seed", "-1"), ("--seed", str(2**128)), ("--samples", "0"), ("--samples", "-5")]
+    )
+    def test_seed_and_samples_fail_before_the_exact_pair(self, capsys, monkeypatch, bad):
+        # The sampler's key and count, checked with the grid and box and
+        # named by their flag; --selftest draws nothing, so it ignores them.
+        def unreachable(*args):
+            raise AssertionError("solved the exact pair before checking --seed and --samples")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(rlct.cli, "box_pair", unreachable)
+            code, out, err = run_cli(capsys, "volume-fit", "--poly", "x*y", *bad)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {bad[0]} {bad[1]} ") and err.count("\n") == 1, err
+        code, out, _ = run_cli(capsys, "volume-fit", "--poly", "x*y", *bad, "--selftest", "--format", "csv")
+        assert code == 0 and out.startswith("epsilon,volume,std_error\n0.01,0.0460517018599,0\n")
+
     def test_selftest_epsilon_of_one_is_an_epsilon_error(self, capsys):
         # Nothing is sampled, so the sample-count advice would be wrong.
         code, out, err = run_cli(capsys, "volume-fit", "--poly", "x*y", "--selftest", "--eps-max", "1")
@@ -751,6 +768,27 @@ def _shared_report_draw(rng, kind):
     }
 
 
+def _generic_affine_draw(rng, n, d):
+    """n affine hyperplanes in d variables: integer normals and offsets in
+    [-99, 99], multiplicities 1-4."""
+    rows = [[rng.randint(-99, 99) for _ in range(d)] for _ in range(n)]
+    return normalize(ArrangementSpec(rows, [rng.randint(1, 4) for _ in rows], offsets=[rng.randint(-99, 99) for _ in rows]))
+
+
+def _printing_peak(doc):
+    """`rlct.cli._indented_json(doc)` and the peak of the memory it allocated, by `tracemalloc`."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = rlct.cli._indented_json(doc)
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 class TestIndentedJson:
     @settings(max_examples=400)
     @given(_TREES)
@@ -758,24 +796,30 @@ class TestIndentedJson:
         assert rlct.cli._indented_json(tree) == json.dumps(tree, indent=2, default=str)
 
     def test_a_value_is_copied_once(self):
-        # A dict joins its values' texts with no copy of its own, and every
-        # tuple keeps its text: printing a central report with 1,023
-        # minimizer flats must peak below 2.5 times the output's length
-        # (it reads 2.03, and 3.00 when an item is first copied into "key: value").
+        # A dict joins its values' texts with no copy of its own, and a
+        # list's text is kept only by its parent's join: printing a central
+        # report with 1,023 minimizer flats must peak below 2.5 times the
+        # output's length (it reads 2.03, and 3.02 when a list keeps its
+        # items' texts alive past their join).
         arr = normalize(parse_factored_product("*".join(f"x{i}" for i in range(1, 11))))
         doc = {"input": arrangement_to_json_dict(arr), **rlct_central(arr).to_json_dict(flat=None)}
-        tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            out = rlct.cli._indented_json(doc)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        out, peak = _printing_peak(doc)
         assert out == json.dumps(doc, indent=2, default=_to_json_dict)
         assert peak < 2.5 * len(out), (peak, len(out))
+
+    def test_an_affine_report_is_copied_about_three_times(self):
+        # The localization writer keeps each result's body text and each
+        # pair of flat lists' text to the end of the call, and each point's
+        # text copies its body once more: on a generic n = 14, d = 3 draw,
+        # whose 364 points share no result, printing must peak below 3.5
+        # times the output's length (it reads 3.30).
+        arr = _generic_affine_draw(random.Random(14), 14, 3)
+        report = rlct_affine(arr)
+        assert len(report.localizations) == len({id(loc.result) for loc in report.localizations}) == 364
+        doc = {"input": arrangement_to_json_dict(arr), **report.to_json_dict(flat=None)}
+        out, peak = _printing_peak(doc)
+        assert out == json.dumps(doc, indent=2, default=_to_json_dict)
+        assert peak < 3.5 * len(out), (peak, len(out))
 
     def test_equals_stdlib_on_the_golden_reports(self, capsys, monkeypatch, tmp_path):
         docs = []
@@ -810,6 +854,40 @@ class TestIndentedJson:
             for flat in build_lattice(arr).flats:
                 for pad in ("\n", "\n  ", "\n      "):
                     assert rlct.cli._indented_json(flat, pad) == rlct.cli._indented_json(flat.to_json_dict(), pad)
+
+    def test_a_localization_prints_as_its_json_dict(self):
+        # The localization writer keeps one body text per result and one
+        # text per pair of flat tuples, and a chain flat that is a minimizer
+        # takes that minimizer's text. Each localization must print as its
+        # dict does, alone and in one list, at every indent: on reports whose
+        # results share tuples, on generic draws, and on results whose flat
+        # tuples are empty, or whose chain holds flats that are no minimizer
+        # (equal copies and other flats of the lattice).
+        rng = random.Random(616)
+        reports = [rlct_affine(normalize(arrangement_from_json(json.dumps(_shared_report_draw(rng, kind)))))
+                   for kind in ("grid", "hidden", "digits") * 2]
+        reports += [rlct_affine(_generic_affine_draw(rng, rng.randint(3, 7), rng.randint(2, 3))) for _ in range(6)]
+        shared = outside = 0
+        for report in reports:
+            locs = list(report.localizations)
+            results = {id(loc.result): loc.result for loc in locs}.values()
+            shared += len(results) - len({(id(r.minimizer_flats), id(r.witness_chain)) for r in results})
+            for loc in locs[::5]:
+                result = loc.result
+                chain, minimizers = result.witness_chain, result.minimizer_flats
+                others = [flat for flat in build_lattice(result.arrangement).flats if flat not in minimizers][:1]
+                outside += len(others)
+                for tampered in (
+                    replace(result, minimizer_flats=(), witness_chain=()),
+                    replace(result, witness_chain=()),
+                    replace(result, witness_chain=(*chain[:1], *map(replace, chain), *others)),
+                ):
+                    locs += [replace(loc, result=tampered)] * 2
+            for pad in ("\n", "\n  ", "\n      "):
+                assert rlct.cli._indented_json(locs, pad) == rlct.cli._indented_json([loc.to_json_dict() for loc in locs], pad)
+                for loc in locs:
+                    assert rlct.cli._indented_json(loc, pad) == rlct.cli._indented_json(loc.to_json_dict(), pad)
+        assert shared >= 20 and outside >= 10, (shared, outside)
 
     def test_flats_print_through_the_patched_formatter(self, capsys, monkeypatch):
         # The printer must read `lattice._rref_strings` when it runs, as
