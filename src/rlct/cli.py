@@ -166,16 +166,13 @@ def _indented_json(obj, pad: str = "\n") -> str:
     type str or int, else `text` (any other scalar takes `json.dumps(x)`).
     Dict keys are `str`; a dict is one join over its braces, keys,
     separators and values' texts, so no text is copied but into its
-    parent's. A flat prints in the layout of `Flat.to_json_dict` from its
-    integer data, the member index texts and each distinct row's text (from
+    parent's. A flat's rows print through each distinct row's text (from
     the `lattice._rref_strings` bound when the call starts), and no flat's
-    text outlives its list's join. A localization prints in the layout of
-    `Localization.to_json_dict`: its point, then its result's body text,
-    built once per result. In the body, the minimizer flats and witness
-    chain are written once per pair of tuples (the results of one
-    normal-crossing memo entry share them), and a chain flat that is a
-    minimizer reuses its text. These texts are keyed by id, which is safe as
-    `obj` holds their objects to the end of the call.
+    text outlives its list's join. A localization's result body is built
+    once per result, and its minimizer flats and witness chain once per
+    pair of tuples (the results of one normal-crossing memo entry share
+    them), where a chain flat that is a minimizer reuses its text. These
+    texts are keyed by id, which is safe as `obj` holds their objects.
     """
     rref_strings = lattice._rref_strings
     names: list[str] = []  # member index texts, "0", "1", ...
@@ -225,29 +222,26 @@ def _indented_json(obj, pad: str = "\n") -> str:
         item, sep = inner + "  ", "," + inner + "  "
         flat_text, rows_text = writer(flat_writer, item), writer(rows_writer, inner)
         head, lam = "{" + inner + '"point": [' + item, inner + "]," + inner + '"lambda": '
-        m, minimizers_key, chain_key = "," + inner + '"m": ', "," + inner + '"minimizer_flats": ', "," + inner + '"witness_chain": '
-        normals, mults, tail = "," + inner + '"normals": ', "," + inner + '"multiplicities": [' + item, inner + "]" + pad + "}"
+        keys = ("m", "minimizer_flats", "witness_chain", "normals", "multiplicities")
+        m, minimizers, chain, normals, mults = ("," + inner + f'"{key}": ' for key in keys)
+        tail = inner + "]" + pad + "}"
         bodies: dict[int, str] = {}  # by result id
         flat_lists: dict[tuple[int, int], str] = {}  # by the ids of (minimizer_flats, witness_chain)
 
         def listed(texts: list[str]) -> str:
             return f"[{item}{sep.join(texts)}{inner}]" if texts else "[]"
 
-        def flats_text(minimizers: tuple[Flat, ...], chain: tuple[Flat, ...]) -> str:
-            texts = list(map(flat_text, minimizers))
-            by_id = dict(zip(map(id, minimizers), texts))
-            chain_texts = [by_id.get(id(flat)) or flat_text(flat) for flat in chain]
-            return f"{minimizers_key}{listed(texts)}{chain_key}{listed(chain_texts)}"
-
         def body(result) -> str:
             key = id(result.minimizer_flats), id(result.witness_chain)
-            flats = flat_lists.get(key)
-            if flats is None:
-                flats = flat_lists[key] = flats_text(result.minimizer_flats, result.witness_chain)
+            if key not in flat_lists:
+                texts = list(map(flat_text, result.minimizer_flats))
+                by_id = dict(zip(map(id, result.minimizer_flats), texts))
+                chain_texts = [by_id.get(id(flat)) or flat_text(flat) for flat in result.witness_chain]
+                flat_lists[key] = f"{minimizers}{listed(texts)}{chain}{listed(chain_texts)}"
             pair, arr = result.pair, result.arrangement
             multiplicities = sep.join(map(int.__repr__, arr.multiplicities))
-            return (f"{encode_basestring_ascii(format_rational(pair.threshold))}{m}{pair.multiplicity}{flats}"
-                    f"{normals}{rows_text(arr.primitive_normals)}{mults}{multiplicities}{tail}")
+            return (f"{encode_basestring_ascii(format_rational(pair.threshold))}{m}{pair.multiplicity}{flat_lists[key]}"
+                    f"{normals}{rows_text(arr.primitive_normals)}{mults}[{item}{multiplicities}{tail}")
 
         def write(loc: Localization) -> str:
             text = bodies.get(id(loc.result))
